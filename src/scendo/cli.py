@@ -245,6 +245,12 @@ def _out_dir(config: dict, override) -> Path:
 # ---------------------------------------------------------------------------
 
 
+#: SolveResult.diagnostics entries copied into solution.json
+SOLUTION_DIAGNOSTICS = (
+    "nfev", "n_starts", "best_start", "violation", "viol_history", "alpha_suggestion_error",
+)
+
+
 def cmd_solve(args) -> int:
     config = _load_config(args.config)
     bundle = _build_problem(config)
@@ -281,6 +287,9 @@ def cmd_solve(args) -> int:
         "aleatory_outliers": result.aleatory_outliers,
         "epistemic_outliers": result.epistemic_outliers,
         "trained_iid": iid,
+        "diagnostics": {
+            k: result.diagnostics[k] for k in SOLUTION_DIAGNOSTICS if k in result.diagnostics
+        },
         **_provenance(config),
     }
     rows = [("aleatory", int(i), "") for i in result.aleatory_outliers]

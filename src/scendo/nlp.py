@@ -14,6 +14,13 @@ Gradients come from central finite differences with per-coordinate steps
 fd_step * max(1, |x_i|).  Everything is deterministic given the seed; the
 multi-start reduction uses a fixed ordering so results do not depend on
 how many worker threads run the starts.
+
+Batch contract: row i of a batch callable's result depends only on row i
+of its (B, dim) input, and is bit-identical to evaluating that row alone.
+Each L-BFGS-B evaluation relies on it: the merit at x and its 2*dim
+finite-difference probes are one (2*dim + 1)-row batch, with x as row 0.
+The scenario programs rely on it too, computing their design-only terms
+once per distinct design row of a batch.
 """
 
 from __future__ import annotations
@@ -65,8 +72,10 @@ class NlpProblem:
     ``inequalities`` is a list of scalar constraint functions; large
     constraint systems can instead supply ``constraints_vec`` returning the
     whole residual vector.  The optional ``*_batch`` callables evaluate a
-    (B, dim) stack of points at once and make finite differencing cheap;
-    they must agree with their scalar counterparts.
+    (B, dim) stack of points at once and make finite differencing cheap.
+    They must keep the batch contract: row i of the result depends only on
+    row i of the input and is bit-identical to evaluating that row alone,
+    by the batch callable or by its scalar counterpart.
     """
 
     dim: int
@@ -142,29 +151,28 @@ def _make_batch_penalty(problem: NlpProblem, cons):
     return penalty_batch
 
 
-def _batch_fd_gradient(penalty_batch, x: Array, mu: float, step: float) -> Array:
+def _batch_fd_gradient(penalty_batch, x: Array, mu: float, step: float):
+    """Merit at x and its central-difference gradient, from one batch.
+
+    Row 0 of the batch is x, rows 1..dim the forward probes and rows
+    dim+1..2*dim the backward ones.  Returns ``(f, grad)``.
+    """
     dim = x.size
     h = step * np.maximum(1.0, np.abs(x))
-    X = np.tile(x, (2 * dim, 1))
-    X[np.arange(dim), np.arange(dim)] += h
-    X[dim + np.arange(dim), np.arange(dim)] -= h
+    X = np.tile(x, (2 * dim + 1, 1))
+    X[1 + np.arange(dim), np.arange(dim)] += h
+    X[1 + dim + np.arange(dim), np.arange(dim)] -= h
     vals = penalty_batch(X, mu)
-    if not np.all(np.isfinite(vals)):
-        bad = int(np.flatnonzero(~np.isfinite(vals))[0] % dim)
+    probes = vals[1:]
+    if not np.all(np.isfinite(probes)):
+        bad = int(np.flatnonzero(~np.isfinite(probes))[0] % dim)
         raise ArithmeticError(f"non-finite merit value at finite-difference probe of coordinate {bad}")
-    return (vals[:dim] - vals[dim:]) / (2.0 * h)
+    return float(vals[0]), (probes[:dim] - probes[dim:]) / (2.0 * h)
 
 
 def _solve_one_start(problem: NlpProblem, opts: NlpOptions, x0: Array):
     cons = _make_cons(problem)
     penalty_batch = _make_batch_penalty(problem, cons)
-
-    def penalty(x: Array, mu: float) -> float:
-        g = cons(x)
-        p = problem.objective(x)
-        if g.size:
-            p = p + mu * float(np.sum(np.maximum(0.0, g) ** 2))
-        return float(p)
 
     if problem.bounds is not None:
         lb, ub = problem.bounds[:, 0], problem.bounds[:, 1]
@@ -180,10 +188,7 @@ def _solve_one_start(problem: NlpProblem, opts: NlpOptions, x0: Array):
     converged = False
     for _ in range(opts.max_outer):
         def fun(xx, _mu=mu):
-            return (
-                penalty(xx, _mu),
-                _batch_fd_gradient(penalty_batch, xx, _mu, opts.fd_step),
-            )
+            return _batch_fd_gradient(penalty_batch, xx, _mu, opts.fd_step)
 
         res = _scipy_minimize(
             fun,

@@ -19,6 +19,7 @@ deterministic given the solver options' seed.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Optional
@@ -34,9 +35,20 @@ from scendo.core import (
     SolveResult,
 )
 from scendo.ecdf import quantile_of
-from scendo.weights import sign_fraction, smooth_sign_fraction, weights_from_values
+from scendo.weights import (
+    failure_fractions,
+    sign_fraction,
+    smooth_sign_fraction,
+    weights_from_fractions,
+    weights_from_values,
+)
 
 Array = np.ndarray
+
+logger = logging.getLogger(__name__)
+
+#: largest fraction below one; the weight rule's aleatory slot is [0, 1)
+_BELOW_ONE = np.nextafter(1.0, 0.0)
 
 
 class FormulationTag(str, Enum):
@@ -128,6 +140,28 @@ def _req_quantiles(values: Array, levels: Array) -> Array:
     return quantile_of(values, levels[:, None])
 
 
+def _per_design(theta: Array, design_terms: Callable[[Array], tuple]) -> tuple:
+    """Evaluate ``design_terms`` once per distinct design row, scattered back.
+
+    ``theta`` is (..., m); ``design_terms`` maps a (U, m) stack of distinct
+    designs to a tuple of arrays with leading axis U.  Returns the tuple
+    with that axis replaced by theta's leading shape.  Rows match on their
+    exact bytes, so under the batch contract (see ``scendo.nlp``) every
+    result row equals evaluating its design alone.  Programs with
+    auxiliary variables need this: all auxiliary probes of a
+    finite-difference batch repeat the design of its centre row.
+    """
+    theta = np.asarray(theta, dtype=float)
+    lead, m = theta.shape[:-1], theta.shape[-1]
+    flat = np.ascontiguousarray(theta.reshape(-1, m))
+    keys = flat.view(np.dtype((np.void, flat.itemsize * m))).ravel()
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    inverse = inverse.ravel()
+    return tuple(
+        t[inverse].reshape(lead + t.shape[1:]) for t in design_terms(flat[first])
+    )
+
+
 def _theta_starts(spec: ProblemSpec, opts: nlp.NlpOptions) -> Array:
     rng = np.random.default_rng(opts.seed)
     return nlp.latin_hypercube(spec.design_bounds, opts.n_starts, rng)
@@ -196,6 +230,28 @@ def _global_epistemic_outliers(spec, data, cfg, theta, alpha_a_slots) -> Array:
     return np.array(sorted(out), dtype=int)
 
 
+def _local_design_terms(spec: ProblemSpec, data: ScenarioData, levels: Array):
+    """Design-only term of the local programs for ``_per_design``: the
+    per-requirement epistemic quantiles, (U, n_r, n_a)."""
+
+    def design_terms(theta):
+        return (_req_quantiles(requirement_values(spec, data, theta), levels),)
+
+    return design_terms
+
+
+def _global_design_terms(spec: ProblemSpec, data: ScenarioData):
+    """Design-only terms of the global programs for ``_per_design``: the
+    requirement grid and its failure fractions, (U, n_r, n_a, n_e) and
+    (U, n_r, n_a)."""
+
+    def design_terms(theta):
+        values = requirement_values(spec, data, theta)
+        return values, failure_fractions(values)
+
+    return design_terms
+
+
 # ---------------------------------------------------------------------------
 # risk-averse formulations (slack-penalized, magnitude-aware)
 # ---------------------------------------------------------------------------
@@ -211,15 +267,16 @@ def solve_risk_averse_local(
     cfg = cfg.for_spec(spec)
     opts = opts or nlp.NlpOptions()
     m, n_a, n_r = spec.m_theta, data.n_a, spec.n_r
-    levels = 1.0 - cfg.alpha_e
 
     def obj_any(x):
         x = np.asarray(x, float)
         return _objective_values(spec, x[..., :m]) + cfg.rho * np.sum(x[..., m:], axis=-1)
 
+    design_terms = _local_design_terms(spec, data, 1.0 - cfg.alpha_e)
+
     def cons_any(x):
         x = np.asarray(x, float)
-        q = _req_quantiles(requirement_values(spec, data, x[..., :m]), levels)
+        (q,) = _per_design(x[..., :m], design_terms)
         g = q - x[..., None, m:]
         return g.reshape(x.shape[:-1] + (n_r * n_a,))
 
@@ -251,14 +308,19 @@ def solve_risk_averse_global(
         x = np.asarray(x, float)
         return _objective_values(spec, x[..., :m]) + cfg.rho * np.sum(x[..., m:], axis=-1)
 
+    design_terms = _global_design_terms(spec, data)
+
     def cons_any(x):
         x = np.asarray(x, float)
-        theta, xi = x[..., :m], x[..., m:]
-        values = requirement_values(spec, data, theta)
-        frac = smooth_sign_fraction(xi)
+        xi = x[..., m:]
+        values, p = _per_design(x[..., :m], design_terms)
+        # huge slacks round the smoothed fraction up to exactly one
+        frac = np.minimum(smooth_sign_fraction(xi), _BELOW_ONE)
         gs = []
         for k in range(n_r):
-            w, _, _ = weights_from_values(values[..., k, :, :], frac, cfg.alpha_e[k], cfg.gamma)
+            w, _, _ = weights_from_fractions(
+                values[..., k, :, :], p[..., k, :], frac, cfg.alpha_e[k], cfg.gamma
+            )
             gs.append(w[..., None, :] * values[..., k, :, :] - xi[..., :, None])
         g = np.stack(gs, axis=-3)
         return g.reshape(x.shape[:-1] + (n_r * n_a * n_e,))
@@ -292,8 +354,10 @@ def _attach_alpha_suggestion(spec, data, cfg, opts, result: SolveResult, variant
     try:
         _, alpha = solve_feasibility_seed(spec, data, cfg, variant=variant, opts=opts)
         result.diagnostics["suggested_alpha_a"] = alpha
-    except Exception:  # suggestion is best-effort only
-        pass
+    except Exception as exc:  # the suggestion is best-effort; the cause is kept
+        cause = f"{type(exc).__name__}: {exc}"
+        logger.warning("alpha_a suggestion failed: %s", cause, exc_info=True)
+        result.diagnostics["alpha_suggestion_error"] = cause
     return result
 
 
@@ -398,24 +462,29 @@ def solve_feasibility_seed(
     omega = np.ones(n_r) if omega is None else np.asarray(omega, dtype=float)
     if omega.shape != (n_r,) or np.any(omega <= 0):
         raise InputError("omega must be a positive vector of length n_r")
-    levels_e = 1.0 - cfg.alpha_e
 
     def obj_any(x):
         x = np.asarray(x, float)
         return np.sum(omega * x[..., m:], axis=-1)
 
+    if variant == "local":
+        design_terms = _local_design_terms(spec, data, 1.0 - cfg.alpha_e)
+    else:
+        design_terms = _global_design_terms(spec, data)
+
     def cons_any(x):
         x = np.asarray(x, float)
-        theta = x[..., :m]
         alpha = np.clip(x[..., m:], 0.0, 1.0)  # finite-difference probes overshoot
-        values = requirement_values(spec, data, theta)
         if variant == "local":
-            q = _req_quantiles(values, levels_e)
+            (q,) = _per_design(x[..., :m], design_terms)
             return quantile_of(q, 1.0 - alpha)
+        values, p = _per_design(x[..., :m], design_terms)
         gs = []
         for k in range(n_r):
             a_k = np.minimum(alpha[..., k], 1.0 - 1e-9)
-            w, _, _ = weights_from_values(values[..., k, :, :], a_k, cfg.alpha_e[k], cfg.gamma)
+            w, _, _ = weights_from_fractions(
+                values[..., k, :, :], p[..., k, :], a_k, cfg.alpha_e[k], cfg.gamma
+            )
             z = np.max(w[..., None, :] * values[..., k, :, :], axis=-1)
             gs.append(quantile_of(z, 1.0 - a_k))
         return np.stack(gs, axis=-1)
@@ -481,12 +550,17 @@ def solve_moment_risk_averse(
         x = np.asarray(x, float)
         return x[..., m] + cfg.rho * np.sum(x[..., m + 1 :], axis=-1)
 
+    def design_terms(theta):
+        return (
+            _req_quantiles(requirement_values(spec, data, theta), levels),
+            _response_quantiles(spec, data, h, theta, aer),
+        )
+
     def cons_any(x):
         x = np.asarray(x, float)
-        theta, lam, xi = x[..., :m], x[..., m], x[..., m + 1 :]
-        q = _req_quantiles(requirement_values(spec, data, theta), levels)
+        lam, xi = x[..., m], x[..., m + 1 :]
+        q, hq = _per_design(x[..., :m], design_terms)
         g_req = (q - xi[..., None, :]).reshape(x.shape[:-1] + (n_r * n_a,))
-        hq = _response_quantiles(spec, data, h, theta, aer)
         w = np.exp(-cfg.kappa * xi)
         mean = np.sum(hq * w, axis=-1) / np.maximum(np.sum(w, axis=-1), 1e-300)
         return np.concatenate([g_req, (mean - lam)[..., None]], axis=-1)
@@ -539,17 +613,20 @@ def solve_moment_risk_agnostic(
     def obj_any(x):
         return np.asarray(x, float)[..., m]
 
-    def cons_any(x):
-        x = np.asarray(x, float)
-        theta, lam = x[..., :m], x[..., m]
+    def design_terms(theta):
         q = _req_quantiles(requirement_values(spec, data, theta), levels)
-        q_worst = np.max(q, axis=-2)  # (..., n_a)
+        q_worst = np.max(q, axis=-2)  # (U, n_a)
         hq = _response_quantiles(spec, data, h, theta, aer)
         order = np.argsort(hq, axis=-1, kind="stable")
         h_sorted = np.take_along_axis(hq, order, axis=-1)
         running_mean = np.cumsum(h_sorted, axis=-1) / counts
-        ell = running_mean - lam[..., None]
-        stacked = np.maximum(ell, np.take_along_axis(q_worst, order, axis=-1))
+        return running_mean, np.take_along_axis(q_worst, order, axis=-1)
+
+    def cons_any(x):
+        x = np.asarray(x, float)
+        running_mean, q_worst_sorted = _per_design(x[..., :m], design_terms)
+        ell = running_mean - x[..., m, None]
+        stacked = np.maximum(ell, q_worst_sorted)
         return quantile_of(stacked, 1.0 - alpha_a)[..., None]
 
     theta0 = _theta_starts(spec, opts)

@@ -57,15 +57,25 @@ def sign_fraction(xi: Array, tol: float = SIGN_REPORT_TOL) -> float:
     return float(np.count_nonzero(xi > tol) / xi.size)
 
 
-def weights_from_values(values: Array, alpha_a_k, alpha_e_k, gamma: float):
-    """Weight rule applied to a precomputed requirement-value matrix.
+def failure_fractions(values: Array) -> Array:
+    """Step 1's design-only part: p_i = 1 - F(0) over the last axis.
 
-    ``values`` has shape (..., n_a, n_e); ``alpha_a_k`` may be an array
-    matching the leading shape (the risk-averse global program feeds the
-    slack-sign fraction through this slot).  Returns ``(weights, v, s)``
-    with shapes (..., n_e), (..., n_e) and (...,).
+    ``values`` has shape (..., n_a, n_e); returns (..., n_a).  Programs
+    that evaluate the rule at many fractions for one design compute this
+    once and pass it to ``weights_from_fractions``.
     """
-    values = np.asarray(values, dtype=float)
+    return 1.0 - cdf_of(values, 0.0)
+
+
+def weights_from_fractions(values: Array, p: Array, alpha_a_k, alpha_e_k, gamma: float):
+    """The fraction-dependent rest of the rule, given ``p = failure_fractions(values)``.
+
+    Applies the (1 - alpha_a_k) threshold to ``p``, keeps the aleatory
+    inliers and returns ``(weights, v, s)`` as ``weights_from_values`` does,
+    with the same input checks.  ``alpha_a_k`` may be an array matching the
+    leading shape: the risk-averse global program feeds the slack-sign
+    fraction of each batch row through this slot.
+    """
     alpha_a_k = np.asarray(alpha_a_k, dtype=float)
     if np.any(alpha_a_k < 0) or np.any(alpha_a_k >= 1):
         raise InputError("alpha_a_k must lie in [0, 1)")
@@ -74,7 +84,6 @@ def weights_from_values(values: Array, alpha_a_k, alpha_e_k, gamma: float):
     if gamma < 1:
         raise InputError("gamma must be >= 1")
 
-    p = 1.0 - cdf_of(values, 0.0)  # (..., n_a)
     thr_p = quantile_of(p, 1.0 - alpha_a_k)  # (...,)
     keep = p <= thr_p[..., None]
     if not np.all(np.any(keep, axis=-1)):
@@ -83,6 +92,17 @@ def weights_from_values(values: Array, alpha_a_k, alpha_e_k, gamma: float):
     s = quantile_of(v, 1.0 - alpha_e_k)
     w = np.exp(-gamma * np.maximum(0.0, v - s[..., None]))
     return w, v, s
+
+
+def weights_from_values(values: Array, alpha_a_k, alpha_e_k, gamma: float):
+    """Weight rule applied to a precomputed requirement-value matrix.
+
+    ``values`` has shape (..., n_a, n_e); ``alpha_a_k`` may be an array
+    matching the leading shape.  Returns ``(weights, v, s)`` with shapes
+    (..., n_e), (..., n_e) and (...,).
+    """
+    values = np.asarray(values, dtype=float)
+    return weights_from_fractions(values, failure_fractions(values), alpha_a_k, alpha_e_k, gamma)
 
 
 def compute_weights(

@@ -49,6 +49,11 @@ def test_solve_writes_deterministic_solution(tmp_path):
     assert sol["trained_iid"] is True
     assert "config_hash" in sol and "version" in sol
     assert (tmp_path / "out" / "outliers.csv").exists()
+    diag = sol["diagnostics"]
+    assert {"nfev", "n_starts", "best_start", "violation", "viol_history"} <= set(diag)
+    assert diag["n_starts"] == 3 and 0 <= diag["best_start"] < 3
+    assert diag["nfev"] > 0
+    assert diag["violation"] == diag["viol_history"][-1] <= 1e-6
     # byte-identical on re-run
     assert cli.main(["solve", "--config", str(cfg)]) == 0
     assert sol_path.read_bytes() == first

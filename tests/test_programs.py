@@ -1,8 +1,10 @@
+import logging
+
 import numpy as np
 import pytest
 
 from oracles import quantile_reference, welzl_circle
-from scendo import circle, nlp
+from scendo import circle, nlp, programs
 from scendo.core import AlphaConfig, InputError, ProblemSpec, ScenarioData, SolveResult
 from scendo.ecdf import quantile_of
 from scendo.programs import (
@@ -177,6 +179,40 @@ def test_feasibility_seed_validates_omega(circle_spec, small_data):
     cfg = AlphaConfig.uniform(1)
     with pytest.raises(InputError):
         solve_feasibility_seed(circle_spec, small_data, cfg, omega=np.array([-1.0]), opts=OPTS)
+
+
+def test_failed_alpha_suggestion_is_recorded(monkeypatch, caplog):
+    # the second scenario is unreachable, so the program is infeasible
+    spec = ProblemSpec(
+        objective=lambda th: th[..., 0],
+        requirements=[lambda th, a, e: a[..., 0] - th[..., 0] + 0.0 * e[..., 0]],
+        design_bounds=[[0.0, 1.0]],
+        m_a=1,
+        m_e=1,
+    )
+    data = ScenarioData(np.array([[0.5], [1000.0], [0.2], [0.1], [0.4]]), np.zeros((2, 1)))
+
+    def broken_seed(*args, **kwargs):
+        raise RuntimeError("seed solver exploded")
+
+    monkeypatch.setattr(programs, "solve_feasibility_seed", broken_seed)
+    with caplog.at_level(logging.WARNING, logger="scendo.programs"):
+        res = solve_risk_agnostic_local(spec, data, AlphaConfig.uniform(1), OPTS)
+    assert res.solver_status == "infeasible"
+    assert res.diagnostics["alpha_suggestion_error"] == "RuntimeError: seed solver exploded"
+    assert "suggested_alpha_a" not in res.diagnostics
+    assert "RuntimeError: seed solver exploded" in caplog.text
+
+
+def test_risk_averse_global_survives_saturated_slacks(circle_spec):
+    # a line search on this instance drives every slack to ~2.7e10, where the
+    # smoothed sign fraction rounds to exactly 1.0; it must not reach the
+    # weight rule's [0, 1) slot unclamped
+    data = circle.generate_dataset(30, 20, seed=3)
+    cfg = AlphaConfig(np.array([2 / 29]), np.array([2 / 19]))
+    res = solve_risk_averse_global(circle_spec, data, cfg, nlp.NlpOptions(seed=0, n_starts=4))
+    assert res.solver_status == "converged"
+    assert np.all(np.isfinite(res.theta_star))
 
 
 def test_suggest_alpha_from_risk_averse():
