@@ -11,8 +11,10 @@ Verbs:
   epsilon     print the risk bound for given (n, k, beta)
 
 Configuration is a single JSON document (see README for the schema); CSV
-is used for all tabular data.  Exit codes: 0 ok, 2 input error,
-3 infeasible, 4 specification not met.  The environment variable
+is used for all tabular data; every config section rejects keys it does
+not read.  Exit codes: 0 ok, 2 input error, 3 infeasible, 4 specification
+not met, 5 numerical failure (a non-finite merit value, a failed
+leave-one-out solve).  The environment variable
 SCENDO_LOG in {error, info, debug} controls log verbosity.  All commands
 are deterministic given (config, seed); every JSON report embeds the
 config hash and the tool version.
@@ -52,6 +54,13 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_INFEASIBLE = 3
 EXIT_SPEC_NOT_MET = 4
+EXIT_NUMERICAL = 5
+
+#: top-level keys of the run configuration
+CONFIG_KEYS = (
+    "problem", "data", "formulation", "alphas", "solver", "rmc", "scenario_theory", "sd",
+    "seed", "output_dir",
+)
 
 
 def _configure_logging() -> None:
@@ -79,7 +88,18 @@ def _config_hash(config: dict) -> str:
     return hashlib.sha256(canon.encode()).hexdigest()
 
 
-def _load_config(path: str) -> dict:
+def _check_keys(section: str, conf, allowed) -> dict:
+    """``conf`` itself, after checking it is an object with only ``allowed`` keys."""
+    if not isinstance(conf, dict):
+        raise InputError(f"config section {section!r} must be a JSON object")
+    unknown = set(conf) - set(allowed)
+    if unknown:
+        raise InputError(f"unknown key(s) in config section {section!r}: {sorted(unknown)}")
+    return conf
+
+
+def _load_config(path: str, keys=None) -> dict:
+    """The JSON object in ``path``; with ``keys``, only those top-level keys are allowed."""
     try:
         text = Path(path).read_text()
     except OSError as exc:
@@ -90,6 +110,8 @@ def _load_config(path: str) -> dict:
         raise InputError(f"config {path} is not valid JSON (line {exc.lineno}: {exc.msg})") from None
     if not isinstance(config, dict):
         raise InputError("config root must be a JSON object")
+    if keys is not None:
+        _check_keys("<top level>", config, keys)
     return config
 
 
@@ -136,20 +158,21 @@ def _save_matrix_csv(path: Path, mat: np.ndarray, prefix: str) -> None:
 
 
 def _build_problem(config: dict):
-    pconf = _field(config, "problem")
-    if not isinstance(pconf, dict) or "name" not in pconf:
+    pconf = _check_keys("problem", _field(config, "problem"), ("name", "params"))
+    if "name" not in pconf:
         raise InputError("config field 'problem' must be {\"name\": ..., \"params\": {...}}")
     return make_problem(pconf["name"], **pconf.get("params", {}))
 
 
 def _build_data(config: dict, bundle) -> tuple[ScenarioData, bool]:
-    dconf = _field(config, "data")
+    dconf = _check_keys("data", _field(config, "data"), ("generate", "files", "iid"))
     gen = dconf.get("generate")
     files = dconf.get("files")
     if (gen is None) == (files is None):
         raise InputError("config field 'data' needs exactly one of 'generate' or 'files'")
     iid = bool(dconf.get("iid", True))
     if gen is not None:
+        _check_keys("data.generate", gen, ("n_a", "n_e", "seed", "n_a_test", "n_e_test"))
         if bundle.generate is None:
             raise InputError("the selected problem has no dataset generator")
         data = bundle.generate(
@@ -160,8 +183,10 @@ def _build_data(config: dict, bundle) -> tuple[ScenarioData, bool]:
             int(gen.get("n_e_test", 0)),
         )
         return data, iid
+    file_keys = ("aleatory", "epistemic", "testing_aleatory", "testing_epistemic")
+    _check_keys("data.files", files, file_keys)
     mats = {}
-    for key in ("aleatory", "epistemic", "testing_aleatory", "testing_epistemic"):
+    for key in file_keys:
         if key in files:
             mats[key] = _load_matrix_csv(files[key])
     if "aleatory" not in mats or "epistemic" not in mats:
@@ -171,6 +196,7 @@ def _build_data(config: dict, bundle) -> tuple[ScenarioData, bool]:
 
 def _build_alphas(config: dict, n_r: int) -> AlphaConfig:
     aconf = _field(config, "alphas", required=False, default={}) or {}
+    _check_keys("alphas", aconf, ("alpha_a", "alpha_e", "rho", "kappa", "gamma"))
 
     def vec(key):
         v = aconf.get(key, 0.0)
@@ -187,10 +213,7 @@ def _build_alphas(config: dict, n_r: int) -> AlphaConfig:
 
 def _build_opts(config: dict, seed_override) -> nlp.NlpOptions:
     sconf = _field(config, "solver", required=False, default={}) or {}
-    known = nlp.NlpOptions().__dict__.keys()
-    unknown = set(sconf) - set(known)
-    if unknown:
-        raise InputError(f"unknown solver option(s): {sorted(unknown)}")
+    _check_keys("solver", sconf, nlp.NlpOptions().__dict__.keys())
     opts = nlp.NlpOptions(**sconf)
     if seed_override is not None:
         opts.seed = int(seed_override)
@@ -216,6 +239,7 @@ def _build_formulation(config: dict, bundle) -> Formulation:
 
 def _build_rmc(config: dict, n_r: int) -> RmcConfig:
     rconf = _field(config, "rmc", required=False, default={}) or {}
+    _check_keys("rmc", rconf, ("alpha_a", "alpha_e", "sigma", "p_max", "worst_case"))
 
     def vec(key, default):
         v = rconf.get(key, default)
@@ -252,7 +276,7 @@ SOLUTION_DIAGNOSTICS = (
 
 
 def cmd_solve(args) -> int:
-    config = _load_config(args.config)
+    config = _load_config(args.config, CONFIG_KEYS)
     bundle = _build_problem(config)
     spec = bundle.spec
     data, iid = _build_data(config, bundle)
@@ -303,8 +327,11 @@ def cmd_solve(args) -> int:
         ]
     _write_csv(out / "outliers.csv", ["kind", "aleatory_index", "epistemic_index"], rows)
     if result.solver_status == "infeasible":
-        suggestion = result.diagnostics.get("suggested_alpha_a")
-        if suggestion is None:
+        diag = result.diagnostics
+        if "suggested_alpha_a" in diag or "alpha_suggestion_error" in diag:
+            # the program already tried the seed; a failed try is not repeated
+            suggestion = diag.get("suggested_alpha_a")
+        else:
             _, suggestion = solve_feasibility_seed(spec, data, cfg, opts=opts)
         payload["suggested_alpha_a"] = suggestion
         _write_json(out / "solution.json", payload)
@@ -322,7 +349,7 @@ def _solver_closure(formulation, spec, cfg, opts):
 
 
 def cmd_analyze(args) -> int:
-    config = _load_config(args.config)
+    config = _load_config(args.config, CONFIG_KEYS)
     bundle = _build_problem(config)
     spec = bundle.spec
     data, iid = _build_data(config, bundle)
@@ -333,6 +360,9 @@ def cmd_analyze(args) -> int:
             f"design dimension {theta.shape} does not match the problem ({spec.m_theta},)"
         )
     trained_iid = bool(design.get("trained_iid", iid))
+    st_conf = _field(config, "scenario_theory", required=False, default=None)
+    if st_conf is not None:
+        _check_keys("scenario_theory", st_conf, ("beta", "containment", "n_probe"))
     out = _out_dir(config, args.output)
 
     rmc_cfg = _build_rmc(config, spec.n_r)
@@ -355,7 +385,6 @@ def cmd_analyze(args) -> int:
         },
     )
 
-    st_conf = _field(config, "scenario_theory", required=False, default=None)
     if st_conf is not None:
         cfg = _build_alphas(config, spec.n_r)
         opts = _build_opts(config, args.seed)
@@ -382,13 +411,16 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_sequential(args) -> int:
-    config = _load_config(args.config)
+    config = _load_config(args.config, CONFIG_KEYS)
     bundle = _build_problem(config)
     spec = bundle.spec
     data, _ = _build_data(config, bundle)
     data.require_testing()
     opts = _build_opts(config, args.seed)
-    sdc = _field(config, "sd")
+    sdc = _check_keys("sd", _field(config, "sd"), (
+        "metric", "threshold", "j_bound", "max_iter", "n_a_init", "n_e_init", "n_a_cap",
+        "n_e_cap", "growth", "alpha_e", "lambda_div", "use_density", "program", "rho", "baseline",
+    ))
     rmc_cfg = _build_rmc(config, spec.n_r)
     j_bound = sdc.get("j_bound")
     sd_cfg = SdConfig(
@@ -448,11 +480,10 @@ def cmd_sequential(args) -> int:
 
 
 def cmd_gen_data(args) -> int:
-    config = _load_config(args.config)
+    config = _load_config(args.config, CONFIG_KEYS)
     bundle = _build_problem(config)
     dconf = _field(config, "data")
-    gen = dconf.get("generate")
-    if gen is None:
+    if not isinstance(dconf, dict) or dconf.get("generate") is None:
         raise InputError("gen-data needs a data.generate block")
     data, _ = _build_data(config, bundle)
     out = _out_dir(config, args.output)
@@ -481,7 +512,6 @@ def _parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--config", required=True, help="JSON configuration file")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
-        p.add_argument("--threads", type=int, default=1, help="solver worker threads")
         p.add_argument("--output", default=None, help="override the output directory")
 
     common(sub.add_parser("solve", help="solve one scenario program"))
@@ -510,13 +540,13 @@ def main(argv=None) -> int:
     try:
         _configure_logging()
         args = _parser().parse_args(argv)
-        threads = getattr(args, "threads", None)
-        if threads is not None:
-            nlp.set_max_workers(threads)
         return _COMMANDS[args.command](args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except (ArithmeticError, RuntimeError) as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
 
 
 if __name__ == "__main__":

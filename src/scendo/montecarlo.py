@@ -176,26 +176,6 @@ def _per_requirement(values: Array, alpha_a_k, alpha_e_k, p_max_k, sigma):
     )
 
 
-def failure_prob_range(spec, theta, data: ScenarioData, cfg: RmcConfig) -> Array:
-    """Range [min_e p(e), (1 - alpha_e)-quantile of p(e)] per requirement."""
-    report = analyze(spec, theta, data, cfg)
-    return report.range_a
-
-
-def ci_range(spec, theta, data: ScenarioData, cfg: RmcConfig) -> Array:
-    """range_a widened by exact binomial confidence intervals; contains
-    range_a on every instance."""
-    report = analyze(spec, theta, data, cfg)
-    return report.range_b
-
-
-def spec_violation(spec, theta, data: ScenarioData, cfg: RmcConfig):
-    """Estimated probability (and its confidence interval) that a random
-    epistemic point drives the failure probability above p_max."""
-    report = analyze(spec, theta, data, cfg)
-    return report.point_c, report.range_d
-
-
 def analyze(spec: ProblemSpec, theta, data: ScenarioData, cfg: RmcConfig) -> RmcReport:
     """Full robust Monte Carlo report; shares the evaluation grid between
     the three range computations."""

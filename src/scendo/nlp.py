@@ -12,20 +12,21 @@ for an increasing sequence of penalty weights mu, each stage solved with
 L-BFGS-B (projected quasi-Newton) warm-started from the previous one.
 Gradients come from central finite differences with per-coordinate steps
 fd_step * max(1, |x_i|).  Everything is deterministic given the seed; the
-multi-start reduction uses a fixed ordering so results do not depend on
-how many worker threads run the starts.
+starts run one after another and are reduced in a fixed order.
 
-Batch contract: row i of a batch callable's result depends only on row i
-of its (B, dim) input, and is bit-identical to evaluating that row alone.
-Each L-BFGS-B evaluation relies on it: the merit at x and its 2*dim
-finite-difference probes are one (2*dim + 1)-row batch, with x as row 0.
-The scenario programs rely on it too, computing their design-only terms
-once per distinct design row of a batch.
+Problems are stated only through batch callables, which map a (B, dim)
+stack of points to B rows of results.  Batch contract: row i of the result
+depends only on row i of the input, and is bit-identical to evaluating
+that row alone as a one-row batch.  Each L-BFGS-B evaluation relies on
+it: the merit at x and its 2*dim finite-difference probes are one
+(2*dim + 1)-row batch, with x as row 0.  So do the per-stage constraint
+violation and the final objective of a start, each a one-row batch, and
+the scenario programs, which compute their design-only terms once per
+distinct design row of a batch.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -35,14 +36,6 @@ from scipy.optimize import minimize as _scipy_minimize
 from scendo.core import InputError
 
 Array = np.ndarray
-
-#: worker threads for the multi-start loop (set via the CLI --threads flag)
-MAX_WORKERS = 1
-
-
-def set_max_workers(n: int) -> None:
-    global MAX_WORKERS
-    MAX_WORKERS = max(1, int(n))
 
 
 @dataclass
@@ -67,25 +60,20 @@ class NlpOptions:
 
 @dataclass
 class NlpProblem:
-    """Box-constrained program: minimize objective s.t. g_i(x) <= 0.
+    """Box-constrained program: minimize f(x) s.t. g(x) <= 0 componentwise.
 
-    ``inequalities`` is a list of scalar constraint functions; large
-    constraint systems can instead supply ``constraints_vec`` returning the
-    whole residual vector.  The optional ``*_batch`` callables evaluate a
-    (B, dim) stack of points at once and make finite differencing cheap.
-    They must keep the batch contract: row i of the result depends only on
-    row i of the input and is bit-identical to evaluating that row alone,
-    by the batch callable or by its scalar counterpart.
+    ``objective_batch`` maps a (B, dim) stack of points to the (B,)
+    objective values and ``constraints_batch`` to the (B, n_con) constraint
+    residuals; without it the program has only its box.  Both must keep
+    the batch contract: row i of the result depends only on row i of the
+    input and is bit-identical to evaluating that row alone.
     """
 
     dim: int
-    objective: Callable[[Array], float]
-    inequalities: Sequence[Callable[[Array], float]] = ()
+    objective_batch: Callable[[Array], Array]
+    constraints_batch: Optional[Callable[[Array], Array]] = None
     bounds: Optional[Array] = None  # (dim, 2), +-inf allowed
     x0_list: Sequence[Array] = ()
-    constraints_vec: Optional[Callable[[Array], Array]] = None
-    objective_batch: Optional[Callable[[Array], Array]] = None
-    constraints_batch: Optional[Callable[[Array], Array]] = None
 
 
 @dataclass
@@ -94,24 +82,6 @@ class NlpResult:
     f: float
     status: str  # converged | max-iter | failed
     diagnostics: dict = field(default_factory=dict)
-
-
-def fd_gradient(f: Callable[[Array], float], x, step: float = 1e-6) -> Array:
-    """Central finite differences, component-wise steps step*max(1, |x_i|)."""
-    x = np.asarray(x, dtype=float)
-    grad = np.empty(x.size)
-    for i in range(x.size):
-        h = step * max(1.0, abs(x[i]))
-        xp = x.copy()
-        xm = x.copy()
-        xp[i] += h
-        xm[i] -= h
-        fp = f(xp)
-        fm = f(xm)
-        if not (np.isfinite(fp) and np.isfinite(fm)):
-            raise ArithmeticError(f"non-finite objective at finite-difference probe of coordinate {i}")
-        grad[i] = (fp - fm) / (2.0 * h)
-    return grad
 
 
 def latin_hypercube(bounds: Array, n: int, rng: np.random.Generator) -> Array:
@@ -124,31 +94,28 @@ def latin_hypercube(bounds: Array, n: int, rng: np.random.Generator) -> Array:
     return lo + u * (hi - lo)
 
 
-def _make_cons(problem: NlpProblem):
-    if problem.constraints_vec is not None:
-        return problem.constraints_vec
-    funcs = list(problem.inequalities)
-    if not funcs:
-        return lambda x: np.empty(0)
-    return lambda x: np.array([g(x) for g in funcs], dtype=float)
-
-
-def _make_batch_penalty(problem: NlpProblem, cons):
-    """(B, dim) -> (B,) merit values; falls back to a row loop."""
+def _make_batch_penalty(problem: NlpProblem):
+    """(B, dim) -> (B,) merit values f + mu * sum max(0, g)^2."""
     f_b = problem.objective_batch
     g_b = problem.constraints_batch
 
     def penalty_batch(X: Array, mu: float) -> Array:
-        fvals = f_b(X) if f_b is not None else np.array([problem.objective(x) for x in X])
+        fvals = f_b(X)
         if g_b is not None:
             gvals = g_b(X)
-        else:
-            gvals = np.stack([cons(x) for x in X]) if X.shape[0] else np.empty((0, 0))
-        if gvals.size:
-            fvals = fvals + mu * np.sum(np.maximum(0.0, gvals) ** 2, axis=-1)
+            if gvals.size:
+                fvals = fvals + mu * np.sum(np.maximum(0.0, gvals) ** 2, axis=-1)
         return np.asarray(fvals, dtype=float)
 
     return penalty_batch
+
+
+def _violation(problem: NlpProblem, x: Array) -> float:
+    """Largest constraint residual at x, zero when every one holds."""
+    if problem.constraints_batch is None:
+        return 0.0
+    g = problem.constraints_batch(x[None])[0]
+    return float(np.max(np.maximum(0.0, g), initial=0.0))
 
 
 def _batch_fd_gradient(penalty_batch, x: Array, mu: float, step: float):
@@ -171,8 +138,7 @@ def _batch_fd_gradient(penalty_batch, x: Array, mu: float, step: float):
 
 
 def _solve_one_start(problem: NlpProblem, opts: NlpOptions, x0: Array):
-    cons = _make_cons(problem)
-    penalty_batch = _make_batch_penalty(problem, cons)
+    penalty_batch = _make_batch_penalty(problem)
 
     if problem.bounds is not None:
         lb, ub = problem.bounds[:, 0], problem.bounds[:, 1]
@@ -201,8 +167,7 @@ def _solve_one_start(problem: NlpProblem, opts: NlpOptions, x0: Array):
         nfev += int(res.nfev) * (1 + 2 * problem.dim)
         step_size = float(np.max(np.abs(res.x - x))) if res.x.size else 0.0
         x = res.x
-        g = cons(x)
-        viol = float(np.max(np.maximum(0.0, g), initial=0.0))
+        viol = _violation(problem, x)
         viol_history.append(viol)
         if viol <= opts.tol_con and step_size <= opts.tol_x:
             converged = True
@@ -221,7 +186,7 @@ def _solve_one_start(problem: NlpProblem, opts: NlpOptions, x0: Array):
 
     return {
         "x": x,
-        "f": float(problem.objective(x)),
+        "f": float(problem.objective_batch(x[None])[0]),
         "viol": viol_history[-1] if viol_history else 0.0,
         "converged": converged,
         "viol_history": viol_history,
@@ -249,14 +214,10 @@ def minimize(problem: NlpProblem, opts: Optional[NlpOptions] = None) -> NlpResul
             raise InputError("bounds are required to draw starting points")
         starts.extend(latin_hypercube(problem.bounds, opts.n_starts - len(starts), rng))
 
-    if MAX_WORKERS > 1 and len(starts) > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=MAX_WORKERS) as pool:
-            runs = list(pool.map(lambda s: _solve_one_start(problem, opts, s), starts))
-    else:
-        runs = [_solve_one_start(problem, opts, s) for s in starts]
+    runs = [_solve_one_start(problem, opts, s) for s in starts]
 
     best, best_key, best_idx = None, (2, np.inf), -1
-    for i, run in enumerate(runs):  # fixed order: parallelism-invariant
+    for i, run in enumerate(runs):  # first start wins ties
         feasible = run["viol"] <= opts.tol_con
         key = (0, run["f"]) if feasible else (1, run["viol"])
         if key < best_key:

@@ -89,23 +89,6 @@ class Formulation:
             raise InputError(f"{self.tag.value} does not take a MomentSpec")
 
 
-@dataclass(frozen=True)
-class PseudoDistribution:
-    """Requirement values of one (aleatory scenario, requirement) pair over
-    the whole epistemic training set."""
-
-    values: Array  # (n_e,)
-    aleatory_index: int
-    requirement_index: int
-
-
-def pseudo_distribution(
-    spec: ProblemSpec, theta, k: int, i: int, data: ScenarioData
-) -> PseudoDistribution:
-    vals = requirement_values(spec, data, np.asarray(theta, float), k=k)[i]
-    return PseudoDistribution(values=vals, aleatory_index=i, requirement_index=k)
-
-
 def requirement_values(
     spec: ProblemSpec, data: ScenarioData, theta: Array, k: Optional[int] = None
 ) -> Array:
@@ -213,11 +196,6 @@ def outlier_sets(spec: ProblemSpec, data: ScenarioData, cfg: AlphaConfig, theta)
     return o_a, o_e
 
 
-def extract_outliers(spec: ProblemSpec, data: ScenarioData, cfg: AlphaConfig, result: SolveResult):
-    """Recompute the outlier sets of a solved program from its design."""
-    return outlier_sets(spec, data, cfg, result.theta_star)
-
-
 def _global_epistemic_outliers(spec, data, cfg, theta, alpha_a_slots) -> Array:
     """Epistemic draws whose weight falls below one for some requirement."""
     values = requirement_values(spec, data, np.asarray(theta, float))
@@ -283,8 +261,6 @@ def solve_risk_averse_local(
     starts = np.hstack([_theta_starts(spec, opts), np.zeros((opts.n_starts, n_a))])
     problem = nlp.NlpProblem(
         dim=m + n_a,
-        objective=lambda x: float(obj_any(x)),
-        constraints_vec=cons_any,
         bounds=np.vstack([spec.design_bounds, np.tile([0.0, np.inf], (n_a, 1))]),
         x0_list=list(starts),
         objective_batch=obj_any,
@@ -328,8 +304,6 @@ def solve_risk_averse_global(
     starts = np.hstack([_theta_starts(spec, opts), np.zeros((opts.n_starts, n_a))])
     problem = nlp.NlpProblem(
         dim=m + n_a,
-        objective=lambda x: float(obj_any(x)),
-        constraints_vec=cons_any,
         bounds=np.vstack([spec.design_bounds, np.tile([0.0, np.inf], (n_a, 1))]),
         x0_list=list(starts),
         objective_batch=obj_any,
@@ -392,8 +366,6 @@ def solve_risk_agnostic_global(
 
     problem = nlp.NlpProblem(
         dim=spec.m_theta,
-        objective=lambda x: float(obj_any(x)),
-        constraints_vec=cons_any,
         bounds=spec.design_bounds,
         x0_list=list(_theta_starts(spec, opts)),
         objective_batch=obj_any,
@@ -428,8 +400,6 @@ def solve_risk_agnostic_local(
 
     problem = nlp.NlpProblem(
         dim=spec.m_theta,
-        objective=lambda x: float(obj_any(x)),
-        constraints_vec=cons_any,
         bounds=spec.design_bounds,
         x0_list=list(_theta_starts(spec, opts)),
         objective_batch=obj_any,
@@ -492,8 +462,6 @@ def solve_feasibility_seed(
     starts = np.hstack([_theta_starts(spec, opts), np.full((opts.n_starts, n_r), 0.9)])
     problem = nlp.NlpProblem(
         dim=m + n_r,
-        objective=lambda x: float(obj_any(x)),
-        constraints_vec=cons_any,
         bounds=np.vstack([spec.design_bounds, np.tile([0.0, 1.0], (n_r, 1))]),
         x0_list=list(starts),
         objective_batch=obj_any,
@@ -501,20 +469,6 @@ def solve_feasibility_seed(
     )
     res = nlp.minimize(problem, opts)
     return res.x[:m], res.x[m:]
-
-
-def suggest_alpha_from_risk_averse(
-    spec: ProblemSpec, data: ScenarioData, cfg: AlphaConfig, opts: Optional[nlp.NlpOptions] = None
-) -> Array:
-    """Alternative feasibility strategy: solve the risk-averse local
-    program at a huge penalty and return the per-requirement fraction of
-    aleatory scenarios still violating."""
-    cfg = cfg.for_spec(spec)
-    hard = AlphaConfig(cfg.alpha_a, cfg.alpha_e, rho=1e6, kappa=cfg.kappa, gamma=cfg.gamma)
-    result = solve_risk_averse_local(spec, data, hard, opts)
-    values = requirement_values(spec, data, result.theta_star)
-    q = _req_quantiles(values, 1.0 - cfg.alpha_e)  # (n_r, n_a)
-    return np.count_nonzero(q > 0.0, axis=1) / data.n_a
 
 
 # ---------------------------------------------------------------------------
@@ -570,8 +524,6 @@ def solve_moment_risk_averse(
     starts = np.hstack([theta0, lam0[:, None], np.zeros((opts.n_starts, n_a))])
     problem = nlp.NlpProblem(
         dim=m + 1 + n_a,
-        objective=lambda x: float(obj_any(x)),
-        constraints_vec=cons_any,
         bounds=np.vstack(
             [spec.design_bounds, [[-np.inf, np.inf]], np.tile([0.0, np.inf], (n_a, 1))]
         ),
@@ -634,8 +586,6 @@ def solve_moment_risk_agnostic(
     starts = np.hstack([theta0, lam0[:, None]])
     problem = nlp.NlpProblem(
         dim=m + 1,
-        objective=lambda x: float(obj_any(x)),
-        constraints_vec=cons_any,
         bounds=np.vstack([spec.design_bounds, [[-np.inf, np.inf]]]),
         x0_list=list(starts),
         objective_batch=obj_any,

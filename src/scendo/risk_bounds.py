@@ -280,8 +280,6 @@ def _box_containment_problem(spec, theta, a, eset, e_bounds, margin, opts):
     bounds = np.vstack([e_bounds, [[0.0, margin]]])
     return nlp.NlpProblem(
         dim=m + 1,
-        objective=lambda x: float(obj_any(x)),
-        constraints_vec=cons_any,
         bounds=bounds,
         x0_list=list(starts),
         objective_batch=obj_any,
@@ -305,8 +303,6 @@ def _ellipsoid_containment_problem(spec, theta, a, eset, e_bounds, opts):
     starts = nlp.latin_hypercube(e_bounds, opts.n_starts, rng)
     return nlp.NlpProblem(
         dim=m,
-        objective=lambda x: float(obj_any(x)),
-        constraints_vec=cons_any,
         bounds=e_bounds,
         x0_list=list(starts),
         objective_batch=obj_any,

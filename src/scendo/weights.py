@@ -19,11 +19,9 @@ All functions are pure and safe to call in parallel across requirements.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from scendo.core import InputError, ProblemSpec, ScenarioData
+from scendo.core import InputError
 from scendo.ecdf import cdf_of, quantile_of
 
 Array = np.ndarray
@@ -32,12 +30,6 @@ Array = np.ndarray
 SIGN_EPS = 1e-8
 #: slack counted as active when reporting
 SIGN_REPORT_TOL = 1e-6
-
-
-@dataclass(frozen=True)
-class WeightSequence:
-    weights: Array  # (n_e,), each in [0, 1]
-    threshold: float  # the (1 - alpha_e) quantile of the worst-case values
 
 
 def smooth_sign_fraction(xi: Array, eps: float = SIGN_EPS) -> Array:
@@ -104,20 +96,3 @@ def weights_from_values(values: Array, alpha_a_k, alpha_e_k, gamma: float):
     values = np.asarray(values, dtype=float)
     return weights_from_fractions(values, failure_fractions(values), alpha_a_k, alpha_e_k, gamma)
 
-
-def compute_weights(
-    spec: ProblemSpec,
-    theta: Array,
-    k: int,
-    data: ScenarioData,
-    alpha_a_k: float,
-    alpha_e_k: float,
-    gamma: float = 100.0,
-) -> WeightSequence:
-    """Evaluate the rule for requirement k at design theta."""
-    theta = np.asarray(theta, dtype=float)
-    values = spec.requirements[k](
-        theta, data.aleatory[:, None, :], data.epistemic[None, :, :]
-    )
-    w, _, s = weights_from_values(values, alpha_a_k, alpha_e_k, gamma)
-    return WeightSequence(weights=w, threshold=float(s))

@@ -2,8 +2,9 @@
 on row i of the input and equals evaluating that row alone, bit for bit.
 
 The scenario programs with auxiliary variables evaluate their design-only
-terms once per distinct design row, and the finite-difference batch
-carries the merit at its centre as row 0; both rest on this contract.
+terms once per distinct design row, the finite-difference batch carries
+the merit at its centre as row 0, and each start's constraint violation
+and final objective are one-row batches; all rest on this contract.
 """
 
 import functools
@@ -13,13 +14,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scendo import circle, nlp, programs
-from scendo.core import AlphaConfig
+from scendo import circle, nlp, programs, risk_bounds
+from scendo.core import AlphaConfig, EpistemicSet
 
 DATA = circle.generate_dataset(6, 5, seed=3)
 SPEC = circle.make_spec()
 CFG = AlphaConfig(np.array([1 / 5]), np.array([1 / 4]))
 OPTS = nlp.NlpOptions(seed=0, n_starts=2)
+#: the containment problems search the epistemic set around this design and point
+THETA, POINT = np.array([0.0, 0.0, 5.0]), DATA.aleatory[0]
+BOX = circle.epistemic_box()
+ELLIPSOID = EpistemicSet(center=BOX.center, radius=1.0, kind="ellipsoid", scale=BOX.scale)
+#: leading block of the decision vector: the design theta, or the epistemic
+#: point of a containment problem (three coordinates each on the circle)
+LEAD = 3
 
 
 class _Captured(Exception):
@@ -41,7 +49,7 @@ def _capture(solve, *args, **kwargs) -> nlp.NlpProblem:
     return captured[0]
 
 
-#: the programs whose decision vector carries auxiliaries next to theta
+#: every builder of an NlpProblem, keyed by program
 PROGRAMS = {
     "risk_averse_local": lambda: _capture(programs.solve_risk_averse_local, SPEC, DATA, CFG, OPTS),
     "risk_averse_global": lambda: _capture(programs.solve_risk_averse_global, SPEC, DATA, CFG, OPTS),
@@ -56,6 +64,12 @@ PROGRAMS = {
     ),
     "moment_risk_agnostic": lambda: _capture(
         programs.solve_moment_risk_agnostic, SPEC, DATA, CFG, circle.circle_response, OPTS
+    ),
+    "risk_agnostic_local": lambda: _capture(programs.solve_risk_agnostic_local, SPEC, DATA, CFG, OPTS),
+    "risk_agnostic_global": lambda: _capture(programs.solve_risk_agnostic_global, SPEC, DATA, CFG, OPTS),
+    "box_containment": lambda: _capture(risk_bounds.set_containment_opt, SPEC, THETA, POINT, BOX, OPTS),
+    "ellipsoid_containment": lambda: _capture(
+        risk_bounds.set_containment_opt, SPEC, THETA, POINT, ELLIPSOID, OPTS
     ),
 }
 
@@ -78,7 +92,7 @@ def _batches(draw, name: str):
     """A batch whose rows share few designs and vary their auxiliaries."""
     problem = _problem(name)
     lo, hi = _finite_bounds(problem.bounds)
-    m = SPEC.m_theta
+    m = LEAD
 
     def coordinate(i):
         return st.floats(float(lo[i]), float(hi[i]), allow_nan=False, allow_infinity=False)
@@ -113,10 +127,9 @@ def test_batch_rows_equal_single_rows(name):
     def check(X):
         g_batch = problem.constraints_batch(X)
         f_batch = problem.objective_batch(X)
-        for i, x in enumerate(X):
+        for i in range(X.shape[0]):
             assert _bits(g_batch[i]) == _bits(problem.constraints_batch(X[i : i + 1])[0])
-            assert _bits(g_batch[i]) == _bits(problem.constraints_vec(x))
-            assert _bits(f_batch[i]) == _bits(problem.objective(x))
+            assert _bits(f_batch[i]) == _bits(problem.objective_batch(X[i : i + 1])[0])
 
     check()
 
@@ -126,21 +139,21 @@ def test_risk_averse_global_accepts_huge_slacks():
     # sign fraction fed to the weight rule, to exactly one
     problem = _problem("risk_averse_global")
     x = np.concatenate([[0.0, 0.0, 5.0], np.full(DATA.n_a, 2.7e10)])
-    g = problem.constraints_vec(x)
+    g = problem.constraints_batch(x[None])[0]
     assert np.all(np.isfinite(g))
     assert _bits(problem.constraints_batch(np.stack([x, x]))[1]) == _bits(g)
 
 
-def _scalar_merit(problem, x, mu):
-    """The merit of one point through the scalar callables."""
-    g = problem.constraints_vec(x)
-    return problem.objective(x) + mu * float(np.sum(np.maximum(0.0, g) ** 2))
+def _single_row_merit(problem, x, mu):
+    """The merit of one point from one-row batches of the callables."""
+    g = problem.constraints_batch(x[None])[0]
+    return problem.objective_batch(x[None])[0] + mu * float(np.sum(np.maximum(0.0, g) ** 2))
 
 
 @pytest.mark.parametrize("name", ["risk_averse_global", "moment_risk_averse"])
 def test_fd_batch_centre_row_is_the_merit(name):
     problem = _problem(name)
-    penalty_batch = nlp._make_batch_penalty(problem, nlp._make_cons(problem))
+    penalty_batch = nlp._make_batch_penalty(problem)
 
     @settings(max_examples=15, deadline=None)
     @given(_batches(name), st.sampled_from([10.0, 1e4, 1e9]))
@@ -148,7 +161,7 @@ def test_fd_batch_centre_row_is_the_merit(name):
         x = X[0]
         f, grad = nlp._batch_fd_gradient(penalty_batch, x, mu, 1e-6)
         assert _bits(f) == _bits(penalty_batch(x[None], mu)[0])
-        assert _bits(f) == _bits(_scalar_merit(problem, x, mu))
+        assert _bits(f) == _bits(_single_row_merit(problem, x, mu))
         assert grad.shape == (problem.dim,)
 
     check()
@@ -156,7 +169,7 @@ def test_fd_batch_centre_row_is_the_merit(name):
 
 def test_fd_batch_probes_match_separate_evaluation():
     problem = _problem("risk_averse_local")
-    penalty_batch = nlp._make_batch_penalty(problem, nlp._make_cons(problem))
+    penalty_batch = nlp._make_batch_penalty(problem)
     x = np.concatenate([[1.0, -2.0, 6.0], np.linspace(0.0, 3.0, DATA.n_a)])
     f, grad = nlp._batch_fd_gradient(penalty_batch, x, 100.0, 1e-6)
     h = 1e-6 * np.maximum(1.0, np.abs(x))

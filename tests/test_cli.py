@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from scendo import cli
+from scendo import cli, programs
 from scendo.core import ProblemBundle, ProblemSpec, register_problem
 from scendo.circle import epistemic_box
 
@@ -14,6 +14,19 @@ def _unreachable_factory():
     """1-D problem with one scenario no design can satisfy."""
     spec = ProblemSpec(
         objective=lambda th: th[..., 0],
+        requirements=[lambda th, a, e: a[..., 0] - th[..., 0] + 0.0 * e[..., 0]],
+        design_bounds=[[0.0, 1.0]],
+        m_a=1,
+        m_e=1,
+    )
+    return ProblemBundle(spec=spec, epistemic_set=epistemic_box())
+
+
+@register_problem("cli_test_nan")
+def _nan_factory():
+    """1-D problem whose objective is NaN at every design."""
+    spec = ProblemSpec(
+        objective=lambda th: np.nan * th[..., 0],
         requirements=[lambda th, a, e: a[..., 0] - th[..., 0] + 0.0 * e[..., 0]],
         design_bounds=[[0.0, 1.0]],
         m_a=1,
@@ -76,17 +89,22 @@ def test_solve_both_data_sources_exit_2(tmp_path):
     assert cli.main(["solve", "--config", str(cfg)]) == 2
 
 
-def test_infeasible_solve_exit_3_with_suggestion(tmp_path):
-    out = tmp_path / "out"
+def _one_dim_config(tmp_path: Path, problem: str) -> Path:
+    """Config of a 1-D problem on five scenarios, one of them at a = 1000."""
     a_csv = tmp_path / "a.csv"
     a_csv.write_text("a1\n0.5\n1000.0\n0.2\n0.1\n0.4\n")
     e_csv = tmp_path / "e.csv"
     e_csv.write_text("e1\n0.0\n0.0\n")
-    cfg = _write_config(
+    return _write_config(
         tmp_path / "cfg.json",
-        problem={"name": "cli_test_unreachable"},
+        problem={"name": problem},
         data={"files": {"aleatory": str(a_csv), "epistemic": str(e_csv)}},
     )
+
+
+def test_infeasible_solve_exit_3_with_suggestion(tmp_path):
+    out = tmp_path / "out"
+    cfg = _one_dim_config(tmp_path, "cli_test_unreachable")
     assert cli.main(["solve", "--config", str(cfg)]) == 3
     sol = json.loads((out / "solution.json").read_text())
     assert sol["solver_status"] == "infeasible"
@@ -219,3 +237,79 @@ def test_log_env_validation(tmp_path, monkeypatch):
     monkeypatch.setenv("SCENDO_LOG", "chatty")
     cfg = _write_config(tmp_path / "cfg.json")
     assert cli.main(["solve", "--config", str(cfg)]) == 2
+
+
+def test_failed_alpha_suggestion_is_not_retried(tmp_path, monkeypatch):
+    calls = []
+
+    def failing_seed(*args, **kwargs):
+        calls.append(args)
+        raise RuntimeError("seed diverged")
+
+    monkeypatch.setattr(programs, "solve_feasibility_seed", failing_seed)
+    monkeypatch.setattr(cli, "solve_feasibility_seed", failing_seed)
+    cfg = _one_dim_config(tmp_path, "cli_test_unreachable")
+    assert cli.main(["solve", "--config", str(cfg)]) == 3
+    assert len(calls) == 1
+    sol = json.loads((tmp_path / "out" / "solution.json").read_text())
+    assert sol["suggested_alpha_a"] is None
+    assert sol["diagnostics"]["alpha_suggestion_error"] == "RuntimeError: seed diverged"
+
+
+def test_non_finite_merit_exit_5(tmp_path, capsys):
+    cfg = _one_dim_config(tmp_path, "cli_test_nan")
+    assert cli.main(["solve", "--config", str(cfg)]) == 5
+    err = capsys.readouterr().err
+    assert err == (
+        "error: ArithmeticError: non-finite merit value at finite-difference probe of coordinate 0\n"
+    )
+
+
+def test_runtime_error_exit_5(tmp_path, capsys, monkeypatch):
+    def failing_solve(*args, **kwargs):
+        raise RuntimeError("leave-one-out solve failed for scenario 3")
+
+    monkeypatch.setattr(cli, "solve_program", failing_solve)
+    cfg = _write_config(tmp_path / "cfg.json")
+    assert cli.main(["solve", "--config", str(cfg)]) == 5
+    assert capsys.readouterr().err == "error: RuntimeError: leave-one-out solve failed for scenario 3\n"
+
+
+#: data with testing sets, for the verbs that need them
+_TESTED_DATA = {"generate": {"n_a": 6, "n_e": 4, "seed": 2, "n_a_test": 50, "n_e_test": 5}}
+
+#: one misspelled key per config section: (section, verb, overrides, bad key)
+_MISSPELLED = [
+    ("<top level>", "solve", {"sead": 0}, "sead"),
+    ("problem", "solve", {"problem": {"name": "circle", "param": {}}}, "param"),
+    ("data", "solve", {"data": {"generate": {"n_a": 8, "n_e": 6}, "iiid": True}}, "iiid"),
+    ("data.generate", "solve", {"data": {"generate": {"n_a": 8, "n_e": 6, "sed": 3}}}, "sed"),
+    ("data.files", "solve",
+     {"data": {"files": {"aleatory": "a.csv", "epistemic": "e.csv", "testing_aleatroy": "t.csv"}}},
+     "testing_aleatroy"),
+    ("alphas", "solve", {"alphas": {"alpha_aa": 0.5}}, "alpha_aa"),
+    ("solver", "solve", {"solver": {"n_start": 3}}, "n_start"),
+    ("rmc", "analyze", {"data": _TESTED_DATA, "rmc": {"sigmaa": 0.9}}, "sigmaa"),
+    ("scenario_theory", "analyze",
+     {"data": _TESTED_DATA, "scenario_theory": {"beta": 1e-4, "containment": "sampling",
+                                                "n_probe": 50, "betta": 1e-3}},
+     "betta"),
+    ("sd", "sequential",
+     {"data": _TESTED_DATA, "sd": {"max_iter": 1, "n_a_init": 6, "n_e_init": 4, "treshold": 0.5}},
+     "treshold"),
+]
+
+
+@pytest.mark.parametrize(
+    "section,verb,overrides,bad", _MISSPELLED, ids=[case[0] for case in _MISSPELLED]
+)
+def test_unknown_config_key_exit_2(tmp_path, capsys, section, verb, overrides, bad):
+    cfg = _write_config(tmp_path / "cfg.json", **overrides)
+    argv = [verb, "--config", str(cfg)]
+    if verb == "analyze":
+        design = tmp_path / "design.json"
+        design.write_text(json.dumps({"theta_star": [0.5, 0.3, 6.0]}))
+        argv += ["--design", str(design)]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"unknown key(s) in config section {section!r}: [{bad!r}]" in err

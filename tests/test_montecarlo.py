@@ -4,7 +4,7 @@ import pytest
 from scendo import circle
 from scendo.core import InputError, ProblemSpec, ScenarioData
 from scendo.ecdf import cdf_of
-from scendo.montecarlo import RmcConfig, analyze, clopper_pearson, failure_prob_range
+from scendo.montecarlo import RmcConfig, analyze, clopper_pearson
 
 ZERO_CFG = RmcConfig(alpha_a=np.zeros(1), alpha_e=np.zeros(1), sigma=0.95)
 
@@ -140,7 +140,7 @@ def test_worst_case_flag_collapses_requirements():
 
 def test_requires_testing_sets(circle_spec, small_data):
     with pytest.raises(InputError):
-        failure_prob_range(circle_spec, np.zeros(3), small_data, ZERO_CFG)
+        analyze(circle_spec, np.zeros(3), small_data, ZERO_CFG)
 
 
 def test_analysis_fractions_trim_draws():

@@ -7,7 +7,7 @@ from scendo.core import InputError
 
 
 def test_unconstrained_quadratic():
-    p = nlp.NlpProblem(dim=1, objective=lambda x: float(x[0] ** 2),
+    p = nlp.NlpProblem(dim=1, objective_batch=lambda X: X[:, 0] ** 2,
                        bounds=np.array([[-1.0, 1.0]]))
     res = nlp.minimize(p, nlp.NlpOptions(seed=0))
     assert res.status == "converged"
@@ -17,8 +17,8 @@ def test_unconstrained_quadratic():
 def test_active_linear_constraint():
     p = nlp.NlpProblem(
         dim=1,
-        objective=lambda x: float(x[0]),
-        inequalities=[lambda x: 1.0 - x[0]],
+        objective_batch=lambda X: X[:, 0],
+        constraints_batch=lambda X: 1.0 - X[:, :1],
         bounds=np.array([[0.0, 5.0]]),
     )
     res = nlp.minimize(p, nlp.NlpOptions(seed=0))
@@ -36,8 +36,6 @@ def test_minimal_enclosing_circle_matches_welzl():
 
     p = nlp.NlpProblem(
         dim=3,
-        objective=lambda x: float(np.pi * x[2] ** 2),
-        constraints_vec=cons,
         bounds=np.array([[-5.0, 5.0], [-5.0, 5.0], [0.0, 5.0]]),
         objective_batch=lambda X: np.pi * np.asarray(X)[..., 2] ** 2,
         constraints_batch=cons,
@@ -60,8 +58,6 @@ def test_determinism_bit_identical():
 
     p = nlp.NlpProblem(
         dim=3,
-        objective=lambda x: float(x[2] ** 2),
-        constraints_vec=cons,
         bounds=np.array([[-5.0, 5.0], [-5.0, 5.0], [0.0, 8.0]]),
         constraints_batch=cons,
         objective_batch=lambda X: np.asarray(X)[..., 2] ** 2,
@@ -76,8 +72,8 @@ def test_penalty_infeasibility_is_monotone():
     # recorded per-stage violations should not increase on this instance
     p = nlp.NlpProblem(
         dim=2,
-        objective=lambda x: float(x[0] + x[1]),
-        inequalities=[lambda x: 4.0 - x[0] * x[1], lambda x: 1.0 - x[0]],
+        objective_batch=lambda X: X[:, 0] + X[:, 1],
+        constraints_batch=lambda X: np.stack([4.0 - X[:, 0] * X[:, 1], 1.0 - X[:, 0]], axis=-1),
         bounds=np.array([[0.0, 10.0], [0.0, 10.0]]),
     )
     res = nlp.minimize(p, nlp.NlpOptions(seed=2))
@@ -90,8 +86,8 @@ def test_failed_status_when_infeasible():
     # contradictory constraints: x <= -1 and x >= 1 on [-5, 5]
     p = nlp.NlpProblem(
         dim=1,
-        objective=lambda x: float(x[0] ** 2),
-        inequalities=[lambda x: x[0] + 1.0, lambda x: 1.0 - x[0]],
+        objective_batch=lambda X: X[:, 0] ** 2,
+        constraints_batch=lambda X: np.stack([X[:, 0] + 1.0, 1.0 - X[:, 0]], axis=-1),
         bounds=np.array([[-5.0, 5.0]]),
     )
     res = nlp.minimize(p, nlp.NlpOptions(seed=0, max_outer=6))
@@ -102,7 +98,7 @@ def test_failed_status_when_infeasible():
 def test_start_point_outside_bounds_rejected():
     p = nlp.NlpProblem(
         dim=1,
-        objective=lambda x: float(x[0] ** 2),
+        objective_batch=lambda X: X[:, 0] ** 2,
         bounds=np.array([[0.0, 1.0]]),
         x0_list=[np.array([2.0])],
     )
@@ -110,20 +106,26 @@ def test_start_point_outside_bounds_rejected():
         nlp.minimize(p)
 
 
+def _fd_gradient(f_batch, x):
+    """Central-difference gradient of an unconstrained batch objective."""
+    problem = nlp.NlpProblem(dim=x.size, objective_batch=f_batch)
+    return nlp._batch_fd_gradient(nlp._make_batch_penalty(problem), x, 1.0, 1e-6)[1]
+
+
 def test_fd_gradient_values():
-    assert nlp.fd_gradient(lambda x: float(x[0] ** 2), np.array([3.0]))[0] == pytest.approx(6.0, abs=1e-6)
-    g = nlp.fd_gradient(lambda x: 7.0, np.array([1.0, -2.0]))
+    assert _fd_gradient(lambda X: X[:, 0] ** 2, np.array([3.0]))[0] == pytest.approx(6.0, abs=1e-6)
+    g = _fd_gradient(lambda X: np.full(X.shape[0], 7.0), np.array([1.0, -2.0]))
     assert np.array_equal(g, np.zeros(2))
-    assert nlp.fd_gradient(lambda x: float(np.sin(x[0])), np.array([0.0]))[0] == pytest.approx(1.0, abs=1e-9)
+    assert _fd_gradient(lambda X: np.sin(X[:, 0]), np.array([0.0]))[0] == pytest.approx(1.0, abs=1e-9)
 
 
 @pytest.mark.filterwarnings("ignore:invalid value encountered")
 def test_fd_gradient_reports_bad_coordinate():
-    def f(x):
-        return float(np.sqrt(x[1]))  # NaN when probing x[1] below zero
+    def f(X):
+        return np.sqrt(X[:, 1])  # NaN when probing x[1] below zero
 
     with pytest.raises(ArithmeticError, match="coordinate 1"):
-        nlp.fd_gradient(f, np.array([1.0, 0.0]))
+        _fd_gradient(f, np.array([1.0, 0.0]))
 
 
 def test_latin_hypercube_stratified():
@@ -135,26 +137,3 @@ def test_latin_hypercube_stratified():
     strata = np.floor((pts[:, 0]) * 8).astype(int)
     assert sorted(strata.tolist()) == list(range(8))
 
-
-def test_parallel_starts_match_sequential():
-    pts = np.random.default_rng(4).normal(size=(6, 2))
-
-    def cons(X):
-        X = np.asarray(X, float)
-        return np.sum((X[..., None, :2] - pts) ** 2, axis=-1) - X[..., None, 2] ** 2
-
-    p = nlp.NlpProblem(
-        dim=3,
-        objective=lambda x: float(x[2] ** 2),
-        constraints_vec=cons,
-        bounds=np.array([[-4.0, 4.0], [-4.0, 4.0], [0.0, 6.0]]),
-        constraints_batch=cons,
-        objective_batch=lambda X: np.asarray(X)[..., 2] ** 2,
-    )
-    seq = nlp.minimize(p, nlp.NlpOptions(seed=5))
-    nlp.set_max_workers(4)
-    try:
-        par = nlp.minimize(p, nlp.NlpOptions(seed=5))
-    finally:
-        nlp.set_max_workers(1)
-    assert np.array_equal(seq.x, par.x)

@@ -11,9 +11,7 @@ from scendo.programs import (
     Formulation,
     FormulationTag,
     MomentSpec,
-    extract_outliers,
     outlier_sets,
-    pseudo_distribution,
     requirement_values,
     solve,
     solve_feasibility_seed,
@@ -23,7 +21,6 @@ from scendo.programs import (
     solve_risk_agnostic_local,
     solve_risk_averse_global,
     solve_risk_averse_local,
-    suggest_alpha_from_risk_averse,
 )
 
 OPTS = nlp.NlpOptions(seed=0, n_starts=4, max_inner=150)
@@ -131,7 +128,7 @@ def test_outlier_counts_respect_fractions(circle_spec, small_data):
     alpha_a, alpha_e = 2.0 / (n_a - 1), 2.0 / (n_e - 1)
     cfg = AlphaConfig(np.array([alpha_a]), np.array([alpha_e]))
     res = solve_risk_agnostic_local(circle_spec, small_data, cfg, OPTS)
-    o_a, o_e = extract_outliers(circle_spec, small_data, cfg, res)
+    o_a, o_e = outlier_sets(circle_spec, small_data, cfg, res.theta_star)
     assert np.array_equal(o_a, res.aleatory_outliers)
     cap = int(np.floor(n_e * alpha_e))
     inliers = np.setdiff1d(np.arange(n_a), o_a)
@@ -215,21 +212,6 @@ def test_risk_averse_global_survives_saturated_slacks(circle_spec):
     assert np.all(np.isfinite(res.theta_star))
 
 
-def test_suggest_alpha_from_risk_averse():
-    spec = ProblemSpec(
-        objective=lambda th: th[..., 0],
-        requirements=[lambda th, a, e: a[..., 0] - th[..., 0] + 0.0 * e[..., 0]],
-        design_bounds=[[0.0, 1.0]],
-        m_a=1,
-        m_e=1,
-    )
-    data = ScenarioData(
-        np.array([[0.5], [2.0], [0.2], [0.1]]), np.array([[0.0], [0.0]])
-    )
-    frac = suggest_alpha_from_risk_averse(spec, data, AlphaConfig.uniform(1), OPTS)
-    assert frac[0] == pytest.approx(0.25, abs=1e-6)  # exactly one of four violates
-
-
 def test_moment_constant_response(circle_spec, small_data):
     res = solve_moment_risk_averse(
         circle_spec, small_data, AlphaConfig.uniform(1, rho=1e6),
@@ -273,7 +255,7 @@ def test_moment_agnostic_tiny_dataset():
     assert res.theta_star[2] == pytest.approx(np.sqrt(5) / 2, abs=1e-2)
 
 
-def test_extract_outliers_all_negative_empty(circle_spec, small_data):
+def test_outlier_sets_all_negative_empty(circle_spec, small_data):
     cfg = AlphaConfig.uniform(1)
     huge = np.array([0.5, 0.3, 11.9])  # encloses everything
     o_a, o_e = outlier_sets(circle_spec, small_data, cfg, huge)
@@ -281,7 +263,7 @@ def test_extract_outliers_all_negative_empty(circle_spec, small_data):
     assert all(v.size == 0 for v in o_e)
 
 
-def test_extract_outliers_hand_table():
+def test_outlier_sets_hand_table():
     table = np.array([[-1.0, 0.5, 2.0], [-3.0, -2.0, -1.0], [1.0, 2.0, 3.0]])
     spec = _table_spec(table)
     data = ScenarioData(
@@ -292,7 +274,7 @@ def test_extract_outliers_hand_table():
         theta_star=np.array([0.0]), objective=0.0, solver_status="converged",
         restarts_used=1,
     )
-    o_a, o_e = extract_outliers(spec, data, cfg, result)
+    o_a, o_e = outlier_sets(spec, data, cfg, result.theta_star)
     # independent enumeration with the reference quantile
     exp_a, exp_e = [], []
     for i in range(3):
@@ -320,12 +302,13 @@ def test_feasible_set_containment_under_relaxation(circle_spec, small_data):
 
 
 def test_pseudo_distribution_helper(circle_spec, small_data):
-    pd = pseudo_distribution(circle_spec, np.array([0.0, 0.0, 2.0]), 0, 3, small_data)
-    assert pd.values.shape == (small_data.n_e,)
+    # the pseudo-distribution of scenario 3: its values over the epistemic set
+    values = requirement_values(circle_spec, small_data, np.array([0.0, 0.0, 2.0]), k=0)[3]
+    assert values.shape == (small_data.n_e,)
     direct = circle.circle_requirement(
         np.array([0.0, 0.0, 2.0]), small_data.aleatory[3], small_data.epistemic
     )
-    assert np.allclose(pd.values, direct)
+    assert np.allclose(values, direct)
 
 
 def test_formulation_validation():

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from scendo import circle
+from scendo.programs import requirement_values
 from scendo.weights import (
-    compute_weights,
     sign_fraction,
     smooth_sign_fraction,
     weights_from_values,
@@ -66,18 +66,6 @@ def test_gamma_limit_is_indicator():
     assert np.allclose(w_big, indicator, atol=1e-9)
 
 
-def test_compute_weights_matches_matrix_path(circle_spec):
-    data = circle.generate_dataset(10, 8, seed=5)
-    theta = np.array([0.5, 0.2, 2.0])
-    ws = compute_weights(circle_spec, theta, 0, data, 0.1, 0.25, 60.0)
-    vals = circle.circle_requirement(
-        theta, data.aleatory[:, None, :], data.epistemic[None, :, :]
-    )
-    w_ref, _, s_ref = weights_from_values(vals, 0.1, 0.25, 60.0)
-    assert np.allclose(ws.weights, w_ref)
-    assert ws.threshold == pytest.approx(float(s_ref))
-
-
 def test_inlier_selection_uses_failure_probability_quantile():
     # scenarios with the highest failure probabilities drop out of step 1
     vals = np.array(
@@ -103,7 +91,8 @@ def test_outlier_weights_vanish_on_benchmark_solve(circle_spec):
     # weights that are numerically zero
     data = circle.generate_dataset(12, 10, seed=6)
     theta = np.array([0.4, 0.3, 1.2])  # deliberately tight: violations exist
-    ws = compute_weights(circle_spec, theta, 0, data, 0.0, 2.0 / 9.0, 100.0)
-    below = ws.weights[ws.weights < 1.0]
+    values = requirement_values(circle_spec, data, theta, k=0)
+    w, _, _ = weights_from_values(values, 0.0, 2.0 / 9.0, 100.0)
+    below = w[w < 1.0]
     assert below.size > 0
     assert np.all(below < 1e-6)
