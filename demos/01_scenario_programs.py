@@ -56,10 +56,9 @@ print(f"risk-averse (rho = 0.5)   J = {averse_ae.objective:8.2f}   "
 print()
 
 # 4. how low could the failure fraction go? the feasibility seed tells us
-theta_seed, alpha_lower = solve_feasibility_seed(
-    spec, data, AlphaConfig.uniform(1), opts=opts)
-print(f"feasibility seed: the instance is solvable down to alpha_a = "
-      f"{alpha_lower[0]:.3f}")
+seed = solve_feasibility_seed(spec, data, AlphaConfig.uniform(1), opts=opts)
+print(f"feasibility seed ({seed.solver_status}): the instance is solvable down to "
+      f"alpha_a = {seed.alpha_a_lower[0]:.3f}")
 
 # 5. minimize the mean enclosure tightness instead of the area
 moment = solve_moment_risk_averse(

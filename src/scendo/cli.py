@@ -11,8 +11,11 @@ Verbs:
   epsilon     print the risk bound for given (n, k, beta)
 
 Configuration is a single JSON document (see README for the schema); CSV
-is used for all tabular data; every config section rejects keys it does
-not read.  Exit codes: 0 ok, 2 input error, 3 infeasible, 4 specification
+is used for all tabular data.  The solver, alphas, rmc and sd sections set
+fields of NlpOptions, AlphaConfig, RmcConfig and SdConfig; an omitted or
+null key keeps the dataclass default.  An unknown key, a value of the
+wrong type (6.7 for an integer) and an unknown problem parameter are input
+errors.  Exit codes: 0 ok, 2 input error, 3 infeasible, 4 specification
 not met, 5 numerical failure (a non-finite merit value, a failed
 leave-one-out solve).  The environment variable
 SCENDO_LOG in {error, info, debug} controls log verbosity.  All commands
@@ -24,11 +27,13 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import hashlib
 import json
 import logging
 import os
 import sys
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -39,6 +44,7 @@ from scendo import nlp
 from scendo.core import AlphaConfig, InputError, ScenarioData, make_problem
 from scendo.montecarlo import RmcConfig, analyze
 from scendo.programs import (
+    MOMENT_TAGS,
     Formulation,
     FormulationTag,
     MomentSpec,
@@ -56,11 +62,17 @@ EXIT_INFEASIBLE = 3
 EXIT_SPEC_NOT_MET = 4
 EXIT_NUMERICAL = 5
 
-#: top-level keys of the run configuration
-CONFIG_KEYS = (
-    "problem", "data", "formulation", "alphas", "solver", "rmc", "scenario_theory", "sd",
-    "seed", "output_dir",
-)
+#: top-level keys of the run configuration and the types of their values
+CONFIG_KEYS = {
+    "problem": dict, "data": dict, "formulation": str, "alphas": dict, "solver": dict,
+    "rmc": dict, "scenario_theory": dict, "sd": dict, "seed": int, "output_dir": str,
+}
+_TOP_LEVEL = "<top level>"
+
+#: keys of config section data.generate: the problem's dataset generator arguments
+_GENERATE_KEYS = ("n_a", "n_e", "seed", "n_a_test", "n_e_test")
+#: keys of config section data.files, each the path of one CSV dataset
+_DATA_FILES = ("aleatory", "epistemic", "testing_aleatory", "testing_epistemic")
 
 
 def _configure_logging() -> None:
@@ -88,18 +100,73 @@ def _config_hash(config: dict) -> str:
     return hashlib.sha256(canon.encode()).hexdigest()
 
 
-def _check_keys(section: str, conf, allowed) -> dict:
-    """``conf`` itself, after checking it is an object with only ``allowed`` keys."""
+_TYPE_NAMES = {
+    int: "an integer", float: "a number", bool: "true or false", str: "a string",
+    dict: "a JSON object", np.ndarray: "a number or a list of numbers",
+}
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _checked(key: str, value, kind):
+    """The JSON ``value`` of config key ``key`` as type ``kind``, else InputError.
+
+    An int takes an integral number, a float any number, a vector
+    (``np.ndarray``) a number or a list of numbers, bool, str and dict
+    only their own type.
+    """
+    if kind is np.ndarray:
+        if _is_number(value):
+            return float(value)  # a scalar applies to every requirement
+        if isinstance(value, list) and all(map(_is_number, value)):
+            return np.asarray(value, dtype=float)
+    elif kind is float:
+        if _is_number(value):
+            return float(value)
+    elif kind is int:
+        if _is_number(value) and (isinstance(value, int) or value.is_integer()):
+            return int(value)
+    elif isinstance(value, kind):
+        return value
+    raise InputError(f"config value {key} must be {_TYPE_NAMES[kind]}, got {json.dumps(value)}")
+
+
+def _section(section: str, conf, types: dict) -> dict:
+    """The values that config section ``section`` sets, checked against ``types``.
+
+    ``conf`` is the section's JSON object, ``None`` when it is omitted.  A
+    key set to null is left out like an omitted one, so its default applies.
+    """
+    if conf is None:
+        return {}
     if not isinstance(conf, dict):
         raise InputError(f"config section {section!r} must be a JSON object")
-    unknown = set(conf) - set(allowed)
+    unknown = set(conf) - set(types)
     if unknown:
         raise InputError(f"unknown key(s) in config section {section!r}: {sorted(unknown)}")
-    return conf
+    prefix = "" if section == _TOP_LEVEL else f"{section}."
+    return {k: _checked(prefix + k, v, types[k]) for k, v in conf.items() if v is not None}
 
 
-def _load_config(path: str, keys=None) -> dict:
-    """The JSON object in ``path``; with ``keys``, only those top-level keys are allowed."""
+def _field_types(cls, *skip) -> dict:
+    """Field name -> type of the dataclass ``cls``, without the fields ``skip``."""
+    hints = typing.get_type_hints(cls)
+    return {f.name: hints[f.name] for f in dataclasses.fields(cls) if f.name not in skip}
+
+
+def _load(section: str, conf, cls, **given):
+    """The dataclass ``cls`` built from config section ``section``.
+
+    The section may set every field that ``given`` does not fill; a field
+    it omits or sets to null keeps the dataclass default.
+    """
+    return cls(**given, **_section(section, conf, _field_types(cls, *given)))
+
+
+def _load_config(path: str) -> dict:
+    """The JSON object in ``path``."""
     try:
         text = Path(path).read_text()
     except OSError as exc:
@@ -110,16 +177,19 @@ def _load_config(path: str, keys=None) -> dict:
         raise InputError(f"config {path} is not valid JSON (line {exc.lineno}: {exc.msg})") from None
     if not isinstance(config, dict):
         raise InputError("config root must be a JSON object")
-    if keys is not None:
-        _check_keys("<top level>", config, keys)
     return config
 
 
-def _field(config: dict, name: str, required: bool = True, default=None):
+def _run_config(path: str) -> tuple[dict, dict]:
+    """The checked run configuration in ``path`` and its provenance entries."""
+    raw = _load_config(path)
+    provenance = {"config_hash": _config_hash(raw), "version": scendo.__version__}
+    return _section(_TOP_LEVEL, raw, CONFIG_KEYS), provenance
+
+
+def _field(config: dict, name: str):
     if name not in config:
-        if required:
-            raise InputError(f"config field {name!r} is missing")
-        return default
+        raise InputError(f"config field {name!r} is missing")
     return config[name]
 
 
@@ -158,67 +228,36 @@ def _save_matrix_csv(path: Path, mat: np.ndarray, prefix: str) -> None:
 
 
 def _build_problem(config: dict):
-    pconf = _check_keys("problem", _field(config, "problem"), ("name", "params"))
+    pconf = _section("problem", _field(config, "problem"), {"name": str, "params": dict})
     if "name" not in pconf:
         raise InputError("config field 'problem' must be {\"name\": ..., \"params\": {...}}")
     return make_problem(pconf["name"], **pconf.get("params", {}))
 
 
 def _build_data(config: dict, bundle) -> tuple[ScenarioData, bool]:
-    dconf = _check_keys("data", _field(config, "data"), ("generate", "files", "iid"))
+    dconf = _section("data", _field(config, "data"), {"generate": dict, "files": dict, "iid": bool})
     gen = dconf.get("generate")
     files = dconf.get("files")
     if (gen is None) == (files is None):
         raise InputError("config field 'data' needs exactly one of 'generate' or 'files'")
-    iid = bool(dconf.get("iid", True))
+    iid = dconf.get("iid", True)
     if gen is not None:
-        _check_keys("data.generate", gen, ("n_a", "n_e", "seed", "n_a_test", "n_e_test"))
+        g = _section("data.generate", gen, dict.fromkeys(_GENERATE_KEYS, int))
         if bundle.generate is None:
             raise InputError("the selected problem has no dataset generator")
-        data = bundle.generate(
-            int(gen.get("n_a", 50)),
-            int(gen.get("n_e", 50)),
-            int(gen.get("seed", 0)),
-            int(gen.get("n_a_test", 0)),
-            int(gen.get("n_e_test", 0)),
-        )
-        return data, iid
-    file_keys = ("aleatory", "epistemic", "testing_aleatory", "testing_epistemic")
-    _check_keys("data.files", files, file_keys)
-    mats = {}
-    for key in file_keys:
-        if key in files:
-            mats[key] = _load_matrix_csv(files[key])
-    if "aleatory" not in mats or "epistemic" not in mats:
+        return bundle.generate(g.pop("n_a", 50), g.pop("n_e", 50), g.pop("seed", 0), **g), iid
+    files = _section("data.files", files, dict.fromkeys(_DATA_FILES, str))
+    if "aleatory" not in files or "epistemic" not in files:
         raise InputError("data.files needs at least 'aleatory' and 'epistemic'")
-    return ScenarioData(**mats), iid
-
-
-def _build_alphas(config: dict, n_r: int) -> AlphaConfig:
-    aconf = _field(config, "alphas", required=False, default={}) or {}
-    _check_keys("alphas", aconf, ("alpha_a", "alpha_e", "rho", "kappa", "gamma"))
-
-    def vec(key):
-        v = aconf.get(key, 0.0)
-        return np.asarray(v if isinstance(v, list) else [float(v)] * n_r, float)
-
-    return AlphaConfig(
-        vec("alpha_a"),
-        vec("alpha_e"),
-        rho=float(aconf.get("rho", 1e6)),
-        kappa=float(aconf.get("kappa", 1000.0)),
-        gamma=float(aconf.get("gamma", 100.0)),
-    )
+    return ScenarioData(**{k: _load_matrix_csv(path) for k, path in files.items()}), iid
 
 
 def _build_opts(config: dict, seed_override) -> nlp.NlpOptions:
-    sconf = _field(config, "solver", required=False, default={}) or {}
-    _check_keys("solver", sconf, nlp.NlpOptions().__dict__.keys())
-    opts = nlp.NlpOptions(**sconf)
+    opts = _load("solver", config.get("solver"), nlp.NlpOptions)
     if seed_override is not None:
-        opts.seed = int(seed_override)
+        opts.seed = seed_override
     elif "seed" in config:
-        opts.seed = int(config["seed"])
+        opts.seed = config["seed"]
     return opts
 
 
@@ -230,36 +269,15 @@ def _build_formulation(config: dict, bundle) -> Formulation:
         known = ", ".join(t.value for t in FormulationTag)
         raise InputError(f"unknown formulation {name!r}; one of: {known}") from None
     moment = None
-    if tag in (FormulationTag.MOMENT_RISK_AVERSE, FormulationTag.MOMENT_RISK_AGNOSTIC):
+    if tag in MOMENT_TAGS:
         if bundle.response is None:
             raise InputError("moment formulations need a problem with a response function")
         moment = MomentSpec(response=bundle.response)
     return Formulation(tag=tag, moment=moment)
 
 
-def _build_rmc(config: dict, n_r: int) -> RmcConfig:
-    rconf = _field(config, "rmc", required=False, default={}) or {}
-    _check_keys("rmc", rconf, ("alpha_a", "alpha_e", "sigma", "p_max", "worst_case"))
-
-    def vec(key, default):
-        v = rconf.get(key, default)
-        return np.asarray(v if isinstance(v, list) else [float(v)] * n_r, float)
-
-    return RmcConfig(
-        alpha_a=vec("alpha_a", 0.0),
-        alpha_e=vec("alpha_e", 0.0),
-        sigma=float(rconf.get("sigma", 0.95)),
-        p_max=vec("p_max", 0.01),
-        worst_case=bool(rconf.get("worst_case", False)),
-    )
-
-
-def _provenance(config: dict) -> dict:
-    return {"config_hash": _config_hash(config), "version": scendo.__version__}
-
-
 def _out_dir(config: dict, override) -> Path:
-    out = Path(override) if override else Path(_field(config, "output_dir", required=False, default="."))
+    out = Path(override or config.get("output_dir", "."))
     out.mkdir(parents=True, exist_ok=True)
     return out
 
@@ -276,29 +294,16 @@ SOLUTION_DIAGNOSTICS = (
 
 
 def cmd_solve(args) -> int:
-    config = _load_config(args.config, CONFIG_KEYS)
+    config, provenance = _run_config(args.config)
     bundle = _build_problem(config)
     spec = bundle.spec
     data, iid = _build_data(config, bundle)
-    cfg = _build_alphas(config, spec.n_r)
+    cfg = _load("alphas", config.get("alphas"), AlphaConfig)
     opts = _build_opts(config, args.seed)
     formulation = _build_formulation(config, bundle)
     out = _out_dir(config, args.output)
 
     result = solve_program(formulation, spec, data, cfg, opts)
-    if formulation.tag == FormulationTag.FEASIBILITY_SEED:
-        theta, alpha = result
-        payload = {
-            "problem": config["problem"]["name"],
-            "formulation": formulation.tag.value,
-            "theta_star": theta,
-            "alpha_a_lower": alpha,
-            "trained_iid": iid,
-            **_provenance(config),
-        }
-        _write_json(out / "solution.json", payload)
-        return EXIT_OK
-
     payload = {
         "problem": config["problem"]["name"],
         "formulation": formulation.tag.value,
@@ -314,8 +319,10 @@ def cmd_solve(args) -> int:
         "diagnostics": {
             k: result.diagnostics[k] for k in SOLUTION_DIAGNOSTICS if k in result.diagnostics
         },
-        **_provenance(config),
+        **provenance,
     }
+    if result.alpha_a_lower is not None:
+        payload["alpha_a_lower"] = result.alpha_a_lower
     rows = [("aleatory", int(i), "") for i in result.aleatory_outliers]
     if isinstance(result.epistemic_outliers, np.ndarray):
         rows += [("epistemic_global", "", int(j)) for j in result.epistemic_outliers]
@@ -328,11 +335,13 @@ def cmd_solve(args) -> int:
     _write_csv(out / "outliers.csv", ["kind", "aleatory_index", "epistemic_index"], rows)
     if result.solver_status == "infeasible":
         diag = result.diagnostics
-        if "suggested_alpha_a" in diag or "alpha_suggestion_error" in diag:
+        if result.alpha_a_lower is not None:  # the program is the seed itself
+            suggestion = result.alpha_a_lower
+        elif "suggested_alpha_a" in diag or "alpha_suggestion_error" in diag:
             # the program already tried the seed; a failed try is not repeated
             suggestion = diag.get("suggested_alpha_a")
         else:
-            _, suggestion = solve_feasibility_seed(spec, data, cfg, opts=opts)
+            suggestion = solve_feasibility_seed(spec, data, cfg, opts=opts).alpha_a_lower
         payload["suggested_alpha_a"] = suggestion
         _write_json(out / "solution.json", payload)
         logger.error("program infeasible; suggested alpha_a = %s", suggestion)
@@ -341,32 +350,24 @@ def cmd_solve(args) -> int:
     return EXIT_OK
 
 
-def _solver_closure(formulation, spec, cfg, opts):
-    def solver(d: ScenarioData):
-        return solve_program(formulation, spec, d, cfg, opts)
-
-    return solver
-
-
 def cmd_analyze(args) -> int:
-    config = _load_config(args.config, CONFIG_KEYS)
+    config, provenance = _run_config(args.config)
     bundle = _build_problem(config)
     spec = bundle.spec
     data, iid = _build_data(config, bundle)
     design = _load_config(args.design)
-    theta = np.asarray(_field(design, "theta_star"), dtype=float)
+    theta = np.asarray(_checked("design.theta_star", _field(design, "theta_star"), np.ndarray))
     if theta.shape != (spec.m_theta,):
         raise InputError(
             f"design dimension {theta.shape} does not match the problem ({spec.m_theta},)"
         )
-    trained_iid = bool(design.get("trained_iid", iid))
-    st_conf = _field(config, "scenario_theory", required=False, default=None)
-    if st_conf is not None:
-        _check_keys("scenario_theory", st_conf, ("beta", "containment", "n_probe"))
+    trained_iid = design.get("trained_iid")
+    trained_iid = iid if trained_iid is None else _checked("design.trained_iid", trained_iid, bool)
+    st_types = {"beta": float, "containment": str, "n_probe": int}
+    st = _section("scenario_theory", config.get("scenario_theory"), st_types)
     out = _out_dir(config, args.output)
 
-    rmc_cfg = _build_rmc(config, spec.n_r)
-    report = analyze(spec, theta, data, rmc_cfg)
+    report = analyze(spec, theta, data, _load("rmc", config.get("rmc"), RmcConfig))
     _write_csv(
         out / "rmc_report.csv",
         ["requirement", "a_lo", "a_hi", "b_lo", "b_hi", "c", "d_lo", "d_hi"],
@@ -381,69 +382,54 @@ def cmd_analyze(args) -> int:
             "range_d": report.range_d,
             "sigma": report.sigma,
             "worst_case": report.worst_case,
-            **_provenance(config),
+            **provenance,
         },
     )
 
-    if st_conf is not None:
-        cfg = _build_alphas(config, spec.n_r)
+    if "scenario_theory" in config:
+        cfg = _load("alphas", config.get("alphas"), AlphaConfig)
         opts = _build_opts(config, args.seed)
         formulation = _build_formulation(config, bundle)
-        moment = formulation.tag in (
-            FormulationTag.MOMENT_RISK_AVERSE,
-            FormulationTag.MOMENT_RISK_AGNOSTIC,
-        )
         rb = risk_bound(
             spec,
-            _solver_closure(formulation, spec, cfg, opts),
+            lambda d: solve_program(formulation, spec, d, cfg, opts),
             data,
             theta,
             bundle.epistemic_set,
-            beta=float(st_conf.get("beta", 1e-4)),
-            containment=st_conf.get("containment", "auto"),
-            moment=moment,
+            beta=st.pop("beta", 1e-4),
+            moment=formulation.tag in MOMENT_TAGS,
             iid=trained_iid,
-            n_probe=int(st_conf.get("n_probe", 2000)),
             seed=opts.seed,
+            **st,
         )
-        _write_json(out / "risk_bound.json", {**rb.to_dict(), **_provenance(config)})
+        _write_json(out / "risk_bound.json", {**rb.to_dict(), **provenance})
     return EXIT_OK
 
 
+#: SdConfig fields the sd section does not set: the CLI fills rmc, density
+#: and seed, and the loop scales the testing violation counts for budgets
+_SD_FILLED = ("rmc", "density", "seed", "budgets")
+
+
 def cmd_sequential(args) -> int:
-    config = _load_config(args.config, CONFIG_KEYS)
+    config, provenance = _run_config(args.config)
     bundle = _build_problem(config)
     spec = bundle.spec
     data, _ = _build_data(config, bundle)
     data.require_testing()
     opts = _build_opts(config, args.seed)
-    sdc = _check_keys("sd", _field(config, "sd"), (
-        "metric", "threshold", "j_bound", "max_iter", "n_a_init", "n_e_init", "n_a_cap",
-        "n_e_cap", "growth", "alpha_e", "lambda_div", "use_density", "program", "rho", "baseline",
-    ))
-    rmc_cfg = _build_rmc(config, spec.n_r)
-    j_bound = sdc.get("j_bound")
+    sd_types = {**_field_types(SdConfig, *_SD_FILLED), "use_density": bool, "baseline": np.ndarray}
+    sdc = _section("sd", _field(config, "sd"), sd_types)
+    use_density = sdc.pop("use_density", True)
+    baseline = sdc.pop("baseline", None)
     sd_cfg = SdConfig(
-        rmc=rmc_cfg,
-        metric=sdc.get("metric", "a_hi"),
-        threshold=float(sdc.get("threshold", 1e-3)),
-        j_bound=float(j_bound) if j_bound is not None else np.inf,
-        max_iter=int(sdc.get("max_iter", 15)),
-        n_a_init=int(sdc.get("n_a_init", 50)),
-        n_e_init=int(sdc.get("n_e_init", 50)),
-        n_a_cap=int(sdc.get("n_a_cap", 100)),
-        n_e_cap=int(sdc.get("n_e_cap", 200)),
-        growth=float(sdc.get("growth", 1.3)),
-        alpha_e=float(sdc.get("alpha_e", 0.0)),
-        lambda_div=float(sdc.get("lambda_div", 0.0)),
-        density=bundle.density if sdc.get("use_density", True) else None,
-        program=sdc.get("program", "risk_agnostic_local"),
-        rho=float(sdc.get("rho", 1e6)),
+        rmc=_load("rmc", config.get("rmc"), RmcConfig),
+        density=bundle.density if use_density else None,
         seed=opts.seed,
+        **sdc,
     )
     out = _out_dir(config, args.output)
 
-    baseline = sdc.get("baseline")
     if baseline is None:
         train = ScenarioData(
             data.testing_aleatory[: sd_cfg.n_a_init],
@@ -470,7 +456,7 @@ def cmd_sequential(args) -> int:
         "met_spec": trace.met_spec,
         "failed": trace.failed,
         "trained_iid": False,
-        **_provenance(config),
+        **provenance,
     }
     _write_json(out / "design.json", final)
     if not trace.met_spec:
@@ -480,10 +466,9 @@ def cmd_sequential(args) -> int:
 
 
 def cmd_gen_data(args) -> int:
-    config = _load_config(args.config, CONFIG_KEYS)
+    config, _ = _run_config(args.config)
     bundle = _build_problem(config)
-    dconf = _field(config, "data")
-    if not isinstance(dconf, dict) or dconf.get("generate") is None:
+    if _field(config, "data").get("generate") is None:
         raise InputError("gen-data needs a data.generate block")
     data, _ = _build_data(config, bundle)
     out = _out_dir(config, args.output)

@@ -20,6 +20,7 @@ share across threads.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -245,13 +246,14 @@ class AlphaConfig:
     """Outlier fractions and smoothing parameters for the scenario programs.
 
     alpha_a[k] / alpha_e[k] are the fractions of aleatory / epistemic
-    scenarios allowed to violate requirement k.  ``rho`` penalizes slack in
+    scenarios allowed to violate requirement k; a scalar or one-entry
+    vector applies to every requirement.  ``rho`` penalizes slack in
     the risk-averse programs, ``kappa`` sharpens the slack-to-weight map of
     the moment programs, ``gamma`` sharpens the epistemic weight rule.
     """
 
-    alpha_a: Array
-    alpha_e: Array
+    alpha_a: Array = 0.0
+    alpha_e: Array = 0.0
     rho: float = 1e6
     kappa: float = 1000.0
     gamma: float = 100.0
@@ -295,7 +297,8 @@ class SolveResult:
     ``epistemic_outliers`` is a global index array for the global-outlier
     formulations and a list of per-aleatory-scenario index arrays for the
     local ones.  ``objective`` is J(theta_star) (lambda_star for the
-    moment-based programs).
+    moment-based programs, omega . alpha_a_lower for the feasibility seed).
+    ``alpha_a_lower`` is set by the feasibility seed only.
     """
 
     theta_star: Array
@@ -307,6 +310,7 @@ class SolveResult:
     aleatory_outliers: Array = field(default_factory=lambda: np.empty(0, dtype=int))
     epistemic_outliers: object = None
     diagnostics: dict = field(default_factory=dict)
+    alpha_a_lower: Optional[Array] = None
 
 
 @dataclass(frozen=True)
@@ -338,9 +342,15 @@ def register_problem(name: str):
 
 
 def make_problem(name: str, **params) -> ProblemBundle:
+    """The registered problem ``name`` built from ``params``, which must bind
+    to its factory's signature."""
     try:
         factory = _PROBLEM_REGISTRY[name]
     except KeyError:
         known = ", ".join(sorted(_PROBLEM_REGISTRY)) or "(none)"
         raise InputError(f"unknown problem {name!r}; registered: {known}") from None
+    try:
+        inspect.signature(factory).bind(**params)
+    except TypeError as exc:
+        raise InputError(f"problem {name!r} parameters: {exc}") from None
     return factory(**params)

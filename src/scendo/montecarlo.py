@@ -15,7 +15,7 @@ is evaluated in one vectorized call per requirement.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 import numpy as np
 from scipy.stats import beta as _beta_dist
 
@@ -30,13 +30,14 @@ class RmcConfig:
     """Analysis-time outlier fractions, confidence level, and budgets.
 
     These are deliberately separate from the fractions used to train the
-    design: an analysis commonly uses different (often zero) values.
+    design: an analysis commonly uses different (often zero) values.  A
+    scalar or one-entry vector applies to every requirement.
     """
 
-    alpha_a: Array
-    alpha_e: Array
+    alpha_a: Array = 0.0
+    alpha_e: Array = 0.0
     sigma: float = 0.95
-    p_max: Array = field(default_factory=lambda: np.array([0.01]))
+    p_max: Array = 0.01
     worst_case: bool = False  # analyze max_k r_k instead of each r_k
 
     def __post_init__(self):

@@ -160,6 +160,7 @@ def _assemble(
     lam: Optional[float] = None,
     global_epistemic: Optional[Array] = None,
     objective: Optional[float] = None,
+    alpha_a_lower: Optional[Array] = None,
 ) -> SolveResult:
     theta = res.x[: spec.m_theta]
     status = "infeasible" if res.status == "failed" else res.status
@@ -174,6 +175,7 @@ def _assemble(
         aleatory_outliers=o_a,
         epistemic_outliers=global_epistemic if global_epistemic is not None else o_e,
         diagnostics=dict(res.diagnostics),
+        alpha_a_lower=alpha_a_lower,
     )
 
 
@@ -326,8 +328,8 @@ def _attach_alpha_suggestion(spec, data, cfg, opts, result: SolveResult, variant
     if result.solver_status != "infeasible":
         return result
     try:
-        _, alpha = solve_feasibility_seed(spec, data, cfg, variant=variant, opts=opts)
-        result.diagnostics["suggested_alpha_a"] = alpha
+        seed = solve_feasibility_seed(spec, data, cfg, variant=variant, opts=opts)
+        result.diagnostics["suggested_alpha_a"] = seed.alpha_a_lower
     except Exception as exc:  # the suggestion is best-effort; the cause is kept
         cause = f"{type(exc).__name__}: {exc}"
         logger.warning("alpha_a suggestion failed: %s", cause, exc_info=True)
@@ -417,12 +419,13 @@ def solve_feasibility_seed(
     omega: Optional[Array] = None,
     variant: str = "local",
     opts: Optional[nlp.NlpOptions] = None,
-):
+) -> SolveResult:
     """Minimize omega . alpha_a with alpha_a a decision vector in [0,1]^n_r.
 
-    Returns ``(theta, alpha_a_lower)``: the design minimizing the weighted
-    sum of individual failure fractions and a lower bound to the fractions
-    that make the corresponding risk-agnostic program feasible.
+    The result's ``theta_star`` is the design minimizing the weighted sum
+    of individual failure fractions, its ``alpha_a_lower`` a lower bound to
+    the fractions that make the corresponding risk-agnostic program
+    feasible, and its ``objective`` omega . alpha_a_lower.
     """
     cfg = cfg.for_spec(spec)
     opts = opts or nlp.NlpOptions()
@@ -468,7 +471,8 @@ def solve_feasibility_seed(
         constraints_batch=cons_any,
     )
     res = nlp.minimize(problem, opts)
-    return res.x[:m], res.x[m:]
+    alpha = res.x[m:]
+    return _assemble(spec, data, cfg, res, objective=float(omega @ alpha), alpha_a_lower=alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -602,6 +606,7 @@ _SOLVERS = {
     FormulationTag.RISK_AVERSE_LOCAL: solve_risk_averse_local,
     FormulationTag.RISK_AGNOSTIC_GLOBAL: solve_risk_agnostic_global,
     FormulationTag.RISK_AGNOSTIC_LOCAL: solve_risk_agnostic_local,
+    FormulationTag.FEASIBILITY_SEED: solve_feasibility_seed,
 }
 
 
@@ -611,14 +616,11 @@ def solve(
     data: ScenarioData,
     cfg: AlphaConfig,
     opts: Optional[nlp.NlpOptions] = None,
-):
-    """Dispatch on the formulation tag.  The feasibility seed returns the
-    (theta, alpha_a_lower) pair, everything else a SolveResult."""
+) -> SolveResult:
+    """Dispatch on the formulation tag."""
     tag = formulation.tag
-    if tag == FormulationTag.FEASIBILITY_SEED:
-        return solve_feasibility_seed(spec, data, cfg, opts=opts)
     if tag == FormulationTag.MOMENT_RISK_AVERSE:
         return solve_moment_risk_averse(spec, data, cfg, formulation.moment.response, opts)
     if tag == FormulationTag.MOMENT_RISK_AGNOSTIC:
         return solve_moment_risk_agnostic(spec, data, cfg, formulation.moment.response, opts)
-    return _SOLVERS[tag](spec, data, cfg, opts)
+    return _SOLVERS[tag](spec, data, cfg, opts=opts)

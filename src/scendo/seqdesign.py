@@ -5,8 +5,8 @@ analysis on the large testing sets, stops once the robustness metric meets
 its threshold and the objective meets its bound, and otherwise re-trains
 on a small, freshly selected subset of the testing data.  When the metric
 is violated the training size grows and the outlier fractions reset to
-zero; when only the objective is too high the aleatory fraction grows so
-the next design may ignore more scenarios.
+zero; when only the objective is too high the aleatory fraction grows by
+1/n_a so the next design may ignore one more scenario.
 
 Aleatory training scenarios are chosen by a budgeted selection: exactly
 b_k currently-failing scenarios per requirement (they pull the success
@@ -58,7 +58,6 @@ class SdConfig:
     n_a_cap: int = 100
     n_e_cap: int = 200
     growth: float = 1.3
-    alpha_step: Optional[float] = None  # None: grow alpha_a by 1/n_a
     alpha_e: float = 0.0
     lambda_div: float = 0.0
     density: Optional[Callable] = None  # None: constant likelihood
@@ -361,8 +360,8 @@ def _solve_program(spec, train, cfg, alpha_a, opts):
         np.minimum(alpha_a, 0.9), np.full(spec.n_r, cfg.alpha_e), rho=cfg.rho
     )
     if cfg.program == "feasibility_seed":
-        theta, alpha = solve_feasibility_seed(spec, train, alphas, opts=opts)
-        return theta, np.maximum(alpha_a, alpha), "converged"
+        seed = solve_feasibility_seed(spec, train, alphas, opts=opts)
+        return seed.theta_star, np.maximum(alpha_a, seed.alpha_a_lower), seed.solver_status
     solver = (
         solve_risk_agnostic_local
         if cfg.program == "risk_agnostic_local"
@@ -431,8 +430,7 @@ def run_sd(
             n_e = min(math.ceil(cfg.growth * n_e), cfg.n_e_cap, data.n_e_test)
             alpha_a = np.zeros(spec.n_r)
         else:
-            step = cfg.alpha_step if cfg.alpha_step is not None else 1.0 / n_a
-            alpha_a = np.minimum(alpha_a + step, 0.9)
+            alpha_a = np.minimum(alpha_a + 1.0 / n_a, 0.9)
 
         budgets = cfg.budgets
         sel_a = select_training_aleatory(

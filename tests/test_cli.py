@@ -1,12 +1,17 @@
+import dataclasses
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from scendo import cli, programs
-from scendo.core import ProblemBundle, ProblemSpec, register_problem
+from scendo import circle, cli, nlp, programs
+from scendo.core import AlphaConfig, ProblemBundle, ProblemSpec, register_problem
 from scendo.circle import epistemic_box
+from scendo.montecarlo import RmcConfig
+from scendo.seqdesign import SdConfig
 
 
 @register_problem("cli_test_unreachable")
@@ -313,3 +318,136 @@ def test_unknown_config_key_exit_2(tmp_path, capsys, section, verb, overrides, b
     assert cli.main(argv) == 2
     err = capsys.readouterr().err
     assert f"unknown key(s) in config section {section!r}: [{bad!r}]" in err
+
+
+def test_analyze_feasibility_seed_design_with_scenario_theory(tmp_path):
+    cfg = _write_config(
+        tmp_path / "cfg.json",
+        data={"generate": {"n_a": 6, "n_e": 4, "seed": 2, "n_a_test": 50, "n_e_test": 5}},
+        formulation="feasibility_seed",
+        scenario_theory={"containment": "sampling", "n_probe": 50},
+        solver={"n_starts": 2, "max_inner": 60},
+    )
+    assert cli.main(["solve", "--config", str(cfg)]) == 0
+    out = tmp_path / "out"
+    sol = json.loads((out / "solution.json").read_text())
+    assert sol["solver_status"] == "converged"
+    assert sol["objective"] == sol["alpha_a_lower"][0]
+    assert {"diagnostics", "aleatory_outliers", "restarts_used"} <= set(sol)
+    assert (out / "outliers.csv").exists()
+    design = out / "solution.json"
+    assert cli.main(["analyze", "--config", str(cfg), "--design", str(design)]) == 0
+    rb = json.loads((out / "risk_bound.json").read_text())
+    assert 0.0 <= rb["epsilon_bar"] <= 1.0
+
+
+#: one wrong-typed value per config section: (verb, overrides, key named on stderr)
+_BAD_VALUES = [
+    ("solve", {"seed": "0"}, "seed"),
+    ("solve", {"problem": {"name": ["circle"]}}, "problem.name"),
+    ("solve", {"problem": {"name": "circle", "params": {"radius_max": 3}}}, "radius_max"),
+    ("solve", {"data": {"generate": {"n_a": 8, "n_e": 6}, "iid": "false"}}, "data.iid"),
+    ("solve", {"data": {"generate": {"n_a": 6.7, "n_e": 6}}}, "data.generate.n_a"),
+    ("solve", {"data": {"generate": {"n_a": "eight", "n_e": 6}}}, "data.generate.n_a"),
+    ("solve", {"data": {"files": {"aleatory": 1, "epistemic": "e.csv"}}}, "data.files.aleatory"),
+    ("solve", {"alphas": {"alpha_a": "x"}}, "alphas.alpha_a"),
+    ("solve", {"alphas": {"alpha_e": {"k": 0.1}}}, "alphas.alpha_e"),
+    ("solve", {"alphas": {"rho": True}}, "alphas.rho"),
+    ("solve", {"solver": {"n_starts": "2"}}, "solver.n_starts"),
+    ("solve", {"solver": {"max_inner": 6.7}}, "solver.max_inner"),
+    ("analyze", {"data": _TESTED_DATA, "rmc": {"worst_case": "false"}}, "rmc.worst_case"),
+    ("analyze", {"data": _TESTED_DATA, "rmc": {"p_max": {"k": 0.1}}}, "rmc.p_max"),
+    ("analyze", {"data": _TESTED_DATA, "rmc": {"alpha_a": [0.1, "x"]}}, "rmc.alpha_a"),
+    ("analyze", {"data": _TESTED_DATA, "scenario_theory": {"n_probe": 6.7}},
+     "scenario_theory.n_probe"),
+    ("analyze", {"data": _TESTED_DATA, "scenario_theory": {"containment": 1}},
+     "scenario_theory.containment"),
+    ("sequential", {"data": _TESTED_DATA, "sd": {"max_iter": 6.7}}, "sd.max_iter"),
+    ("sequential", {"data": _TESTED_DATA, "sd": {"use_density": "false"}}, "sd.use_density"),
+    ("sequential", {"data": _TESTED_DATA, "sd": {"threshold": "1e-3"}}, "sd.threshold"),
+    ("sequential", {"data": _TESTED_DATA, "sd": {"baseline": {"theta": 1}}}, "sd.baseline"),
+]
+
+
+@pytest.mark.parametrize(
+    "verb,overrides,key", _BAD_VALUES, ids=[f"{case[2]}-{i}" for i, case in enumerate(_BAD_VALUES)]
+)
+def test_wrong_typed_config_value_exit_2(tmp_path, capsys, verb, overrides, key):
+    cfg = _write_config(tmp_path / "cfg.json", **overrides)
+    argv = [verb, "--config", str(cfg)]
+    if verb == "analyze":
+        design = tmp_path / "design.json"
+        design.write_text(json.dumps({"theta_star": [0.5, 0.3, 6.0]}))
+        argv += ["--design", str(design)]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert key in err
+
+
+def test_wrong_typed_design_value_exit_2(tmp_path, capsys):
+    cfg = _write_config(tmp_path / "cfg.json", data=_TESTED_DATA)
+    design = tmp_path / "design.json"
+    design.write_text(json.dumps({"theta_star": [0.5, 0.3, 6.0], "trained_iid": "yes"}))
+    assert cli.main(["analyze", "--config", str(cfg), "--design", str(design)]) == 2
+    assert "design.trained_iid" in capsys.readouterr().err
+    design.write_text(json.dumps({"theta_star": ["a", 0.3, 6.0]}))
+    assert cli.main(["analyze", "--config", str(cfg), "--design", str(design)]) == 2
+    assert "design.theta_star" in capsys.readouterr().err
+
+
+#: the library dataclasses behind config sections, with the fields the CLI fills
+_SECTIONS = [
+    ("alphas", AlphaConfig, {}),
+    ("solver", nlp.NlpOptions, {}),
+    ("rmc", RmcConfig, {}),
+    ("sd", SdConfig, {"rmc": None, "density": None, "seed": 0, "budgets": None}),
+]
+
+
+@pytest.mark.parametrize("section,cls,given", _SECTIONS, ids=[case[0] for case in _SECTIONS])
+def test_omitted_section_loads_dataclass_defaults(section, cls, given):
+    default = repr(cls(**given))
+    all_null = dict.fromkeys((f.name for f in dataclasses.fields(cls) if f.name not in given))
+    for conf in (None, {}, all_null):
+        assert repr(cli._load(section, conf, cls, **given)) == default
+
+
+def test_sequential_loads_sdconfig_defaults(tmp_path, monkeypatch):
+    captured = {}
+
+    def fake_run_sd(spec, data, baseline, cfg, opts):
+        captured.update(baseline=baseline, cfg=cfg, opts=opts)
+        raise RuntimeError("captured")
+
+    monkeypatch.setattr(cli, "run_sd", fake_run_sd)
+    cfg = _write_config(
+        tmp_path / "cfg.json", data=_TESTED_DATA, solver=None, sd={"baseline": [0.5, 0.3, 6.0]}
+    )
+    assert cli.main(["sequential", "--config", str(cfg)]) == 5
+    expected = SdConfig(rmc=RmcConfig(), density=circle.aleatory_density, seed=0)
+    assert repr(captured["cfg"]) == repr(expected)
+    assert repr(captured["opts"]) == repr(nlp.NlpOptions())
+    assert captured["baseline"].tolist() == [0.5, 0.3, 6.0]
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    st.fixed_dictionaries({}, optional={
+        "alpha_a": st.floats(0.0, 1.0) | st.lists(st.floats(0.0, 1.0), min_size=1, max_size=3),
+        "alpha_e": st.floats(0.0, 1.0),
+        "rho": st.floats(0.0, 1e9),
+        "kappa": st.floats(1.0, 1e4),
+        "gamma": st.floats(1.0, 1e4),
+    }),
+    st.fixed_dictionaries({}, optional={
+        "penalty_init": st.floats(allow_nan=False, allow_infinity=False),
+        "penalty_growth": st.floats(1.5, 100.0),
+        "max_outer": st.integers(0, 50), "n_starts": st.integers(1, 20),
+        "tol_x": st.floats(1e-12, 1.0), "seed": st.integers(0, 2**32),
+    }),
+)
+def test_valid_sections_load_like_the_constructor(alphas, solver):
+    expected = AlphaConfig(**alphas)
+    assert repr(cli._load("alphas", alphas, AlphaConfig)) == repr(expected)
+    assert repr(cli._load("solver", solver, nlp.NlpOptions)) == repr(nlp.NlpOptions(**solver))

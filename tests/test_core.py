@@ -10,6 +10,7 @@ from scendo.core import (
     ScenarioData,
     make_problem,
     r_max,
+    register_problem,
 )
 
 
@@ -123,6 +124,15 @@ def test_registry_round_trip():
     assert bundle.generate is not None
     with pytest.raises(InputError):
         make_problem("no-such-problem")
+    with pytest.raises(InputError, match="radius_max"):
+        make_problem("circle", radius_max=3)
+
+    @register_problem("core_test_any_params")
+    def _factory(**params):
+        assert params == {"anything": 1}
+        return bundle
+
+    assert make_problem("core_test_any_params", anything=1) is bundle
 
 
 def test_circle_requirement_hand_values():

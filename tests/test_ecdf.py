@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import quantile_reference
 from scendo.core import InputError
@@ -68,6 +70,24 @@ def test_round_trip_identity():
         alpha = rng.uniform(1e-6, 1 - 1e-6, size=17)
         back = f.cdf(f.quantile(alpha))
         assert np.max(np.abs(back - alpha)) < 1e-12
+
+
+#: strictly increasing rows: a start plus positive gaps, so every segment
+#: is wide enough for the round trip to hold to a fixed tolerance
+_increasing_rows = st.builds(
+    lambda start, gaps: start + np.cumsum([0.0] + gaps),
+    st.floats(-100.0, 100.0),
+    st.lists(st.floats(1e-3, 10.0), min_size=1, max_size=40),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_increasing_rows, st.lists(st.floats(0.0, 1.0), min_size=1, max_size=9))
+def test_quantile_cdf_round_trip_property(row, levels):
+    alpha = np.array(levels)
+    assert np.max(np.abs(cdf_of(row, quantile_of(row, alpha)) - alpha)) < 1e-9
+    z = quantile_of(row, alpha)
+    assert np.max(np.abs(quantile_of(row, cdf_of(row, z)) - z)) < 1e-9
 
 
 def test_monotonicity():

@@ -138,10 +138,13 @@ def test_outlier_counts_respect_fractions(circle_spec, small_data):
 
 def test_feasibility_seed_trivially_feasible_instance(circle_spec, small_data):
     cfg = AlphaConfig.uniform(1)
-    theta, alpha = solve_feasibility_seed(circle_spec, small_data, cfg, opts=OPTS)
+    res = solve_feasibility_seed(circle_spec, small_data, cfg, opts=OPTS)
+    alpha = res.alpha_a_lower
+    assert res.solver_status == "converged"
     assert alpha.shape == (1,)
     assert alpha[0] <= 1e-3  # the instance is feasible at alpha_a = 0
-    vals = requirement_values(circle_spec, small_data, theta)
+    assert res.objective == float(alpha[0])  # omega . alpha_a_lower with omega = 1
+    vals = requirement_values(circle_spec, small_data, res.theta_star)
     assert float(vals.max()) <= 1e-4
 
 
@@ -158,7 +161,7 @@ def test_feasibility_seed_contradictory_scenario():
     a_vals = np.array([0.5, 1000.0, 0.2, 0.1, 0.4])
     data = ScenarioData(a_vals[:, None], np.array([[0.0], [0.0]]))
     cfg = AlphaConfig.uniform(1)
-    _, alpha = solve_feasibility_seed(spec, data, cfg, opts=OPTS)
+    alpha = solve_feasibility_seed(spec, data, cfg, opts=OPTS).alpha_a_lower
 
     # enumeration oracle: scan theta and the fraction on fine grids
     alpha_grid = np.linspace(0.0, 1.0, 4001)
@@ -324,5 +327,6 @@ def test_solve_dispatcher(circle_spec, small_data):
     cfg = AlphaConfig.uniform(1, rho=1e6)
     res = solve(Formulation(FormulationTag.RISK_AVERSE_LOCAL), circle_spec, small_data, cfg, OPTS)
     assert isinstance(res, SolveResult)
-    pair = solve(Formulation(FormulationTag.FEASIBILITY_SEED), circle_spec, small_data, cfg, OPTS)
-    assert len(pair) == 2
+    seed = solve(Formulation(FormulationTag.FEASIBILITY_SEED), circle_spec, small_data, cfg, OPTS)
+    assert isinstance(seed, SolveResult)
+    assert seed.alpha_a_lower.shape == (1,)

@@ -157,6 +157,25 @@ def test_run_sd_trace_bounded_by_max_iter(circle_spec):
         assert rec.n_a <= 12 and rec.n_e <= 10
 
 
+def test_run_sd_failed_feasibility_seed_stops_as_failed(circle_spec, monkeypatch):
+    real_minimize = nlp.minimize
+
+    def failing_minimize(problem, opts=None):
+        res = real_minimize(problem, opts)
+        return nlp.NlpResult(res.x, res.f, "failed", res.diagnostics)
+
+    monkeypatch.setattr(nlp, "minimize", failing_minimize)
+    data = circle.generate_dataset(4, 4, seed=2, n_a_test=400, n_e_test=20)
+    cfg = SdConfig(
+        rmc=ZERO_RMC, threshold=0.0, max_iter=3, n_a_init=8, n_e_init=6,
+        program="feasibility_seed",
+    )
+    _, trace = run_sd(circle_spec, data, np.array([0.0, 0.0, 2.0]), cfg,
+                      nlp.NlpOptions(seed=0, n_starts=2, max_inner=40))
+    assert trace.failed and not trace.met_spec
+    assert len(trace) == 1
+
+
 def test_run_sd_grows_training_and_improves(circle_spec):
     data = circle.generate_dataset(4, 4, seed=5, n_a_test=1500, n_e_test=40)
     cfg = SdConfig(

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from scendo import circle
 from scendo.programs import requirement_values
@@ -37,6 +40,24 @@ def test_weights_in_unit_interval_and_threshold_rule():
         w, v, s = weights_from_values(vals, rng.uniform(0, 0.5), alpha_e, 50.0)
         assert np.all((w >= 0) & (w <= 1))
         assert np.all(w[v <= s] == 1.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    hnp.arrays(float, hnp.array_shapes(min_dims=2, max_dims=2, min_side=2, max_side=9),
+               elements=st.floats(-1e3, 1e3)),
+    st.floats(0.0, 0.99),
+    st.floats(0.0, 0.99),
+    st.floats(1.0, 1e3),
+)
+def test_weight_bounds_property(vals, alpha_a, alpha_e, gamma):
+    w, v, s = weights_from_values(vals, alpha_a, alpha_e, gamma)
+    assert np.all((w >= 0) & (w <= 1))
+    assert np.all(w[v <= s] == 1.0)
+    # exp rounds tiny excesses over s to exactly 1, so w < 1 beyond s is not
+    # guaranteed; the weights only never increase with v
+    order = np.argsort(v, kind="stable")
+    assert np.all(np.diff(w[order]) <= 0)
 
 
 def test_downweighted_count_bounded_by_quantile_cutoff():
