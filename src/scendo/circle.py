@@ -124,11 +124,10 @@ def epistemic_box() -> EpistemicSet:
 
 
 def make_spec(design_bounds=None) -> ProblemSpec:
-    bounds = DEFAULT_DESIGN_BOUNDS if design_bounds is None else np.asarray(design_bounds, float)
     return ProblemSpec(
         objective=circle_objective,
         requirements=[circle_requirement],
-        design_bounds=bounds,
+        design_bounds=DEFAULT_DESIGN_BOUNDS if design_bounds is None else design_bounds,
         m_a=2,
         m_e=3,
     )

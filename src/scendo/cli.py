@@ -14,8 +14,9 @@ Configuration is a single JSON document (see README for the schema); CSV
 is used for all tabular data.  The solver, alphas, rmc and sd sections set
 fields of NlpOptions, AlphaConfig, RmcConfig and SdConfig; an omitted or
 null key keeps the dataclass default.  An unknown key, a value of the
-wrong type (6.7 for an integer) and an unknown problem parameter are input
-errors.  Exit codes: 0 ok, 2 input error, 3 infeasible, 4 specification
+wrong type (6.7 for an integer), a solver n_starts, max_outer or
+max_inner below 1 and an unknown or wrong-typed problem parameter are
+input errors.  Exit codes: 0 ok, 2 input error, 3 infeasible, 4 specification
 not met, 5 numerical failure (a non-finite merit value, a failed
 leave-one-out solve).  The environment variable
 SCENDO_LOG in {error, info, debug} controls log verbosity.  All commands
@@ -45,9 +46,7 @@ from scendo.core import AlphaConfig, InputError, ScenarioData, make_problem
 from scendo.montecarlo import RmcConfig, analyze
 from scendo.programs import (
     MOMENT_TAGS,
-    Formulation,
     FormulationTag,
-    MomentSpec,
     solve as solve_program,
     solve_feasibility_seed,
 )
@@ -261,19 +260,13 @@ def _build_opts(config: dict, seed_override) -> nlp.NlpOptions:
     return opts
 
 
-def _build_formulation(config: dict, bundle) -> Formulation:
+def _build_formulation(config: dict) -> FormulationTag:
     name = _field(config, "formulation")
     try:
-        tag = FormulationTag(name)
+        return FormulationTag(name)
     except ValueError:
         known = ", ".join(t.value for t in FormulationTag)
         raise InputError(f"unknown formulation {name!r}; one of: {known}") from None
-    moment = None
-    if tag in MOMENT_TAGS:
-        if bundle.response is None:
-            raise InputError("moment formulations need a problem with a response function")
-        moment = MomentSpec(response=bundle.response)
-    return Formulation(tag=tag, moment=moment)
 
 
 def _out_dir(config: dict, override) -> Path:
@@ -300,13 +293,13 @@ def cmd_solve(args) -> int:
     data, iid = _build_data(config, bundle)
     cfg = _load("alphas", config.get("alphas"), AlphaConfig)
     opts = _build_opts(config, args.seed)
-    formulation = _build_formulation(config, bundle)
+    tag = _build_formulation(config)
     out = _out_dir(config, args.output)
 
-    result = solve_program(formulation, spec, data, cfg, opts)
+    result = solve_program(tag, spec, data, cfg, opts, bundle.response)
     payload = {
         "problem": config["problem"]["name"],
-        "formulation": formulation.tag.value,
+        "formulation": tag.value,
         "theta_star": result.theta_star,
         "objective": result.objective,
         "solver_status": result.solver_status,
@@ -389,15 +382,15 @@ def cmd_analyze(args) -> int:
     if "scenario_theory" in config:
         cfg = _load("alphas", config.get("alphas"), AlphaConfig)
         opts = _build_opts(config, args.seed)
-        formulation = _build_formulation(config, bundle)
+        tag = _build_formulation(config)
         rb = risk_bound(
             spec,
-            lambda d: solve_program(formulation, spec, d, cfg, opts),
+            lambda d: solve_program(tag, spec, d, cfg, opts, bundle.response),
             data,
             theta,
             bundle.epistemic_set,
             beta=st.pop("beta", 1e-4),
-            moment=formulation.tag in MOMENT_TAGS,
+            moment=tag in MOMENT_TAGS,
             iid=trained_iid,
             seed=opts.seed,
             **st,
@@ -438,8 +431,9 @@ def cmd_sequential(args) -> int:
             data.testing_epistemic,
         )
         alphas = AlphaConfig.uniform(spec.n_r, alpha_e=sd_cfg.alpha_e, rho=sd_cfg.rho)
-        base_form = Formulation(FormulationTag.RISK_AGNOSTIC_LOCAL)
-        baseline = solve_program(base_form, spec, train, alphas, opts).theta_star
+        baseline = solve_program(
+            FormulationTag.RISK_AGNOSTIC_LOCAL, spec, train, alphas, opts, bundle.response
+        ).theta_star
     baseline = np.asarray(baseline, dtype=float)
 
     theta, trace = run_sd(spec, data, baseline, sd_cfg, opts)

@@ -34,7 +34,10 @@ class InputError(ValueError):
 
 
 def _as_float_array(x, name: str, ndim: int | None = None) -> Array:
-    arr = np.asarray(x, dtype=float)
+    try:
+        arr = np.asarray(x, dtype=float)
+    except (TypeError, ValueError):
+        raise InputError(f"{name} must be numeric, got {x!r}") from None
     if ndim is not None and arr.ndim != ndim:
         raise InputError(f"{name} must be {ndim}-dimensional, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
@@ -297,7 +300,7 @@ class SolveResult:
     ``epistemic_outliers`` is a global index array for the global-outlier
     formulations and a list of per-aleatory-scenario index arrays for the
     local ones.  ``objective`` is J(theta_star) (lambda_star for the
-    moment-based programs, omega . alpha_a_lower for the feasibility seed).
+    moment-based programs, sum(alpha_a_lower) for the feasibility seed).
     ``alpha_a_lower`` is set by the feasibility seed only.
     """
 

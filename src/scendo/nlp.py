@@ -56,6 +56,9 @@ class NlpOptions:
             raise InputError("penalty_growth must exceed 1")
         if min(self.tol_x, self.tol_con, self.fd_step) <= 0:
             raise InputError("tolerances and fd_step must be positive")
+        for name in ("n_starts", "max_outer", "max_inner"):
+            if getattr(self, name) < 1:
+                raise InputError(f"{name} must be at least 1")
 
 
 @dataclass
@@ -187,7 +190,7 @@ def _solve_one_start(problem: NlpProblem, opts: NlpOptions, x0: Array):
     return {
         "x": x,
         "f": float(problem.objective_batch(x[None])[0]),
-        "viol": viol_history[-1] if viol_history else 0.0,
+        "viol": viol_history[-1],
         "converged": converged,
         "viol_history": viol_history,
         "nfev": nfev,
@@ -222,7 +225,6 @@ def minimize(problem: NlpProblem, opts: Optional[NlpOptions] = None) -> NlpResul
         key = (0, run["f"]) if feasible else (1, run["viol"])
         if key < best_key:
             best, best_key, best_idx = run, key, i
-    assert best is not None
 
     feasible = best["viol"] <= opts.tol_con
     if feasible and best["converged"]:

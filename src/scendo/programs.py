@@ -20,7 +20,6 @@ deterministic given the solver options' seed.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Optional
 
@@ -62,31 +61,6 @@ class FormulationTag(str, Enum):
 
 
 MOMENT_TAGS = (FormulationTag.MOMENT_RISK_AVERSE, FormulationTag.MOMENT_RISK_AGNOSTIC)
-
-
-@dataclass(frozen=True)
-class MomentSpec:
-    """Response function and the empirical moment minimized over it."""
-
-    response: Callable[[Array, Array, Array], Array]
-    kind: str = "mean"
-
-    def __post_init__(self):
-        if self.kind != "mean":
-            raise InputError(f"unsupported moment kind {self.kind!r}")
-
-
-@dataclass(frozen=True)
-class Formulation:
-    tag: FormulationTag
-    moment: Optional[MomentSpec] = None
-
-    def __post_init__(self):
-        is_moment = self.tag in MOMENT_TAGS
-        if is_moment and self.moment is None:
-            raise InputError(f"{self.tag.value} requires a MomentSpec")
-        if not is_moment and self.moment is not None:
-            raise InputError(f"{self.tag.value} does not take a MomentSpec")
 
 
 def requirement_values(
@@ -145,9 +119,44 @@ def _per_design(theta: Array, design_terms: Callable[[Array], tuple]) -> tuple:
     )
 
 
-def _theta_starts(spec: ProblemSpec, opts: nlp.NlpOptions) -> Array:
+#: auxiliary-variable block of the programs whose decision is theta only
+_NO_AUX = np.empty((0, 2))
+
+
+def _minimize(
+    spec: ProblemSpec,
+    opts: Optional[nlp.NlpOptions],
+    objective_batch: Callable[[Array], Array],
+    constraints_batch: Callable[[Array], Array],
+    aux_bounds: Array = _NO_AUX,
+    aux_starts: Optional[Callable[[Array], Array]] = None,
+) -> nlp.NlpResult:
+    """The one NLP of every program: x = (theta, aux) over the design box
+    stacked on ``aux_bounds``.
+
+    The design starts are ``opts.n_starts`` Latin-hypercube draws seeded by
+    ``opts.seed``; ``aux_starts`` maps their (n_starts, m_theta) stack to
+    the (n_starts, n_aux) auxiliary starts.  ``nlp.minimize`` is looked up
+    at call time, so rebinding that module attribute reaches every program.
+    """
+    opts = opts or nlp.NlpOptions()
     rng = np.random.default_rng(opts.seed)
-    return nlp.latin_hypercube(spec.design_bounds, opts.n_starts, rng)
+    theta0 = nlp.latin_hypercube(spec.design_bounds, opts.n_starts, rng)
+    aux0 = np.empty((opts.n_starts, 0)) if aux_starts is None else aux_starts(theta0)
+    bounds = np.vstack([spec.design_bounds, aux_bounds])
+    problem = nlp.NlpProblem(
+        dim=bounds.shape[0],
+        bounds=bounds,
+        x0_list=list(np.hstack([theta0, aux0])),
+        objective_batch=objective_batch,
+        constraints_batch=constraints_batch,
+    )
+    return nlp.minimize(problem, opts)
+
+
+def _require_below_one(alpha_a: Array) -> None:
+    if np.any(alpha_a >= 1):
+        raise InputError("alpha_a entries must lie in [0, 1)")
 
 
 def _assemble(
@@ -237,6 +246,23 @@ def _global_design_terms(spec: ProblemSpec, data: ScenarioData):
 # ---------------------------------------------------------------------------
 
 
+def _minimize_with_slacks(
+    spec: ProblemSpec, opts: Optional[nlp.NlpOptions], rho: float, n_a: int, constraints_batch
+) -> nlp.NlpResult:
+    """``_minimize`` over x = (theta, xi) with n_a slacks xi >= 0, starting
+    at zero, and the objective J(theta) + rho * sum(xi)."""
+    m = spec.m_theta
+
+    def objective(x):
+        x = np.asarray(x, float)
+        return _objective_values(spec, x[..., :m]) + rho * np.sum(x[..., m:], axis=-1)
+
+    return _minimize(
+        spec, opts, objective, constraints_batch,
+        np.tile([0.0, np.inf], (n_a, 1)), lambda theta0: np.zeros((len(theta0), n_a)),
+    )
+
+
 def solve_risk_averse_local(
     spec: ProblemSpec, data: ScenarioData, cfg: AlphaConfig, opts: Optional[nlp.NlpOptions] = None
 ) -> SolveResult:
@@ -245,13 +271,7 @@ def solve_risk_averse_local(
     rho per unit.  Each pseudo-distribution discards its own worst
     epistemic draws."""
     cfg = cfg.for_spec(spec)
-    opts = opts or nlp.NlpOptions()
     m, n_a, n_r = spec.m_theta, data.n_a, spec.n_r
-
-    def obj_any(x):
-        x = np.asarray(x, float)
-        return _objective_values(spec, x[..., :m]) + cfg.rho * np.sum(x[..., m:], axis=-1)
-
     design_terms = _local_design_terms(spec, data, 1.0 - cfg.alpha_e)
 
     def cons_any(x):
@@ -260,15 +280,7 @@ def solve_risk_averse_local(
         g = q - x[..., None, m:]
         return g.reshape(x.shape[:-1] + (n_r * n_a,))
 
-    starts = np.hstack([_theta_starts(spec, opts), np.zeros((opts.n_starts, n_a))])
-    problem = nlp.NlpProblem(
-        dim=m + n_a,
-        bounds=np.vstack([spec.design_bounds, np.tile([0.0, np.inf], (n_a, 1))]),
-        x0_list=list(starts),
-        objective_batch=obj_any,
-        constraints_batch=cons_any,
-    )
-    res = nlp.minimize(problem, opts)
+    res = _minimize_with_slacks(spec, opts, cfg.rho, n_a, cons_any)
     return _assemble(spec, data, cfg, res, xi=res.x[m:])
 
 
@@ -279,13 +291,7 @@ def solve_risk_averse_global(
     down-weighted for all pseudo-distributions; the weight rule's aleatory
     slot receives the (smoothed) fraction of active slacks."""
     cfg = cfg.for_spec(spec)
-    opts = opts or nlp.NlpOptions()
     m, n_a, n_e, n_r = spec.m_theta, data.n_a, data.n_e, spec.n_r
-
-    def obj_any(x):
-        x = np.asarray(x, float)
-        return _objective_values(spec, x[..., :m]) + cfg.rho * np.sum(x[..., m:], axis=-1)
-
     design_terms = _global_design_terms(spec, data)
 
     def cons_any(x):
@@ -303,15 +309,7 @@ def solve_risk_averse_global(
         g = np.stack(gs, axis=-3)
         return g.reshape(x.shape[:-1] + (n_r * n_a * n_e,))
 
-    starts = np.hstack([_theta_starts(spec, opts), np.zeros((opts.n_starts, n_a))])
-    problem = nlp.NlpProblem(
-        dim=m + n_a,
-        bounds=np.vstack([spec.design_bounds, np.tile([0.0, np.inf], (n_a, 1))]),
-        x0_list=list(starts),
-        objective_batch=obj_any,
-        constraints_batch=cons_any,
-    )
-    res = nlp.minimize(problem, opts)
+    res = _minimize_with_slacks(spec, opts, cfg.rho, n_a, cons_any)
     xi = res.x[m:]
     glob = _global_epistemic_outliers(
         spec, data, cfg, res.x[:m], np.full(n_r, sign_fraction(xi))
@@ -322,6 +320,30 @@ def solve_risk_averse_global(
 # ---------------------------------------------------------------------------
 # risk-agnostic formulations (quantile-count relaxation, magnitude-blind)
 # ---------------------------------------------------------------------------
+
+
+def _weighted_worst_quantiles(values: Array, p: Array, alpha_a: Array, cfg: AlphaConfig) -> Array:
+    """Constraint of the global risk-agnostic programs, (..., n_r).
+
+    For each requirement k: the epistemic weights at the fraction
+    ``alpha_a[..., k]``, each scenario's weighted worst case over the
+    epistemic draws, and the (1 - alpha_a[..., k]) quantile of those over
+    the aleatory scenarios.  ``values`` is the (..., n_r, n_a, n_e) grid
+    and ``p = failure_fractions(values)``.
+    """
+    gs = []
+    for k in range(values.shape[-3]):
+        a_k = alpha_a[..., k]
+        w, _, _ = weights_from_fractions(
+            values[..., k, :, :], p[..., k, :], a_k, cfg.alpha_e[k], cfg.gamma
+        )
+        z = np.max(w[..., None, :] * values[..., k, :, :], axis=-1)
+        gs.append(quantile_of(z, 1.0 - a_k))
+    return np.stack(gs, axis=-1)
+
+
+def _design_objective(spec: ProblemSpec):
+    return lambda x: _objective_values(spec, np.asarray(x, float))
 
 
 def _attach_alpha_suggestion(spec, data, cfg, opts, result: SolveResult, variant: str) -> SolveResult:
@@ -346,34 +368,14 @@ def solve_risk_agnostic_global(
     the dataset.  On infeasibility the result carries a suggested alpha_a
     from the feasibility seed."""
     cfg = cfg.for_spec(spec)
-    opts = opts or nlp.NlpOptions()
-    if np.any(cfg.alpha_a >= 1):
-        raise InputError("alpha_a entries must lie in [0, 1)")
-    n_r = spec.n_r
+    _require_below_one(cfg.alpha_a)
+    design_terms = _global_design_terms(spec, data)
 
     def cons_any(x):
-        theta = np.asarray(x, float)
-        values = requirement_values(spec, data, theta)
-        gs = []
-        for k in range(n_r):
-            w, _, _ = weights_from_values(
-                values[..., k, :, :], cfg.alpha_a[k], cfg.alpha_e[k], cfg.gamma
-            )
-            z = np.max(w[..., None, :] * values[..., k, :, :], axis=-1)
-            gs.append(quantile_of(z, 1.0 - cfg.alpha_a[k]))
-        return np.stack(gs, axis=-1)
+        values, p = design_terms(np.asarray(x, float))
+        return _weighted_worst_quantiles(values, p, cfg.alpha_a, cfg)
 
-    def obj_any(x):
-        return _objective_values(spec, np.asarray(x, float))
-
-    problem = nlp.NlpProblem(
-        dim=spec.m_theta,
-        bounds=spec.design_bounds,
-        x0_list=list(_theta_starts(spec, opts)),
-        objective_batch=obj_any,
-        constraints_batch=cons_any,
-    )
-    res = nlp.minimize(problem, opts)
+    res = _minimize(spec, opts, _design_objective(spec), cons_any)
     glob = _global_epistemic_outliers(spec, data, cfg, res.x, cfg.alpha_a)
     result = _assemble(spec, data, cfg, res, global_epistemic=glob)
     return _attach_alpha_suggestion(spec, data, cfg, opts, result, "global")
@@ -386,28 +388,15 @@ def solve_risk_agnostic_local(
     quantile over the epistemic draws, then require the (1 - alpha_a)
     quantile of those values to be nonpositive."""
     cfg = cfg.for_spec(spec)
-    opts = opts or nlp.NlpOptions()
-    if np.any(cfg.alpha_a >= 1):
-        raise InputError("alpha_a entries must lie in [0, 1)")
-    levels_e = 1.0 - cfg.alpha_e
+    _require_below_one(cfg.alpha_a)
+    design_terms = _local_design_terms(spec, data, 1.0 - cfg.alpha_e)
     levels_a = 1.0 - cfg.alpha_a
 
     def cons_any(x):
-        theta = np.asarray(x, float)
-        q = _req_quantiles(requirement_values(spec, data, theta), levels_e)
+        (q,) = design_terms(np.asarray(x, float))
         return quantile_of(q, levels_a)
 
-    def obj_any(x):
-        return _objective_values(spec, np.asarray(x, float))
-
-    problem = nlp.NlpProblem(
-        dim=spec.m_theta,
-        bounds=spec.design_bounds,
-        x0_list=list(_theta_starts(spec, opts)),
-        objective_batch=obj_any,
-        constraints_batch=cons_any,
-    )
-    res = nlp.minimize(problem, opts)
+    res = _minimize(spec, opts, _design_objective(spec), cons_any)
     result = _assemble(spec, data, cfg, res)
     return _attach_alpha_suggestion(spec, data, cfg, opts, result, "local")
 
@@ -416,29 +405,24 @@ def solve_feasibility_seed(
     spec: ProblemSpec,
     data: ScenarioData,
     cfg: AlphaConfig,
-    omega: Optional[Array] = None,
     variant: str = "local",
     opts: Optional[nlp.NlpOptions] = None,
 ) -> SolveResult:
-    """Minimize omega . alpha_a with alpha_a a decision vector in [0,1]^n_r.
+    """Minimize sum(alpha_a) with alpha_a a decision vector in [0,1]^n_r,
+    subject to the constraints of the ``variant`` risk-agnostic program.
 
-    The result's ``theta_star`` is the design minimizing the weighted sum
-    of individual failure fractions, its ``alpha_a_lower`` a lower bound to
+    The result's ``theta_star`` is the design minimizing the sum of
+    individual failure fractions, its ``alpha_a_lower`` a lower bound to
     the fractions that make the corresponding risk-agnostic program
-    feasible, and its ``objective`` omega . alpha_a_lower.
+    feasible, and its ``objective`` sum(alpha_a_lower).
     """
     cfg = cfg.for_spec(spec)
-    opts = opts or nlp.NlpOptions()
     if variant not in ("local", "global"):
         raise InputError(f"variant must be 'local' or 'global', got {variant!r}")
     n_r, m = spec.n_r, spec.m_theta
-    omega = np.ones(n_r) if omega is None else np.asarray(omega, dtype=float)
-    if omega.shape != (n_r,) or np.any(omega <= 0):
-        raise InputError("omega must be a positive vector of length n_r")
 
     def obj_any(x):
-        x = np.asarray(x, float)
-        return np.sum(omega * x[..., m:], axis=-1)
+        return np.sum(np.asarray(x, float)[..., m:], axis=-1)
 
     if variant == "local":
         design_terms = _local_design_terms(spec, data, 1.0 - cfg.alpha_e)
@@ -452,27 +436,14 @@ def solve_feasibility_seed(
             (q,) = _per_design(x[..., :m], design_terms)
             return quantile_of(q, 1.0 - alpha)
         values, p = _per_design(x[..., :m], design_terms)
-        gs = []
-        for k in range(n_r):
-            a_k = np.minimum(alpha[..., k], 1.0 - 1e-9)
-            w, _, _ = weights_from_fractions(
-                values[..., k, :, :], p[..., k, :], a_k, cfg.alpha_e[k], cfg.gamma
-            )
-            z = np.max(w[..., None, :] * values[..., k, :, :], axis=-1)
-            gs.append(quantile_of(z, 1.0 - a_k))
-        return np.stack(gs, axis=-1)
+        return _weighted_worst_quantiles(values, p, np.minimum(alpha, 1.0 - 1e-9), cfg)
 
-    starts = np.hstack([_theta_starts(spec, opts), np.full((opts.n_starts, n_r), 0.9)])
-    problem = nlp.NlpProblem(
-        dim=m + n_r,
-        bounds=np.vstack([spec.design_bounds, np.tile([0.0, 1.0], (n_r, 1))]),
-        x0_list=list(starts),
-        objective_batch=obj_any,
-        constraints_batch=cons_any,
+    res = _minimize(
+        spec, opts, obj_any, cons_any,
+        np.tile([0.0, 1.0], (n_r, 1)), lambda theta0: np.full((len(theta0), n_r), 0.9),
     )
-    res = nlp.minimize(problem, opts)
     alpha = res.x[m:]
-    return _assemble(spec, data, cfg, res, objective=float(omega @ alpha), alpha_a_lower=alpha)
+    return _assemble(spec, data, cfg, res, objective=float(np.sum(alpha)), alpha_a_lower=alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -492,15 +463,14 @@ def solve_moment_risk_averse(
     cfg: AlphaConfig,
     h: Callable,
     opts: Optional[nlp.NlpOptions] = None,
-    alpha_e_response: Optional[float] = None,
 ) -> SolveResult:
     """Minimize lambda + rho * sum(xi) where lambda bounds the weighted
     mean of the per-scenario response quantiles, with weights exp(-kappa *
     xi) so aleatory outliers drop out of the mean consistently with the
-    requirement constraints."""
+    requirement constraints.  The response quantiles are taken at the
+    level 1 - cfg.alpha_e[0]."""
     cfg = cfg.for_spec(spec)
-    opts = opts or nlp.NlpOptions()
-    aer = float(cfg.alpha_e[0]) if alpha_e_response is None else float(alpha_e_response)
+    aer = float(cfg.alpha_e[0])
     m, n_a, n_r = spec.m_theta, data.n_a, spec.n_r
     levels = 1.0 - cfg.alpha_e
 
@@ -523,19 +493,14 @@ def solve_moment_risk_averse(
         mean = np.sum(hq * w, axis=-1) / np.maximum(np.sum(w, axis=-1), 1e-300)
         return np.concatenate([g_req, (mean - lam)[..., None]], axis=-1)
 
-    theta0 = _theta_starts(spec, opts)
-    lam0 = np.mean(_response_quantiles(spec, data, h, theta0, aer), axis=-1)
-    starts = np.hstack([theta0, lam0[:, None], np.zeros((opts.n_starts, n_a))])
-    problem = nlp.NlpProblem(
-        dim=m + 1 + n_a,
-        bounds=np.vstack(
-            [spec.design_bounds, [[-np.inf, np.inf]], np.tile([0.0, np.inf], (n_a, 1))]
-        ),
-        x0_list=list(starts),
-        objective_batch=obj_any,
-        constraints_batch=cons_any,
+    def aux_starts(theta0):
+        lam0 = np.mean(_response_quantiles(spec, data, h, theta0, aer), axis=-1)
+        return np.hstack([lam0[:, None], np.zeros((len(theta0), n_a))])
+
+    res = _minimize(
+        spec, opts, obj_any, cons_any,
+        np.vstack([[[-np.inf, np.inf]], np.tile([0.0, np.inf], (n_a, 1))]), aux_starts,
     )
-    res = nlp.minimize(problem, opts)
     return _assemble(
         spec, data, cfg, res,
         xi=res.x[m + 1 :], lam=float(res.x[m]), objective=float(res.x[m]),
@@ -548,20 +513,17 @@ def solve_moment_risk_agnostic(
     cfg: AlphaConfig,
     h: Callable,
     opts: Optional[nlp.NlpOptions] = None,
-    alpha_e_response: Optional[float] = None,
 ) -> SolveResult:
     """Minimize lambda subject to one stacked quantile constraint: after
     sorting the response quantiles ascending, scenario t must both keep
     the running mean of the t smallest responses below lambda and satisfy
     its own requirement quantiles; the (1 - alpha_a) quantile of those
     stacked worst values must be nonpositive.  Uses the single fraction
-    cfg.alpha_a[0]."""
+    cfg.alpha_a[0] and the response level 1 - cfg.alpha_e[0]."""
     cfg = cfg.for_spec(spec)
-    opts = opts or nlp.NlpOptions()
+    _require_below_one(cfg.alpha_a[:1])
     alpha_a = float(cfg.alpha_a[0])
-    if alpha_a >= 1:
-        raise InputError("alpha_a must lie in [0, 1)")
-    aer = float(cfg.alpha_e[0]) if alpha_e_response is None else float(alpha_e_response)
+    aer = float(cfg.alpha_e[0])
     m, n_a = spec.m_theta, data.n_a
     levels = 1.0 - cfg.alpha_e
     counts = np.arange(1, n_a + 1, dtype=float)
@@ -585,42 +547,42 @@ def solve_moment_risk_agnostic(
         stacked = np.maximum(ell, q_worst_sorted)
         return quantile_of(stacked, 1.0 - alpha_a)[..., None]
 
-    theta0 = _theta_starts(spec, opts)
-    lam0 = np.mean(_response_quantiles(spec, data, h, theta0, aer), axis=-1)
-    starts = np.hstack([theta0, lam0[:, None]])
-    problem = nlp.NlpProblem(
-        dim=m + 1,
-        bounds=np.vstack([spec.design_bounds, [[-np.inf, np.inf]]]),
-        x0_list=list(starts),
-        objective_batch=obj_any,
-        constraints_batch=cons_any,
-    )
-    res = nlp.minimize(problem, opts)
+    def aux_starts(theta0):
+        return np.mean(_response_quantiles(spec, data, h, theta0, aer), axis=-1)[:, None]
+
+    res = _minimize(spec, opts, obj_any, cons_any, np.array([[-np.inf, np.inf]]), aux_starts)
     return _assemble(
         spec, data, cfg, res, lam=float(res.x[m]), objective=float(res.x[m])
     )
 
 
+#: every formulation's program; the moment programs also take a response
 _SOLVERS = {
     FormulationTag.RISK_AVERSE_GLOBAL: solve_risk_averse_global,
     FormulationTag.RISK_AVERSE_LOCAL: solve_risk_averse_local,
     FormulationTag.RISK_AGNOSTIC_GLOBAL: solve_risk_agnostic_global,
     FormulationTag.RISK_AGNOSTIC_LOCAL: solve_risk_agnostic_local,
     FormulationTag.FEASIBILITY_SEED: solve_feasibility_seed,
+    FormulationTag.MOMENT_RISK_AVERSE: solve_moment_risk_averse,
+    FormulationTag.MOMENT_RISK_AGNOSTIC: solve_moment_risk_agnostic,
 }
 
 
 def solve(
-    formulation: Formulation,
+    tag: FormulationTag,
     spec: ProblemSpec,
     data: ScenarioData,
     cfg: AlphaConfig,
     opts: Optional[nlp.NlpOptions] = None,
+    response: Optional[Callable] = None,
 ) -> SolveResult:
-    """Dispatch on the formulation tag."""
-    tag = formulation.tag
-    if tag == FormulationTag.MOMENT_RISK_AVERSE:
-        return solve_moment_risk_averse(spec, data, cfg, formulation.moment.response, opts)
-    if tag == FormulationTag.MOMENT_RISK_AGNOSTIC:
-        return solve_moment_risk_agnostic(spec, data, cfg, formulation.moment.response, opts)
+    """Solve the program of formulation ``tag``.
+
+    ``response`` is the response function h(theta, a, e) whose empirical
+    mean the moment formulations minimize; the other formulations ignore it.
+    """
+    if tag in MOMENT_TAGS:
+        if response is None:
+            raise InputError(f"{FormulationTag(tag).value} needs a response function")
+        return _SOLVERS[tag](spec, data, cfg, h=response, opts=opts)
     return _SOLVERS[tag](spec, data, cfg, opts=opts)

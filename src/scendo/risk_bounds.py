@@ -132,12 +132,12 @@ def epsilon_bar(n_a: int, k: int, beta: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def support_scenarios(solver: Callable, data: ScenarioData, tol_support: float = TOL_SUPPORT) -> Array:
+def support_scenarios(solver: Callable, data: ScenarioData) -> Array:
     """Leave-one-out support set of a deterministic scenario solver.
 
     ``solver(data)`` must return the optimal design (a SolveResult or a
     plain design vector).  Scenario i is a support scenario when removing
-    it moves the design by more than tol_support in the max norm; the
+    it moves the design by more than TOL_SUPPORT in the max norm; the
     tolerance must exceed the solver's own noise floor.
     """
 
@@ -153,7 +153,7 @@ def support_scenarios(solver: Callable, data: ScenarioData, tol_support: float =
             theta_i = design_of(data.drop_aleatory(i))
         except Exception as exc:
             raise RuntimeError(f"leave-one-out solve failed for scenario {i}") from exc
-        if np.max(np.abs(theta_i - base)) > tol_support:
+        if np.max(np.abs(theta_i - base)) > TOL_SUPPORT:
             support.append(i)
     return np.array(support, dtype=int)
 
@@ -344,7 +344,6 @@ def set_complexity(
     moment: bool = False,
     n_probe: int = 2000,
     sigma: float = 0.95,
-    tol_support: float = TOL_SUPPORT,
     seed: int = 0,
 ):
     """Count support scenarios and set violations of a solved program.
@@ -363,7 +362,7 @@ def set_complexity(
     if moment:
         support = np.arange(data.n_a)
     else:
-        support = support_scenarios(solver, data, tol_support)
+        support = support_scenarios(solver, data)
     s = int(np.union1d(support, violations).size)
     return int(support.size), int(violations.size), s, name
 
@@ -380,7 +379,6 @@ def risk_bound(
     iid: bool = True,
     n_probe: int = 2000,
     sigma: float = 0.95,
-    tol_support: float = TOL_SUPPORT,
     seed: int = 0,
 ) -> RiskBoundReport:
     """Full report: complexity counts plus the epsilon_bar bound.  Set
@@ -388,7 +386,7 @@ def risk_bound(
     bound is still reported but flagged not valid."""
     n_s, n_v, s, name = set_complexity(
         spec, solver, data, theta_star, eset, containment, moment,
-        n_probe, sigma, tol_support, seed,
+        n_probe, sigma, seed,
     )
     eps = epsilon_bar(data.n_a, s, beta)
     return RiskBoundReport(

@@ -341,7 +341,8 @@ def test_analyze_feasibility_seed_design_with_scenario_theory(tmp_path):
     assert 0.0 <= rb["epsilon_bar"] <= 1.0
 
 
-#: one wrong-typed value per config section: (verb, overrides, key named on stderr)
+#: one wrong-typed value per config section, then out-of-range values:
+#: (verb, overrides, key named on stderr)
 _BAD_VALUES = [
     ("solve", {"seed": "0"}, "seed"),
     ("solve", {"problem": {"name": ["circle"]}}, "problem.name"),
@@ -366,6 +367,9 @@ _BAD_VALUES = [
     ("sequential", {"data": _TESTED_DATA, "sd": {"use_density": "false"}}, "sd.use_density"),
     ("sequential", {"data": _TESTED_DATA, "sd": {"threshold": "1e-3"}}, "sd.threshold"),
     ("sequential", {"data": _TESTED_DATA, "sd": {"baseline": {"theta": 1}}}, "sd.baseline"),
+    ("solve", {"problem": {"name": "circle", "params": {"design_bounds": "x"}}}, "design_bounds"),
+    ("solve", {"solver": {"n_starts": 0}}, "n_starts"),
+    ("solve", {"solver": {"max_outer": 0}}, "max_outer"),
 ]
 
 
@@ -443,7 +447,7 @@ def test_sequential_loads_sdconfig_defaults(tmp_path, monkeypatch):
     st.fixed_dictionaries({}, optional={
         "penalty_init": st.floats(allow_nan=False, allow_infinity=False),
         "penalty_growth": st.floats(1.5, 100.0),
-        "max_outer": st.integers(0, 50), "n_starts": st.integers(1, 20),
+        "max_outer": st.integers(1, 50), "n_starts": st.integers(1, 20),
         "tol_x": st.floats(1e-12, 1.0), "seed": st.integers(0, 2**32),
     }),
 )

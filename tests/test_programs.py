@@ -8,9 +8,8 @@ from scendo import circle, nlp, programs
 from scendo.core import AlphaConfig, InputError, ProblemSpec, ScenarioData, SolveResult
 from scendo.ecdf import quantile_of
 from scendo.programs import (
-    Formulation,
+    MOMENT_TAGS,
     FormulationTag,
-    MomentSpec,
     outlier_sets,
     requirement_values,
     solve,
@@ -143,7 +142,7 @@ def test_feasibility_seed_trivially_feasible_instance(circle_spec, small_data):
     assert res.solver_status == "converged"
     assert alpha.shape == (1,)
     assert alpha[0] <= 1e-3  # the instance is feasible at alpha_a = 0
-    assert res.objective == float(alpha[0])  # omega . alpha_a_lower with omega = 1
+    assert res.objective == float(alpha[0])  # sum(alpha_a_lower)
     vals = requirement_values(circle_spec, small_data, res.theta_star)
     assert float(vals.max()) <= 1e-4
 
@@ -173,12 +172,6 @@ def test_feasibility_seed_contradictory_scenario():
             best = min(best, feasible[0])
     assert 0.2 <= best <= 0.25 + 1e-9  # the grid-granularity region
     assert alpha[0] == pytest.approx(best, abs=5e-3)
-
-
-def test_feasibility_seed_validates_omega(circle_spec, small_data):
-    cfg = AlphaConfig.uniform(1)
-    with pytest.raises(InputError):
-        solve_feasibility_seed(circle_spec, small_data, cfg, omega=np.array([-1.0]), opts=OPTS)
 
 
 def test_failed_alpha_suggestion_is_recorded(monkeypatch, caplog):
@@ -315,18 +308,40 @@ def test_pseudo_distribution_helper(circle_spec, small_data):
 
 
 def test_formulation_validation():
-    with pytest.raises(InputError):
-        Formulation(FormulationTag.MOMENT_RISK_AVERSE)
-    with pytest.raises(InputError):
-        Formulation(FormulationTag.RISK_AVERSE_LOCAL, MomentSpec(circle.circle_response))
-    with pytest.raises(InputError):
-        MomentSpec(circle.circle_response, kind="variance")
+    spec, data = _linear_toy()
+    for tag in MOMENT_TAGS:
+        with pytest.raises(InputError):
+            solve(tag, spec, data, AlphaConfig.uniform(1), OPTS)
 
 
 def test_solve_dispatcher(circle_spec, small_data):
     cfg = AlphaConfig.uniform(1, rho=1e6)
-    res = solve(Formulation(FormulationTag.RISK_AVERSE_LOCAL), circle_spec, small_data, cfg, OPTS)
+    res = solve(FormulationTag.RISK_AVERSE_LOCAL, circle_spec, small_data, cfg, OPTS)
     assert isinstance(res, SolveResult)
-    seed = solve(Formulation(FormulationTag.FEASIBILITY_SEED), circle_spec, small_data, cfg, OPTS)
+    seed = solve(FormulationTag.FEASIBILITY_SEED, circle_spec, small_data, cfg, OPTS)
     assert isinstance(seed, SolveResult)
     assert seed.alpha_a_lower.shape == (1,)
+
+    # every tag dispatches to its program, bit for bit
+    spec, data = _linear_toy()
+    cfg = AlphaConfig.uniform(1, alpha_a=0.5, rho=10.0)
+
+    def h(th, a, e):
+        return th[..., 0] + a[..., 0] * e[..., 0]
+
+    direct = {
+        FormulationTag.RISK_AVERSE_GLOBAL: lambda: solve_risk_averse_global(spec, data, cfg, OPTS),
+        FormulationTag.RISK_AVERSE_LOCAL: lambda: solve_risk_averse_local(spec, data, cfg, OPTS),
+        FormulationTag.RISK_AGNOSTIC_GLOBAL: lambda: solve_risk_agnostic_global(spec, data, cfg, OPTS),
+        FormulationTag.RISK_AGNOSTIC_LOCAL: lambda: solve_risk_agnostic_local(spec, data, cfg, OPTS),
+        FormulationTag.FEASIBILITY_SEED: lambda: solve_feasibility_seed(spec, data, cfg, opts=OPTS),
+        FormulationTag.MOMENT_RISK_AVERSE: lambda: solve_moment_risk_averse(spec, data, cfg, h, OPTS),
+        FormulationTag.MOMENT_RISK_AGNOSTIC: lambda: solve_moment_risk_agnostic(spec, data, cfg, h, OPTS),
+    }
+    assert set(direct) == set(FormulationTag)
+    for tag, run in direct.items():
+        got, want = solve(tag, spec, data, cfg, OPTS, response=h), run()
+        assert got.theta_star.tobytes() == want.theta_star.tobytes(), tag
+        assert float(got.objective).hex() == float(want.objective).hex(), tag
+        assert got.solver_status == want.solver_status, tag
+        assert got.diagnostics["nfev"] == want.diagnostics["nfev"], tag
