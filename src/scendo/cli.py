@@ -15,8 +15,8 @@ is used for all tabular data.  The solver, alphas, rmc and sd sections set
 fields of NlpOptions, AlphaConfig, RmcConfig and SdConfig; an omitted or
 null key keeps the dataclass default.  An unknown key, a value of the
 wrong type (6.7 for an integer), a solver n_starts, max_outer or
-max_inner below 1 and an unknown or wrong-typed problem parameter are
-input errors.  Exit codes: 0 ok, 2 input error, 3 infeasible, 4 specification
+max_inner below 1, an sd.baseline of the wrong length and an unknown or
+wrong-typed problem parameter are input errors.  Exit codes: 0 ok, 2 input error, 3 infeasible, 4 specification
 not met, 5 numerical failure (a non-finite merit value, a failed
 leave-one-out solve).  The environment variable
 SCENDO_LOG in {error, info, debug} controls log verbosity.  All commands
@@ -303,7 +303,6 @@ def cmd_solve(args) -> int:
         "theta_star": result.theta_star,
         "objective": result.objective,
         "solver_status": result.solver_status,
-        "restarts_used": result.restarts_used,
         "xi_star": result.xi_star,
         "lambda_star": result.lambda_star,
         "aleatory_outliers": result.aleatory_outliers,
@@ -415,6 +414,10 @@ def cmd_sequential(args) -> int:
     sdc = _section("sd", _field(config, "sd"), sd_types)
     use_density = sdc.pop("use_density", True)
     baseline = sdc.pop("baseline", None)
+    if baseline is not None and np.shape(baseline) != (spec.m_theta,):
+        raise InputError(
+            f"config value sd.baseline has shape {np.shape(baseline)}, not ({spec.m_theta},)"
+        )
     sd_cfg = SdConfig(
         rmc=_load("rmc", config.get("rmc"), RmcConfig),
         density=bundle.density if use_density else None,

@@ -307,7 +307,6 @@ class SolveResult:
     theta_star: Array
     objective: float
     solver_status: str  # converged | max-iter | infeasible
-    restarts_used: int
     xi_star: Optional[Array] = None
     lambda_star: Optional[float] = None
     aleatory_outliers: Array = field(default_factory=lambda: np.empty(0, dtype=int))

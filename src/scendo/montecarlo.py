@@ -10,7 +10,9 @@ for the epistemic sampling error.  As in the scenario programs, fractions
 alpha_a / alpha_e of the worst draws can be excluded from the analysis.
 
 The (aleatory x epistemic) requirement evaluation grid is the hot loop; it
-is evaluated in one vectorized call per requirement.
+is evaluated in one vectorized call per requirement, and only here: the
+report also carries the table of failing testing scenarios that the
+sequential design selects from.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.stats import beta as _beta_dist
 
-from scendo.core import InputError, ProblemSpec, ScenarioData, r_max
+from scendo.core import InputError, ProblemSpec, ScenarioData, _check_trailing
 from scendo.ecdf import quantile_of, sorted_cdf, strictify_sorted
 
 Array = np.ndarray
@@ -72,6 +74,9 @@ class RmcReport:
     point_c / range_d: estimated probability of exceeding p_max over the
     epistemic draws, with its confidence interval.
     p_by_epistemic holds the raw per-draw failure probabilities.
+    scenario_fails[i, k] is True iff testing aleatory scenario i fails
+    requirement k for some testing epistemic draw; it keeps one column per
+    requirement also when worst_case reduces the ranges to one row.
     """
 
     range_a: Array  # (n_r, 2)
@@ -79,6 +84,7 @@ class RmcReport:
     point_c: Array  # (n_r,)
     range_d: Array  # (n_r, 2)
     p_by_epistemic: Array  # (n_r, n_e')
+    scenario_fails: Array  # (n_a', n_r) bool
     sigma: float
     worst_case: bool = False
 
@@ -112,20 +118,6 @@ def clopper_pearson(successes, trials: int, sigma: float):
     lo = np.where(m <= 0, 0.0, np.where(m >= n, a ** (1.0 / n), lo))
     hi = np.where(m >= n, 1.0, np.where(m <= 0, 1.0 - a ** (1.0 / n), hi))
     return lo, hi
-
-
-def _testing_requirements(spec: ProblemSpec, theta: Array, data: ScenarioData, cfg: RmcConfig):
-    data.require_testing()
-    theta = np.asarray(theta, dtype=float)
-    a = data.testing_aleatory[:, None, :]
-    e = data.testing_epistemic[None, :, :]
-    shape = (data.n_a_test, data.n_e_test)
-    if cfg.worst_case:
-        return [np.broadcast_to(r_max(spec, theta, a, e), shape)]
-    return [
-        np.broadcast_to(np.asarray(rk(theta, a, e), float), shape)
-        for rk in spec.requirements
-    ]
 
 
 def _trimmed_sorted(values: Array, alpha_a_k: float) -> Array:
@@ -178,10 +170,20 @@ def _per_requirement(values: Array, alpha_a_k, alpha_e_k, p_max_k, sigma):
 
 
 def analyze(spec: ProblemSpec, theta, data: ScenarioData, cfg: RmcConfig) -> RmcReport:
-    """Full robust Monte Carlo report; shares the evaluation grid between
-    the three range computations."""
-    per_req = _testing_requirements(spec, theta, data, cfg)
+    """Full robust Monte Carlo report.  Each requirement is evaluated once
+    on the (n_a', n_e') testing grid, which the three range computations
+    and the violation table share."""
+    theta = np.asarray(theta, dtype=float)
+    if theta.shape != (spec.m_theta,):
+        raise InputError(f"theta must have shape ({spec.m_theta},), got {theta.shape}")
+    data.require_testing()
+    a = _check_trailing("testing_aleatory", data.testing_aleatory, spec.m_a)[:, None, :]
+    e = _check_trailing("testing_epistemic", data.testing_epistemic, spec.m_e)[None, :, :]
+    shape = (data.n_a_test, data.n_e_test)
+    per_req = [np.broadcast_to(np.asarray(rk(theta, a, e), float), shape) for rk in spec.requirements]
+    fails = np.column_stack([np.max(values, axis=1) > 0.0 for values in per_req])
     if cfg.worst_case:  # a single synthetic requirement, driven by the k=1 entries
+        per_req = [np.maximum.reduce(per_req) if len(per_req) > 1 else per_req[0]]
         cfg = RmcConfig(cfg.alpha_a[:1], cfg.alpha_e[:1], cfg.sigma, cfg.p_max[:1], True)
     cfg = cfg._expand(len(per_req))
     out_a, out_b, out_c, out_d, out_p = [], [], [], [], []
@@ -200,6 +202,7 @@ def analyze(spec: ProblemSpec, theta, data: ScenarioData, cfg: RmcConfig) -> Rmc
         point_c=np.array(out_c),
         range_d=np.stack(out_d),
         p_by_epistemic=np.stack(out_p),
+        scenario_fails=fails,
         sigma=cfg.sigma,
         worst_case=cfg.worst_case,
     )

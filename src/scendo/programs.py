@@ -178,7 +178,6 @@ def _assemble(
         theta_star=theta,
         objective=float(_objective_values(spec, theta)) if objective is None else objective,
         solver_status=status,
-        restarts_used=res.diagnostics.get("n_starts", 1),
         xi_star=xi,
         lambda_star=lam,
         aleatory_outliers=o_a,

@@ -70,7 +70,7 @@ def _log_comb(n, k) -> Array:
     return gammaln(n + 1.0) - gammaln(k + 1.0) - gammaln(n - k + 1.0)
 
 
-def _make_residual(n_a: int, k: int, beta: float) -> Callable[[float], float]:
+def _make_residual(n_a: int, k: int, beta: float) -> Callable:
     lead_coef = float(_log_comb(n_a, k))
     lead_pow = float(n_a - k)
     i_mid = np.arange(k, n_a)
@@ -82,11 +82,13 @@ def _make_residual(n_a: int, k: int, beta: float) -> Callable[[float], float]:
     c_mid = np.log(beta / (2.0 * n_a))
     c_tail = np.log(beta / (6.0 * n_a))
 
-    def log_gap(t: float) -> float:
+    def log_gap(t):
+        """Log residual at t; broadcasts over an array of t."""
         lt = np.log(t)
         lead = lead_coef + lead_pow * lt
-        mid = c_mid + logsumexp(mid_coef + mid_pow * lt)
-        tail = c_tail + logsumexp(tail_coef + tail_pow * lt)
+        col = np.asarray(lt)[..., None]  # one row of series terms per t
+        mid = c_mid + logsumexp(mid_coef + mid_pow * col, axis=-1)
+        tail = c_tail + logsumexp(tail_coef + tail_pow * col, axis=-1)
         return lead - np.logaddexp(mid, tail)
 
     return log_gap
@@ -116,7 +118,9 @@ def epsilon_bar(n_a: int, k: int, beta: float) -> float:
             ]
         )
     )
-    vals = np.array([log_gap(t) for t in grid])
+    # the grid in blocks of about 2**16 series terms: few calls, bounded memory
+    step = max(1, 2**16 // (4 * n_a))
+    vals = np.concatenate([log_gap(grid[i : i + step]) for i in range(0, grid.size, step)])
     crossings = np.flatnonzero((vals[:-1] < 0) & (vals[1:] >= 0))
     if crossings.size == 0:
         raise ArithmeticError(

@@ -9,12 +9,13 @@ zero; when only the objective is too high the aleatory fraction grows by
 1/n_a so the next design may ignore one more scenario.
 
 Aleatory training scenarios are chosen by a budgeted selection: exactly
-b_k currently-failing scenarios per requirement (they pull the success
-domain where it helps the most), with the remaining slots filled for
-likelihood and spatial diversity (log-determinant of the selected
-covariance in the principal axes of the full testing cloud).  Epistemic
-training scenarios are the testing draws with the largest worst-case
-requirement over the selected aleatory points.
+b_k currently-failing scenarios per requirement, read from the analysis
+report's ``scenario_fails`` table (they pull the success domain where it
+helps the most), with the remaining slots filled for likelihood and
+spatial diversity (log-determinant of the selected covariance in the
+principal axes of the full testing cloud).  Epistemic training scenarios
+are the testing draws with the largest worst-case requirement over the
+selected aleatory points.
 
 Training sets assembled this way are not IID draws, so the scenario risk
 bound does not apply to the designs this loop produces; reports flag that.
@@ -116,27 +117,11 @@ class SdTrace:
 # ---------------------------------------------------------------------------
 
 
-def _violation_table(spec: ProblemSpec, theta, data: ScenarioData):
-    """c[i, k] = 1 iff testing scenario i fails requirement k for some
-    testing epistemic draw."""
-    data.require_testing()
-    theta = np.asarray(theta, dtype=float)
-    a = data.testing_aleatory[:, None, :]
-    e = data.testing_epistemic[None, :, :]
-    cols = []
-    for rk in spec.requirements:
-        vals = np.broadcast_to(
-            np.asarray(rk(theta, a, e), float), (data.n_a_test, data.n_e_test)
-        )
-        cols.append(np.max(vals, axis=1) > 0.0)
-    return np.column_stack(cols)
-
-
-def default_budgets(spec: ProblemSpec, theta, data: ScenarioData, n_a_target: int) -> Array:
-    """Scale the testing violation counts down to the training size."""
-    c = _violation_table(spec, theta, data)
+def default_budgets(c: Array, n_a_target: int) -> Array:
+    """Scale the testing violation counts down to the training size; c is
+    the (n_a_test, n_r) violation table ``RmcReport.scenario_fails``."""
     counts = np.count_nonzero(c, axis=0)
-    return np.ceil(n_a_target / data.n_a_test * counts).astype(int)
+    return np.ceil(n_a_target / c.shape[0] * counts).astype(int)
 
 
 _COV_JITTER = 1e-9
@@ -248,34 +233,36 @@ def _greedy_build(c, budgets, pc, like, gamma, lam, n_target) -> _Selection:
 
 
 def select_training_aleatory(
-    theta_prev,
-    data: ScenarioData,
-    spec: ProblemSpec,
+    c: Array,
+    points: Array,
     n_a_target: int,
     budgets: Optional[Array] = None,
     lambda_div: float = 0.0,
     density: Optional[Callable] = None,
 ) -> Array:
-    """Indices into the testing aleatory set, of size n_a_target: the
-    budgeted failure scenarios plus a likelihood/diversity-driven fill.
+    """Indices into the testing aleatory set ``points``, of size n_a_target:
+    the budgeted failure scenarios plus a likelihood/diversity-driven fill.
 
-    Greedy builds (the combined objective, plus pure-likelihood and
-    diversity-led fallbacks; the best-scoring one wins) are refined by
-    1-swaps within groups of equal violation patterns so the budget
-    equalities stay intact.
+    ``c[i, k]`` is True iff testing scenario i fails requirement k for some
+    testing epistemic draw (``RmcReport.scenario_fails``).  Greedy builds
+    (the combined objective, plus pure-likelihood and diversity-led
+    fallbacks; the best-scoring one wins) are refined by 1-swaps within
+    groups of equal violation patterns so the budget equalities stay
+    intact.
     """
-    data.require_testing()
-    n_pool = data.n_a_test
+    c = np.asarray(c, dtype=bool)
+    points = np.asarray(points, dtype=float)
+    n_pool = points.shape[0]
+    if c.ndim != 2 or c.shape[0] != n_pool:
+        raise InputError("the violation table needs one row per testing aleatory point")
     if not 1 <= n_a_target <= n_pool:
         raise InputError("n_a_target must lie in [1, n_a_test]")
-    c = _violation_table(spec, theta_prev, data)
     gamma = np.max(c, axis=1).astype(float)
-    points = data.testing_aleatory
     like = np.ones(n_pool) if density is None else np.asarray(density(points), float)
 
-    budgets = default_budgets(spec, theta_prev, data, n_a_target) if budgets is None \
+    budgets = default_budgets(c, n_a_target) if budgets is None \
         else np.asarray(budgets, dtype=int)
-    if budgets.shape != (spec.n_r,):
+    if budgets.shape != (c.shape[1],):
         raise InputError("budgets must have one entry per requirement")
     avail = np.count_nonzero(c, axis=0)
     budgets = np.minimum(np.minimum(budgets, avail), n_a_target)
@@ -305,12 +292,11 @@ def select_training_aleatory(
 
 def _swap_refine(sel: _Selection, c: Array, max_passes: int = 50) -> None:
     """1-swaps within equal violation-pattern classes until no improvement."""
-    patterns = np.array([hash(tuple(row)) for row in c])
+    _, patterns = np.unique(c, axis=0, return_inverse=True)
     for _ in range(max_passes):
         improved = False
         for i in np.flatnonzero(sel.mask):
             cand = np.flatnonzero((~sel.mask) & (patterns == patterns[i]))
-            cand = cand[(c[cand] == c[i]).all(axis=1)]
             if cand.size == 0:
                 continue
             base = sel.value()
@@ -432,9 +418,9 @@ def run_sd(
         else:
             alpha_a = np.minimum(alpha_a + 1.0 / n_a, 0.9)
 
-        budgets = cfg.budgets
         sel_a = select_training_aleatory(
-            theta, data, spec, n_a, budgets, cfg.lambda_div, cfg.density
+            report.scenario_fails, data.testing_aleatory, n_a,
+            cfg.budgets, cfg.lambda_div, cfg.density,
         )
         sel_e = select_training_epistemic(
             spec, theta, data.testing_aleatory[sel_a], data.testing_epistemic, n_e

@@ -333,7 +333,8 @@ def test_analyze_feasibility_seed_design_with_scenario_theory(tmp_path):
     sol = json.loads((out / "solution.json").read_text())
     assert sol["solver_status"] == "converged"
     assert sol["objective"] == sol["alpha_a_lower"][0]
-    assert {"diagnostics", "aleatory_outliers", "restarts_used"} <= set(sol)
+    assert {"diagnostics", "aleatory_outliers"} <= set(sol)
+    assert sol["diagnostics"]["n_starts"] == 2
     assert (out / "outliers.csv").exists()
     design = out / "solution.json"
     assert cli.main(["analyze", "--config", str(cfg), "--design", str(design)]) == 0
@@ -370,6 +371,9 @@ _BAD_VALUES = [
     ("solve", {"problem": {"name": "circle", "params": {"design_bounds": "x"}}}, "design_bounds"),
     ("solve", {"solver": {"n_starts": 0}}, "n_starts"),
     ("solve", {"solver": {"max_outer": 0}}, "max_outer"),
+    ("sequential", {"data": _TESTED_DATA, "sd": {"baseline": [1.0, 2.0]}}, "sd.baseline"),
+    ("sequential", {"data": _TESTED_DATA, "sd": {"baseline": [0.5, 0.3, 6.0, 1.0]}},
+     "sd.baseline"),
 ]
 
 

@@ -154,3 +154,54 @@ def test_analysis_fractions_trim_draws():
     relaxed = analyze(spec, np.zeros(1), data, relaxed_cfg)
     assert relaxed.range_a[0, 1] <= tight.range_a[0, 1]
     assert tight.range_a[0, 1] == pytest.approx(1.0)
+
+
+def _two_requirement_problem():
+    """The circle requirement plus a tighter copy on stretched aleatory points."""
+    base = circle.make_spec()
+
+    def stretched(th, a, e):
+        return circle.circle_requirement(th, 1.2 * a, e)
+
+    spec = ProblemSpec(
+        objective=base.objective,
+        requirements=[circle.circle_requirement, stretched],
+        design_bounds=base.design_bounds,
+        m_a=base.m_a,
+        m_e=base.m_e,
+    )
+    return spec, circle.generate_dataset(3, 3, seed=4, n_a_test=120, n_e_test=9)
+
+
+@pytest.mark.parametrize("worst_case", [False, True])
+def test_scenario_fails_matches_brute_force(worst_case):
+    spec, data = _two_requirement_problem()
+    theta = np.array([0.3, 0.2, 2.5])
+    cfg = RmcConfig(np.zeros(2), np.zeros(2), worst_case=worst_case)
+    rep = analyze(spec, theta, data, cfg)
+    expected = np.array([
+        [
+            any(float(rk(theta, a, e)) > 0.0 for e in data.testing_epistemic)
+            for rk in spec.requirements
+        ]
+        for a in data.testing_aleatory
+    ])
+    assert rep.scenario_fails.dtype == bool
+    assert rep.scenario_fails.shape == (data.n_a_test, 2)  # both columns, also worst-case
+    assert np.array_equal(rep.scenario_fails, expected)
+    assert 0 < expected[:, 0].sum() < expected[:, 1].sum() < data.n_a_test
+    assert rep.range_a.shape == ((1, 2) if worst_case else (2, 2))
+
+
+@pytest.mark.parametrize("worst_case", [False, True])
+def test_analyze_rejects_wrong_shapes(circle_spec, tested_data, worst_case):
+    cfg = RmcConfig(worst_case=worst_case)
+    for theta in (np.zeros(2), np.zeros(4), np.zeros((2, 3))):
+        with pytest.raises(InputError, match="theta"):
+            analyze(circle_spec, theta, tested_data, cfg)
+    wide = ScenarioData(  # three aleatory columns; the circle problem has two
+        np.zeros((2, 3)), np.zeros((1, 3)),
+        testing_aleatory=np.zeros((20, 3)), testing_epistemic=np.zeros((2, 3)),
+    )
+    with pytest.raises(InputError, match="testing_aleatory"):
+        analyze(circle_spec, np.array([0.3, 0.2, 2.0]), wide, cfg)

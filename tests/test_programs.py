@@ -267,8 +267,7 @@ def test_outlier_sets_hand_table():
     )
     cfg = AlphaConfig(np.array([0.0]), np.array([0.5]))
     result = SolveResult(
-        theta_star=np.array([0.0]), objective=0.0, solver_status="converged",
-        restarts_used=1,
+        theta_star=np.array([0.0]), objective=0.0, solver_status="converged"
     )
     o_a, o_e = outlier_sets(spec, data, cfg, result.theta_star)
     # independent enumeration with the reference quantile

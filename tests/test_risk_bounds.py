@@ -61,6 +61,15 @@ def test_epsilon_bar_residual_small_at_root():
         assert abs(gap) < 1e-10
 
 
+def test_residual_of_an_array_equals_its_scalar_calls():
+    # epsilon_bar brackets the root on blocks of the grid; brentq calls it per point
+    t = np.concatenate([np.geomspace(1e-16, 1e-2, 30), np.linspace(1e-2, 1.0 - 1e-12, 40)])
+    for n_a, k, beta in ((2, 0, 0.5), (50, 2, 1e-4), (500, 30, 1e-2), (5000, 4, 1e-4)):
+        log_gap = _make_residual(n_a, k, beta)
+        scalar = np.array([log_gap(x) for x in t])
+        assert np.array_equal(log_gap(t).view(np.int64), scalar.view(np.int64))
+
+
 def test_epsilon_bar_matches_high_precision_oracle():
     # exact-coefficient evaluation with mpmath for a small instance
     mpmath = pytest.importorskip("mpmath")

@@ -1,12 +1,17 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from oracles import best_budgeted_selection
 from scendo import circle, nlp
 from scendo.core import InputError, ScenarioData
-from scendo.montecarlo import RmcConfig
+from scendo.montecarlo import RmcConfig, analyze
 from scendo.seqdesign import (
     SdConfig,
+    _Selection,
+    _selection_value,
+    _swap_refine,
     default_budgets,
     run_sd,
     select_training_aleatory,
@@ -26,18 +31,21 @@ def _selection_instance(n_pool=12, seed=0):
     return data, theta
 
 
+def _violations(spec, theta, data):
+    """The violation table the sequential loop selects from."""
+    return analyze(spec, theta, data, ZERO_RMC).scenario_fails
+
+
 def test_selection_matches_exhaustive_oracle_likelihood_only(circle_spec):
     data, theta = _selection_instance()
     n_target, budget = 6, 2
+    c = _violations(circle_spec, theta, data)
     sel = select_training_aleatory(
-        theta, data, circle_spec, n_target, budgets=np.array([budget]),
+        c, data.testing_aleatory, n_target, budgets=np.array([budget]),
         lambda_div=0.0, density=circle.aleatory_density,
     )
     assert sel.size == n_target
     # oracle over all subsets with exactly `budget` violating members
-    from scendo.seqdesign import _violation_table
-
-    c = _violation_table(circle_spec, theta, data)
     like = circle.aleatory_density(data.testing_aleatory)
     _, best_val, value = best_budgeted_selection(
         data.testing_aleatory, c[:, 0], like, n_target, budget
@@ -50,7 +58,7 @@ def test_selection_no_violations_degenerate_budget(circle_spec):
     data, _ = _selection_instance()
     huge = np.array([0.0, 0.0, 11.0])  # nothing violates
     sel = select_training_aleatory(
-        huge, data, circle_spec, 5, budgets=np.array([0]),
+        _violations(circle_spec, huge, data), data.testing_aleatory, 5, budgets=np.array([0]),
         lambda_div=0.5, density=circle.aleatory_density,
     )
     assert sel.size == 5
@@ -60,9 +68,7 @@ def test_selection_no_violations_degenerate_budget(circle_spec):
 def test_selection_value_dominates_pure_strategies(circle_spec):
     data, theta = _selection_instance(n_pool=14, seed=3)
     lam = 0.8
-    from scendo.seqdesign import _selection_value, _violation_table
-
-    c = _violation_table(circle_spec, theta, data)
+    c = _violations(circle_spec, theta, data)
     like = circle.aleatory_density(data.testing_aleatory)
     pts = data.testing_aleatory
     centered = pts - pts.mean(axis=0)
@@ -71,11 +77,9 @@ def test_selection_value_dominates_pure_strategies(circle_spec):
     gamma = np.max(c, axis=1).astype(float)
     budget = np.array([min(2, int(c[:, 0].sum()))])
 
-    combined = select_training_aleatory(theta, data, circle_spec, 7, budget, lam,
-                                        circle.aleatory_density)
-    pure_like = select_training_aleatory(theta, data, circle_spec, 7, budget, 0.0,
-                                         circle.aleatory_density)
-    pure_div = select_training_aleatory(theta, data, circle_spec, 7, budget, lam, None)
+    combined = select_training_aleatory(c, pts, 7, budget, lam, circle.aleatory_density)
+    pure_like = select_training_aleatory(c, pts, 7, budget, 0.0, circle.aleatory_density)
+    pure_div = select_training_aleatory(c, pts, 7, budget, lam, None)
     val = lambda s: _selection_value(pc, like, gamma, s, lam)
     assert val(combined) >= val(pure_like) - 1e-9
     assert val(combined) >= val(pure_div) - 1e-9
@@ -83,18 +87,40 @@ def test_selection_value_dominates_pure_strategies(circle_spec):
 
 def test_selection_validates_target(circle_spec):
     data, theta = _selection_instance()
+    c = _violations(circle_spec, theta, data)
     with pytest.raises(InputError):
-        select_training_aleatory(theta, data, circle_spec, 0)
+        select_training_aleatory(c, data.testing_aleatory, 0)
     with pytest.raises(InputError):
-        select_training_aleatory(theta, data, circle_spec, 999)
+        select_training_aleatory(c, data.testing_aleatory, 999)
 
 
 def test_default_budgets_scale_with_training_size(circle_spec):
     data, theta = _selection_instance(n_pool=40)
-    b_small = default_budgets(circle_spec, theta, data, 4)
-    b_large = default_budgets(circle_spec, theta, data, 20)
+    c = _violations(circle_spec, theta, data)
+    b_small = default_budgets(c, 4)
+    b_large = default_budgets(c, 20)
     assert b_small.shape == (1,)
     assert b_small[0] <= b_large[0]
+
+
+def test_swap_refine_keeps_each_pattern_count():
+    # two requirements, four violation patterns (00, 01, 10, 11), round robin
+    rng = np.random.default_rng(11)
+    n = 60
+    patterns = np.array([[0, 0], [0, 1], [1, 0], [1, 1]], dtype=bool)
+    c = patterns[np.arange(n) % 4]
+    pts = rng.normal(size=(n, 2))
+    like = rng.uniform(0.1, 1.0, n)
+    sel = _Selection(pts, like, np.max(c, axis=1).astype(float), 0.5)
+    start = np.array([0, 1, 5, 2, 6, 10, 3, 7, 11, 15])  # 1, 2, 3, 4 of each pattern
+    for i in start:
+        sel.add(int(i))
+    before = sel.value()
+    _swap_refine(sel, c)
+    chosen = np.flatnonzero(sel.mask)
+    assert sel.value() > before and not np.array_equal(chosen, np.sort(start))
+    counts = [int(np.all(c[chosen] == pat, axis=1).sum()) for pat in patterns]
+    assert counts == [1, 2, 3, 4]
 
 
 def test_epistemic_selection_identity_and_top1(circle_spec):
@@ -174,6 +200,29 @@ def test_run_sd_failed_feasibility_seed_stops_as_failed(circle_spec, monkeypatch
                       nlp.NlpOptions(seed=0, n_starts=2, max_inner=40))
     assert trace.failed and not trace.met_spec
     assert len(trace) == 1
+
+
+@pytest.mark.parametrize("budgets", [None, np.array([3])], ids=["default", "fixed"])
+def test_run_sd_evaluates_each_testing_grid_once(circle_spec, budgets):
+    data = circle.generate_dataset(4, 4, seed=2, n_a_test=400, n_e_test=20)
+    full = (data.n_a_test, data.n_e_test)  # training grids stay below the caps
+    grids = []
+
+    def counted(theta, a, e):
+        vals = circle.circle_requirement(theta, a, e)
+        if np.shape(vals)[-2:] == full:
+            grids.append(np.shape(vals))
+        return vals
+
+    spec = dataclasses.replace(circle_spec, requirements=[counted])
+    cfg = SdConfig(
+        rmc=ZERO_RMC, threshold=0.0, max_iter=3,  # unattainable: three designs
+        n_a_init=8, n_e_init=6, n_a_cap=12, n_e_cap=10, budgets=budgets,
+    )
+    _, trace = run_sd(spec, data, np.array([0.0, 0.0, 2.0]), cfg,
+                      nlp.NlpOptions(seed=0, n_starts=2, max_inner=60))
+    assert len(trace) == 3 and not trace.failed
+    assert grids == [full] * len(trace)
 
 
 def test_run_sd_grows_training_and_improves(circle_spec):
