@@ -15,7 +15,8 @@ is used for all tabular data.  The solver, alphas, rmc and sd sections set
 fields of NlpOptions, AlphaConfig, RmcConfig and SdConfig; an omitted or
 null key keeps the dataclass default.  An unknown key, a value of the
 wrong type (6.7 for an integer), a solver n_starts, max_outer or
-max_inner below 1, an sd.baseline of the wrong length and an unknown or
+max_inner below 1, an sd.baseline of the wrong length, a data file whose
+column count is not the problem's m_a or m_e, and an unknown or
 wrong-typed problem parameter are input errors.  Exit codes: 0 ok, 2 input error, 3 infeasible, 4 specification
 not met, 5 numerical failure (a non-finite merit value, a failed
 leave-one-out solve).  The environment variable
@@ -248,7 +249,14 @@ def _build_data(config: dict, bundle) -> tuple[ScenarioData, bool]:
     files = _section("data.files", files, dict.fromkeys(_DATA_FILES, str))
     if "aleatory" not in files or "epistemic" not in files:
         raise InputError("data.files needs at least 'aleatory' and 'epistemic'")
-    return ScenarioData(**{k: _load_matrix_csv(path) for k, path in files.items()}), iid
+    matrices = {k: _load_matrix_csv(path) for k, path in files.items()}
+    for key, mat in matrices.items():
+        width = bundle.spec.m_a if key.endswith("aleatory") else bundle.spec.m_e
+        if mat.shape[1] != width:
+            raise InputError(
+                f"data.files.{key} has {mat.shape[1]} columns; the problem needs {width}"
+            )
+    return ScenarioData(**matrices), iid
 
 
 def _build_opts(config: dict, seed_override) -> nlp.NlpOptions:

@@ -16,6 +16,16 @@ changes.  Duplicated samples are separated deterministically (see
 The module-level helpers operate on the last axis of arbitrary-shaped
 arrays; they are the single quantile/CDF primitive used by every scenario
 program, the weight rule, and the Monte Carlo analysis.
+
+Cost model.  The solvers call these helpers tens of thousands of times on
+batches of a few short rows, so the fixed cost per call dominates.  The
+kernel therefore validates a level with one reduction, does the index
+arithmetic (position t = alpha*(n-1), grid snap, segment index and
+fraction) at the level's own shape, a scalar or one entry per leading row,
+never broadcast over every row, and reads both knots of each row through
+one flat index into the C-ordered rows: row offset plus segment index, and
+that plus one.  Rows that are not C-contiguous are copied once by that
+flattening, so callers with long rows hand them over C-ordered.
 """
 
 from __future__ import annotations
@@ -31,6 +41,13 @@ Array = np.ndarray
 #: relative size of the perturbation used to break ties
 TIE_EPS = 1e-9
 
+#: t = alpha*(n-1) snaps to the nearest integer when within _SNAP*(n-1) of it
+_SNAP = 4 * np.finfo(float).eps
+
+
+def _increasing(values: Array) -> Array:
+    return values[..., 1:] > values[..., :-1]
+
 
 def strictify_sorted(values: Array) -> Array:
     """Make each row of a sorted array strictly increasing.
@@ -42,17 +59,15 @@ def strictify_sorted(values: Array) -> Array:
     n = values.shape[-1]
     if n <= 1:
         return values
-    diffs = np.diff(values, axis=-1)
-    if np.all(diffs > 0):
+    rises = _increasing(values)
+    if rises.all():
         return values
     idx = np.arange(n)
-    new_run = np.concatenate(
-        [np.ones(values.shape[:-1] + (1,), dtype=bool), diffs > 0], axis=-1
-    )
+    new_run = np.concatenate([np.ones(values.shape[:-1] + (1,), dtype=bool), rises], axis=-1)
     run_start = np.maximum.accumulate(np.where(new_run, idx, 0), axis=-1)
     j = idx - run_start
     out = values + j * TIE_EPS * np.maximum(1.0, np.abs(values))
-    if not np.all(np.diff(out, axis=-1) > 0):
+    if not _increasing(out).all():
         # near-duplicates closer than the tie shift: walk the offending rows
         out = out.copy()
         flat = out.reshape(-1, n)
@@ -63,37 +78,51 @@ def strictify_sorted(values: Array) -> Array:
     return out
 
 
-def _take_last_axis(values: Array, idx: Array) -> Array:
-    if values.ndim == 1:
-        return values[idx]
-    return np.take_along_axis(values, idx[..., None], axis=-1)[..., 0]
+def _knots(values: Array, lo_idx) -> tuple:
+    """``values[..., lo_idx]`` and ``values[..., lo_idx + 1]`` row by row.
+
+    ``lo_idx`` broadcasts against the leading shape.  Both knots come from
+    one flat index into the C-order rows: each row's offset plus ``lo_idx``.
+    """
+    n = values.shape[-1]
+    flat = values.reshape(-1)
+    pos = np.arange(0, flat.size, n).reshape(values.shape[:-1]) + lo_idx
+    return flat[pos], flat[pos + 1]
+
+
+def _check_level_shape(level: Array, values: Array) -> None:
+    lead = values.shape[:-1]
+    if lead and (
+        level.ndim > len(lead)
+        or any(a != 1 and a != b for a, b in zip(level.shape[::-1], lead[::-1]))
+    ):
+        raise InputError(f"level of shape {level.shape} does not broadcast to the rows {lead}")
 
 
 def sorted_quantile(values: Array, alpha) -> Array:
     """Quantile of pre-sorted, strictly increasing rows at level alpha.
 
-    ``alpha`` may be a scalar or an array broadcastable against the leading
+    ``alpha`` may be a scalar or an array broadcastable to the leading
     shape of ``values`` (or any shape when ``values`` is one-dimensional).
     Levels that land exactly on the grid i/(n-1) return the corresponding
     sample with no interpolation round-off.  A single-sample row returns
-    that sample for every level.
+    that sample for every level.  A level outside [0, 1], or of a shape
+    that does not broadcast to the leading shape, raises InputError.
     """
     values = np.asarray(values, dtype=float)
     alpha = np.asarray(alpha, dtype=float)
-    if np.any(alpha < 0) or np.any(alpha > 1) or not np.all(np.isfinite(alpha)):
+    if not ((alpha >= 0) & (alpha <= 1)).all():  # also rejects NaN and +-inf
         raise InputError("quantile level must lie in [0, 1]")
+    _check_level_shape(alpha, values)
     n = values.shape[-1]
     if n == 1:
         return values[..., 0] + 0.0 * alpha
-    if values.ndim > 1:
-        alpha = np.broadcast_to(alpha, values.shape[:-1])
     t = alpha * (n - 1)
     snapped = np.rint(t)
-    t = np.where(np.abs(t - snapped) <= 4 * np.finfo(float).eps * (n - 1), snapped, t)
-    lo_idx = np.clip(np.floor(t).astype(np.intp), 0, n - 2)
+    t = np.where(np.abs(t - snapped) <= _SNAP * (n - 1), snapped, t)
+    lo_idx = np.minimum(t.astype(np.intp), n - 2)  # t >= 0, so truncation is floor
     frac = t - lo_idx
-    lo = _take_last_axis(values, lo_idx)
-    hi = _take_last_axis(values, lo_idx + 1)
+    lo, hi = _knots(values, lo_idx)
     # segment ends return the samples themselves, free of interpolation round-off
     return np.where(frac >= 1.0, hi, lo + (hi - lo) * frac)
 
@@ -109,13 +138,11 @@ def sorted_cdf(values: Array, z) -> Array:
     n = values.shape[-1]
     if n == 1:
         return (z >= values[..., 0]).astype(float)
-    m = np.sum(values < z[..., None], axis=-1)
-    lo_idx = np.clip(m - 1, 0, n - 2).astype(np.intp)
-    lo = _take_last_axis(values, lo_idx)
-    hi = _take_last_axis(values, lo_idx + 1)
+    m = (values < z[..., None]).sum(axis=-1)
+    lo_idx = np.minimum(np.maximum(m - 1, 0), n - 2)
+    lo, hi = _knots(values, lo_idx)
     inner = (lo_idx + (z - lo) / (hi - lo)) / (n - 1)
-    out = np.where(z <= values[..., 0], 0.0, np.where(z > values[..., -1], 1.0, inner))
-    return out
+    return np.where(z <= values[..., 0], 0.0, np.where(z > values[..., -1], 1.0, inner))
 
 
 def quantile_of(values: Array, alpha) -> Array:

@@ -121,12 +121,16 @@ def clopper_pearson(successes, trials: int, sigma: float):
 
 
 def _trimmed_sorted(values: Array, alpha_a_k: float) -> Array:
-    """Keep the smallest ceil(n*(1-alpha)) rows of each column, sorted."""
+    """The smallest ceil(n*(1-alpha)) entries of each column, sorted, as
+    the C-ordered rows of an (n_e', n_keep) array: the layout the ECDF
+    kernel reads without a copy."""
     n = values.shape[0]
     n_keep = int(np.ceil(n * (1.0 - alpha_a_k)))
     if n_keep < 1:
         raise InputError("trimmed aleatory sequence is empty")
-    return np.sort(values, axis=0)[:n_keep]
+    rows = values.T.copy()
+    rows.sort(axis=-1)
+    return np.ascontiguousarray(rows[:, :n_keep])
 
 
 def _seq_quantile(vals: Array, level: float) -> float:
@@ -137,15 +141,14 @@ def _seq_quantile(vals: Array, level: float) -> float:
 
 
 def _per_requirement(values: Array, alpha_a_k, alpha_e_k, p_max_k, sigma):
-    trimmed = _trimmed_sorted(values, alpha_a_k)  # (n_keep, n_e')
-    n_keep = trimmed.shape[0]
-    cols = strictify_sorted(trimmed.T)  # (n_e', n_keep) sorted rows
-    p = np.clip(1.0 - sorted_cdf(cols, 0.0), 0.0, 1.0)
+    trimmed = _trimmed_sorted(values, alpha_a_k)  # (n_e', n_keep)
+    n_keep = trimmed.shape[1]
+    p = np.clip(1.0 - sorted_cdf(strictify_sorted(trimmed), 0.0), 0.0, 1.0)
 
     a_lo = _seq_quantile(p, 0.0)
     a_hi = _seq_quantile(p, 1.0 - alpha_e_k)
 
-    m = np.count_nonzero(trimmed <= 0.0, axis=0)  # successes per epistemic draw
+    m = np.count_nonzero(trimmed <= 0.0, axis=1)  # successes per epistemic draw
     ci_lo, ci_hi = clopper_pearson(m, n_keep, sigma)
     b_lo = float(np.clip(1.0 - np.max(ci_hi), 0.0, 1.0))
     upper_fail = 1.0 - ci_lo  # the sequence of upper failure probabilities

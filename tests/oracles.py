@@ -2,11 +2,13 @@
 
 These deliberately avoid the library's own code paths: the enclosing
 circle is computed geometrically (Welzl), quantile indices by the literal
-argmin rule, and small selection problems by exhaustive enumeration.
+argmin rule, the ECDF interpolant row by row in Python floats, and small
+selection problems by exhaustive enumeration.
 """
 
 from __future__ import annotations
 
+import math
 from itertools import combinations
 
 import numpy as np
@@ -88,6 +90,63 @@ def quantile_reference(values, alpha: float) -> float:
         return float(z[-1])
     i = min(quantile_index_argmin(n, alpha), n - 1)
     return float(z[i - 1] + (z[i] - z[i - 1]) * ((n - 1) * alpha - i + 1))
+
+
+#: the ECDF's documented tie shift and level snap, restated as constants
+TIE_EPS = 1e-9
+SNAP = 4 * 2.0**-52
+
+
+def strictify_rows(rows: list) -> list:
+    """Sorted rows (lists of floats) made strictly increasing by the
+    documented tie rule.  When any row has a tie, every row gets its shift
+    (zero outside runs of duplicates), as an array operation would."""
+    if all(r[i] > r[i - 1] for r in rows for i in range(1, len(r))):
+        return [list(r) for r in rows]
+    out = []
+    for r in rows:
+        row, start = [], 0
+        for i, z in enumerate(r):
+            if i == 0 or z > r[i - 1]:
+                start = i
+            row.append(z + (i - start) * TIE_EPS * max(1.0, abs(z)))
+        out.append(row)
+    if not all(r[i] > r[i - 1] for r in out for i in range(1, len(r))):
+        for row in out:
+            for i in range(1, len(row)):
+                if row[i] <= row[i - 1]:
+                    row[i] = row[i - 1] + TIE_EPS * max(1.0, abs(row[i]))
+    return out
+
+
+def interpolant_quantile(row: list, alpha: float) -> float:
+    """Inverse of the piecewise-linear CDF of one strictly increasing row:
+    t = alpha*(n-1), snapped to the nearest integer within SNAP*(n-1),
+    then lo + (hi - lo)*frac on segment floor(t), or hi when frac >= 1."""
+    n = len(row)
+    if n == 1:
+        return row[0] + 0.0 * alpha
+    t = alpha * (n - 1)
+    snapped = float(round(t))
+    if abs(t - snapped) <= SNAP * (n - 1):
+        t = snapped
+    i = min(math.floor(t), n - 2)
+    frac = t - i
+    lo, hi = row[i], row[i + 1]
+    return hi if frac >= 1.0 else lo + (hi - lo) * frac
+
+
+def interpolant_cdf(row: list, z: float) -> float:
+    """The piecewise-linear CDF of one strictly increasing row at z."""
+    n = len(row)
+    if n == 1:
+        return 1.0 if z >= row[0] else 0.0
+    if z <= row[0]:
+        return 0.0
+    if z > row[-1]:
+        return 1.0
+    i = sum(1 for v in row if v < z) - 1
+    return (i + (z - row[i]) / (row[i + 1] - row[i])) / (n - 1)
 
 
 def best_budgeted_selection(points, violating, likelihood, n_target: int, budget: int,

@@ -176,6 +176,45 @@ def test_analyze_non_iid_design_flagged(tmp_path):
     assert rb["validity"] == "not-valid-non-iid"
 
 
+def _files_config(tmp_path: Path, **widths) -> Path:
+    """Circle config reading its four datasets from CSV files; ``widths``
+    overrides a file's column count (the circle has m_a = 2, m_e = 3)."""
+    rng = np.random.default_rng(0)
+    shapes = {"aleatory": (8, 2), "epistemic": (4, 3),
+              "testing_aleatory": (40, 2), "testing_epistemic": (6, 3)}
+    files = {}
+    for key, (rows, cols) in shapes.items():
+        cols = widths.get(key, cols)
+        files[key] = str(tmp_path / f"{key}.csv")
+        header = ",".join(f"c{i + 1}" for i in range(cols))
+        np.savetxt(files[key], rng.uniform(-0.5, 0.5, size=(rows, cols)),
+                   delimiter=",", header=header, comments="")
+    return _write_config(
+        tmp_path / "cfg.json",
+        data={"files": files},
+        sd={"metric": "a_hi", "threshold": 0.0, "max_iter": 1, "n_a_init": 8, "n_e_init": 4},
+    )
+
+
+@pytest.mark.parametrize(
+    "verb,widths,key",
+    [
+        ("solve", {"aleatory": 3, "testing_aleatory": 3}, "data.files.aleatory"),
+        ("solve", {"epistemic": 2, "testing_epistemic": 2}, "data.files.epistemic"),
+        ("sequential", {"aleatory": 3, "testing_aleatory": 3}, "data.files.aleatory"),
+        ("sequential", {"epistemic": 4, "testing_epistemic": 4}, "data.files.epistemic"),
+        ("sequential", {"testing_aleatory": 1}, "data.files.testing_aleatory"),
+        ("sequential", {"testing_epistemic": 2}, "data.files.testing_epistemic"),
+    ],
+)
+def test_data_file_width_mismatch_exit_2(tmp_path, capsys, verb, widths, key):
+    cfg = _files_config(tmp_path, **widths)
+    assert cli.main([verb, "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"{key} has {next(iter(widths.values()))} columns" in err
+
+
 def test_analyze_dimension_mismatch_exit_2(tmp_path):
     cfg = _write_config(
         tmp_path / "cfg.json",

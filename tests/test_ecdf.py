@@ -3,9 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import quantile_reference
+from oracles import interpolant_cdf, interpolant_quantile, quantile_reference, strictify_rows
 from scendo.core import InputError
-from scendo.ecdf import EmpiricalCdf, cdf_of, quantile_of, sorted_quantile
+from scendo.ecdf import EmpiricalCdf, cdf_of, quantile_of, sorted_cdf, sorted_quantile
 
 
 def test_build_sorts():
@@ -135,13 +135,97 @@ def test_batched_rows_match_single_rows():
     levels = rng.uniform(size=6)
     got = quantile_of(mat, levels)
     for i in range(6):
-        assert got[i] == pytest.approx(quantile_of(mat[i], levels[i]), abs=1e-14)
+        assert got[i] == quantile_of(mat[i], levels[i])
     z = 0.3
     got_cdf = cdf_of(mat, z)
     for i in range(6):
-        assert got_cdf[i] == pytest.approx(cdf_of(mat[i], z), abs=1e-14)
+        assert got_cdf[i] == cdf_of(mat[i], z)
 
 
 def test_single_sample_degenerate_row():
     assert sorted_quantile(np.array([[2.5]]), 0.7)[0] == 2.5
     assert float(quantile_of(np.array([4.0]), 0.0)) == 4.0
+
+
+@pytest.mark.parametrize("alpha", [np.nan, np.inf, -np.inf, -1e-12, 1.0 + 1e-12, [0.5, np.nan]])
+def test_bad_level_value_raises_input_error(alpha):
+    for values in (np.arange(4.0), np.arange(8.0).reshape(2, 4), np.ones((2, 1))):
+        with pytest.raises(InputError):
+            sorted_quantile(values, alpha)
+        with pytest.raises(InputError):
+            quantile_of(values, alpha)
+
+
+@pytest.mark.parametrize(
+    "lead,shape",
+    [((2,), (3,)), ((3, 4), (4, 1)), ((3, 4), (2, 3, 4)), ((3, 4), (3,)), ((2, 1), (2, 2))],
+)
+def test_level_not_broadcasting_to_the_rows_raises_input_error(lead, shape):
+    for n in (1, 5):
+        values = np.sort(np.random.default_rng(5).normal(size=lead + (n,)), axis=-1)
+        with pytest.raises(InputError, match="broadcast"):
+            sorted_quantile(values, np.full(shape, 0.5))
+        with pytest.raises(InputError, match="broadcast"):
+            quantile_of(values, np.full(shape, 0.5))
+
+
+def _levels(n: int):
+    """Levels on and off the grid, including 1 - j/(n-1), which misses the
+    grid point by an ulp for several n and so needs the snap."""
+    grid = st.integers(0, max(n - 1, 1)).map(lambda i: i / max(n - 1, 1))
+    return st.one_of(
+        st.sampled_from([0.0, 1.0]), grid, grid.map(lambda a: 1.0 - a), st.floats(0.0, 1.0)
+    )
+
+
+@st.composite
+def _ecdf_cases(draw):
+    """(values, levels, points) with 0-3 leading dims, rows of 1-12
+    samples drawn partly from a small pool (ties), and levels and points
+    that are scalar, per row, or per leading row ((n_r, 1))."""
+    lead = tuple(draw(st.lists(st.integers(1, 3), max_size=3)))
+    n = draw(st.integers(1, 12))
+    pool = draw(st.lists(st.floats(-50.0, 50.0), min_size=1, max_size=3))
+    entry = st.one_of(st.sampled_from(pool), st.floats(-1e3, 1e3))
+    size = int(np.prod(lead, dtype=int)) * n
+    values = np.array(draw(st.lists(entry, min_size=size, max_size=size))).reshape(lead + (n,))
+    if lead:
+        shape = draw(st.sampled_from([(), lead, lead[:-1] + (1,)]))
+    else:  # a single row takes levels of any shape
+        shape = draw(st.sampled_from([(), (1,), (4,)]))
+    count = int(np.prod(shape, dtype=int))
+    levels = np.array(draw(st.lists(_levels(n), min_size=count, max_size=count))).reshape(shape)
+    point = st.one_of(st.sampled_from(values.ravel().tolist()), entry)
+    points = np.array(draw(st.lists(point, min_size=count, max_size=count))).reshape(shape)
+    return values, levels, points
+
+
+def _row_by_row(rows, lead, args, interpolant):
+    shape = np.broadcast_shapes(lead, args.shape)
+    args = np.broadcast_to(args, shape)
+    out = np.empty(shape)
+    for idx in np.ndindex(*shape):
+        row = rows[int(np.ravel_multi_index(idx, lead)) if lead else 0]
+        out[idx] = interpolant(row, float(args[idx]))
+    return out
+
+
+def _same_bits(got, expected):
+    got = np.asarray(got)
+    assert got.shape == expected.shape and got.dtype == expected.dtype
+    assert got.tobytes() == expected.tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(_ecdf_cases())
+def test_kernel_matches_row_by_row_interpolant_bit_for_bit(case):
+    values, levels, points = case
+    lead, n = values.shape[:-1], values.shape[-1]
+    rows = strictify_rows([sorted(r) for r in values.reshape(-1, n).tolist()])
+    sorted_rows = np.array(rows).reshape(values.shape)
+    want_q = _row_by_row(rows, lead, levels, interpolant_quantile)
+    want_c = _row_by_row(rows, lead, points, interpolant_cdf)
+    _same_bits(sorted_quantile(sorted_rows, levels), want_q)
+    _same_bits(quantile_of(values, levels), want_q)
+    _same_bits(sorted_cdf(sorted_rows, points), want_c)
+    _same_bits(cdf_of(values, points), want_c)
