@@ -22,11 +22,19 @@ it: the merit at x and its 2*dim finite-difference probes are one
 (2*dim + 1)-row batch, with x as row 0.  So do the per-stage constraint
 violation and the final objective of a start, each a one-row batch, and
 the scenario programs, which compute their design-only terms once per
-distinct design row of a batch.
+distinct design row of a batch.  The leave-one-out replay of
+``risk_bounds.support_scenarios`` relies on it further: it evaluates a
+new problem on the recorded batches of an earlier solve stacked into a
+few large ones, and counts a byte-identical output as the same path.
+
+Solve replay.  Inside a ``scendo.replay`` tape, ``minimize`` hands each
+call to the tape, which may return a recorded result in place of
+solving; outside one it solves.
 """
 
 from __future__ import annotations
 
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -197,15 +205,28 @@ def _solve_one_start(problem: NlpProblem, opts: NlpOptions, x0: Array):
     }
 
 
+#: the active ``scendo.replay`` tape; None outside its contexts
+_TAPE: ContextVar = ContextVar("scendo_nlp_tape", default=None)
+
+
 def minimize(problem: NlpProblem, opts: Optional[NlpOptions] = None) -> NlpResult:
     """Best point over all starts; deterministic given (problem, options, seed).
 
     Status "converged" requires the final constraint violation <= tol_con
     and outer-step stagnation <= tol_x; a feasible point without
     stagnation reports "max-iter"; if no start reaches feasibility the
-    least-infeasible point is returned with status "failed".
+    least-infeasible point is returned with status "failed".  Inside a
+    replaying tape the result may be a recorded one (see
+    ``scendo.replay``); it is bit-identical to solving.
     """
     opts = opts or NlpOptions()
+    tape = _TAPE.get()
+    if tape is None:
+        return _solve(problem, opts)
+    return tape.minimize(problem, opts)
+
+
+def _solve(problem: NlpProblem, opts: NlpOptions) -> NlpResult:
     rng = np.random.default_rng(opts.seed)
     starts = [np.asarray(x, dtype=float) for x in problem.x0_list]
     if problem.bounds is not None:

@@ -143,22 +143,69 @@ def support_scenarios(solver: Callable, data: ScenarioData) -> Array:
     plain design vector).  Scenario i is a support scenario when removing
     it moves the design by more than TOL_SUPPORT in the max norm; the
     tolerance must exceed the solver's own noise floor.
+
+    The base solve runs under a recording tape and each leave-one-out
+    solve under a replaying one (see ``scendo.replay``): an NLP
+    of the reduced program whose callables return the base solve's values
+    bit for bit on every batch the base solve evaluated is not re-run, and
+    its result is the base one, exactly what re-running it gives.  The
+    solver is still called n_a + 1 times.  Programs whose decision vector
+    or starts change with n_a (risk-averse, moment) always re-solve.  The
+    base solve's batches and outputs stay in memory until this returns,
+    about nfev * (dim + 1 + n_con) floats and never more than the tape's
+    fixed budget (``replay._TAPE_BYTES``, 4 MiB); a base solve that needs
+    more is not kept, and every leave-one-out solve re-solves.
+
+    Needs n_a >= 3, so that every leave-one-out set keeps two scenarios;
+    fewer raise InputError before any solve.  A leave-one-out solve's
+    InputError is raised again as an InputError naming the scenario; any
+    other exception becomes a RuntimeError naming the scenario and the cause.
+    Results with a ``solver_status`` other than "converged" are named in
+    one warning; they still count by their design.
     """
+    if data.n_a < 3:
+        raise InputError(
+            f"scenario theory needs at least 3 aleatory scenarios to leave one out, got {data.n_a}"
+        )
+    # imported here: every scendo command imports this module, and
+    # compiling the replay code at import raised the peak RSS of runs
+    # that never leave a scenario out (the sequential benchmark workload
+    # by about 0.5 MB, with bytecode caching off)
+    from scendo import replay
 
-    def design_of(d: ScenarioData) -> Array:
-        out = solver(d)
-        theta = getattr(out, "theta_star", out)
-        return np.asarray(theta, dtype=float)
+    def design_of(out) -> Array:
+        return np.asarray(getattr(out, "theta_star", out), dtype=float)
 
-    base = design_of(data)
-    support = []
+    with replay.recording_tape() as tape:
+        base = design_of(solver(data))
+    support, resolved, unconverged = [], [], []
     for i in range(data.n_a):
         try:
-            theta_i = design_of(data.drop_aleatory(i))
+            with replay.replaying_tape(tape) as replayed:
+                out = solver(data.drop_aleatory(i))
+            theta_i = design_of(out)
+        except InputError as exc:
+            raise InputError(f"leave-one-out solve for scenario {i}: {exc}") from exc
         except Exception as exc:
-            raise RuntimeError(f"leave-one-out solve failed for scenario {i}") from exc
+            raise RuntimeError(
+                f"leave-one-out solve failed for scenario {i}: {type(exc).__name__}: {exc}"
+            ) from exc
+        if not replayed.replayed:
+            resolved.append(i)
+        status = getattr(out, "solver_status", "converged")
+        if status != "converged":
+            unconverged.append(f"{i} ({status})")
         if np.max(np.abs(theta_i - base)) > TOL_SUPPORT:
             support.append(i)
+    if unconverged:
+        logger.warning(
+            "leave-one-out solves not converged, counted by their design: scenario %s",
+            ", ".join(unconverged),
+        )
+    logger.debug(
+        "leave-one-out: %d of %d solves replayed; re-solved scenarios %s",
+        data.n_a - len(resolved), data.n_a, resolved,
+    )
     return np.array(support, dtype=int)
 
 

@@ -176,6 +176,23 @@ def test_analyze_non_iid_design_flagged(tmp_path):
     assert rb["validity"] == "not-valid-non-iid"
 
 
+def test_analyze_scenario_theory_on_two_scenarios_exit_2(tmp_path, capsys):
+    # leaving one of two scenarios out leaves too few to solve on
+    cfg = _write_config(
+        tmp_path / "cfg.json",
+        data={"generate": {"n_a": 2, "n_e": 4, "seed": 2, "n_a_test": 50, "n_e_test": 5}},
+        scenario_theory={"containment": "sampling", "n_probe": 50},
+        solver={"n_starts": 2, "max_inner": 40},
+    )
+    design = tmp_path / "design.json"
+    design.write_text(json.dumps({"theta_star": [0.5, 0.3, 6.0]}))
+    assert cli.main(["analyze", "--config", str(cfg), "--design", str(design)]) == 2
+    err = capsys.readouterr().err
+    assert err == (
+        "error: scenario theory needs at least 3 aleatory scenarios to leave one out, got 2\n"
+    )
+
+
 def _files_config(tmp_path: Path, **widths) -> Path:
     """Circle config reading its four datasets from CSV files; ``widths``
     overrides a file's column count (the circle has m_a = 2, m_e = 3)."""

@@ -1,9 +1,13 @@
+import logging
+import re
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from scendo import circle, nlp
 from scendo.core import AlphaConfig, EpistemicSet, InputError, ProblemSpec, ScenarioData
-from scendo.programs import solve_risk_agnostic_local
+from scendo.programs import solve_risk_agnostic_local, solve_risk_averse_local
 from scendo.risk_bounds import (
     RiskBoundReport,
     epsilon_bar,
@@ -119,6 +123,213 @@ def test_support_of_enclosing_circle_at_most_three(circle_spec):
 
     sup = support_scenarios(solver, data)
     assert 1 <= sup.size <= 3  # at most m_theta for this convex-like program
+
+
+# ---------------------------------------------------------------------------
+# leave-one-out replay
+# ---------------------------------------------------------------------------
+
+#: the spec of the stand-in solver below: theta* = max(a)
+_MAX_SPEC = ProblemSpec(
+    objective=lambda th: th[..., 0],
+    requirements=[lambda th, a, e: a[..., 0] - th[..., 0] + 0.0 * e[..., 0]],
+    design_bounds=[[0.0, 1.0]],
+    m_a=1,
+    m_e=1,
+)
+
+
+def _replay_counts(caplog) -> tuple:
+    """(replayed, n_a, re-solved indices) from support_scenarios' debug line."""
+    pattern = r"(\d+) of (\d+) solves replayed; re-solved scenarios \[([\d, ]*)\]"
+    found = [
+        re.search(pattern, r.getMessage())
+        for r in caplog.records
+        if r.name == "scendo.risk_bounds" and r.levelno == logging.DEBUG
+    ]
+    found = [m for m in found if m]
+    assert len(found) == 1
+    replayed, n_a, resolved = found[0].groups()
+    return int(replayed), int(n_a), [int(i) for i in resolved.split(",") if i.strip()]
+
+
+def _assert_same_solve(taped, cold):
+    assert taped.theta_star.tobytes() == cold.theta_star.tobytes()
+    assert np.float64(taped.objective).tobytes() == np.float64(cold.objective).tobytes()
+    assert taped.solver_status == cold.solver_status
+    for key in ("nfev", "best_start", "n_starts"):
+        assert taped.diagnostics[key] == cold.diagnostics[key]
+    assert np.array(taped.diagnostics["viol_history"]).tobytes() == (
+        np.array(cold.diagnostics["viol_history"]).tobytes()
+    )
+    suggested = [r.diagnostics.get("suggested_alpha_a") for r in (taped, cold)]
+    assert (suggested[0] is None) == (suggested[1] is None)
+    if suggested[0] is not None:
+        assert suggested[0].tobytes() == suggested[1].tobytes()
+
+
+def _taped_and_cold(solve, data, caplog):
+    taped = []
+
+    def solver(d):
+        taped.append(solve(d))
+        return taped[-1]
+
+    with caplog.at_level(logging.DEBUG, logger="scendo.risk_bounds"):
+        support = support_scenarios(solver, data)
+    cold = [solve(data)] + [solve(data.drop_aleatory(i)) for i in range(data.n_a)]
+    assert len(taped) == len(cold) == data.n_a + 1
+    for t, c in zip(taped, cold):
+        _assert_same_solve(t, c)
+    return support, cold, _replay_counts(caplog)
+
+
+def test_replayed_leave_one_out_solves_equal_cold_solves(circle_spec, caplog):
+    # acceptance criterion c09's data and solver
+    rng = np.random.default_rng(7)
+    data = ScenarioData(circle.sample_aleatory(10, rng), circle.sample_epistemic(8, rng))
+    cfg = AlphaConfig.uniform(1)
+
+    def solve(d):
+        return solve_risk_agnostic_local(circle_spec, d, cfg, FAST)
+
+    support, cold, (replayed, n_a, resolved) = _taped_and_cold(solve, data, caplog)
+    assert n_a == data.n_a and replayed + len(resolved) == n_a
+    assert replayed >= 1 and resolved
+    assert set(support) <= set(resolved)  # a moved design was re-solved
+    for i in set(range(n_a)) - set(resolved):
+        assert cold[i + 1].theta_star.tobytes() == cold[0].theta_star.tobytes()
+
+
+def test_replay_of_an_infeasible_base_solve_with_its_feasibility_seed(caplog):
+    # scenario 0 lies beyond the design box: every program is infeasible
+    # until it is left out, and each infeasible solve runs the seed NLP too
+    data = ScenarioData(np.array([[1.5], [0.6], [0.2], [0.9], [0.4]]), np.zeros((2, 1)))
+    cfg = AlphaConfig.uniform(1)
+    opts = nlp.NlpOptions(seed=0, n_starts=2, max_inner=60)
+
+    def solve(d):
+        return solve_risk_agnostic_local(_MAX_SPEC, d, cfg, opts)
+
+    support, cold, (replayed, n_a, resolved) = _taped_and_cold(solve, data, caplog)
+    assert cold[0].solver_status == "infeasible"
+    assert "suggested_alpha_a" in cold[0].diagnostics
+    assert 0 in resolved and 0 in support
+    assert len(resolved) + replayed == n_a
+
+
+def test_risk_averse_support_set_equals_a_cold_loop_with_no_replay(circle_spec, caplog):
+    # its slack per scenario changes the NLP's dimension with n_a
+    rng = np.random.default_rng(4)
+    data = ScenarioData(circle.sample_aleatory(5, rng), circle.sample_epistemic(3, rng))
+    cfg = AlphaConfig.uniform(1, rho=1e6)
+    opts = nlp.NlpOptions(seed=0, n_starts=2, max_inner=60)
+
+    def solve(d):
+        return solve_risk_averse_local(circle_spec, d, cfg, opts)
+
+    support, cold, (replayed, n_a, resolved) = _taped_and_cold(solve, data, caplog)
+    base = cold[0].theta_star
+    moved = [i for i in range(n_a) if np.max(np.abs(cold[i + 1].theta_star - base)) > 1e-4]
+    assert support.tolist() == moved
+    assert replayed == 0 and resolved == list(range(n_a))
+
+
+def _counted_solver(calls: list):
+    """Risk-agnostic solver of the theta* = max(a) program that counts the
+    constraint rows it evaluates."""
+    def requirement(th, a, e):
+        calls.append(int(np.prod(np.shape(th)[:-1])))
+        return a[..., 0] - th[..., 0] + 0.0 * e[..., 0]
+
+    spec = ProblemSpec(
+        objective=_MAX_SPEC.objective, requirements=[requirement],
+        design_bounds=[[0.0, 1.0]], m_a=1, m_e=1,
+    )
+    opts = nlp.NlpOptions(seed=0, n_starts=2, max_inner=60)
+    return lambda d: solve_risk_agnostic_local(spec, d, AlphaConfig.uniform(1), opts)
+
+
+def test_no_tape_is_active_after_support_scenarios_returns_or_raises():
+    data = ScenarioData(np.array([[0.3], [0.8], [0.5], [0.1]]), np.zeros((2, 1)))
+    calls = []
+    solver = _counted_solver(calls)
+    solver(data)
+    cold_calls = list(calls)
+
+    def check_cold():
+        assert nlp._TAPE.get() is None
+        calls.clear()
+        solver(data)
+        assert calls == cold_calls
+
+    assert support_scenarios(solver, data).tolist() == [1]
+    check_cold()
+
+    def failing(d):
+        if d.n_a < data.n_a and not np.any(d.aleatory == data.aleatory[2]):
+            raise ArithmeticError("no design on scenario 2's data")
+        return solver(d)
+
+    cause = "scenario 2: ArithmeticError: no design on scenario 2's data"
+    with pytest.raises(RuntimeError, match=cause):
+        support_scenarios(failing, data)
+    check_cold()
+
+
+def test_too_few_scenarios_to_leave_one_out_raise_input_error_before_solving():
+    data = ScenarioData(np.array([[0.3], [0.8]]), np.zeros((1, 1)))
+    calls = []
+    with pytest.raises(InputError, match="needs at least 3 aleatory scenarios .* got 2"):
+        support_scenarios(lambda d: calls.append(d) or np.array([d.aleatory.max()]), data)
+    assert calls == []
+
+
+def test_leave_one_out_input_error_stays_an_input_error_naming_the_scenario():
+    data = ScenarioData(np.array([[0.3], [0.8], [0.5]]), np.zeros((1, 1)))
+
+    def solver(d):
+        if d.n_a < data.n_a and not np.any(d.aleatory == data.aleatory[1]):
+            raise InputError("no design on these scenarios")
+        return np.array([d.aleatory.max()])
+
+    with pytest.raises(InputError, match="^leave-one-out solve for scenario 1: no design on these"):
+        support_scenarios(solver, data)
+
+
+def _status_solver(data, statuses):
+    """theta* = max(a) with a solver_status per left-out index."""
+
+    def solver(d):
+        missing = [i for i in range(data.n_a) if not np.any(d.aleatory == data.aleatory[i])]
+        status = statuses.get(missing[0], "converged") if missing else "converged"
+        return SimpleNamespace(theta_star=np.array([d.aleatory.max()]), solver_status=status)
+
+    return solver
+
+
+def test_unconverged_leave_one_out_solves_are_named_in_a_warning(caplog):
+    data = ScenarioData(np.array([[1.0], [3.0], [2.0], [2.9]]), np.zeros((1, 1)))
+    solver = _status_solver(data, {0: "max-iter", 2: "infeasible"})
+    with caplog.at_level(logging.WARNING, logger="scendo.risk_bounds"):
+        assert support_scenarios(solver, data).tolist() == [1]
+    warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+    assert len(warnings) == 1
+    assert "0 (max-iter)" in warnings[0] and "2 (infeasible)" in warnings[0]
+    assert "1 (" not in warnings[0] and "3 (" not in warnings[0]
+
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="scendo.risk_bounds"):
+        support_scenarios(_status_solver(data, {}), data)
+    assert not [r for r in caplog.records if r.levelno == logging.WARNING]
+
+
+def test_debug_line_counts_replays_and_names_resolved_scenarios(caplog):
+    # a solver without NLPs replays nothing: every scenario is re-solved
+    data = ScenarioData(np.array([[1.0], [3.0], [2.0]]), np.zeros((1, 1)))
+    with caplog.at_level(logging.DEBUG, logger="scendo.risk_bounds"):
+        support_scenarios(_status_solver(data, {}), data)
+    assert _replay_counts(caplog) == (0, 3, [0, 1, 2])
 
 
 def test_containment_sampling_verdicts(circle_spec):
