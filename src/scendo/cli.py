@@ -13,10 +13,11 @@ Verbs:
 Configuration is a single JSON document (see README for the schema); CSV
 is used for all tabular data.  The solver, alphas, rmc and sd sections set
 fields of NlpOptions, AlphaConfig, RmcConfig and SdConfig; an omitted or
-null key keeps the dataclass default.  An unknown key, a value of the
-wrong type (6.7 for an integer), a solver n_starts, max_outer or
-max_inner below 1, an sd.baseline of the wrong length, a data file whose
-column count is not the problem's m_a or m_e, and an unknown or
+null key keeps the dataclass default.  The solver section sets only
+n_starts, max_inner and seed; the penalty schedule and tolerances are
+fixed.  An unknown key, a value of the wrong type (6.7 for an integer), a
+solver n_starts or max_inner below 1, an sd.baseline of the wrong length,
+a data file whose column count is not the problem's m_a or m_e, and an unknown or
 wrong-typed problem parameter are input errors.  Exit codes: 0 ok, 2 input error, 3 infeasible, 4 specification
 not met, 5 numerical failure (a non-finite merit value, a failed
 leave-one-out solve).  The environment variable

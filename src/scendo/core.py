@@ -186,7 +186,6 @@ class EpistemicSet:
     radius: float
     kind: str = "box"
     scale: Optional[Array] = None
-    _box: Optional[Array] = field(default=None, repr=False)
 
     def __post_init__(self):
         c = _as_float_array(self.center, "center", ndim=1)
@@ -222,16 +221,7 @@ class EpistemicSet:
         hi = _as_float_array(upper, "upper", ndim=1)
         if lo.shape != hi.shape or np.any(lo >= hi):
             raise InputError("box needs lower < upper componentwise")
-        box = np.column_stack([lo, hi])
-        return cls(center=(lo + hi) / 2.0, radius=1.0, kind="box",
-                   scale=(hi - lo) / 2.0, _box=box)
-
-    def to_box(self) -> Array:
-        """Bounding box (m_e, 2); exact for sets built with from_box."""
-        if self._box is not None:
-            return self._box
-        h = self.radius * self.scale
-        return np.column_stack([self.center - h, self.center + h])
+        return cls(center=(lo + hi) / 2.0, radius=1.0, kind="box", scale=(hi - lo) / 2.0)
 
     def sample(self, n: int, rng: np.random.Generator) -> Array:
         """n points uniformly distributed in the set."""

@@ -141,7 +141,9 @@ def sorted_cdf(values: Array, z) -> Array:
     m = (values < z[..., None]).sum(axis=-1)
     lo_idx = np.minimum(np.maximum(m - 1, 0), n - 2)
     lo, hi = _knots(values, lo_idx)
-    inner = (lo_idx + (z - lo) / (hi - lo)) / (n - 1)
+    # an in-range z already lies in [lo, hi]; clipping keeps an out-of-range
+    # one, masked below, from overflowing the division
+    inner = (lo_idx + (np.clip(z, lo, hi) - lo) / (hi - lo)) / (n - 1)
     return np.where(z <= values[..., 0], 0.0, np.where(z > values[..., -1], 1.0, inner))
 
 

@@ -10,9 +10,15 @@ multi-start absorbs local minima:
 
 for an increasing sequence of penalty weights mu, each stage solved with
 L-BFGS-B (projected quasi-Newton) warm-started from the previous one.
+The schedule is fixed: mu starts at PENALTY_INIT = 10 and grows tenfold
+(PENALTY_GROWTH) per stage up to PENALTY_MAX = 1e9, over at most
+MAX_OUTER = 12 stages; a start converges once its violation is at most
+TOL_CON = 1e-6 and its last stage moved x by at most TOL_X = 1e-8.
 Gradients come from central finite differences with per-coordinate steps
-fd_step * max(1, |x_i|).  Everything is deterministic given the seed; the
-starts run one after another and are reduced in a fixed order.
+FD_STEP * max(1, |x_i|), FD_STEP = 1e-6.  Only the number of starts, the
+L-BFGS-B iterations per stage and the seed are options (``NlpOptions``).
+Everything is deterministic given the seed; the starts run one after
+another and are reduced in a fixed order.
 
 Problems are stated only through batch callables, which map a (B, dim)
 stack of points to B rows of results.  Batch contract: row i of the result
@@ -46,25 +52,24 @@ from scendo.core import InputError
 Array = np.ndarray
 
 
+#: the penalty schedule, the finite-difference step and the stopping tolerances
+PENALTY_INIT = 10.0
+PENALTY_GROWTH = 10.0
+PENALTY_MAX = 1e9
+MAX_OUTER = 12
+FD_STEP = 1e-6
+TOL_X = 1e-8
+TOL_CON = 1e-6
+
+
 @dataclass
 class NlpOptions:
-    penalty_init: float = 10.0
-    penalty_growth: float = 10.0
-    penalty_max: float = 1e9
-    fd_step: float = 1e-6
-    max_outer: int = 12
-    max_inner: int = 300
-    tol_x: float = 1e-8
-    tol_con: float = 1e-6
+    max_inner: int = 300  # L-BFGS-B iterations per penalty stage
     n_starts: int = 8
     seed: int = 0
 
     def __post_init__(self):
-        if self.penalty_growth <= 1:
-            raise InputError("penalty_growth must exceed 1")
-        if min(self.tol_x, self.tol_con, self.fd_step) <= 0:
-            raise InputError("tolerances and fd_step must be positive")
-        for name in ("n_starts", "max_outer", "max_inner"):
+        for name in ("n_starts", "max_inner"):
             if getattr(self, name) < 1:
                 raise InputError(f"{name} must be at least 1")
 
@@ -75,15 +80,15 @@ class NlpProblem:
 
     ``objective_batch`` maps a (B, dim) stack of points to the (B,)
     objective values and ``constraints_batch`` to the (B, n_con) constraint
-    residuals; without it the program has only its box.  Both must keep
-    the batch contract: row i of the result depends only on row i of the
-    input and is bit-identical to evaluating that row alone.
+    residuals; n_con may be 0.  Both must keep the batch contract: row i
+    of the result depends only on row i of the input and is bit-identical
+    to evaluating that row alone.
     """
 
     dim: int
     objective_batch: Callable[[Array], Array]
-    constraints_batch: Optional[Callable[[Array], Array]] = None
-    bounds: Optional[Array] = None  # (dim, 2), +-inf allowed
+    constraints_batch: Callable[[Array], Array]
+    bounds: Array  # (dim, 2), +-inf allowed
     x0_list: Sequence[Array] = ()
 
 
@@ -112,10 +117,9 @@ def _make_batch_penalty(problem: NlpProblem):
 
     def penalty_batch(X: Array, mu: float) -> Array:
         fvals = f_b(X)
-        if g_b is not None:
-            gvals = g_b(X)
-            if gvals.size:
-                fvals = fvals + mu * np.sum(np.maximum(0.0, gvals) ** 2, axis=-1)
+        gvals = g_b(X)
+        if gvals.size:
+            fvals = fvals + mu * np.sum(np.maximum(0.0, gvals) ** 2, axis=-1)
         return np.asarray(fvals, dtype=float)
 
     return penalty_batch
@@ -123,8 +127,6 @@ def _make_batch_penalty(problem: NlpProblem):
 
 def _violation(problem: NlpProblem, x: Array) -> float:
     """Largest constraint residual at x, zero when every one holds."""
-    if problem.constraints_batch is None:
-        return 0.0
     g = problem.constraints_batch(x[None])[0]
     return float(np.max(np.maximum(0.0, g), initial=0.0))
 
@@ -150,22 +152,17 @@ def _batch_fd_gradient(penalty_batch, x: Array, mu: float, step: float):
 
 def _solve_one_start(problem: NlpProblem, opts: NlpOptions, x0: Array):
     penalty_batch = _make_batch_penalty(problem)
+    lo, hi = problem.bounds[:, 0], problem.bounds[:, 1]
+    x = np.clip(x0, lo, hi)
+    scipy_bounds = list(zip(lo, hi))
 
-    if problem.bounds is not None:
-        lb, ub = problem.bounds[:, 0], problem.bounds[:, 1]
-        x = np.clip(x0, lb, ub)
-        scipy_bounds = list(zip(lb, ub))
-    else:
-        x = np.asarray(x0, dtype=float)
-        scipy_bounds = None
-
-    mu = opts.penalty_init
+    mu = PENALTY_INIT
     viol_history = []
     nfev = 0
     converged = False
-    for _ in range(opts.max_outer):
+    for _ in range(MAX_OUTER):
         def fun(xx, _mu=mu):
-            return _batch_fd_gradient(penalty_batch, xx, _mu, opts.fd_step)
+            return _batch_fd_gradient(penalty_batch, xx, _mu, FD_STEP)
 
         res = _scipy_minimize(
             fun,
@@ -180,20 +177,19 @@ def _solve_one_start(problem: NlpProblem, opts: NlpOptions, x0: Array):
         x = res.x
         viol = _violation(problem, x)
         viol_history.append(viol)
-        if viol <= opts.tol_con and step_size <= opts.tol_x:
+        if viol <= TOL_CON and step_size <= TOL_X:
             converged = True
             break
-        if viol > opts.tol_con and step_size <= opts.tol_x and problem.bounds is not None:
+        if viol > TOL_CON and step_size <= TOL_X:
             # stagnant while infeasible: typically parked on a zero-gradient
             # boundary saddle; kick deterministically toward the box interior
-            lo, hi = problem.bounds[:, 0], problem.bounds[:, 1]
             finite = np.isfinite(lo) & np.isfinite(hi)
             mid = x.copy()
             mid[finite] = (lo[finite] + hi[finite]) / 2.0
             x = x + 0.05 * (mid - x)
-        if mu >= opts.penalty_max:
+        if mu >= PENALTY_MAX:
             break
-        mu = min(mu * opts.penalty_growth, opts.penalty_max)
+        mu = min(mu * PENALTY_GROWTH, PENALTY_MAX)
 
     return {
         "x": x,
@@ -212,8 +208,8 @@ _TAPE: ContextVar = ContextVar("scendo_nlp_tape", default=None)
 def minimize(problem: NlpProblem, opts: Optional[NlpOptions] = None) -> NlpResult:
     """Best point over all starts; deterministic given (problem, options, seed).
 
-    Status "converged" requires the final constraint violation <= tol_con
-    and outer-step stagnation <= tol_x; a feasible point without
+    Status "converged" requires the final constraint violation <= TOL_CON
+    and outer-step stagnation <= TOL_X; a feasible point without
     stagnation reports "max-iter"; if no start reaches feasibility the
     least-infeasible point is returned with status "failed".  Inside a
     replaying tape the result may be a recorded one (see
@@ -229,25 +225,22 @@ def minimize(problem: NlpProblem, opts: Optional[NlpOptions] = None) -> NlpResul
 def _solve(problem: NlpProblem, opts: NlpOptions) -> NlpResult:
     rng = np.random.default_rng(opts.seed)
     starts = [np.asarray(x, dtype=float) for x in problem.x0_list]
-    if problem.bounds is not None:
-        for x in starts:
-            if np.any(x < problem.bounds[:, 0] - 1e-12) or np.any(x > problem.bounds[:, 1] + 1e-12):
-                raise InputError("start point outside bounds")
+    for x in starts:
+        if np.any(x < problem.bounds[:, 0] - 1e-12) or np.any(x > problem.bounds[:, 1] + 1e-12):
+            raise InputError("start point outside bounds")
     if len(starts) < opts.n_starts:
-        if problem.bounds is None:
-            raise InputError("bounds are required to draw starting points")
         starts.extend(latin_hypercube(problem.bounds, opts.n_starts - len(starts), rng))
 
     runs = [_solve_one_start(problem, opts, s) for s in starts]
 
     best, best_key, best_idx = None, (2, np.inf), -1
     for i, run in enumerate(runs):  # first start wins ties
-        feasible = run["viol"] <= opts.tol_con
+        feasible = run["viol"] <= TOL_CON
         key = (0, run["f"]) if feasible else (1, run["viol"])
         if key < best_key:
             best, best_key, best_idx = run, key, i
 
-    feasible = best["viol"] <= opts.tol_con
+    feasible = best["viol"] <= TOL_CON
     if feasible and best["converged"]:
         status = "converged"
     elif feasible:

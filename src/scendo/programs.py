@@ -63,21 +63,16 @@ class FormulationTag(str, Enum):
 MOMENT_TAGS = (FormulationTag.MOMENT_RISK_AVERSE, FormulationTag.MOMENT_RISK_AGNOSTIC)
 
 
-def requirement_values(
-    spec: ProblemSpec, data: ScenarioData, theta: Array, k: Optional[int] = None
-) -> Array:
+def requirement_values(spec: ProblemSpec, data: ScenarioData, theta: Array) -> Array:
     """Requirement values on the training grid.
 
-    theta may carry leading batch axes: returns (..., n_a, n_e) for a
-    single requirement k, else (..., n_r, n_a, n_e).
+    theta may carry leading batch axes: returns (..., n_r, n_a, n_e).
     """
     theta = np.asarray(theta, dtype=float)
     th = theta[..., None, None, :]
     a = data.aleatory[:, None, :]
     e = data.epistemic[None, :, :]
     target = theta.shape[:-1] + (data.n_a, data.n_e)
-    if k is not None:
-        return np.broadcast_to(np.asarray(spec.requirements[k](th, a, e), float), target)
     vals = [
         np.broadcast_to(np.asarray(rk(th, a, e), float), target)
         for rk in spec.requirements

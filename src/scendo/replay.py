@@ -44,11 +44,10 @@ _TAPE_BYTES = 4 << 20
 
 def _problem_key(problem: NlpProblem, opts: NlpOptions) -> tuple:
     """Everything besides the callables' values that a solve depends on."""
-    bounds = None if problem.bounds is None else np.asarray(problem.bounds)
+    bounds = np.asarray(problem.bounds)
     return (
         problem.dim,
-        problem.constraints_batch is None,
-        None if bounds is None else (bounds.dtype.str, bounds.shape, bounds.tobytes()),
+        (bounds.dtype.str, bounds.shape, bounds.tobytes()),
         tuple(np.asarray(x, dtype=float).tobytes() for x in problem.x0_list),
         astuple(opts),
     )
@@ -156,11 +155,10 @@ class _Entry:
         return call
 
     def solve(self, problem: NlpProblem, opts: NlpOptions) -> NlpResult:
-        g = problem.constraints_batch
         recorded = replace(
             problem,
             objective_batch=self._recorder(0, problem.objective_batch),
-            constraints_batch=None if g is None else self._recorder(1, g),
+            constraints_batch=self._recorder(1, problem.constraints_batch),
         )
         result = nlp._solve(recorded, opts)
         if self.kept:

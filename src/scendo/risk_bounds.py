@@ -257,7 +257,6 @@ def set_containment_opt(
     theta,
     a,
     eset: EpistemicSet,
-    opts: Optional[nlp.NlpOptions] = None,
 ) -> ContainmentResult:
     """Find the violating epistemic point nearest to the set's center.
 
@@ -266,7 +265,8 @@ def set_containment_opt(
     failure domain iff the minimal radius is below the set radius.  If no
     violating point exists the auxiliary program is infeasible and the
     radius is reported as +inf.  A center that already violates shortcuts
-    to radius 0; numerical failures fall back to the sampling test.
+    to radius 0; numerical failures fall back to the sampling test.  The
+    search uses 8 starts of at most 150 L-BFGS-B iterations per stage.
     """
     theta = np.asarray(theta, dtype=float)
     a = np.asarray(a, dtype=float)
@@ -274,7 +274,7 @@ def set_containment_opt(
         return ContainmentResult(
             violated=True, method="optimization", radius=0.0, e_star=eset.center.copy()
         )
-    opts = opts or nlp.NlpOptions(n_starts=8, max_inner=150)
+    opts = nlp.NlpOptions(n_starts=8, max_inner=150)
     m = eset.m_e
     margin = 1.5
     half = margin * eset.radius * eset.scale
@@ -366,14 +366,14 @@ def _ellipsoid_containment_problem(spec, theta, a, eset, e_bounds, opts):
 # ---------------------------------------------------------------------------
 
 
-def _containment_tester(spec, theta, eset, containment, n_probe, sigma, seed):
+def _containment_tester(spec, theta, eset, containment, n_probe, seed):
     if containment == "auto":
         containment = "optimization" if eset.m_e <= 10 else "sampling"
     if containment == "sampling":
         rng = np.random.default_rng(seed)
 
         def test(a):
-            return set_containment_sampling(spec, theta, a, eset, n_probe, sigma, rng)
+            return set_containment_sampling(spec, theta, a, eset, n_probe, rng=rng)
 
     elif containment == "optimization":
 
@@ -394,7 +394,6 @@ def set_complexity(
     containment: str = "auto",
     moment: bool = False,
     n_probe: int = 2000,
-    sigma: float = 0.95,
     seed: int = 0,
 ):
     """Count support scenarios and set violations of a solved program.
@@ -403,10 +402,12 @@ def set_complexity(
     complexity s is the size of the union of the two index sets, so
     max(n_s, n_v) <= s <= n_s + n_v.  Moment-based programs are fully
     supported by construction: every scenario counts as support and
-    s = n_a without re-solving.
+    s = n_a without re-solving.  The sampling containment test draws
+    ``n_probe`` points per scenario from one generator seeded by ``seed``;
+    only whether a scenario fails counts, so no confidence level enters.
     """
     theta_star = np.asarray(theta_star, dtype=float)
-    name, test = _containment_tester(spec, theta_star, eset, containment, n_probe, sigma, seed)
+    name, test = _containment_tester(spec, theta_star, eset, containment, n_probe, seed)
     violations = np.array(
         [i for i in range(data.n_a) if test(data.aleatory[i]).violated], dtype=int
     )
@@ -429,15 +430,13 @@ def risk_bound(
     moment: bool = False,
     iid: bool = True,
     n_probe: int = 2000,
-    sigma: float = 0.95,
     seed: int = 0,
 ) -> RiskBoundReport:
     """Full report: complexity counts plus the epsilon_bar bound.  Set
     ``iid=False`` for designs trained on sequentially assembled data; the
     bound is still reported but flagged not valid."""
     n_s, n_v, s, name = set_complexity(
-        spec, solver, data, theta_star, eset, containment, moment,
-        n_probe, sigma, seed,
+        spec, solver, data, theta_star, eset, containment, moment, n_probe, seed,
     )
     eps = epsilon_bar(data.n_a, s, beta)
     return RiskBoundReport(

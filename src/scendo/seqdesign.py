@@ -290,10 +290,14 @@ def select_training_aleatory(
     return np.sort(np.flatnonzero(sel.mask))
 
 
-def _swap_refine(sel: _Selection, c: Array, max_passes: int = 50) -> None:
-    """1-swaps within equal violation-pattern classes until no improvement."""
+_SWAP_PASSES = 50
+
+
+def _swap_refine(sel: _Selection, c: Array) -> None:
+    """1-swaps within equal violation-pattern classes until no improvement,
+    over at most _SWAP_PASSES passes."""
     _, patterns = np.unique(c, axis=0, return_inverse=True)
-    for _ in range(max_passes):
+    for _ in range(_SWAP_PASSES):
         improved = False
         for i in np.flatnonzero(sel.mask):
             cand = np.flatnonzero((~sel.mask) & (patterns == patterns[i]))

@@ -32,21 +32,22 @@ SIGN_EPS = 1e-8
 SIGN_REPORT_TOL = 1e-6
 
 
-def smooth_sign_fraction(xi: Array, eps: float = SIGN_EPS) -> Array:
+def smooth_sign_fraction(xi: Array) -> Array:
     """Differentiable surrogate of mean(sign(xi_i)) for xi >= 0.
 
-    Each term xi/(xi + eps) rises from 0 to ~1 over a width of eps, so the
+    Each term xi/(xi + SIGN_EPS) rises from 0 to ~1 over a width of
+    SIGN_EPS, so the
     fraction tracks the count of active slacks while staying smooth for
     gradient-based solvers.  Supports batched xi on the last axis.
     """
     xi = np.maximum(np.asarray(xi, dtype=float), 0.0)
-    return np.mean(xi / (xi + eps), axis=-1)
+    return np.mean(xi / (xi + SIGN_EPS), axis=-1)
 
 
-def sign_fraction(xi: Array, tol: float = SIGN_REPORT_TOL) -> float:
-    """Exact fraction of slacks above tol, used when reporting."""
+def sign_fraction(xi: Array) -> float:
+    """Exact fraction of slacks above SIGN_REPORT_TOL, used when reporting."""
     xi = np.asarray(xi, dtype=float)
-    return float(np.count_nonzero(xi > tol) / xi.size)
+    return float(np.count_nonzero(xi > SIGN_REPORT_TOL) / xi.size)
 
 
 def failure_fractions(values: Array) -> Array:

@@ -67,9 +67,9 @@ PROGRAMS = {
     ),
     "risk_agnostic_local": lambda: _capture(programs.solve_risk_agnostic_local, SPEC, DATA, CFG, OPTS),
     "risk_agnostic_global": lambda: _capture(programs.solve_risk_agnostic_global, SPEC, DATA, CFG, OPTS),
-    "box_containment": lambda: _capture(risk_bounds.set_containment_opt, SPEC, THETA, POINT, BOX, OPTS),
+    "box_containment": lambda: _capture(risk_bounds.set_containment_opt, SPEC, THETA, POINT, BOX),
     "ellipsoid_containment": lambda: _capture(
-        risk_bounds.set_containment_opt, SPEC, THETA, POINT, ELLIPSOID, OPTS
+        risk_bounds.set_containment_opt, SPEC, THETA, POINT, ELLIPSOID
     ),
 }
 

@@ -39,6 +39,14 @@ def test_cdf_hand_values():
     assert f.cdf(4.0) == 1.0  # upper knot
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_cdf_far_outside_close_knots_raises_no_warning():
+    # (z - lo) / (hi - lo) overflows unless z is clipped into the segment first
+    rows = np.array([[0.0, 1e-300, 2e-300]])
+    assert sorted_cdf(rows, 1e10)[0] == 1.0
+    assert sorted_cdf(rows, -1e10)[0] == 0.0
+
+
 def test_quantile_hand_values():
     f = EmpiricalCdf.build([1, 2, 4])
     assert f.quantile(0.0) == 1.0

@@ -6,9 +6,13 @@ from scendo import nlp
 from scendo.core import InputError
 
 
+def _no_constraints(X):
+    return np.zeros((len(X), 0))
+
+
 def test_unconstrained_quadratic():
     p = nlp.NlpProblem(dim=1, objective_batch=lambda X: X[:, 0] ** 2,
-                       bounds=np.array([[-1.0, 1.0]]))
+                       constraints_batch=_no_constraints, bounds=np.array([[-1.0, 1.0]]))
     res = nlp.minimize(p, nlp.NlpOptions(seed=0))
     assert res.status == "converged"
     assert abs(res.f) < 1e-5
@@ -90,7 +94,7 @@ def test_failed_status_when_infeasible():
         constraints_batch=lambda X: np.stack([X[:, 0] + 1.0, 1.0 - X[:, 0]], axis=-1),
         bounds=np.array([[-5.0, 5.0]]),
     )
-    res = nlp.minimize(p, nlp.NlpOptions(seed=0, max_outer=6))
+    res = nlp.minimize(p, nlp.NlpOptions(seed=0))
     assert res.status == "failed"
     assert res.diagnostics["violation"] > 0.1
 
@@ -99,6 +103,7 @@ def test_start_point_outside_bounds_rejected():
     p = nlp.NlpProblem(
         dim=1,
         objective_batch=lambda X: X[:, 0] ** 2,
+        constraints_batch=_no_constraints,
         bounds=np.array([[0.0, 1.0]]),
         x0_list=[np.array([2.0])],
     )
@@ -108,7 +113,9 @@ def test_start_point_outside_bounds_rejected():
 
 def _fd_gradient(f_batch, x):
     """Central-difference gradient of an unconstrained batch objective."""
-    problem = nlp.NlpProblem(dim=x.size, objective_batch=f_batch)
+    bounds = np.tile([-np.inf, np.inf], (x.size, 1))
+    problem = nlp.NlpProblem(dim=x.size, objective_batch=f_batch,
+                             constraints_batch=_no_constraints, bounds=bounds)
     return nlp._batch_fd_gradient(nlp._make_batch_penalty(problem), x, 1.0, 1e-6)[1]
 
 

@@ -298,7 +298,7 @@ def test_feasible_set_containment_under_relaxation(circle_spec, small_data):
 
 def test_pseudo_distribution_helper(circle_spec, small_data):
     # the pseudo-distribution of scenario 3: its values over the epistemic set
-    values = requirement_values(circle_spec, small_data, np.array([0.0, 0.0, 2.0]), k=0)[3]
+    values = requirement_values(circle_spec, small_data, np.array([0.0, 0.0, 2.0]))[..., 0, :, :][3]
     assert values.shape == (small_data.n_e,)
     direct = circle.circle_requirement(
         np.array([0.0, 0.0, 2.0]), small_data.aleatory[3], small_data.epistemic

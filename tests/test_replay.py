@@ -13,6 +13,7 @@ def test_replay_needs_stacking_batches(one_row_dtype):
         return out.astype(one_row_dtype) if len(X) == 1 else out
 
     problem = nlp.NlpProblem(dim=2, objective_batch=objective,
+                             constraints_batch=lambda X: np.zeros((len(X), 0)),
                              bounds=np.array([[-1.0, 1.0], [-1.0, 1.0]]))
     opts = nlp.NlpOptions(seed=0, n_starts=2, max_inner=30)
     with replay.recording_tape() as tape:

@@ -112,7 +112,7 @@ def test_outlier_weights_vanish_on_benchmark_solve(circle_spec):
     # weights that are numerically zero
     data = circle.generate_dataset(12, 10, seed=6)
     theta = np.array([0.4, 0.3, 1.2])  # deliberately tight: violations exist
-    values = requirement_values(circle_spec, data, theta, k=0)
+    values = requirement_values(circle_spec, data, theta)[..., 0, :, :]
     w, _, _ = weights_from_values(values, 0.0, 2.0 / 9.0, 100.0)
     below = w[w < 1.0]
     assert below.size > 0
