@@ -45,31 +45,40 @@ MIX_VAR_0 = 1.0
 MIX_VAR_1 = 0.3
 
 
-def perturbed_circle(theta, e):
-    """Realized (center, radius) for design theta under perturbation e."""
+def _realized(theta, e):
+    """Realized center (x, y) and radius mu~ of design theta under e.
+
+    One array per coordinate: no trailing axis of length 2 is ever
+    materialized over a grid, and each entry is the same expression of its
+    own (theta, e) point whatever the broadcast layout.
+    """
     theta = np.asarray(theta, dtype=float)
     e = np.asarray(e, dtype=float)
-    c = theta[..., :2]
-    mu = theta[..., 2]
-    u = np.stack([np.cos(e[..., 1]), np.sin(e[..., 1])], axis=-1)
-    c_t = c + (mu * e[..., 0])[..., None] * u
-    mu_t = mu * (1.0 + mu * e[..., 0] * e[..., 2] * np.sum(c * u, axis=-1))
-    return c_t, mu_t
+    c0, c1, mu = theta[..., 0], theta[..., 1], theta[..., 2]
+    u0, u1 = np.cos(e[..., 1]), np.sin(e[..., 1])
+    shift = mu * e[..., 0]
+    x = c0 + shift * u0
+    y = c1 + shift * u1
+    mu_t = mu * (1.0 + shift * e[..., 2] * (c0 * u0 + c1 * u1))
+    return x, y, mu_t
 
 
 def circle_requirement(theta, a, e):
     """||c~ - a||^2 - mu~^2; <= 0 when a is inside the realized circle."""
     a = np.asarray(a, dtype=float)
-    c_t, mu_t = perturbed_circle(theta, e)
-    d2 = np.sum((c_t - a) ** 2, axis=-1)
-    return d2 - mu_t**2
+    x, y, mu_t = _realized(theta, e)
+    dx = x - a[..., 0]
+    dy = y - a[..., 1]
+    return (dx * dx + dy * dy) - mu_t * mu_t
 
 
 def circle_response(theta, a, e):
     """Tightness measure mu~^2 + ||a - c~||_2 (smaller = tighter enclosure)."""
     a = np.asarray(a, dtype=float)
-    c_t, mu_t = perturbed_circle(theta, e)
-    return mu_t**2 + np.sqrt(np.sum((a - c_t) ** 2, axis=-1))
+    x, y, mu_t = _realized(theta, e)
+    dx = x - a[..., 0]
+    dy = y - a[..., 1]
+    return mu_t * mu_t + np.sqrt(dx * dx + dy * dy)
 
 
 def circle_objective(theta):

@@ -14,6 +14,12 @@ any compatible leading shapes are combined by normal numpy broadcasting.
 All functions must return finite values for finite input, including points
 slightly outside the design box (finite-difference probes step outside).
 
+Grid contract: each output entry of a requirement depends only on its own
+(theta, a, e) point and is bit-identical under any broadcast layout of the
+same points.  ``montecarlo.analyze`` relies on it to evaluate the testing
+grid in blocks of epistemic draws, as the NLP relies on its batch contract
+(see ``scendo.nlp``) to stack and split batches of design rows.
+
 All types in this module are immutable after construction and safe to
 share across threads.
 """

@@ -9,10 +9,18 @@ to violate a probability budget p_max, with its own confidence interval
 for the epistemic sampling error.  As in the scenario programs, fractions
 alpha_a / alpha_e of the worst draws can be excluded from the analysis.
 
-The (aleatory x epistemic) requirement evaluation grid is the hot loop; it
-is evaluated in one vectorized call per requirement, and only here: the
-report also carries the table of failing testing scenarios that the
-sequential design selects from.
+The (aleatory x epistemic) requirement evaluation grid is the hot loop,
+and it is evaluated only here: the report also carries the table of
+failing testing scenarios that the sequential design selects from.  The
+grid is streamed in blocks of epistemic draws, one vectorized call per
+requirement and block, each block about _BLOCK_FLOATS values (4 MiB).  A
+block's requirement values come out as C-ordered (draws, n_a') rows; they
+are OR-ed into the failure table, sorted, trimmed and reduced to that
+block's failure probabilities and success counts before the next block is
+evaluated, so no full grid is ever held.  The result is bit-identical to
+evaluating the whole grid at once because every entry of a requirement
+depends only on its own (theta, a, e) point (the grid contract of
+``scendo.core``) and every per-draw reduction reads only its own row.
 """
 
 from __future__ import annotations
@@ -25,6 +33,9 @@ from scendo.core import InputError, ProblemSpec, ScenarioData, _check_trailing
 from scendo.ecdf import quantile_of, sorted_cdf, strictify_sorted
 
 Array = np.ndarray
+
+#: testing-grid values per block of epistemic draws: 2**19 floats, 4 MiB
+_BLOCK_FLOATS = 2**19
 
 
 @dataclass(frozen=True)
@@ -120,19 +131,6 @@ def clopper_pearson(successes, trials: int, sigma: float):
     return lo, hi
 
 
-def _trimmed_sorted(values: Array, alpha_a_k: float) -> Array:
-    """The smallest ceil(n*(1-alpha)) entries of each column, sorted, as
-    the C-ordered rows of an (n_e', n_keep) array: the layout the ECDF
-    kernel reads without a copy."""
-    n = values.shape[0]
-    n_keep = int(np.ceil(n * (1.0 - alpha_a_k)))
-    if n_keep < 1:
-        raise InputError("trimmed aleatory sequence is empty")
-    rows = values.T.copy()
-    rows.sort(axis=-1)
-    return np.ascontiguousarray(rows[:, :n_keep])
-
-
 def _seq_quantile(vals: Array, level: float) -> float:
     """Quantile of a probability sequence, clipped back to the sequence's
     true range so the tie-break perturbation cannot leak outside it."""
@@ -140,15 +138,12 @@ def _seq_quantile(vals: Array, level: float) -> float:
     return float(np.clip(q, float(vals.min()), float(vals.max())))
 
 
-def _per_requirement(values: Array, alpha_a_k, alpha_e_k, p_max_k, sigma):
-    trimmed = _trimmed_sorted(values, alpha_a_k)  # (n_e', n_keep)
-    n_keep = trimmed.shape[1]
-    p = np.clip(1.0 - sorted_cdf(strictify_sorted(trimmed), 0.0), 0.0, 1.0)
-
+def _per_requirement(p: Array, m: Array, n_keep: int, alpha_e_k, p_max_k, sigma):
+    """Ranges of one requirement from its per-draw failure probabilities
+    ``p`` and success counts ``m`` among ``n_keep`` kept aleatory values."""
     a_lo = _seq_quantile(p, 0.0)
     a_hi = _seq_quantile(p, 1.0 - alpha_e_k)
 
-    m = np.count_nonzero(trimmed <= 0.0, axis=1)  # successes per epistemic draw
     ci_lo, ci_hi = clopper_pearson(m, n_keep, sigma)
     b_lo = float(np.clip(1.0 - np.max(ci_hi), 0.0, 1.0))
     upper_fail = 1.0 - ci_lo  # the sequence of upper failure probabilities
@@ -168,43 +163,55 @@ def _per_requirement(values: Array, alpha_a_k, alpha_e_k, p_max_k, sigma):
         np.array([b_lo, b_hi]),
         c,
         np.array([float(d_lo[0]), float(d_hi[0])]),
-        p,
     )
 
 
 def analyze(spec: ProblemSpec, theta, data: ScenarioData, cfg: RmcConfig) -> RmcReport:
     """Full robust Monte Carlo report.  Each requirement is evaluated once
-    on the (n_a', n_e') testing grid, which the three range computations
-    and the violation table share."""
+    on the (n_a', n_e') testing grid, block by block of epistemic draws,
+    and the three range computations and the violation table share it."""
     theta = np.asarray(theta, dtype=float)
     if theta.shape != (spec.m_theta,):
         raise InputError(f"theta must have shape ({spec.m_theta},), got {theta.shape}")
     data.require_testing()
-    a = _check_trailing("testing_aleatory", data.testing_aleatory, spec.m_a)[:, None, :]
-    e = _check_trailing("testing_epistemic", data.testing_epistemic, spec.m_e)[None, :, :]
-    shape = (data.n_a_test, data.n_e_test)
-    per_req = [np.broadcast_to(np.asarray(rk(theta, a, e), float), shape) for rk in spec.requirements]
-    fails = np.column_stack([np.max(values, axis=1) > 0.0 for values in per_req])
+    a = _check_trailing("testing_aleatory", data.testing_aleatory, spec.m_a)[None, :, :]
+    e = _check_trailing("testing_epistemic", data.testing_epistemic, spec.m_e)[:, None, :]
+    n_a, n_e, n_r = data.n_a_test, data.n_e_test, len(spec.requirements)
     if cfg.worst_case:  # a single synthetic requirement, driven by the k=1 entries
-        per_req = [np.maximum.reduce(per_req) if len(per_req) > 1 else per_req[0]]
         cfg = RmcConfig(cfg.alpha_a[:1], cfg.alpha_e[:1], cfg.sigma, cfg.p_max[:1], True)
-    cfg = cfg._expand(len(per_req))
-    out_a, out_b, out_c, out_d, out_p = [], [], [], [], []
-    for k, values in enumerate(per_req):
-        ra, rb, c, rd, p = _per_requirement(
-            values, cfg.alpha_a[k], cfg.alpha_e[k], cfg.p_max[k], cfg.sigma
-        )
-        out_a.append(ra)
-        out_b.append(rb)
-        out_c.append(c)
-        out_d.append(rd)
-        out_p.append(p)
+    cfg = cfg._expand(1 if cfg.worst_case else n_r)
+    n_keep = [int(np.ceil(n_a * (1.0 - alpha_a_k))) for alpha_a_k in cfg.alpha_a]
+    if min(n_keep) < 1:
+        raise InputError("trimmed aleatory sequence is empty")
+    fails = np.zeros((n_a, n_r), dtype=bool)
+    p = np.empty((len(n_keep), n_e))  # failure probability per epistemic draw
+    m = np.empty((len(n_keep), n_e), dtype=np.intp)  # successes per epistemic draw
+    step = max(1, _BLOCK_FLOATS // n_a)
+    for j in range(0, n_e, step):
+        block = slice(j, min(j + step, n_e))
+        shape = (block.stop - j, n_a)
+        rows = [
+            np.broadcast_to(np.asarray(rk(theta, a, e[block]), float), shape)
+            for rk in spec.requirements
+        ]
+        for k, values in enumerate(rows):
+            fails[:, k] |= np.max(values, axis=0) > 0.0
+        if cfg.worst_case:
+            rows = [np.maximum.reduce(rows) if n_r > 1 else rows[0]]
+        for k, values in enumerate(rows):
+            trimmed = np.ascontiguousarray(np.sort(values, axis=-1)[:, : n_keep[k]])
+            p[k, block] = np.clip(1.0 - sorted_cdf(strictify_sorted(trimmed), 0.0), 0.0, 1.0)
+            m[k, block] = np.count_nonzero(trimmed <= 0.0, axis=1)
+    range_a, range_b, point_c, range_d = zip(*(
+        _per_requirement(p[k], m[k], n_keep[k], cfg.alpha_e[k], cfg.p_max[k], cfg.sigma)
+        for k in range(len(n_keep))
+    ))
     return RmcReport(
-        range_a=np.stack(out_a),
-        range_b=np.stack(out_b),
-        point_c=np.array(out_c),
-        range_d=np.stack(out_d),
-        p_by_epistemic=np.stack(out_p),
+        range_a=np.stack(range_a),
+        range_b=np.stack(range_b),
+        point_c=np.array(point_c),
+        range_d=np.stack(range_d),
+        p_by_epistemic=p,
         scenario_fails=fails,
         sigma=cfg.sigma,
         worst_case=cfg.worst_case,

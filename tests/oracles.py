@@ -3,7 +3,10 @@
 These deliberately avoid the library's own code paths: the enclosing
 circle is computed geometrically (Welzl), quantile indices by the literal
 argmin rule, the ECDF interpolant row by row in Python floats, and small
-selection problems by exhaustive enumeration.
+selection problems by exhaustive enumeration.  The circle kernels are
+restated in their stacked-coordinate form, and the robust Monte Carlo
+analysis on the whole testing grid at once, so the library's per-coordinate
+kernel and streamed analysis can be checked against them bit for bit.
 """
 
 from __future__ import annotations
@@ -179,3 +182,83 @@ def best_budgeted_selection(points, violating, likelihood, n_target: int, budget
         if v > best_val:
             best_val, best_sel = v, sel
     return best_sel, best_val, value
+
+
+def circle_realized_stacked(theta, e):
+    """Realized circle with the center as one trailing axis of length 2:
+    c~ = c + mu*e1*u and mu~ = mu*(1 + mu*e1*e3*c.u), u = (cos e2, sin e2)."""
+    theta = np.asarray(theta, dtype=float)
+    e = np.asarray(e, dtype=float)
+    c = theta[..., :2]
+    mu = theta[..., 2]
+    u = np.stack([np.cos(e[..., 1]), np.sin(e[..., 1])], axis=-1)
+    c_t = c + (mu * e[..., 0])[..., None] * u
+    mu_t = mu * (1.0 + mu * e[..., 0] * e[..., 2] * np.sum(c * u, axis=-1))
+    return c_t, mu_t
+
+
+def circle_requirement_stacked(theta, a, e):
+    """||c~ - a||^2 - mu~^2 over the stacked center."""
+    c_t, mu_t = circle_realized_stacked(theta, e)
+    return np.sum((c_t - np.asarray(a, dtype=float)) ** 2, axis=-1) - mu_t**2
+
+
+def circle_response_stacked(theta, a, e):
+    """mu~^2 + ||a - c~|| over the stacked center."""
+    c_t, mu_t = circle_realized_stacked(theta, e)
+    return mu_t**2 + np.sqrt(np.sum((np.asarray(a, dtype=float) - c_t) ** 2, axis=-1))
+
+
+def analyze_full_grid(spec, theta, data, cfg):
+    """Robust Monte Carlo report computed on the whole (n_a', n_e') testing
+    grid at once: each requirement evaluated in one call, columns sorted
+    and trimmed, then the per-draw probabilities, counts and ranges.  It
+    shares the ECDF kernels and the binomial interval with the library, so
+    only the blocking of the grid differs."""
+    from scendo.ecdf import quantile_of, sorted_cdf, strictify_sorted
+    from scendo.montecarlo import RmcConfig, RmcReport, clopper_pearson
+
+    def seq_quantile(vals, level):
+        q = float(quantile_of(vals, level))
+        return float(np.clip(q, float(vals.min()), float(vals.max())))
+
+    a = data.testing_aleatory[:, None, :]
+    e = data.testing_epistemic[None, :, :]
+    shape = (data.n_a_test, data.n_e_test)
+    grids = [np.broadcast_to(np.asarray(rk(theta, a, e), float), shape) for rk in spec.requirements]
+    fails = np.column_stack([np.max(g, axis=1) > 0.0 for g in grids])
+    if cfg.worst_case:
+        grids = [np.maximum.reduce(grids)]
+        cfg = RmcConfig(cfg.alpha_a[:1], cfg.alpha_e[:1], cfg.sigma, cfg.p_max[:1], True)
+    cfg = cfg._expand(len(grids))
+    out = {"range_a": [], "range_b": [], "point_c": [], "range_d": [], "p": []}
+    for k, grid in enumerate(grids):
+        n_keep = int(np.ceil(data.n_a_test * (1.0 - cfg.alpha_a[k])))
+        rows = grid.T.copy()
+        rows.sort(axis=-1)
+        trimmed = np.ascontiguousarray(rows[:, :n_keep])
+        p = np.clip(1.0 - sorted_cdf(strictify_sorted(trimmed), 0.0), 0.0, 1.0)
+        m = np.count_nonzero(trimmed <= 0.0, axis=1)
+        ci_lo, ci_hi = clopper_pearson(m, n_keep, cfg.sigma)
+        upper_fail = 1.0 - ci_lo
+        level = 1.0 - cfg.alpha_e[k]
+        n_q = int(np.floor(data.n_e_test * level))
+        q_kept = strictify_sorted(np.sort(upper_fail, kind="stable")[:n_q])
+        d_lo, d_hi = clopper_pearson(int(np.count_nonzero(q_kept > cfg.p_max[k])), n_q, cfg.sigma)
+        out["range_a"].append([seq_quantile(p, 0.0), seq_quantile(p, level)])
+        out["range_b"].append(
+            [float(np.clip(1.0 - np.max(ci_hi), 0.0, 1.0)), seq_quantile(upper_fail, level)]
+        )
+        out["point_c"].append(float(np.clip(1.0 - sorted_cdf(q_kept, cfg.p_max[k]), 0.0, 1.0)))
+        out["range_d"].append([float(d_lo[0]), float(d_hi[0])])
+        out["p"].append(p)
+    return RmcReport(
+        range_a=np.array(out["range_a"]),
+        range_b=np.array(out["range_b"]),
+        point_c=np.array(out["point_c"]),
+        range_d=np.array(out["range_d"]),
+        p_by_epistemic=np.stack(out["p"]),
+        scenario_fails=fails,
+        sigma=cfg.sigma,
+        worst_case=cfg.worst_case,
+    )

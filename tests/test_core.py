@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from oracles import circle_requirement_stacked, circle_response_stacked
 from scendo import circle
 from scendo.core import (
     AlphaConfig,
@@ -141,6 +142,32 @@ def test_circle_requirement_hand_values():
     # zero perturbation reduces to the nominal circle
     assert circle.circle_requirement(theta, a, np.zeros(3)) == pytest.approx(0.0)
     assert circle.circle_objective(np.array([0.0, 0.0, 2.0])) == pytest.approx(4 * np.pi)
+
+
+# (theta, a, e) shapes the library hands the circle kernels: the program
+# grid, one analyze block, and the r_max probe of the containment tests
+_KERNEL_LAYOUTS = {
+    "program_grid": ((4, 1, 1, 3), (30, 1, 2), (1, 7, 3)),
+    "analyze_block": ((3,), (1, 50, 2), (6, 1, 3)),
+    "r_max_probe": ((3,), (2,), (9, 3)),
+}
+
+
+@pytest.mark.parametrize("layout", sorted(_KERNEL_LAYOUTS))
+def test_circle_kernels_match_stacked_formula_bit_for_bit(layout):
+    theta_shape, a_shape, e_shape = _KERNEL_LAYOUTS[layout]
+    rng = np.random.default_rng(5)
+    bounds = circle.DEFAULT_DESIGN_BOUNDS
+    theta = rng.uniform(bounds[:, 0], bounds[:, 1], size=theta_shape)
+    a = circle.sample_aleatory(int(np.prod(a_shape[:-1])), rng).reshape(a_shape)
+    e = circle.sample_epistemic(int(np.prod(e_shape[:-1])), rng).reshape(e_shape)
+    for kernel, stacked in (
+        (circle.circle_requirement, circle_requirement_stacked),
+        (circle.circle_response, circle_response_stacked),
+    ):
+        got, want = kernel(theta, a, e), stacked(theta, a, e)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
 
 def test_circle_dataset_determinism_and_support():

@@ -1,6 +1,10 @@
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from oracles import analyze_full_grid
 from scendo import circle
 from scendo.core import InputError, ProblemSpec, ScenarioData
 from scendo.ecdf import cdf_of
@@ -205,3 +209,66 @@ def test_analyze_rejects_wrong_shapes(circle_spec, tested_data, worst_case):
     )
     with pytest.raises(InputError, match="testing_aleatory"):
         analyze(circle_spec, np.array([0.3, 0.2, 2.0]), wide, cfg)
+
+
+def _rounded_stretched(th, a, e):
+    """The circle requirement on stretched points, rounded so rows tie."""
+    return np.round(circle.circle_requirement(th, 1.2 * a, e), 1)
+
+
+# (n_a', n_e', epistemic draws per requirement call): a 4 MiB block holds
+# 2**19 grid values, so 2**19 + 1 aleatory points give one-draw blocks and
+# 2**18 give two-draw blocks with a one-draw remainder
+_BLOCKINGS = {
+    "one_draw_blocks": (2**19 + 1, 3, [1, 1, 1]),
+    "remainder_block": (2**18, 5, [2, 2, 1]),
+    "single_block": (120, 9, [9]),
+}
+
+
+@pytest.mark.parametrize("worst_case", [False, True])
+@pytest.mark.parametrize("blocking", sorted(_BLOCKINGS))
+def test_streamed_analyze_matches_full_grid_oracle(circle_spec, blocking, worst_case):
+    n_a_test, n_e_test, expected_draws = _BLOCKINGS[blocking]
+    draws_per_call = []
+
+    def counted(th, a, e):
+        draws_per_call.append(e.shape[0])
+        return circle.circle_requirement(th, a, e)
+
+    spec = dataclasses.replace(circle_spec, requirements=[counted, _rounded_stretched])
+    data = circle.generate_dataset(3, 3, seed=4, n_a_test=n_a_test, n_e_test=n_e_test)
+    theta = np.array([0.3, 0.2, 2.5])
+    cfg = RmcConfig(
+        alpha_a=np.array([0.05, 0.0]),
+        alpha_e=np.array([0.0, 0.25]),
+        p_max=np.array([0.01, 0.2]),
+        worst_case=worst_case,
+    )
+    got = analyze(spec, theta, data, cfg)
+    assert draws_per_call == expected_draws
+    want = analyze_full_grid(spec, theta, data, cfg)
+    for field in dataclasses.fields(want):
+        g, w = getattr(got, field.name), getattr(want, field.name)
+        if isinstance(w, np.ndarray):
+            assert g.shape == w.shape and g.dtype == w.dtype, field.name
+            assert g.tobytes() == w.tobytes(), field.name
+        else:
+            assert g == w, field.name
+    # the rounded requirement ties within a row, so the tie shift ran
+    row = np.sort(_rounded_stretched(theta, data.testing_aleatory, data.testing_epistemic[0]))
+    assert np.any(row[1:] == row[:-1])
+
+
+def test_analyze_peak_memory_stays_below_one_grid(circle_spec):
+    # the sequential workload's testing grid: 20000 x 400 floats are 64 MB
+    data = circle.generate_dataset(3, 3, seed=2, n_a_test=20000, n_e_test=400)
+    theta = np.array([0.3, 0.2, 2.5])
+    analyze(circle_spec, theta, data, ZERO_CFG)  # warm
+    tracemalloc.start()
+    try:
+        analyze(circle_spec, theta, data, ZERO_CFG)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 20000 * 400 * 8

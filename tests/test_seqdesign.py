@@ -205,12 +205,14 @@ def test_run_sd_failed_feasibility_seed_stops_as_failed(circle_spec, monkeypatch
 @pytest.mark.parametrize("budgets", [None, np.array([3])], ids=["default", "fixed"])
 def test_run_sd_evaluates_each_testing_grid_once(circle_spec, budgets):
     data = circle.generate_dataset(4, 4, seed=2, n_a_test=400, n_e_test=20)
-    full = (data.n_a_test, data.n_e_test)  # training grids stay below the caps
+    # analyze's (draws, n_a') layout, all 20 draws in one block; the training
+    # grids and the epistemic ranking's subset stay below n_a' in any layout
+    full = (data.n_e_test, data.n_a_test)
     grids = []
 
     def counted(theta, a, e):
         vals = circle.circle_requirement(theta, a, e)
-        if np.shape(vals)[-2:] == full:
+        if data.n_a_test in np.shape(vals):
             grids.append(np.shape(vals))
         return vals
 
