@@ -20,7 +20,10 @@ solver n_starts or max_inner below 1, an sd.baseline of the wrong length,
 a data file whose column count is not the problem's m_a or m_e, and an unknown or
 wrong-typed problem parameter are input errors.  Exit codes: 0 ok, 2 input error, 3 infeasible, 4 specification
 not met, 5 numerical failure (a non-finite merit value, a failed
-leave-one-out solve).  The environment variable
+leave-one-out solve).  A training solve of ``sequential`` that raises
+exits 2 or 5 like ``solve`` and writes no outputs.  Any other exception
+ends the command with exit 1 and a traceback: a bug in scendo or in a
+problem callable.  The environment variable
 SCENDO_LOG in {error, info, debug} controls log verbosity.  All commands
 are deterministic given (config, seed); every JSON report embeds the
 config hash and the tool version.
@@ -442,7 +445,7 @@ def cmd_sequential(args) -> int:
             data.testing_aleatory,
             data.testing_epistemic,
         )
-        alphas = AlphaConfig.uniform(spec.n_r, alpha_e=sd_cfg.alpha_e, rho=sd_cfg.rho)
+        alphas = AlphaConfig.uniform(spec.n_r, alpha_e=sd_cfg.alpha_e)
         baseline = solve_program(
             FormulationTag.RISK_AGNOSTIC_LOCAL, spec, train, alphas, opts, bundle.response
         ).theta_star

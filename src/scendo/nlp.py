@@ -17,8 +17,10 @@ TOL_CON = 1e-6 and its last stage moved x by at most TOL_X = 1e-8.
 Gradients come from central finite differences with per-coordinate steps
 FD_STEP * max(1, |x_i|), FD_STEP = 1e-6.  Only the number of starts, the
 L-BFGS-B iterations per stage and the seed are options (``NlpOptions``).
-Everything is deterministic given the seed; the starts run one after
-another and are reduced in a fixed order.
+A problem carries its starts; ``latin_hypercube`` is the one recipe that
+draws them, from the number of starts and the seed.  Everything is
+deterministic given the starts; they run one after another and are
+reduced in a fixed order.
 
 Problems are stated only through batch callables, which map a (B, dim)
 stack of points to B rows of results.  Batch contract: row i of the result
@@ -42,7 +44,7 @@ from __future__ import annotations
 
 from contextvars import ContextVar
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 from scipy.optimize import minimize as _scipy_minimize
@@ -65,7 +67,7 @@ TOL_CON = 1e-6
 @dataclass
 class NlpOptions:
     max_inner: int = 300  # L-BFGS-B iterations per penalty stage
-    n_starts: int = 8
+    n_starts: int = 8  # points latin_hypercube draws
     seed: int = 0
 
     def __post_init__(self):
@@ -82,14 +84,16 @@ class NlpProblem:
     objective values and ``constraints_batch`` to the (B, n_con) constraint
     residuals; n_con may be 0.  Both must keep the batch contract: row i
     of the result depends only on row i of the input and is bit-identical
-    to evaluating that row alone.
+    to evaluating that row alone.  ``starts`` is the (n, dim) stack of
+    points the multi-start runs from, one solve per row; it must be
+    non-empty and lie inside ``bounds``.
     """
 
     dim: int
     objective_batch: Callable[[Array], Array]
     constraints_batch: Callable[[Array], Array]
     bounds: Array  # (dim, 2), +-inf allowed
-    x0_list: Sequence[Array] = ()
+    starts: Array  # (n, dim)
 
 
 @dataclass
@@ -100,8 +104,11 @@ class NlpResult:
     diagnostics: dict = field(default_factory=dict)
 
 
-def latin_hypercube(bounds: Array, n: int, rng: np.random.Generator) -> Array:
-    """n stratified points in the box; infinite sides are clipped to ±1e3."""
+def latin_hypercube(bounds: Array, opts: NlpOptions) -> Array:
+    """``opts.n_starts`` stratified points in the box, drawn from a generator
+    seeded by ``opts.seed``; infinite sides are clipped to ±1e3."""
+    rng = np.random.default_rng(opts.seed)
+    n = opts.n_starts
     bounds = np.asarray(bounds, dtype=float)
     lo = np.where(np.isfinite(bounds[:, 0]), bounds[:, 0], -1e3)
     hi = np.where(np.isfinite(bounds[:, 1]), bounds[:, 1], 1e3)
@@ -206,7 +213,7 @@ _TAPE: ContextVar = ContextVar("scendo_nlp_tape", default=None)
 
 
 def minimize(problem: NlpProblem, opts: Optional[NlpOptions] = None) -> NlpResult:
-    """Best point over all starts; deterministic given (problem, options, seed).
+    """Best point over the problem's starts; deterministic given problem and options.
 
     Status "converged" requires the final constraint violation <= TOL_CON
     and outer-step stagnation <= TOL_X; a feasible point without
@@ -223,13 +230,12 @@ def minimize(problem: NlpProblem, opts: Optional[NlpOptions] = None) -> NlpResul
 
 
 def _solve(problem: NlpProblem, opts: NlpOptions) -> NlpResult:
-    rng = np.random.default_rng(opts.seed)
-    starts = [np.asarray(x, dtype=float) for x in problem.x0_list]
-    for x in starts:
-        if np.any(x < problem.bounds[:, 0] - 1e-12) or np.any(x > problem.bounds[:, 1] + 1e-12):
-            raise InputError("start point outside bounds")
-    if len(starts) < opts.n_starts:
-        starts.extend(latin_hypercube(problem.bounds, opts.n_starts - len(starts), rng))
+    starts = np.asarray(problem.starts, dtype=float)
+    lo, hi = problem.bounds[:, 0], problem.bounds[:, 1]
+    if starts.ndim != 2 or len(starts) == 0 or starts.shape[1] != problem.dim:
+        raise InputError(f"starts must be a non-empty (n, {problem.dim}) stack, got {starts.shape}")
+    if np.any(starts < lo - 1e-12) or np.any(starts > hi + 1e-12):
+        raise InputError("start point outside bounds")
 
     runs = [_solve_one_start(problem, opts, s) for s in starts]
 

@@ -129,20 +129,19 @@ def _minimize(
     """The one NLP of every program: x = (theta, aux) over the design box
     stacked on ``aux_bounds``.
 
-    The design starts are ``opts.n_starts`` Latin-hypercube draws seeded by
-    ``opts.seed``; ``aux_starts`` maps their (n_starts, m_theta) stack to
-    the (n_starts, n_aux) auxiliary starts.  ``nlp.minimize`` is looked up
+    The design starts are ``nlp.latin_hypercube`` of the design box;
+    ``aux_starts`` maps their (n_starts, m_theta) stack to the
+    (n_starts, n_aux) auxiliary starts.  ``nlp.minimize`` is looked up
     at call time, so rebinding that module attribute reaches every program.
     """
     opts = opts or nlp.NlpOptions()
-    rng = np.random.default_rng(opts.seed)
-    theta0 = nlp.latin_hypercube(spec.design_bounds, opts.n_starts, rng)
-    aux0 = np.empty((opts.n_starts, 0)) if aux_starts is None else aux_starts(theta0)
+    theta0 = nlp.latin_hypercube(spec.design_bounds, opts)
+    aux0 = np.empty((len(theta0), 0)) if aux_starts is None else aux_starts(theta0)
     bounds = np.vstack([spec.design_bounds, aux_bounds])
     problem = nlp.NlpProblem(
         dim=bounds.shape[0],
         bounds=bounds,
-        x0_list=list(np.hstack([theta0, aux0])),
+        starts=np.hstack([theta0, aux0]),
         objective_batch=objective_batch,
         constraints_batch=constraints_batch,
     )
@@ -341,12 +340,15 @@ def _design_objective(spec: ProblemSpec):
 
 
 def _attach_alpha_suggestion(spec, data, cfg, opts, result: SolveResult, variant: str) -> SolveResult:
+    """An infeasible result with the feasibility seed's alpha_a attached; a
+    numerical failure of the seed is recorded as ``alpha_suggestion_error``
+    instead, and any other exception propagates."""
     if result.solver_status != "infeasible":
         return result
     try:
         seed = solve_feasibility_seed(spec, data, cfg, variant=variant, opts=opts)
         result.diagnostics["suggested_alpha_a"] = seed.alpha_a_lower
-    except Exception as exc:  # the suggestion is best-effort; the cause is kept
+    except (ArithmeticError, RuntimeError) as exc:
         cause = f"{type(exc).__name__}: {exc}"
         logger.warning("alpha_a suggestion failed: %s", cause, exc_info=True)
         result.diagnostics["alpha_suggestion_error"] = cause

@@ -44,11 +44,11 @@ _TAPE_BYTES = 4 << 20
 
 def _problem_key(problem: NlpProblem, opts: NlpOptions) -> tuple:
     """Everything besides the callables' values that a solve depends on."""
-    bounds = np.asarray(problem.bounds)
+    bounds, starts = np.asarray(problem.bounds), np.asarray(problem.starts)
     return (
         problem.dim,
         (bounds.dtype.str, bounds.shape, bounds.tobytes()),
-        tuple(np.asarray(x, dtype=float).tobytes() for x in problem.x0_list),
+        (starts.dtype.str, starts.shape, starts.tobytes()),
         astuple(opts),
     )
 

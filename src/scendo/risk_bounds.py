@@ -158,8 +158,10 @@ def support_scenarios(solver: Callable, data: ScenarioData) -> Array:
 
     Needs n_a >= 3, so that every leave-one-out set keeps two scenarios;
     fewer raise InputError before any solve.  A leave-one-out solve's
-    InputError is raised again as an InputError naming the scenario; any
-    other exception becomes a RuntimeError naming the scenario and the cause.
+    InputError is raised again as an InputError naming the scenario, and a
+    numerical failure (ArithmeticError, RuntimeError) as a RuntimeError
+    naming the scenario and the cause; any other exception, such as a
+    TypeError from a broken requirement, propagates unchanged.
     Results with a ``solver_status`` other than "converged" are named in
     one warning; they still count by their design.
     """
@@ -186,7 +188,7 @@ def support_scenarios(solver: Callable, data: ScenarioData) -> Array:
             theta_i = design_of(out)
         except InputError as exc:
             raise InputError(f"leave-one-out solve for scenario {i}: {exc}") from exc
-        except Exception as exc:
+        except (ArithmeticError, RuntimeError) as exc:
             raise RuntimeError(
                 f"leave-one-out solve failed for scenario {i}: {type(exc).__name__}: {exc}"
             ) from exc
@@ -324,15 +326,12 @@ def _box_containment_problem(spec, theta, a, eset, e_bounds, margin, opts):
     def obj_any(x):
         return np.asarray(x, float)[..., m]
 
-    rng = np.random.default_rng(opts.seed)
-    e0 = nlp.latin_hypercube(e_bounds, opts.n_starts, rng)
+    e0 = nlp.latin_hypercube(e_bounds, opts)
     s0 = np.maximum(eset.norm(e0) / max(eset.radius, 1e-300), 1e-3)
-    starts = np.hstack([e0, s0[:, None]])
-    bounds = np.vstack([e_bounds, [[0.0, margin]]])
     return nlp.NlpProblem(
         dim=m + 1,
-        bounds=bounds,
-        x0_list=list(starts),
+        bounds=np.vstack([e_bounds, [[0.0, margin]]]),
+        starts=np.hstack([e0, s0[:, None]]),
         objective_batch=obj_any,
         constraints_batch=cons_any,
     )
@@ -350,12 +349,10 @@ def _ellipsoid_containment_problem(spec, theta, a, eset, e_bounds, opts):
         g0 = ACTIVE_EPS - r_max(spec, theta, a, np.asarray(x, float))
         return g0[..., None]
 
-    rng = np.random.default_rng(opts.seed)
-    starts = nlp.latin_hypercube(e_bounds, opts.n_starts, rng)
     return nlp.NlpProblem(
         dim=m,
         bounds=e_bounds,
-        x0_list=list(starts),
+        starts=nlp.latin_hypercube(e_bounds, opts),
         objective_batch=obj_any,
         constraints_batch=cons_any,
     )

@@ -64,8 +64,7 @@ class SdConfig:
     density: Optional[Callable] = None  # None: constant likelihood
     budgets: Optional[Array] = None  # None: scale testing violation counts
     program: str = "risk_agnostic_local"
-    rho: float = 1e6
-    seed: int = 0
+    seed: int = 0  # solver seed, used only when run_sd gets no opts
 
     def __post_init__(self):
         if self.max_iter < 1:
@@ -96,7 +95,7 @@ class SdRecord:
 class SdTrace:
     records: List[SdRecord] = field(default_factory=list)
     met_spec: bool = False
-    failed: bool = False
+    failed: bool = False  # a training solve stayed infeasible
 
     def __len__(self) -> int:
         return len(self.records)
@@ -269,7 +268,7 @@ def select_training_aleatory(
 
     # principal axes of the full testing cloud, fixed for this selection
     centered = points - points.mean(axis=0)
-    _, vecs = np.linalg.eigh(np.cov(centered, rowvar=False))
+    _, vecs = np.linalg.eigh(np.atleast_2d(np.cov(centered, rowvar=False)))
     pc = centered @ vecs
 
     builds = [_greedy_build(c, budgets, pc, like, gamma, lambda_div, n_a_target)]
@@ -346,9 +345,7 @@ def select_training_epistemic(
 
 
 def _solve_program(spec, train, cfg, alpha_a, opts):
-    alphas = AlphaConfig(
-        np.minimum(alpha_a, 0.9), np.full(spec.n_r, cfg.alpha_e), rho=cfg.rho
-    )
+    alphas = AlphaConfig(np.minimum(alpha_a, 0.9), np.full(spec.n_r, cfg.alpha_e))
     if cfg.program == "feasibility_seed":
         seed = solve_feasibility_seed(spec, train, alphas, opts=opts)
         return seed.theta_star, np.maximum(alpha_a, seed.alpha_a_lower), seed.solver_status
@@ -363,9 +360,7 @@ def _solve_program(spec, train, cfg, alpha_a, opts):
         if suggestion is not None:
             bumped = np.maximum(alpha_a, np.asarray(suggestion, float) + 1e-6)
             logger.info("infeasible at alpha_a=%s; retrying at %s", alpha_a, bumped)
-            alphas = AlphaConfig(
-                np.minimum(bumped, 0.9), np.full(spec.n_r, cfg.alpha_e), rho=cfg.rho
-            )
+            alphas = AlphaConfig(np.minimum(bumped, 0.9), np.full(spec.n_r, cfg.alpha_e))
             result = solver(spec, train, alphas, opts)
             alpha_a = bumped
     return result.theta_star, alpha_a, result.solver_status
@@ -383,7 +378,8 @@ def run_sd(
     The trace has one record per evaluated design.  ``met_spec`` reports
     whether the loop stopped because the metric and objective bound were
     both satisfied (rather than by exhausting max_iter), and ``failed``
-    marks an unrecoverable solver failure.
+    that a training solve stayed infeasible.  An exception of a training
+    solve propagates; no trace is returned then.
     """
     data.require_testing()
     opts = opts or nlp.NlpOptions(seed=cfg.seed)
@@ -435,12 +431,7 @@ def run_sd(
             data.testing_aleatory,
             data.testing_epistemic,
         )
-        try:
-            theta, alpha_a, status = _solve_program(spec, train, cfg, alpha_a, opts)
-        except Exception:
-            logger.exception("sequential design solve failed at iteration %d", it)
-            trace.failed = True
-            return theta, trace
+        theta, alpha_a, status = _solve_program(spec, train, cfg, alpha_a, opts)
         if status == "infeasible":
             logger.warning("iteration %d stayed infeasible; stopping", it)
             trace.failed = True

@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import json
 import re
@@ -8,8 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scendo import circle, cli, nlp, programs
-from scendo.core import AlphaConfig, ProblemBundle, ProblemSpec, register_problem
+from scendo import circle, cli, nlp, programs, seqdesign
+from scendo.core import AlphaConfig, InputError, ProblemBundle, ProblemSpec, register_problem
 from scendo.circle import epistemic_box
 from scendo.montecarlo import RmcConfig
 from scendo.seqdesign import SdConfig
@@ -95,16 +96,18 @@ def test_solve_both_data_sources_exit_2(tmp_path):
     assert cli.main(["solve", "--config", str(cfg)]) == 2
 
 
-def _one_dim_config(tmp_path: Path, problem: str) -> Path:
-    """Config of a 1-D problem on five scenarios, one of them at a = 1000."""
+def _one_dim_config(tmp_path: Path, problem: str, testing: bool = False, **overrides) -> Path:
+    """Config of a 1-D problem on five scenarios, one of them at a = 1000;
+    with ``testing`` the same scenarios are the testing sets too."""
     a_csv = tmp_path / "a.csv"
     a_csv.write_text("a1\n0.5\n1000.0\n0.2\n0.1\n0.4\n")
     e_csv = tmp_path / "e.csv"
     e_csv.write_text("e1\n0.0\n0.0\n")
+    files = {"aleatory": str(a_csv), "epistemic": str(e_csv)}
+    if testing:
+        files.update(testing_aleatory=str(a_csv), testing_epistemic=str(e_csv))
     return _write_config(
-        tmp_path / "cfg.json",
-        problem={"name": problem},
-        data={"files": {"aleatory": str(a_csv), "epistemic": str(e_csv)}},
+        tmp_path / "cfg.json", problem={"name": problem}, data={"files": files}, **overrides
     )
 
 
@@ -337,6 +340,62 @@ def test_runtime_error_exit_5(tmp_path, capsys, monkeypatch):
     assert capsys.readouterr().err == "error: RuntimeError: leave-one-out solve failed for scenario 3\n"
 
 
+def test_sequential_training_solve_nan_exit_5(tmp_path, capsys):
+    # the baseline is given, so the first solve that meets the NaN objective
+    # is a training solve of the loop
+    cfg = _one_dim_config(
+        tmp_path, "cli_test_nan", testing=True,
+        sd={"baseline": [0.5], "max_iter": 2, "n_a_init": 3, "n_e_init": 2},
+    )
+    assert cli.main(["sequential", "--config", str(cfg)]) == 5
+    assert capsys.readouterr().err == (
+        "error: ArithmeticError: non-finite merit value at finite-difference probe of coordinate 0\n"
+    )
+    assert not (tmp_path / "out" / "sd_trace.csv").exists()
+    assert not (tmp_path / "out" / "design.json").exists()
+
+
+def test_sequential_training_solve_input_error_exit_2(tmp_path, capsys, monkeypatch):
+    def failing_solve(*args, **kwargs):
+        raise InputError("no design on these scenarios")
+
+    monkeypatch.setattr(seqdesign, "solve_risk_agnostic_local", failing_solve)
+    cfg = _write_config(
+        tmp_path / "cfg.json", data=_TESTED_DATA,
+        sd={"baseline": [0.5, 0.3, 6.0], "max_iter": 2, "n_a_init": 6, "n_e_init": 4,
+            "j_bound": -1.0},
+    )
+    assert cli.main(["sequential", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == "error: no design on these scenarios\n"
+    assert not (tmp_path / "out" / "sd_trace.csv").exists()
+
+
+def _broad_handlers(tree: ast.AST, scope: str = ""):
+    """(scope, line) of every bare ``except:`` and every handler naming
+    Exception or BaseException, with scope the dotted class/function path."""
+    for node in ast.iter_child_nodes(tree):
+        inner = scope
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            inner = f"{scope}.{node.name}" if scope else node.name
+        if isinstance(node, ast.ExceptHandler):
+            caught = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+            if any(c is None or (isinstance(c, ast.Name) and c.id in ("Exception", "BaseException"))
+                   for c in caught):
+                yield scope, node.lineno
+        yield from _broad_handlers(node, inner)
+
+
+def test_library_catches_no_broad_exception_but_in_the_replay_screen():
+    src = Path(cli.__file__).resolve().parent
+    found = {
+        f"{path.stem}:{scope}:{line}"
+        for path in sorted(src.glob("*.py"))
+        for scope, line in _broad_handlers(ast.parse(path.read_text()))
+    }
+    screen = {f for f in found if f.startswith("replay:_Entry.replays:")}
+    assert len(screen) == 1 and found == screen, sorted(found)
+
+
 #: data with testing sets, for the verbs that need them
 _TESTED_DATA = {"generate": {"n_a": 6, "n_e": 4, "seed": 2, "n_a_test": 50, "n_e_test": 5}}
 
@@ -367,15 +426,22 @@ _REMOVED_SOLVER_KEYS = {
     "penalty_init": 10.0, "penalty_growth": 10.0, "penalty_max": 1e9, "fd_step": 1e-6,
     "max_outer": 12, "tol_x": 1e-8, "tol_con": 1e-6,
 }
-_UNKNOWN_KEYS = _MISSPELLED + [
+#: keys the sd section rejects though SdConfig once had them, at their old
+#: defaults: no program the loop runs reads the slack penalty rho
+_REMOVED_SD_KEYS = {"rho": 1e6}
+_REMOVED = [
     ("solver", "solve", {"solver": {key: value}}, key) for key, value in _REMOVED_SOLVER_KEYS.items()
+] + [
+    ("sd", "sequential", {"data": _TESTED_DATA, "sd": {key: value}}, key)
+    for key, value in _REMOVED_SD_KEYS.items()
 ]
+_UNKNOWN_KEYS = _MISSPELLED + _REMOVED
 
 
 @pytest.mark.parametrize(
     "section,verb,overrides,bad",
     _UNKNOWN_KEYS,
-    ids=[case[0] for case in _MISSPELLED] + [f"solver.{key}" for key in _REMOVED_SOLVER_KEYS],
+    ids=[case[0] for case in _MISSPELLED] + [f"{case[0]}.{case[3]}" for case in _REMOVED],
 )
 def test_unknown_config_key_exit_2(tmp_path, capsys, section, verb, overrides, bad):
     cfg = _write_config(tmp_path / "cfg.json", **overrides)

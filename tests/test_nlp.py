@@ -11,21 +11,25 @@ def _no_constraints(X):
 
 
 def test_unconstrained_quadratic():
+    bounds, opts = np.array([[-1.0, 1.0]]), nlp.NlpOptions(seed=0)
     p = nlp.NlpProblem(dim=1, objective_batch=lambda X: X[:, 0] ** 2,
-                       constraints_batch=_no_constraints, bounds=np.array([[-1.0, 1.0]]))
-    res = nlp.minimize(p, nlp.NlpOptions(seed=0))
+                       constraints_batch=_no_constraints, bounds=bounds,
+                       starts=nlp.latin_hypercube(bounds, opts))
+    res = nlp.minimize(p, opts)
     assert res.status == "converged"
     assert abs(res.f) < 1e-5
 
 
 def test_active_linear_constraint():
+    bounds, opts = np.array([[0.0, 5.0]]), nlp.NlpOptions(seed=0)
     p = nlp.NlpProblem(
         dim=1,
         objective_batch=lambda X: X[:, 0],
         constraints_batch=lambda X: 1.0 - X[:, :1],
-        bounds=np.array([[0.0, 5.0]]),
+        bounds=bounds,
+        starts=nlp.latin_hypercube(bounds, opts),
     )
-    res = nlp.minimize(p, nlp.NlpOptions(seed=0))
+    res = nlp.minimize(p, opts)
     assert res.status == "converged"
     assert res.f == pytest.approx(1.0, abs=1e-5)
 
@@ -38,13 +42,15 @@ def test_minimal_enclosing_circle_matches_welzl():
         d2 = np.sum((X[..., None, :2] - pts) ** 2, axis=-1)
         return d2 - X[..., None, 2] ** 2
 
+    bounds, opts = np.array([[-5.0, 5.0], [-5.0, 5.0], [0.0, 5.0]]), nlp.NlpOptions(seed=3)
     p = nlp.NlpProblem(
         dim=3,
-        bounds=np.array([[-5.0, 5.0], [-5.0, 5.0], [0.0, 5.0]]),
+        bounds=bounds,
         objective_batch=lambda X: np.pi * np.asarray(X)[..., 2] ** 2,
         constraints_batch=cons,
+        starts=nlp.latin_hypercube(bounds, opts),
     )
-    res = nlp.minimize(p, nlp.NlpOptions(seed=3))
+    res = nlp.minimize(p, opts)
     center, radius = welzl_circle(pts)
     assert np.allclose(center, [1.0, 0.0], atol=1e-4)
     assert radius == pytest.approx(1.0, abs=1e-9)
@@ -60,27 +66,31 @@ def test_determinism_bit_identical():
         d2 = np.sum((X[..., None, :2] - rng_pts) ** 2, axis=-1)
         return d2 - X[..., None, 2] ** 2
 
+    bounds, opts = np.array([[-5.0, 5.0], [-5.0, 5.0], [0.0, 8.0]]), nlp.NlpOptions(seed=1)
     p = nlp.NlpProblem(
         dim=3,
-        bounds=np.array([[-5.0, 5.0], [-5.0, 5.0], [0.0, 8.0]]),
+        bounds=bounds,
         constraints_batch=cons,
         objective_batch=lambda X: np.asarray(X)[..., 2] ** 2,
+        starts=nlp.latin_hypercube(bounds, opts),
     )
-    r1 = nlp.minimize(p, nlp.NlpOptions(seed=1))
-    r2 = nlp.minimize(p, nlp.NlpOptions(seed=1))
+    r1 = nlp.minimize(p, opts)
+    r2 = nlp.minimize(p, opts)
     assert np.array_equal(r1.x, r2.x)
     assert r1.f == r2.f
 
 
 def test_penalty_infeasibility_is_monotone():
     # recorded per-stage violations should not increase on this instance
+    bounds, opts = np.array([[0.0, 10.0], [0.0, 10.0]]), nlp.NlpOptions(seed=2)
     p = nlp.NlpProblem(
         dim=2,
         objective_batch=lambda X: X[:, 0] + X[:, 1],
         constraints_batch=lambda X: np.stack([4.0 - X[:, 0] * X[:, 1], 1.0 - X[:, 0]], axis=-1),
-        bounds=np.array([[0.0, 10.0], [0.0, 10.0]]),
+        bounds=bounds,
+        starts=nlp.latin_hypercube(bounds, opts),
     )
-    res = nlp.minimize(p, nlp.NlpOptions(seed=2))
+    res = nlp.minimize(p, opts)
     hist = res.diagnostics["viol_history"]
     assert all(b <= a + 1e-12 for a, b in zip(hist, hist[1:]))
     assert res.diagnostics["violation"] <= 1e-8
@@ -88,24 +98,31 @@ def test_penalty_infeasibility_is_monotone():
 
 def test_failed_status_when_infeasible():
     # contradictory constraints: x <= -1 and x >= 1 on [-5, 5]
+    bounds, opts = np.array([[-5.0, 5.0]]), nlp.NlpOptions(seed=0)
     p = nlp.NlpProblem(
         dim=1,
         objective_batch=lambda X: X[:, 0] ** 2,
         constraints_batch=lambda X: np.stack([X[:, 0] + 1.0, 1.0 - X[:, 0]], axis=-1),
-        bounds=np.array([[-5.0, 5.0]]),
+        bounds=bounds,
+        starts=nlp.latin_hypercube(bounds, opts),
     )
-    res = nlp.minimize(p, nlp.NlpOptions(seed=0))
+    res = nlp.minimize(p, opts)
     assert res.status == "failed"
     assert res.diagnostics["violation"] > 0.1
 
 
-def test_start_point_outside_bounds_rejected():
+@pytest.mark.parametrize(
+    "starts",
+    [np.empty((0, 1)), np.full((1, 2), 0.5), np.array([[2.0]])],
+    ids=["empty", "wrong-width", "outside-bounds"],
+)
+def test_start_point_outside_bounds_rejected(starts):
     p = nlp.NlpProblem(
         dim=1,
         objective_batch=lambda X: X[:, 0] ** 2,
         constraints_batch=_no_constraints,
         bounds=np.array([[0.0, 1.0]]),
-        x0_list=[np.array([2.0])],
+        starts=starts,
     )
     with pytest.raises(InputError):
         nlp.minimize(p)
@@ -115,7 +132,7 @@ def _fd_gradient(f_batch, x):
     """Central-difference gradient of an unconstrained batch objective."""
     bounds = np.tile([-np.inf, np.inf], (x.size, 1))
     problem = nlp.NlpProblem(dim=x.size, objective_batch=f_batch,
-                             constraints_batch=_no_constraints, bounds=bounds)
+                             constraints_batch=_no_constraints, bounds=bounds, starts=x[None])
     return nlp._batch_fd_gradient(nlp._make_batch_penalty(problem), x, 1.0, 1e-6)[1]
 
 
@@ -136,8 +153,7 @@ def test_fd_gradient_reports_bad_coordinate():
 
 
 def test_latin_hypercube_stratified():
-    rng = np.random.default_rng(0)
-    pts = nlp.latin_hypercube(np.array([[0.0, 1.0], [10.0, 20.0]]), 8, rng)
+    pts = nlp.latin_hypercube(np.array([[0.0, 1.0], [10.0, 20.0]]), nlp.NlpOptions(n_starts=8, seed=0))
     assert pts.shape == (8, 2)
     assert np.all(pts[:, 0] >= 0) and np.all(pts[:, 0] <= 1)
     # one point per stratum along each axis

@@ -174,8 +174,9 @@ def test_feasibility_seed_contradictory_scenario():
     assert alpha[0] == pytest.approx(best, abs=5e-3)
 
 
-def test_failed_alpha_suggestion_is_recorded(monkeypatch, caplog):
-    # the second scenario is unreachable, so the program is infeasible
+def _unreachable_program():
+    """1-D spec and data whose second scenario no design satisfies, so the
+    risk-agnostic program at alpha_a = 0 is infeasible."""
     spec = ProblemSpec(
         objective=lambda th: th[..., 0],
         requirements=[lambda th, a, e: a[..., 0] - th[..., 0] + 0.0 * e[..., 0]],
@@ -183,7 +184,11 @@ def test_failed_alpha_suggestion_is_recorded(monkeypatch, caplog):
         m_a=1,
         m_e=1,
     )
-    data = ScenarioData(np.array([[0.5], [1000.0], [0.2], [0.1], [0.4]]), np.zeros((2, 1)))
+    return spec, ScenarioData(np.array([[0.5], [1000.0], [0.2], [0.1], [0.4]]), np.zeros((2, 1)))
+
+
+def test_failed_alpha_suggestion_is_recorded(monkeypatch, caplog):
+    spec, data = _unreachable_program()
 
     def broken_seed(*args, **kwargs):
         raise RuntimeError("seed solver exploded")
@@ -195,6 +200,18 @@ def test_failed_alpha_suggestion_is_recorded(monkeypatch, caplog):
     assert res.diagnostics["alpha_suggestion_error"] == "RuntimeError: seed solver exploded"
     assert "suggested_alpha_a" not in res.diagnostics
     assert "RuntimeError: seed solver exploded" in caplog.text
+
+
+def test_alpha_suggestion_lets_a_seed_type_error_through(monkeypatch):
+    # a TypeError is a bug, not a numerical failure: it is not recorded
+    spec, data = _unreachable_program()
+
+    def broken_seed(*args, **kwargs):
+        raise TypeError("seed got a bad argument")
+
+    monkeypatch.setattr(programs, "solve_feasibility_seed", broken_seed)
+    with pytest.raises(TypeError, match="^seed got a bad argument$"):
+        solve_risk_agnostic_local(spec, data, AlphaConfig.uniform(1), OPTS)
 
 
 def test_risk_averse_global_survives_saturated_slacks(circle_spec):

@@ -277,6 +277,22 @@ def test_no_tape_is_active_after_support_scenarios_returns_or_raises():
     check_cold()
 
 
+def test_leave_one_out_type_error_propagates_unchanged():
+    data = ScenarioData(np.array([[0.3], [0.8], [0.5], [0.1]]), np.zeros((2, 1)))
+    solver = _counted_solver([])
+    cause = TypeError("requirement takes 3 arguments")
+
+    def broken(d):
+        if d.n_a < data.n_a:
+            raise cause
+        return solver(d)
+
+    with pytest.raises(TypeError) as info:
+        support_scenarios(broken, data)
+    assert info.value is cause
+    assert nlp._TAPE.get() is None
+
+
 def test_too_few_scenarios_to_leave_one_out_raise_input_error_before_solving():
     data = ScenarioData(np.array([[0.3], [0.8]]), np.zeros((1, 1)))
     calls = []
