@@ -47,6 +47,21 @@ class RiskBoundReport:
     beta: float
     containment_test: str
     valid: bool = True  # False when training data was not IID
+    #: max-norm distance between the design the support set was measured
+    #: against (the solver's re-solve of the full data) and the design under
+    #: analysis; None for moment programs, which skip the re-solve
+    design_distance: Optional[float] = None
+
+    @property
+    def validity(self) -> str:
+        """"not-valid-non-iid" for non-IID training data, else
+        "not-reproduced" when the re-solve lies more than TOL_SUPPORT from
+        the design under analysis, else "valid"."""
+        if not self.valid:
+            return "not-valid-non-iid"
+        if self.design_distance is not None and self.design_distance > TOL_SUPPORT:
+            return "not-reproduced"
+        return "valid"
 
     def to_dict(self) -> dict:
         return {
@@ -56,7 +71,8 @@ class RiskBoundReport:
             "epsilon_bar": self.epsilon_bar,
             "beta": self.beta,
             "containment_test": self.containment_test,
-            "validity": "valid" if self.valid else "not-valid-non-iid",
+            "design_distance": self.design_distance,
+            "validity": self.validity,
         }
 
 
@@ -136,6 +152,11 @@ def epsilon_bar(n_a: int, k: int, beta: float) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _design_of(out) -> Array:
+    """The design of a solver output: a SolveResult or a design vector."""
+    return np.asarray(getattr(out, "theta_star", out), dtype=float)
+
+
 def support_scenarios(solver: Callable, data: ScenarioData) -> Array:
     """Leave-one-out support set of a deterministic scenario solver.
 
@@ -175,17 +196,14 @@ def support_scenarios(solver: Callable, data: ScenarioData) -> Array:
     # by about 0.5 MB, with bytecode caching off)
     from scendo import replay
 
-    def design_of(out) -> Array:
-        return np.asarray(getattr(out, "theta_star", out), dtype=float)
-
     with replay.recording_tape() as tape:
-        base = design_of(solver(data))
+        base = _design_of(solver(data))
     support, resolved, unconverged = [], [], []
     for i in range(data.n_a):
         try:
             with replay.replaying_tape(tape) as replayed:
                 out = solver(data.drop_aleatory(i))
-            theta_i = design_of(out)
+            theta_i = _design_of(out)
         except InputError as exc:
             raise InputError(f"leave-one-out solve for scenario {i}: {exc}") from exc
         except (ArithmeticError, RuntimeError) as exc:
@@ -431,12 +449,36 @@ def risk_bound(
 ) -> RiskBoundReport:
     """Full report: complexity counts plus the epsilon_bar bound.  Set
     ``iid=False`` for designs trained on sequentially assembled data; the
-    bound is still reported but flagged not valid."""
+    bound is still reported but flagged not valid.
+
+    The support set is measured against the solver's re-solve of the full
+    data, and the bound holds for that design.  The report carries its
+    max-norm distance from ``theta_star``; above TOL_SUPPORT the bound does
+    not certify ``theta_star``, the validity reads "not-reproduced" and a
+    warning names the distance.
+    """
+    theta_star = np.asarray(theta_star, dtype=float)
+    resolved = []
+
+    def recording(d: ScenarioData):
+        out = solver(d)
+        if d is data:  # the re-solve; each leave-one-out set is a new object
+            resolved.append(_design_of(out))
+        return out
+
     n_s, n_v, s, name = set_complexity(
-        spec, solver, data, theta_star, eset, containment, moment, n_probe, seed,
+        spec, recording, data, theta_star, eset, containment, moment, n_probe, seed,
     )
+    distance = float(np.max(np.abs(resolved[0] - theta_star))) if resolved else None
+    if distance is not None and distance > TOL_SUPPORT:
+        logger.warning(
+            "the re-solved design lies %.3g (max norm) from the design under analysis, "
+            "above %g: the risk bound does not certify that design",
+            distance, TOL_SUPPORT,
+        )
     eps = epsilon_bar(data.n_a, s, beta)
     return RiskBoundReport(
         n_support=n_s, n_violation=n_v, set_complexity=s,
         epsilon_bar=eps, beta=beta, containment_test=name, valid=iid,
+        design_distance=distance,
     )

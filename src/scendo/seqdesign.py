@@ -13,9 +13,13 @@ b_k currently-failing scenarios per requirement, read from the analysis
 report's ``scenario_fails`` table (they pull the success domain where it
 helps the most), with the remaining slots filled for likelihood and
 spatial diversity (log-determinant of the selected covariance in the
-principal axes of the full testing cloud).  Epistemic training scenarios
-are the testing draws with the largest worst-case requirement over the
-selected aleatory points.
+principal axes of the full testing cloud).  Each greedy pick scores every
+candidate's log-determinant by a rank-one update of the selection's
+covariance (matrix determinant lemma, as in fast greedy MAP inference for
+determinantal point processes), and 1-swaps then search within groups of
+equal violation patterns, formed once per selection.  Epistemic training
+scenarios are the testing draws with the largest worst-case requirement
+over the selected aleatory points.
 
 Training sets assembled this way are not IID draws, so the scenario risk
 bound does not apply to the designs this loop produces; reports flag that.
@@ -126,28 +130,24 @@ def default_budgets(c: Array, n_a_target: int) -> Array:
 _COV_JITTER = 1e-9
 
 
-def _logdet_cov(points: Array) -> float:
-    if points.shape[0] < 2:
-        return 0.0
-    cov = np.atleast_2d(np.cov(points, rowvar=False))
-    cov = cov + _COV_JITTER * np.eye(cov.shape[0])
-    sign, logdet = np.linalg.slogdet(cov)
-    return float(logdet) if sign > 0 else -np.inf
-
-
-def _selection_value(pc: Array, like: Array, gamma: Array, sel: Array, lam: float) -> float:
-    val = float(np.sum(gamma[sel] * like[sel]))
-    if lam > 0:
-        val += lam * _logdet_cov(pc[sel])
-    return val
+def _best(cand: Array, gains: Array, like: Array) -> int:
+    """The candidate with the largest gain, then the largest likelihood
+    among those tied, then the lowest index (``cand`` is ascending)."""
+    tied = np.flatnonzero(gains == gains.max())
+    return int(cand[tied[np.argmax(like[cand[tied]])]])
 
 
 class _Selection:
-    """Mutable selection with O(1) covariance updates and batched
-    candidate scoring (stacked slogdet over all candidates at once)."""
+    """Mutable selection with O(1) updates of its running sums and
+    rank-one candidate scoring: within one pick the selection's jittered
+    covariance A is fixed, and adding candidate x gives A + d d^T / n with
+    d = x - mean and n the size with x, so by the matrix determinant lemma
+    its log-determinant is logdet(A) + log1p(d^T A^-1 d / n).  One small
+    factorisation per pick scores every candidate."""
 
     def __init__(self, pc: Array, like: Array, gamma: Array, lam: float):
         self.pc, self.like, self.gamma, self.lam = pc, like, gamma, lam
+        self.cols = np.ascontiguousarray(pc.T)
         m = pc.shape[1]
         self.mask = np.zeros(pc.shape[0], dtype=bool)
         self.s1 = np.zeros(m)
@@ -171,18 +171,31 @@ class _Selection:
         self.like_sum -= self.gamma[i] * self.like[i]
         self.mask[i] = False
 
+    def _cov(self, dof: int) -> Array:
+        """Scatter of the selection over ``dof``, plus the jitter."""
+        scatter = self.s2 - np.outer(self.s1, self.s1) / self.count
+        return scatter / dof + _COV_JITTER * np.eye(self.s1.size)
+
     def _logdets_with(self, cand: Array) -> Array:
         n = self.count + 1
         if n < 2:
             return np.zeros(cand.size)
-        x = self.pc[cand]
-        s1 = self.s1 + x  # (B, m)
-        s2 = self.s2 + x[:, :, None] * x[:, None, :]  # (B, m, m)
-        mean = s1 / n
-        cov = (s2 - n * mean[:, :, None] * mean[:, None, :]) / (n - 1)
-        cov = cov + _COV_JITTER * np.eye(cov.shape[1])
-        sign, logdet = np.linalg.slogdet(cov)
-        return np.where(sign > 0, logdet, -np.inf)
+        a = self._cov(self.count)
+        sign, logdet = np.linalg.slogdet(a)
+        if not sign > 0:
+            return np.full(cand.size, -np.inf)
+        # one row per coordinate: np.take of columns is a fast gather
+        d = np.take(self.cols, cand, axis=1)
+        d -= (self.s1 / self.count)[:, None]
+        q = np.linalg.inv(a) @ d
+        q *= d
+        out = q.sum(axis=0)
+        out /= n
+        with np.errstate(invalid="ignore"):
+            np.log1p(out, out=out)
+        out += logdet
+        out[~np.isfinite(out)] = -np.inf
+        return out
 
     def gains(self, cand: Array) -> Array:
         g = self.gamma[cand] * self.like[cand]
@@ -191,16 +204,15 @@ class _Selection:
         return g
 
     def pick_best(self, cand: Array) -> int:
-        gains = self.gains(cand)
-        order = np.lexsort((cand, -self.like[cand], -gains))
-        best = int(cand[order[0]])
+        best = _best(cand, self.gains(cand), self.like)
         self.add(best)
         return best
 
     def value(self) -> float:
         val = self.like_sum
-        if self.lam > 0:
-            val += self.lam * _logdet_cov(self.pc[self.mask])
+        if self.lam > 0 and self.count >= 2:
+            sign, logdet = np.linalg.slogdet(self._cov(self.count - 1))
+            val += self.lam * (float(logdet) if sign > 0 else -np.inf)
         return val
 
 
@@ -247,8 +259,12 @@ def select_training_aleatory(
     (the combined objective, plus pure-likelihood and diversity-led
     fallbacks; the best-scoring one wins) are refined by 1-swaps within
     groups of equal violation patterns so the budget equalities stay
-    intact.
+    intact.  ``density(points)`` must return one finite, nonnegative
+    likelihood per point.
     """
+    from time import perf_counter
+
+    start = perf_counter()
     c = np.asarray(c, dtype=bool)
     points = np.asarray(points, dtype=float)
     n_pool = points.shape[0]
@@ -258,6 +274,10 @@ def select_training_aleatory(
         raise InputError("n_a_target must lie in [1, n_a_test]")
     gamma = np.max(c, axis=1).astype(float)
     like = np.ones(n_pool) if density is None else np.asarray(density(points), float)
+    if like.shape != (n_pool,) or not np.all(np.isfinite(like) & (like >= 0)):
+        raise InputError(
+            "the density must return one finite, nonnegative value per testing aleatory point"
+        )
 
     budgets = default_budgets(c, n_a_target) if budgets is None \
         else np.asarray(budgets, dtype=int)
@@ -266,10 +286,11 @@ def select_training_aleatory(
     avail = np.count_nonzero(c, axis=0)
     budgets = np.minimum(np.minimum(budgets, avail), n_a_target)
 
-    # principal axes of the full testing cloud, fixed for this selection
+    # principal axes of the full testing cloud, fixed for this selection;
+    # column-major, so every _Selection's coordinate rows are a view of it
     centered = points - points.mean(axis=0)
     _, vecs = np.linalg.eigh(np.atleast_2d(np.cov(centered, rowvar=False)))
-    pc = centered @ vecs
+    pc = np.asfortranarray(centered @ vecs)
 
     builds = [_greedy_build(c, budgets, pc, like, gamma, lambda_div, n_a_target)]
     if lambda_div > 0:
@@ -277,44 +298,55 @@ def select_training_aleatory(
         builds.append(
             _greedy_build(c, budgets, pc, np.ones(n_pool), gamma, lambda_div, n_a_target)
         )
-    values = [
-        _selection_value(pc, like, gamma, np.flatnonzero(b.mask), lambda_div)
-        for b in builds
-    ]
-    best = builds[int(np.argmax(values))]
-    sel = _Selection(pc, like, gamma, lambda_div)
-    for i in np.flatnonzero(best.mask):
-        sel.add(int(i))
-    _swap_refine(sel, c)
+    # every build re-scored by the combined objective
+    scored = []
+    for build in builds:
+        scored.append(_Selection(pc, like, gamma, lambda_div))
+        for i in np.flatnonzero(build.mask):
+            scored[-1].add(int(i))
+    values = [s.value() for s in scored]
+    winner = int(np.argmax(values))
+    sel = scored[winner]
+    passes, swaps = _swap_refine(sel, c)
+    logger.debug(
+        "aleatory selection of %d: build values %s, winner %d, %d swap passes, "
+        "%d swaps accepted, %.3f s",
+        n_a_target, [float(v) for v in values], winner, passes, swaps, perf_counter() - start,
+    )
     return np.sort(np.flatnonzero(sel.mask))
 
 
 _SWAP_PASSES = 50
 
 
-def _swap_refine(sel: _Selection, c: Array) -> None:
-    """1-swaps within equal violation-pattern classes until no improvement,
-    over at most _SWAP_PASSES passes."""
+def _swap_refine(sel: _Selection, c: Array) -> tuple[int, int]:
+    """1-swaps within equal violation-pattern groups until no improvement,
+    over at most _SWAP_PASSES passes; returns (passes, swaps accepted)."""
     _, patterns = np.unique(c, axis=0, return_inverse=True)
-    for _ in range(_SWAP_PASSES):
+    patterns = patterns.ravel()
+    order = np.argsort(patterns, kind="stable")
+    groups = np.split(order, np.cumsum(np.bincount(patterns))[:-1])
+    swaps = 0
+    for passes in range(1, _SWAP_PASSES + 1):
         improved = False
         for i in np.flatnonzero(sel.mask):
-            cand = np.flatnonzero((~sel.mask) & (patterns == patterns[i]))
+            group = groups[patterns[i]]
+            cand = group[~sel.mask[group]]
             if cand.size == 0:
                 continue
             base = sel.value()
             sel.remove(int(i))
-            gains = sel.gains(cand)
-            order = np.lexsort((cand, -sel.like[cand], -gains))
-            j = int(cand[order[0]])
+            j = _best(cand, sel.gains(cand), sel.like)
             sel.add(j)
             if sel.value() > base + 1e-12:
                 improved = True
+                swaps += 1
             else:
                 sel.remove(j)
                 sel.add(int(i))
         if not improved:
             break
+    return passes, swaps
 
 
 def select_training_epistemic(

@@ -3,7 +3,10 @@
 These deliberately avoid the library's own code paths: the enclosing
 circle is computed geometrically (Welzl), quantile indices by the literal
 argmin rule, the ECDF interpolant row by row in Python floats, and small
-selection problems by exhaustive enumeration.  The circle kernels are
+selection problems by exhaustive enumeration.  The training selection is
+restated with one stacked slogdet per pick and a lexsort tie-break, and
+its objective with np.cov, so the library's rank-one scoring can be
+checked pick for pick.  The circle kernels are
 restated in their stacked-coordinate form, and the robust Monte Carlo
 analysis on the whole testing grid at once, so the library's per-coordinate
 kernel and streamed analysis can be checked against them bit for bit.
@@ -182,6 +185,159 @@ def best_budgeted_selection(points, violating, likelihood, n_target: int, budget
         if v > best_val:
             best_val, best_sel = v, sel
     return best_sel, best_val, value
+
+
+#: covariance jitter of the training selection, restated
+COV_JITTER = 1e-9
+
+
+def logdet_cov(points) -> float:
+    """Log-determinant of the jittered sample covariance of ``points``
+    (np.cov), 0 for fewer than two points, -inf when not positive."""
+    points = np.asarray(points, float)
+    if points.shape[0] < 2:
+        return 0.0
+    cov = np.atleast_2d(np.cov(points, rowvar=False))
+    sign, logdet = np.linalg.slogdet(cov + COV_JITTER * np.eye(cov.shape[0]))
+    return float(logdet) if sign > 0 else -np.inf
+
+
+def selection_value(pc, like, gamma, sel, lam: float) -> float:
+    """The training-selection objective of the index set ``sel``: summed
+    violation-weighted likelihood plus lam times logdet_cov."""
+    sel = np.asarray(sel)
+    val = float(np.sum(gamma[sel] * like[sel]))
+    if lam > 0:
+        val += lam * logdet_cov(pc[sel])
+    return val
+
+
+class StackedSelection:
+    """The training selection scored the direct way: every candidate's
+    covariance with it added is formed and passed to one stacked slogdet,
+    and the best candidate is found by a full lexsort on (gain descending,
+    likelihood descending, index ascending)."""
+
+    def __init__(self, pc, like, gamma, lam: float):
+        self.pc, self.like, self.gamma, self.lam = pc, like, gamma, lam
+        m = pc.shape[1]
+        self.mask = np.zeros(pc.shape[0], dtype=bool)
+        self.s1 = np.zeros(m)
+        self.s2 = np.zeros((m, m))
+        self.count = 0
+        self.like_sum = 0.0
+
+    def add(self, i: int) -> None:
+        x = self.pc[i]
+        self.s1 += x
+        self.s2 += np.outer(x, x)
+        self.count += 1
+        self.like_sum += self.gamma[i] * self.like[i]
+        self.mask[i] = True
+
+    def remove(self, i: int) -> None:
+        x = self.pc[i]
+        self.s1 -= x
+        self.s2 -= np.outer(x, x)
+        self.count -= 1
+        self.like_sum -= self.gamma[i] * self.like[i]
+        self.mask[i] = False
+
+    def logdets_with(self, cand):
+        n = self.count + 1
+        if n < 2:
+            return np.zeros(cand.size)
+        x = self.pc[cand]
+        s1 = self.s1 + x
+        s2 = self.s2 + x[:, :, None] * x[:, None, :]
+        mean = s1 / n
+        cov = (s2 - n * mean[:, :, None] * mean[:, None, :]) / (n - 1)
+        sign, logdet = np.linalg.slogdet(cov + COV_JITTER * np.eye(cov.shape[1]))
+        return np.where(sign > 0, logdet, -np.inf)
+
+    def gains(self, cand):
+        g = self.gamma[cand] * self.like[cand]
+        if self.lam > 0:
+            g = g + self.lam * self.logdets_with(cand)
+        return g
+
+    def best(self, cand) -> int:
+        order = np.lexsort((cand, -self.like[cand], -self.gains(cand)))
+        return int(cand[order[0]])
+
+    def value(self) -> float:
+        val = self.like_sum
+        if self.lam > 0:
+            val += self.lam * logdet_cov(self.pc[self.mask])
+        return val
+
+
+def stacked_swap_refine(sel: StackedSelection, c, passes: int = 50) -> None:
+    """1-swaps within equal violation patterns, each member's candidates
+    found by comparing every pattern, until a pass improves nothing."""
+    _, patterns = np.unique(c, axis=0, return_inverse=True)
+    patterns = patterns.ravel()
+    for _ in range(passes):
+        improved = False
+        for i in np.flatnonzero(sel.mask):
+            cand = np.flatnonzero((~sel.mask) & (patterns == patterns[i]))
+            if cand.size == 0:
+                continue
+            base = sel.value()
+            sel.remove(int(i))
+            j = sel.best(cand)
+            sel.add(j)
+            if sel.value() > base + 1e-12:
+                improved = True
+            else:
+                sel.remove(j)
+                sel.add(int(i))
+        if not improved:
+            break
+
+
+def stacked_selection(c, points, n_target: int, budgets=None, lam: float = 0.0, density=None):
+    """Budgeted aleatory training selection restated with StackedSelection:
+    the greedy builds, their comparison by selection_value, the swaps."""
+    c = np.asarray(c, dtype=bool)
+    points = np.asarray(points, float)
+    n_pool = points.shape[0]
+    gamma = np.max(c, axis=1).astype(float)
+    like = np.ones(n_pool) if density is None else np.asarray(density(points), float)
+    if budgets is None:
+        budgets = np.ceil(n_target / n_pool * np.count_nonzero(c, axis=0)).astype(int)
+    budgets = np.minimum(np.minimum(budgets, np.count_nonzero(c, axis=0)), n_target)
+    centered = points - points.mean(axis=0)
+    _, vecs = np.linalg.eigh(np.atleast_2d(np.cov(centered, rowvar=False)))
+    pc = centered @ vecs
+
+    def build(like_b, lam_b):
+        sel = StackedSelection(pc, like_b, gamma, lam_b)
+        counts = np.zeros(c.shape[1], dtype=int)
+        for k in range(c.shape[1]):
+            while counts[k] < budgets[k]:
+                cand = np.flatnonzero(c[:, k] & ~sel.mask)
+                met = counts >= budgets
+                keep = cand[~np.any(c[cand][:, met], axis=1)] if met.any() else cand
+                pool = keep if keep.size else cand
+                if pool.size == 0:
+                    break
+                i = sel.best(pool)
+                sel.add(i)
+                counts += c[i].astype(int)
+        while sel.count < n_target:
+            sel.add(sel.best(np.flatnonzero((gamma == 0.0) & ~sel.mask)))
+        return np.flatnonzero(sel.mask)
+
+    builds = [build(like, lam)]
+    if lam > 0:
+        builds += [build(like, 0.0), build(np.ones(n_pool), lam)]
+    values = [selection_value(pc, like, gamma, b, lam) for b in builds]
+    sel = StackedSelection(pc, like, gamma, lam)
+    for i in builds[int(np.argmax(values))]:
+        sel.add(int(i))
+    stacked_swap_refine(sel, c)
+    return np.flatnonzero(sel.mask)
 
 
 def circle_realized_stacked(theta, e):

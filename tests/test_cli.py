@@ -42,6 +42,13 @@ def _nan_factory():
     return ProblemBundle(spec=spec, epistemic_set=epistemic_box())
 
 
+@register_problem("cli_test_nan_density")
+def _nan_density_factory():
+    """The unreachable 1-D problem with a likelihood that is NaN everywhere."""
+    bundle = _unreachable_factory()
+    return dataclasses.replace(bundle, density=lambda a: np.full(len(a), np.nan))
+
+
 def _write_config(path: Path, **overrides) -> Path:
     config = {
         "problem": {"name": "circle"},
@@ -353,6 +360,42 @@ def test_sequential_training_solve_nan_exit_5(tmp_path, capsys):
     )
     assert not (tmp_path / "out" / "sd_trace.csv").exists()
     assert not (tmp_path / "out" / "design.json").exists()
+
+
+def test_sequential_nan_likelihood_exit_2(tmp_path, capsys):
+    # the baseline violates at a = 1000, so the loop selects training scenarios
+    cfg = _one_dim_config(
+        tmp_path, "cli_test_nan_density", testing=True,
+        sd={"baseline": [0.5], "max_iter": 2, "n_a_init": 3, "n_e_init": 2},
+    )
+    assert cli.main(["sequential", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == (
+        "error: the density must return one finite, nonnegative value per testing aleatory point\n"
+    )
+    assert not (tmp_path / "out" / "sd_trace.csv").exists()
+
+
+def test_analyze_reports_the_distance_to_the_re_solved_design(tmp_path):
+    cfg = _write_config(
+        tmp_path / "cfg.json",
+        data={"generate": {"n_a": 6, "n_e": 4, "seed": 2, "n_a_test": 200, "n_e_test": 20}},
+        scenario_theory={"beta": 1e-4, "containment": "sampling", "n_probe": 200},
+        solver={"n_starts": 2, "max_inner": 80},
+    )
+    assert cli.main(["solve", "--config", str(cfg)]) == 0
+    out = tmp_path / "out"
+    solution = json.loads((out / "solution.json").read_text())
+    assert cli.main(["analyze", "--config", str(cfg), "--design", str(out / "solution.json")]) == 0
+    rb = json.loads((out / "risk_bound.json").read_text())
+    assert rb["design_distance"] == 0.0 and rb["validity"] == "valid"
+
+    moved = tmp_path / "moved.json"
+    theta = np.asarray(solution["theta_star"]) + np.array([0.0, 0.0, 0.05])
+    moved.write_text(json.dumps({"theta_star": theta.tolist()}))
+    assert cli.main(["analyze", "--config", str(cfg), "--design", str(moved)]) == 0
+    rb = json.loads((out / "risk_bound.json").read_text())
+    assert rb["design_distance"] == pytest.approx(0.05, rel=1e-9)
+    assert rb["validity"] == "not-reproduced"
 
 
 def test_sequential_training_solve_input_error_exit_2(tmp_path, capsys, monkeypatch):

@@ -461,6 +461,34 @@ def test_moment_programs_fully_supported(circle_spec):
     assert report.n_support == data.n_a
     assert report.set_complexity == data.n_a
     assert report.epsilon_bar == 1.0
+    # no re-solve, so no distance to report
+    assert report.design_distance is None
+    assert report.to_dict()["design_distance"] is None
+
+
+def test_risk_bound_names_the_design_it_certifies(circle_spec, caplog):
+    rng = np.random.default_rng(7)
+    data = ScenarioData(circle.sample_aleatory(6, rng), circle.sample_epistemic(4, rng))
+    cfg = AlphaConfig.uniform(1)
+
+    def solver(d):
+        return solve_risk_agnostic_local(circle_spec, d, cfg, FAST)
+
+    theta = solver(data).theta_star
+    kwargs = dict(eset=circle.epistemic_box(), beta=1e-4, containment="sampling", n_probe=200)
+    same = risk_bound(circle_spec, solver, data, theta, **kwargs)
+    assert same.design_distance == 0.0
+    assert same.to_dict()["validity"] == "valid"
+
+    moved = theta + np.array([0.0, 0.01, 0.0])
+    with caplog.at_level(logging.WARNING, logger="scendo.risk_bounds"):
+        report = risk_bound(circle_spec, solver, data, moved, **kwargs)
+    assert report.design_distance == pytest.approx(0.01, rel=1e-9)
+    assert report.to_dict()["validity"] == "not-reproduced"
+    assert report.to_dict()["design_distance"] == report.design_distance
+    assert any("lies 0.01 (max norm)" in r.getMessage() for r in caplog.records)
+    # the leave-one-out designs are measured against the same re-solve
+    assert report.n_support == same.n_support
 
 
 def test_risk_bound_report_serialization():
@@ -468,3 +496,7 @@ def test_risk_bound_report_serialization():
     d = rep.to_dict()
     assert d["validity"] == "not-valid-non-iid"
     assert d["s_E"] == 4
+    far = RiskBoundReport(2, 3, 4, 0.5, 1e-4, "sampling", design_distance=2e-4)
+    assert far.to_dict()["validity"] == "not-reproduced"
+    near = RiskBoundReport(2, 3, 4, 0.5, 1e-4, "sampling", design_distance=1e-4)
+    assert near.to_dict()["validity"] == "valid"

@@ -1,16 +1,25 @@
 import dataclasses
+import logging
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import best_budgeted_selection
+from oracles import (
+    StackedSelection,
+    best_budgeted_selection,
+    selection_value,
+    stacked_selection,
+    stacked_swap_refine,
+)
 from scendo import circle, nlp
 from scendo.core import InputError, ScenarioData
 from scendo.montecarlo import RmcConfig, analyze
 from scendo.seqdesign import (
     SdConfig,
     _Selection,
-    _selection_value,
     _swap_refine,
     default_budgets,
     run_sd,
@@ -80,7 +89,7 @@ def test_selection_value_dominates_pure_strategies(circle_spec):
     combined = select_training_aleatory(c, pts, 7, budget, lam, circle.aleatory_density)
     pure_like = select_training_aleatory(c, pts, 7, budget, 0.0, circle.aleatory_density)
     pure_div = select_training_aleatory(c, pts, 7, budget, lam, None)
-    val = lambda s: _selection_value(pc, like, gamma, s, lam)
+    val = lambda s: selection_value(pc, like, gamma, s, lam)
     assert val(combined) >= val(pure_like) - 1e-9
     assert val(combined) >= val(pure_div) - 1e-9
 
@@ -103,14 +112,16 @@ def test_default_budgets_scale_with_training_size(circle_spec):
     assert b_small[0] <= b_large[0]
 
 
-def test_swap_refine_keeps_each_pattern_count():
-    # two requirements, four violation patterns (00, 01, 10, 11), round robin
+def _four_patterns(n=60):
+    """Two requirements, four violation patterns (00, 01, 10, 11) round robin,
+    on a Gaussian cloud with random likelihoods."""
     rng = np.random.default_rng(11)
-    n = 60
     patterns = np.array([[0, 0], [0, 1], [1, 0], [1, 1]], dtype=bool)
-    c = patterns[np.arange(n) % 4]
-    pts = rng.normal(size=(n, 2))
-    like = rng.uniform(0.1, 1.0, n)
+    return patterns, patterns[np.arange(n) % 4], rng.normal(size=(n, 2)), rng.uniform(0.1, 1.0, n)
+
+
+def test_swap_refine_keeps_each_pattern_count():
+    patterns, c, pts, like = _four_patterns()
     sel = _Selection(pts, like, np.max(c, axis=1).astype(float), 0.5)
     start = np.array([0, 1, 5, 2, 6, 10, 3, 7, 11, 15])  # 1, 2, 3, 4 of each pattern
     for i in start:
@@ -121,6 +132,102 @@ def test_swap_refine_keeps_each_pattern_count():
     assert sel.value() > before and not np.array_equal(chosen, np.sort(start))
     counts = [int(np.all(c[chosen] == pat, axis=1).sum()) for pat in patterns]
     assert counts == [1, 2, 3, 4]
+
+
+def test_swap_refine_matches_stacked_oracle_on_four_patterns():
+    _, c, pts, like = _four_patterns()
+    gamma = np.max(c, axis=1).astype(float)
+    sel = _Selection(pts, like, gamma, 0.5)
+    ref = StackedSelection(pts, like, gamma, 0.5)
+    for i in (0, 1, 5, 2, 6, 10, 3, 7, 11, 15):
+        sel.add(i)
+        ref.add(i)
+    _swap_refine(sel, c)
+    stacked_swap_refine(ref, c)
+    assert np.array_equal(sel.mask, ref.mask)
+
+
+def _duplicated_cloud():
+    """30 circle draws, each three times in a shuffled order; a draw fails
+    iff its first coordinate is large, so copies share their pattern."""
+    rng = np.random.default_rng(4)
+    pts = np.repeat(circle.sample_aleatory(30, rng), 3, axis=0)[rng.permutation(90)]
+    return (pts[:, :1] > np.quantile(pts[:, 0], 0.7)), pts
+
+
+def _one_dim_cloud():
+    rng = np.random.default_rng(5)
+    pts = rng.normal(size=(80, 1))
+    return np.abs(pts) > 1.2, pts
+
+
+def _two_requirement_cloud():
+    _, c, pts, _ = _four_patterns(80)
+    return c, pts
+
+
+@pytest.mark.parametrize("instance", [_duplicated_cloud, _one_dim_cloud, _two_requirement_cloud],
+                         ids=["duplicated", "one-dim", "four-patterns"])
+@pytest.mark.parametrize("density", [
+    None,
+    lambda p: np.exp(-np.sum(p * p, axis=1)),
+    lambda p: np.random.default_rng(9).uniform(0.1, 1.0, len(p)),
+], ids=["constant", "smooth", "per-row"])
+@pytest.mark.parametrize("lam", [0.0, 1.5])
+def test_selection_matches_stacked_oracle_on_ties(instance, density, lam):
+    # exact ties in the gains: copies of a point, and at lam = 0 a constant
+    # likelihood.  A per-row likelihood gives copies different likelihoods,
+    # so among tied copies in the feasible fill the likelihood decides.
+    c, pts = instance()
+    for n_target in (7, 16):
+        got = select_training_aleatory(c, pts, n_target, None, lam, density)
+        assert np.array_equal(got, stacked_selection(c, pts, n_target, None, lam, density))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3), st.integers(0, 10), st.integers(0, 2**32 - 1))
+def test_rank_one_logdets_equal_stacked_slogdet(m, extra, seed):
+    # a selection of m + 1 or more points has a full-rank covariance; below
+    # that it is singular up to the 1e-9 jitter, and the rounding of both
+    # formulas, relative to the jitter, reaches about 1e-5
+    rng = np.random.default_rng(seed)
+    n = m + 1 + extra
+    pts = rng.normal(size=(n + 25, m)) * rng.uniform(0.1, 10.0, m)
+    sel = _Selection(pts, np.ones(n + 25), np.zeros(n + 25), 1.0)
+    ref = StackedSelection(pts, np.ones(n + 25), np.zeros(n + 25), 1.0)
+    for i in rng.permutation(n + 25)[:n]:
+        sel.add(int(i))
+        ref.add(int(i))
+    cand = np.flatnonzero(~sel.mask)
+    np.testing.assert_allclose(sel._logdets_with(cand), ref.logdets_with(cand), rtol=0, atol=1e-9)
+
+
+@pytest.mark.parametrize("like", [
+    lambda p: np.full(len(p), np.nan),
+    lambda p: np.full(len(p), np.inf),
+    lambda p: -np.ones(len(p)),
+    lambda p: np.ones(len(p) - 1),
+    lambda p: np.ones((len(p), 1)),
+], ids=["nan", "inf", "negative", "short", "column"])
+def test_selection_rejects_bad_likelihoods(circle_spec, like):
+    data, theta = _selection_instance()
+    c = _violations(circle_spec, theta, data)
+    with pytest.raises(InputError, match="density"):
+        select_training_aleatory(c, data.testing_aleatory, 4, None, 1.0, like)
+
+
+def test_selection_logs_its_builds_and_swaps(circle_spec, caplog):
+    data, theta = _selection_instance(n_pool=14, seed=3)
+    c = _violations(circle_spec, theta, data)
+    with caplog.at_level(logging.DEBUG, logger="scendo.seqdesign"):
+        select_training_aleatory(c, data.testing_aleatory, 7, None, 0.8, circle.aleatory_density)
+    lines = [r.getMessage() for r in caplog.records if r.name == "scendo.seqdesign"]
+    assert len(lines) == 1
+    assert re.fullmatch(
+        r"aleatory selection of 7: build values \[\S+, \S+, \S+\], winner [012], "
+        r"\d+ swap passes, \d+ swaps accepted, \d+\.\d{3} s",
+        lines[0],
+    ), lines[0]
 
 
 def test_epistemic_selection_identity_and_top1(circle_spec):
