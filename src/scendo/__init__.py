@@ -27,13 +27,11 @@ from scendo.core import (
     r_max,
     register_problem,
 )
-from scendo.ecdf import EmpiricalCdf
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AlphaConfig",
-    "EmpiricalCdf",
     "EpistemicSet",
     "InputError",
     "ProblemBundle",

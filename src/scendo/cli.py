@@ -49,12 +49,7 @@ import scendo.circle  # registers the built-in problem
 from scendo import nlp
 from scendo.core import AlphaConfig, InputError, ScenarioData, make_problem
 from scendo.montecarlo import RmcConfig, analyze
-from scendo.programs import (
-    MOMENT_TAGS,
-    FormulationTag,
-    solve as solve_program,
-    solve_feasibility_seed,
-)
+from scendo.programs import MOMENT_TAGS, FormulationTag, solve as solve_program
 from scendo.risk_bounds import risk_bound
 from scendo.seqdesign import SdConfig, run_sd
 
@@ -338,14 +333,10 @@ def cmd_solve(args) -> int:
         ]
     _write_csv(out / "outliers.csv", ["kind", "aleatory_index", "epistemic_index"], rows)
     if result.solver_status == "infeasible":
-        diag = result.diagnostics
-        if result.alpha_a_lower is not None:  # the program is the seed itself
-            suggestion = result.alpha_a_lower
-        elif "suggested_alpha_a" in diag or "alpha_suggestion_error" in diag:
-            # the program already tried the seed; a failed try is not repeated
-            suggestion = diag.get("suggested_alpha_a")
-        else:
-            suggestion = solve_feasibility_seed(spec, data, cfg, opts=opts).alpha_a_lower
+        # the seed's own bound, else what the program's seed try left
+        suggestion = result.alpha_a_lower
+        if suggestion is None:
+            suggestion = result.diagnostics.get("suggested_alpha_a")
         payload["suggested_alpha_a"] = suggestion
         _write_json(out / "solution.json", payload)
         logger.error("program infeasible; suggested alpha_a = %s", suggestion)

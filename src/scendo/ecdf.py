@@ -13,9 +13,9 @@ parameter the samples depend smoothly on, except where the sample ordering
 changes.  Duplicated samples are separated deterministically (see
 ``strictify_sorted``) so the interpolant is always well defined.
 
-The module-level helpers operate on the last axis of arbitrary-shaped
-arrays; they are the single quantile/CDF primitive used by every scenario
-program, the weight rule, and the Monte Carlo analysis.
+The helpers operate on the last axis of arbitrary-shaped arrays; they
+are the single quantile/CDF primitive used by every scenario program, the
+weight rule, and the Monte Carlo analysis.
 
 Cost model.  The solvers call these helpers tens of thousands of times on
 batches of a few short rows, so the fixed cost per call dominates.  The
@@ -29,8 +29,6 @@ flattening, so callers with long rows hand them over C-ordered.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -155,40 +153,3 @@ def quantile_of(values: Array, alpha) -> Array:
 def cdf_of(values: Array, z) -> Array:
     """CDF over the last axis of raw (unsorted, maybe tied) values."""
     return sorted_cdf(strictify_sorted(np.sort(values, axis=-1, kind="stable")), z)
-
-
-@dataclass(frozen=True)
-class EmpiricalCdf:
-    """Frozen piecewise-linear CDF of one scalar sample set."""
-
-    values: Array  # strictly increasing, length >= 2
-
-    @classmethod
-    def build(cls, samples) -> "EmpiricalCdf":
-        """Sort the samples, break ties deterministically, freeze the CDF.
-
-        Raises InputError for fewer than two samples or non-finite entries.
-        """
-        arr = np.asarray(samples, dtype=float).ravel()
-        if arr.size < 2:
-            raise InputError("EmpiricalCdf needs at least 2 samples")
-        if not np.all(np.isfinite(arr)):
-            raise InputError("samples contain non-finite entries")
-        vals = strictify_sorted(np.sort(arr, kind="stable"))
-        vals.setflags(write=False)
-        return cls(vals)
-
-    @property
-    def n(self) -> int:
-        return self.values.shape[0]
-
-    def cdf(self, z):
-        """Probability F(z); scalar in, scalar out."""
-        out = sorted_cdf(self.values, z)
-        return float(out) if np.ndim(z) == 0 else out
-
-    def quantile(self, alpha):
-        """Inverse CDF at level alpha in [0, 1]; exact inverse of ``cdf``
-        on the open support, with quantile(0) = z_1 and quantile(1) = z_n."""
-        out = sorted_quantile(self.values, alpha)
-        return float(out) if np.ndim(alpha) == 0 else out

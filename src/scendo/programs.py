@@ -9,7 +9,9 @@ fractions making a risk-agnostic program feasible; and the two
 moment-based variants minimize an empirical mean of a response function.
 "Global" formulations discard one shared set of epistemic scenarios,
 "local" ones discard the worst scenarios of each pseudo-distribution
-separately.
+separately.  Every program but the seed attaches the seed's alpha_a to an
+infeasible result as ``suggested_alpha_a`` (the global seed for the global
+risk-agnostic program, the local one for the rest).
 
 All quantiles use the piecewise-linear interpolant from ``scendo.ecdf``,
 so constraints are piecewise-linear in the sampled requirement values.
@@ -274,7 +276,8 @@ def solve_risk_averse_local(
         return g.reshape(x.shape[:-1] + (n_r * n_a,))
 
     res = _minimize_with_slacks(spec, opts, cfg.rho, n_a, cons_any)
-    return _assemble(spec, data, cfg, res, xi=res.x[m:])
+    result = _assemble(spec, data, cfg, res, xi=res.x[m:])
+    return _attach_alpha_suggestion(spec, data, cfg, opts, result, "local")
 
 
 def solve_risk_averse_global(
@@ -307,7 +310,8 @@ def solve_risk_averse_global(
     glob = _global_epistemic_outliers(
         spec, data, cfg, res.x[:m], np.full(n_r, sign_fraction(xi))
     )
-    return _assemble(spec, data, cfg, res, xi=xi, global_epistemic=glob)
+    result = _assemble(spec, data, cfg, res, xi=xi, global_epistemic=glob)
+    return _attach_alpha_suggestion(spec, data, cfg, opts, result, "local")
 
 
 # ---------------------------------------------------------------------------
@@ -497,10 +501,11 @@ def solve_moment_risk_averse(
         spec, opts, obj_any, cons_any,
         np.vstack([[[-np.inf, np.inf]], np.tile([0.0, np.inf], (n_a, 1))]), aux_starts,
     )
-    return _assemble(
+    result = _assemble(
         spec, data, cfg, res,
         xi=res.x[m + 1 :], lam=float(res.x[m]), objective=float(res.x[m]),
     )
+    return _attach_alpha_suggestion(spec, data, cfg, opts, result, "local")
 
 
 def solve_moment_risk_agnostic(
@@ -547,9 +552,8 @@ def solve_moment_risk_agnostic(
         return np.mean(_response_quantiles(spec, data, h, theta0, aer), axis=-1)[:, None]
 
     res = _minimize(spec, opts, obj_any, cons_any, np.array([[-np.inf, np.inf]]), aux_starts)
-    return _assemble(
-        spec, data, cfg, res, lam=float(res.x[m]), objective=float(res.x[m])
-    )
+    result = _assemble(spec, data, cfg, res, lam=float(res.x[m]), objective=float(res.x[m]))
+    return _attach_alpha_suggestion(spec, data, cfg, opts, result, "local")
 
 
 #: every formulation's program; the moment programs also take a response

@@ -4,18 +4,18 @@ return their results to a later run that would retrace them exactly.
 ``nlp.minimize`` is deterministic in its problem's dimension, bounds,
 starts and options and in the values its callables return.  Under
 ``recording_tape()`` every call is solved and kept on a tape: that key,
-every batch passed to the two callables with its output, and the result.
-A batch both callables are given in turn is kept once.  A tape holds at
-most ``_TAPE_BYTES``; a call whose batches would take more is solved but
-not kept, and never replays.  Under ``replaying_tape(recorded)`` the k-th
-call is checked against the k-th entry: when the key is equal and the new
-callables return the recorded outputs bit for bit on the recorded
-batches, stacked into blocks of rows (the batch contract of ``scendo.nlp``
-makes that the same as evaluating them one batch at a time), the solve
-would take the same L-BFGS-B steps, violation checks and penalty stages,
-so a copy of the recorded result is returned.  Any difference, or an
-earlier miss on the same tape, runs the real solve.  Outside both blocks
-no tape is active and every call is solved.
+for each of the two callables the batches it was given with its outputs,
+in call order, and the result.  A tape holds at most ``_TAPE_BYTES``; a
+call whose batches would take more is solved but not kept, and never
+replays.  Under ``replaying_tape(recorded)`` the k-th call is checked
+against the k-th entry: when the key is equal and each new callable
+returns its recorded outputs bit for bit on its recorded batches, stacked
+into blocks of rows (the batch contract of ``scendo.nlp`` makes that the
+same as evaluating them one batch at a time), the solve would take the
+same L-BFGS-B steps, violation checks and penalty stages, so a copy of
+the recorded result is returned.  Any difference, or an earlier miss on
+the same tape, runs the real solve.  Outside both blocks no tape is
+active and every call is solved.
 
 The tape lives in the ``nlp._TAPE`` context variable, which
 ``nlp.minimize`` reads; this module holds everything else, so that only
@@ -71,38 +71,32 @@ class _Rows:
     def nbytes(self) -> int:
         return 0 if self.buf is None else self.buf.nbytes
 
-    @property
-    def rows(self) -> Array:
-        return self.buf[: self.n]
-
-    def append(self, rows: Array, room: int) -> Optional[slice]:
-        """Copy ``rows`` after the earlier ones and say where they went;
-        None when they do not stack onto them (no leading axis, another
-        trailing shape or dtype) or a grown buffer would not fit in
-        ``room`` bytes."""
+    def append(self, rows: Array, room: int) -> bool:
+        """Copy ``rows`` after the earlier ones; False when they do not
+        stack onto them (no leading axis, another trailing shape or dtype)
+        or a grown buffer would not fit in ``room`` bytes."""
         if rows.ndim == 0:
-            return None
+            return False
         if self.buf is not None and (rows.shape[1:] != self.buf.shape[1:] or rows.dtype != self.buf.dtype):
-            return None
+            return False
         start, stop = self.n, self.n + len(rows)
         if self.buf is None or stop > len(self.buf):
             shape = (max(2 * stop, 1024),) + rows.shape[1:]
             if int(np.prod(shape)) * rows.itemsize > room:
-                return None
+                return False
             grown = np.empty(shape, rows.dtype)
             if self.buf is not None:
                 grown[:start] = self.buf[:start]
             self.buf = grown
         self.buf[start:stop] = rows
         self.n = stop
-        return slice(start, stop)
+        return True
 
 
 class _Entry:
-    """One recorded ``minimize`` call: its key, the batches its callables
-    were given, each callable's outputs, and the result.  A batch passed to
-    both callables in turn (a merit batch) is kept once, and ``seen`` marks
-    which callables evaluated each row.  The result stays None when the
+    """One recorded ``minimize`` call: its key, each callable's stream of
+    batches and outputs (``streams[0]`` the objective's, ``streams[1]``
+    the constraints'), and the result.  The result stays None when the
     call raised, a batch did not stack or the buffers would outgrow
     ``budget`` bytes: each means never replay it."""
 
@@ -110,46 +104,35 @@ class _Entry:
         self.key = _problem_key(problem, opts)
         self.budget = budget
         self.kept = True
-        self.last: Optional[slice] = None  # the rows of the latest batch
-        self.inputs, self.seen, self.outputs = _Rows(), _Rows(), (_Rows(), _Rows())
+        self.streams = (_Rows(), _Rows()), (_Rows(), _Rows())
         self.result: Optional[NlpResult] = None
 
     @property
     def nbytes(self) -> int:
-        return sum(r.nbytes for r in (self.inputs, self.seen, *self.outputs))
+        return sum(rows.nbytes for stream in self.streams for rows in stream)
 
     def _drop(self) -> None:
         """Free the buffers; the entry is not replayed."""
         self.kept = False
-        self.inputs, self.seen, self.outputs = _Rows(), _Rows(), (_Rows(), _Rows())
+        self.streams = (_Rows(), _Rows()), (_Rows(), _Rows())
 
-    def _append(self, buf: _Rows, rows: Array) -> Optional[slice]:
-        where = buf.append(rows, self.budget - self.nbytes) if self.kept else None
-        if where is None:
+    def _append(self, buf: _Rows, rows: Array) -> bool:
+        if self.kept and not buf.append(rows, self.budget - self.nbytes):
             self._drop()
-        return where
-
-    def _record_input(self, c: int, X: Array) -> Optional[slice]:
-        last = self.last
-        if last is not None and not self.seen.buf[last, c].any() and _same_bits(X, self.inputs.buf[last]):
-            return last
-        rows = self._append(self.inputs, X)  # copied before the callable sees X
-        if rows is not None and self._append(self.seen, np.zeros((len(X), 2), bool)) is not None:
-            self.last = rows
-            return rows
-        return None
+        return self.kept
 
     def _recorder(self, c: int, fn: Callable[[Array], Array]) -> Callable[[Array], Array]:
         def call(X):
             X = np.asarray(X)
-            rows = self._record_input(c, X) if self.kept else None
+            inputs, outputs = self.streams[c]
+            kept = self._append(inputs, X)  # copied before the callable sees X
             out = fn(X)
-            if rows is not None:
+            if kept:
                 y = np.asarray(out)
-                if y.ndim == 0 or len(y) != len(X) or self._append(self.outputs[c], y) is None:
+                if y.ndim == 0 or len(y) != len(X):
                     self._drop()
                 else:
-                    self.seen.buf[rows, c] = True
+                    self._append(outputs, y)
             return out
 
         return call
@@ -166,27 +149,21 @@ class _Entry:
         return result
 
     def replays(self, problem: NlpProblem, opts: NlpOptions) -> bool:
-        """Whether ``problem`` would retrace this solve exactly: its
-        callables return the recorded outputs on the recorded batches,
-        checked a block of rows at a time so a changed problem stops early."""
+        """Whether ``problem`` would retrace this solve exactly: each callable
+        returns its recorded outputs on its recorded batches, constraints
+        first (they carry the scenario set), a block of rows at a time."""
         if self.result is None or _problem_key(problem, opts) != self.key:
             return False
-        X, seen = self.inputs.rows, self.seen.rows
-        done = [0, 0]
-        for start in range(0, len(X), _BLOCK_ROWS):
-            block = slice(start, start + _BLOCK_ROWS)
-            for c, fn in enumerate((problem.objective_batch, problem.constraints_batch)):
-                mask = seen[block, c]
-                n = int(np.count_nonzero(mask))
-                if n == 0:
-                    continue
+        for c, fn in ((1, problem.constraints_batch), (0, problem.objective_batch)):
+            inputs, outputs = self.streams[c]
+            for start in range(0, inputs.n, _BLOCK_ROWS):
+                block = slice(start, min(start + _BLOCK_ROWS, inputs.n))
                 try:
-                    out = fn(X[block][mask])  # a copy: fn cannot write the tape
+                    out = fn(inputs.buf[block].copy())  # fn cannot write the tape
                 except Exception:  # solving raises there too, or leaves the path before: solve
                     return False
-                if not _same_bits(out, self.outputs[c].rows[done[c] : done[c] + n]):
+                if not _same_bits(out, outputs.buf[block]):
                     return False
-                done[c] += n
         return True
 
 

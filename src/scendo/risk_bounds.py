@@ -172,10 +172,11 @@ def support_scenarios(solver: Callable, data: ScenarioData) -> Array:
     its result is the base one, exactly what re-running it gives.  The
     solver is still called n_a + 1 times.  Programs whose decision vector
     or starts change with n_a (risk-averse, moment) always re-solve.  The
-    base solve's batches and outputs stay in memory until this returns,
-    about nfev * (dim + 1 + n_con) floats and never more than the tape's
-    fixed budget (``replay._TAPE_BYTES``, 4 MiB); a base solve that needs
-    more is not kept, and every leave-one-out solve re-solves.
+    base solve's batches and outputs, kept for each callable on its own,
+    stay in memory until this returns, about nfev * (2*dim + 1 + n_con)
+    floats and never more than the tape's fixed budget
+    (``replay._TAPE_BYTES``, 4 MiB); a base solve that needs more is not
+    kept, and every leave-one-out solve re-solves.
 
     Needs n_a >= 3, so that every leave-one-out set keeps two scenarios;
     fewer raise InputError before any solve.  A leave-one-out solve's

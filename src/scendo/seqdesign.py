@@ -11,15 +11,19 @@ zero; when only the objective is too high the aleatory fraction grows by
 Aleatory training scenarios are chosen by a budgeted selection: exactly
 b_k currently-failing scenarios per requirement, read from the analysis
 report's ``scenario_fails`` table (they pull the success domain where it
-helps the most), with the remaining slots filled for likelihood and
-spatial diversity (log-determinant of the selected covariance in the
-principal axes of the full testing cloud).  Each greedy pick scores every
-candidate's log-determinant by a rank-one update of the selection's
-covariance (matrix determinant lemma, as in fast greedy MAP inference for
-determinantal point processes), and 1-swaps then search within groups of
-equal violation patterns, formed once per selection.  Epistemic training
-scenarios are the testing draws with the largest worst-case requirement
-over the selected aleatory points.
+helps the most), with the remaining slots filled from the feasible points.
+A pick's gain is its likelihood times its failure indicator plus
+``lambda_div`` times the log-determinant of the selected covariance in the
+principal axes of the full testing cloud.  The indicator is 0 for a
+feasible point, so with ``lambda_div > 0`` the fill is ranked by the
+log-determinant alone and the likelihood only breaks exact ties; with
+``lambda_div = 0`` every fill gain is 0 and the likelihood decides through
+that tie-break.  Each greedy pick scores every candidate's log-determinant
+by a rank-one update of the selection's covariance (matrix determinant
+lemma, as in fast greedy MAP inference for determinantal point processes),
+and 1-swaps then search within groups of equal violation patterns, formed
+once per selection.  Epistemic training scenarios are the testing draws
+with the largest worst-case requirement over the selected aleatory points.
 
 Training sets assembled this way are not IID draws, so the scenario risk
 bound does not apply to the designs this loop produces; reports flag that.
@@ -252,7 +256,9 @@ def select_training_aleatory(
     density: Optional[Callable] = None,
 ) -> Array:
     """Indices into the testing aleatory set ``points``, of size n_a_target:
-    the budgeted failure scenarios plus a likelihood/diversity-driven fill.
+    the budgeted failure scenarios plus a fill of feasible points, ranked
+    by log-det diversity when ``lambda_div > 0`` (the likelihood breaks
+    exact ties) and by the likelihood alone when ``lambda_div = 0``.
 
     ``c[i, k]`` is True iff testing scenario i fails requirement k for some
     testing epistemic draw (``RmcReport.scenario_fails``).  Greedy builds

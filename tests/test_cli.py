@@ -319,7 +319,6 @@ def test_failed_alpha_suggestion_is_not_retried(tmp_path, monkeypatch):
         raise RuntimeError("seed diverged")
 
     monkeypatch.setattr(programs, "solve_feasibility_seed", failing_seed)
-    monkeypatch.setattr(cli, "solve_feasibility_seed", failing_seed)
     cfg = _one_dim_config(tmp_path, "cli_test_unreachable")
     assert cli.main(["solve", "--config", str(cfg)]) == 3
     assert len(calls) == 1

@@ -214,6 +214,17 @@ def test_alpha_suggestion_lets_a_seed_type_error_through(monkeypatch):
         solve_risk_agnostic_local(spec, data, AlphaConfig.uniform(1), OPTS)
 
 
+def test_infeasible_moment_program_carries_the_suggestion():
+    spec, data = _unreachable_program()
+
+    def response(th, a, e):
+        return th[..., 0] + a[..., 0] + 0.0 * e[..., 0]
+
+    res = solve_moment_risk_agnostic(spec, data, AlphaConfig.uniform(1), response, OPTS)
+    assert res.solver_status == "infeasible"
+    assert res.diagnostics["suggested_alpha_a"][0] > 0.15
+
+
 def test_risk_averse_global_survives_saturated_slacks(circle_spec):
     # a line search on this instance drives every slack to ~2.7e10, where the
     # smoothed sign fraction rounds to exactly 1.0; it must not reach the

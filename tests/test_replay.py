@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -42,18 +44,59 @@ def _counted_constrained_problem(rows: dict, opts: nlp.NlpOptions) -> nlp.NlpPro
                           bounds=bounds, starts=nlp.latin_hypercube(bounds, opts))
 
 
-def test_tape_keeps_a_merit_batch_once_for_both_callables():
-    rows = {"f": 0, "g": 0}
+def _logged(fn, log: list):
+    """``fn`` that appends each batch it is given and its output to ``log``."""
+    def call(X):
+        out = fn(X)
+        log.append((np.array(X), np.array(out)))
+        return out
+
+    return call
+
+
+def test_tape_keeps_each_callable_stream_in_call_order():
     opts = nlp.NlpOptions(seed=0, n_starts=2, max_inner=30)
+    problem = _counted_constrained_problem({"f": 0, "g": 0}, opts)
+    logs = ([], [])
+    logged = replace(
+        problem,
+        objective_batch=_logged(problem.objective_batch, logs[0]),
+        constraints_batch=_logged(problem.constraints_batch, logs[1]),
+    )
     with replay.recording_tape() as tape:
-        res = nlp.minimize(_counted_constrained_problem(rows, opts), opts)
+        nlp.minimize(logged, opts)
     (entry,) = tape.entries
-    # every merit row is kept once; so is a final objective row that
-    # repeats the last violation row of its start
-    shared = int(entry.seen.rows.all(axis=1).sum())
-    assert res.diagnostics["nfev"] <= shared <= res.diagnostics["nfev"] + opts.n_starts
-    assert entry.inputs.n == rows["f"] + rows["g"] - shared
-    assert entry.outputs[0].n == rows["f"] and entry.outputs[1].n == rows["g"]
+    assert entry.result is not None
+    for (inputs, outputs), log in zip(entry.streams, logs):
+        assert log
+        assert np.array_equal(inputs.buf[: inputs.n], np.concatenate([X for X, _ in log]))
+        assert np.array_equal(outputs.buf[: outputs.n], np.concatenate([y for _, y in log]))
+
+
+def test_objective_one_ulp_off_on_one_recorded_row_is_solved():
+    # the constraints match the tape everywhere, so only the objective's
+    # stream shows the change, at its last recorded row
+    opts = nlp.NlpOptions(seed=0, n_starts=2, max_inner=30)
+    rows = {"f": 0, "g": 0}
+    with replay.recording_tape() as tape:
+        nlp.minimize(_counted_constrained_problem(rows, opts), opts)
+    inputs = tape.entries[0].streams[0][0]
+    last = inputs.buf[inputs.n - 1].copy()
+    problem = _counted_constrained_problem(rows, opts)
+
+    def objective(X):
+        out = problem.objective_batch(X)
+        hit = np.all(X == last, axis=-1)
+        out[hit] = np.nextafter(out[hit], np.inf)
+        return out
+
+    changed = replace(problem, objective_batch=objective)
+    with replay.replaying_tape(tape) as replayed:
+        again = nlp.minimize(changed, opts)
+    assert not replayed.replayed
+    cold = nlp.minimize(changed, opts)
+    assert again.x.tobytes() == cold.x.tobytes()
+    assert again.diagnostics == cold.diagnostics
 
 
 def test_solve_outgrowing_the_tape_budget_is_not_kept(monkeypatch):

@@ -235,6 +235,20 @@ def test_risk_averse_support_set_equals_a_cold_loop_with_no_replay(circle_spec, 
     assert replayed == 0 and resolved == list(range(n_a))
 
 
+def test_replay_sets_on_the_certify_data_are_pinned(circle_spec, caplog):
+    # the certify benchmark's training data in generated order and its solver
+    data = circle.generate_dataset(12, 10, seed=7)
+    opts = nlp.NlpOptions(seed=0, n_starts=4, max_inner=150)
+
+    def solver(d):
+        return solve_risk_agnostic_local(circle_spec, d, AlphaConfig.uniform(1), opts)
+
+    with caplog.at_level(logging.DEBUG, logger="scendo.risk_bounds"):
+        support = support_scenarios(solver, data)
+    assert _replay_counts(caplog) == (8, 12, [1, 3, 4, 11])
+    assert support.tolist() == [1, 3]
+
+
 def _counted_solver(calls: list):
     """Risk-agnostic solver of the theta* = max(a) program that counts the
     constraint rows it evaluates."""
