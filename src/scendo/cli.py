@@ -12,18 +12,22 @@ Verbs:
 
 Configuration is a single JSON document (see README for the schema); CSV
 is used for all tabular data.  The solver, alphas, rmc and sd sections set
-fields of NlpOptions, AlphaConfig, RmcConfig and SdConfig; an omitted or
-null key keeps the dataclass default.  The solver section sets only
-n_starts, max_inner and seed; the penalty schedule and tolerances are
-fixed.  An unknown key, a value of the wrong type (6.7 for an integer), a
-solver n_starts or max_inner below 1, an sd.baseline of the wrong length,
-a data file whose column count is not the problem's m_a or m_e, and an unknown or
-wrong-typed problem parameter are input errors.  Exit codes: 0 ok, 2 input error, 3 infeasible, 4 specification
-not met, 5 numerical failure (a non-finite merit value, a failed
-leave-one-out solve).  A training solve of ``sequential`` that raises
-exits 2 or 5 like ``solve`` and writes no outputs.  Any other exception
-ends the command with exit 1 and a traceback: a bug in scendo or in a
-problem callable.  The environment variable
+fields of NlpOptions, AlphaConfig, RmcConfig and SdConfig, and the
+scenario_theory section sets beta, containment and n_probe of
+``risk_bound``; an omitted or null key keeps the default of the dataclass
+or function.  The solver section sets only n_starts, max_inner and seed;
+the penalty schedule and tolerances are fixed.  An unknown key, a value of
+the wrong type (6.7 for an integer), NaN or (-)Infinity anywhere in a
+config or design file, a solver n_starts or max_inner below 1, an
+sd.baseline of the wrong length, a data file whose column count is not
+the problem's m_a or m_e, and an unknown or wrong-typed problem parameter
+are input errors.  Exit codes: 0 ok, 2 input error, 3 infeasible, 4
+specification not met, 5 numerical failure (a non-finite merit value, a
+failed leave-one-out solve).  A training solve of ``sequential`` that
+raises exits 2 or 5 like ``solve`` and writes no outputs; ``analyze``
+computes its reports before it writes any of them, so a failed one writes
+none.  Any other exception ends the command with exit 1 and a traceback:
+a bug in scendo or in a problem callable.  The environment variable
 SCENDO_LOG in {error, info, debug} controls log verbosity.  All commands
 are deterministic given (config, seed); every JSON report embeds the
 config hash and the tool version.
@@ -165,13 +169,18 @@ def _load(section: str, conf, cls, **given):
 
 
 def _load_config(path: str) -> dict:
-    """The JSON object in ``path``."""
+    """The JSON object in ``path``; NaN, Infinity and -Infinity, which
+    Python's json module accepts but JSON does not, are input errors."""
+
+    def non_finite(name):
+        raise InputError(f"config {path} holds {name}, which is not a JSON number")
+
     try:
         text = Path(path).read_text()
     except OSError as exc:
         raise InputError(f"cannot read config {path}: {exc}") from None
     try:
-        config = json.loads(text)
+        config = json.loads(text, parse_constant=non_finite)
     except json.JSONDecodeError as exc:
         raise InputError(f"config {path} is not valid JSON (line {exc.lineno}: {exc.msg})") from None
     if not isinstance(config, dict):
@@ -362,7 +371,25 @@ def cmd_analyze(args) -> int:
     st = _section("scenario_theory", config.get("scenario_theory"), st_types)
     out = _out_dir(config, args.output)
 
+    # every result is computed before the first file is written, so a
+    # failed analysis leaves no partial reports
     report = analyze(spec, theta, data, _load("rmc", config.get("rmc"), RmcConfig))
+    rb = None
+    if "scenario_theory" in config:
+        cfg = _load("alphas", config.get("alphas"), AlphaConfig)
+        opts = _build_opts(config, args.seed)
+        tag = _build_formulation(config)
+        rb = risk_bound(
+            spec,
+            lambda d: solve_program(tag, spec, d, cfg, opts, bundle.response),
+            data,
+            theta,
+            bundle.epistemic_set,
+            moment=tag in MOMENT_TAGS,
+            iid=trained_iid,
+            seed=opts.seed,
+            **st,
+        )
     _write_csv(
         out / "rmc_report.csv",
         ["requirement", "a_lo", "a_hi", "b_lo", "b_hi", "c", "d_lo", "d_hi"],
@@ -380,23 +407,7 @@ def cmd_analyze(args) -> int:
             **provenance,
         },
     )
-
-    if "scenario_theory" in config:
-        cfg = _load("alphas", config.get("alphas"), AlphaConfig)
-        opts = _build_opts(config, args.seed)
-        tag = _build_formulation(config)
-        rb = risk_bound(
-            spec,
-            lambda d: solve_program(tag, spec, d, cfg, opts, bundle.response),
-            data,
-            theta,
-            bundle.epistemic_set,
-            beta=st.pop("beta", 1e-4),
-            moment=tag in MOMENT_TAGS,
-            iid=trained_iid,
-            seed=opts.seed,
-            **st,
-        )
+    if rb is not None:
         _write_json(out / "risk_bound.json", {**rb.to_dict(), **provenance})
     return EXIT_OK
 

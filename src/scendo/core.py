@@ -51,6 +51,25 @@ def _as_float_array(x, name: str, ndim: int | None = None) -> Array:
     return arr
 
 
+def _fractions(name: str, value, n_r: int | None = None) -> Array:
+    """``value`` as a vector of fractions in [0, 1], else InputError.
+
+    A scalar or one-entry vector applies to every requirement; with the
+    requirement count ``n_r`` given it is broadcast to ``n_r`` entries, and
+    a vector of any other length but ``n_r`` is an InputError.
+    """
+    v = np.atleast_1d(np.asarray(value, dtype=float))
+    if not np.all((v >= 0) & (v <= 1)):  # NaN fails both comparisons
+        raise InputError(f"{name} entries must lie in [0, 1]")
+    if n_r is None:
+        return v
+    if v.size == 1:
+        return np.full(n_r, v[0])
+    if v.size != n_r:
+        raise InputError(f"{name} has {v.size} entries; the problem has {n_r} requirements")
+    return v
+
+
 @dataclass(frozen=True)
 class ProblemSpec:
     """The mathematical object being optimized.
@@ -258,11 +277,8 @@ class AlphaConfig:
     gamma: float = 100.0
 
     def __post_init__(self):
-        aa = np.atleast_1d(np.asarray(self.alpha_a, dtype=float))
-        ae = np.atleast_1d(np.asarray(self.alpha_e, dtype=float))
-        for name, v in (("alpha_a", aa), ("alpha_e", ae)):
-            if np.any(v < 0) or np.any(v > 1) or not np.all(np.isfinite(v)):
-                raise InputError(f"{name} entries must lie in [0, 1]")
+        aa = _fractions("alpha_a", self.alpha_a)
+        ae = _fractions("alpha_e", self.alpha_e)
         if self.rho < 0:
             raise InputError("rho must be nonnegative")
         if self.kappa < 1 or self.gamma < 1:
@@ -279,13 +295,8 @@ class AlphaConfig:
 
     def for_spec(self, spec: ProblemSpec) -> "AlphaConfig":
         """Broadcast scalar fractions up to the spec's requirement count."""
-        aa, ae = self.alpha_a, self.alpha_e
-        if aa.size == 1 and spec.n_r > 1:
-            aa = np.full(spec.n_r, aa[0])
-        if ae.size == 1 and spec.n_r > 1:
-            ae = np.full(spec.n_r, ae[0])
-        if aa.size != spec.n_r or ae.size != spec.n_r:
-            raise InputError("alpha vectors do not match the requirement count")
+        aa = _fractions("alpha_a", self.alpha_a, spec.n_r)
+        ae = _fractions("alpha_e", self.alpha_e, spec.n_r)
         return AlphaConfig(aa, ae, self.rho, self.kappa, self.gamma)
 
 

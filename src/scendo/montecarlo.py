@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.stats import beta as _beta_dist
 
-from scendo.core import InputError, ProblemSpec, ScenarioData, _check_trailing
+from scendo.core import InputError, ProblemSpec, ScenarioData, _check_trailing, _fractions
 from scendo.ecdf import quantile_of, sorted_cdf, strictify_sorted
 
 Array = np.ndarray
@@ -54,26 +54,17 @@ class RmcConfig:
     worst_case: bool = False  # analyze max_k r_k instead of each r_k
 
     def __post_init__(self):
-        aa = np.atleast_1d(np.asarray(self.alpha_a, dtype=float))
-        ae = np.atleast_1d(np.asarray(self.alpha_e, dtype=float))
-        pm = np.atleast_1d(np.asarray(self.p_max, dtype=float))
-        for name, v in (("alpha_a", aa), ("alpha_e", ae), ("p_max", pm)):
-            if np.any(v < 0) or np.any(v > 1):
-                raise InputError(f"{name} entries must lie in [0, 1]")
+        for name in ("alpha_a", "alpha_e", "p_max"):
+            object.__setattr__(self, name, _fractions(name, getattr(self, name)))
         if not 0 < self.sigma < 1:
             raise InputError("sigma must lie in (0, 1)")
-        object.__setattr__(self, "alpha_a", aa)
-        object.__setattr__(self, "alpha_e", ae)
-        object.__setattr__(self, "p_max", pm)
 
-    def _expand(self, n_r: int) -> "RmcConfig":
-        def up(v):
-            return np.full(n_r, v[0]) if v.size == 1 and n_r > 1 else v
-
-        aa, ae, pm = up(self.alpha_a), up(self.alpha_e), up(self.p_max)
-        if not (aa.size == ae.size == pm.size == n_r):
-            raise InputError("RmcConfig vectors do not match the requirement count")
-        return RmcConfig(aa, ae, self.sigma, pm, self.worst_case)
+    def for_requirements(self, n_r: int) -> "RmcConfig":
+        """Broadcast scalar fractions and budgets up to ``n_r`` requirements."""
+        return RmcConfig(
+            _fractions("alpha_a", self.alpha_a, n_r), _fractions("alpha_e", self.alpha_e, n_r),
+            self.sigma, _fractions("p_max", self.p_max, n_r), self.worst_case,
+        )
 
 
 @dataclass(frozen=True)
@@ -179,7 +170,7 @@ def analyze(spec: ProblemSpec, theta, data: ScenarioData, cfg: RmcConfig) -> Rmc
     n_a, n_e, n_r = data.n_a_test, data.n_e_test, len(spec.requirements)
     if cfg.worst_case:  # a single synthetic requirement, driven by the k=1 entries
         cfg = RmcConfig(cfg.alpha_a[:1], cfg.alpha_e[:1], cfg.sigma, cfg.p_max[:1], True)
-    cfg = cfg._expand(1 if cfg.worst_case else n_r)
+    cfg = cfg.for_requirements(1 if cfg.worst_case else n_r)
     n_keep = [int(np.ceil(n_a * (1.0 - alpha_a_k))) for alpha_a_k in cfg.alpha_a]
     if min(n_keep) < 1:
         raise InputError("trimmed aleatory sequence is empty")

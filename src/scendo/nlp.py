@@ -89,11 +89,15 @@ class NlpProblem:
     non-empty and lie inside ``bounds``.
     """
 
-    dim: int
     objective_batch: Callable[[Array], Array]
     constraints_batch: Callable[[Array], Array]
     bounds: Array  # (dim, 2), +-inf allowed
     starts: Array  # (n, dim)
+
+    @property
+    def dim(self) -> int:
+        """The number of variables: one per row of ``bounds``."""
+        return self.bounds.shape[0]
 
 
 @dataclass

@@ -141,7 +141,6 @@ def _minimize(
     aux0 = np.empty((len(theta0), 0)) if aux_starts is None else aux_starts(theta0)
     bounds = np.vstack([spec.design_bounds, aux_bounds])
     problem = nlp.NlpProblem(
-        dim=bounds.shape[0],
         bounds=bounds,
         starts=np.hstack([theta0, aux0]),
         objective_batch=objective_batch,

@@ -5,10 +5,14 @@ fresh aleatory point fails somewhere in the epistemic set (the set-risk)
 is bounded by epsilon_bar(s) with confidence 1 - beta, where s is the
 set-complexity: the number of training scenarios that are support
 scenarios (their removal changes the design) or that already fail
-somewhere in the epistemic set.  The bound holds for any sampling
-distribution but requires IID training data, so it does not apply to
-sequentially assembled training sets, and moment-based programs are fully
-supported (every scenario is a support scenario), forcing the bound to 1.
+somewhere in the epistemic set.  ``risk_bound`` is the one entry point:
+it checks its inputs, runs a containment test per training scenario and
+the leave-one-out support search, and evaluates epsilon_bar of their
+union; its signature holds the defaults (beta 1e-4, containment "auto",
+n_probe 2000, seed 0).  The bound holds for any sampling distribution
+but requires IID training data, so it does not apply to sequentially
+assembled training sets, and moment-based programs are fully supported
+(every scenario is a support scenario), forcing the bound to 1.
 
 epsilon_bar(k) is one minus the smaller root of a polynomial whose
 coefficients are binomial numbers up to C(4*n_a, k); all terms are
@@ -110,6 +114,11 @@ def _make_residual(n_a: int, k: int, beta: float) -> Callable:
     return log_gap
 
 
+def _check_beta(beta: float) -> None:
+    if not 0.0 < beta < 1.0:
+        raise InputError("beta must lie in (0, 1)")
+
+
 def epsilon_bar(n_a: int, k: int, beta: float) -> float:
     """Risk bound 1 - t(k), t(k) the smaller nonnegative root of the
     slack polynomial; equals 1 when k = n_a.  The two term sums and the
@@ -120,8 +129,7 @@ def epsilon_bar(n_a: int, k: int, beta: float) -> float:
         raise InputError("n_a and k must be integers")
     if n_a < 1 or k < 0 or k > n_a:
         raise InputError(f"need 0 <= k <= n_a, got k={k}, n_a={n_a}")
-    if not 0.0 < beta < 1.0:
-        raise InputError("beta must lie in (0, 1)")
+    _check_beta(beta)
     if k == n_a:
         return 1.0
     log_gap = _make_residual(int(n_a), int(k), float(beta))
@@ -320,12 +328,7 @@ def set_containment_opt(
         )
     except ArithmeticError:
         logger.warning("containment optimization failed; falling back to sampling test")
-        fallback = set_containment_sampling(spec, theta, a, eset)
-        return ContainmentResult(
-            violated=fallback.violated, method="sampling",
-            radius=fallback.radius, e_star=fallback.e_star,
-            failure_bound=fallback.failure_bound,
-        )
+        return set_containment_sampling(spec, theta, a, eset)
 
 
 def _box_containment_problem(spec, theta, a, eset, e_bounds, margin, opts):
@@ -348,7 +351,6 @@ def _box_containment_problem(spec, theta, a, eset, e_bounds, margin, opts):
     e0 = nlp.latin_hypercube(e_bounds, opts)
     s0 = np.maximum(eset.norm(e0) / max(eset.radius, 1e-300), 1e-3)
     return nlp.NlpProblem(
-        dim=m + 1,
         bounds=np.vstack([e_bounds, [[0.0, margin]]]),
         starts=np.hstack([e0, s0[:, None]]),
         objective_batch=obj_any,
@@ -369,7 +371,6 @@ def _ellipsoid_containment_problem(spec, theta, a, eset, e_bounds, opts):
         return g0[..., None]
 
     return nlp.NlpProblem(
-        dim=m,
         bounds=e_bounds,
         starts=nlp.latin_hypercube(e_bounds, opts),
         objective_batch=obj_any,
@@ -378,61 +379,8 @@ def _ellipsoid_containment_problem(spec, theta, a, eset, e_bounds, opts):
 
 
 # ---------------------------------------------------------------------------
-# set complexity and the full report
+# the full report
 # ---------------------------------------------------------------------------
-
-
-def _containment_tester(spec, theta, eset, containment, n_probe, seed):
-    if containment == "auto":
-        containment = "optimization" if eset.m_e <= 10 else "sampling"
-    if containment == "sampling":
-        rng = np.random.default_rng(seed)
-
-        def test(a):
-            return set_containment_sampling(spec, theta, a, eset, n_probe, rng=rng)
-
-    elif containment == "optimization":
-
-        def test(a):
-            return set_containment_opt(spec, theta, a, eset)
-
-    else:
-        raise InputError(f"unknown containment test {containment!r}")
-    return containment, test
-
-
-def set_complexity(
-    spec: ProblemSpec,
-    solver: Callable,
-    data: ScenarioData,
-    theta_star,
-    eset: EpistemicSet,
-    containment: str = "auto",
-    moment: bool = False,
-    n_probe: int = 2000,
-    seed: int = 0,
-):
-    """Count support scenarios and set violations of a solved program.
-
-    Returns (n_support, n_violation, s, containment_test_name).  The
-    complexity s is the size of the union of the two index sets, so
-    max(n_s, n_v) <= s <= n_s + n_v.  Moment-based programs are fully
-    supported by construction: every scenario counts as support and
-    s = n_a without re-solving.  The sampling containment test draws
-    ``n_probe`` points per scenario from one generator seeded by ``seed``;
-    only whether a scenario fails counts, so no confidence level enters.
-    """
-    theta_star = np.asarray(theta_star, dtype=float)
-    name, test = _containment_tester(spec, theta_star, eset, containment, n_probe, seed)
-    violations = np.array(
-        [i for i in range(data.n_a) if test(data.aleatory[i]).violated], dtype=int
-    )
-    if moment:
-        support = np.arange(data.n_a)
-    else:
-        support = support_scenarios(solver, data)
-    s = int(np.union1d(support, violations).size)
-    return int(support.size), int(violations.size), s, name
 
 
 def risk_bound(
@@ -441,16 +389,29 @@ def risk_bound(
     data: ScenarioData,
     theta_star,
     eset: EpistemicSet,
-    beta: float,
+    beta: float = 1e-4,
     containment: str = "auto",
     moment: bool = False,
     iid: bool = True,
     n_probe: int = 2000,
     seed: int = 0,
 ) -> RiskBoundReport:
-    """Full report: complexity counts plus the epsilon_bar bound.  Set
-    ``iid=False`` for designs trained on sequentially assembled data; the
-    bound is still reported but flagged not valid.
+    """Set violations, support scenarios and the epsilon_bar bound of a
+    solved program.  In this order: ``beta`` outside (0, 1) or an unknown
+    ``containment`` name is an InputError before any work; one containment
+    test per training scenario of ``theta_star``; the leave-one-out support
+    set of ``solver`` (see ``support_scenarios``); epsilon_bar of the
+    set-complexity s, the size of the union of the two index sets, so
+    max(n_s, n_v) <= s <= n_s + n_v.
+
+    ``containment="auto"`` picks "optimization" (``set_containment_opt``)
+    up to 10 epistemic dimensions and "sampling" above; the sampling test
+    draws ``n_probe`` points per scenario from one generator seeded by
+    ``seed``.  Only whether a scenario fails counts, so no confidence level
+    enters.  Moment-based programs (``moment=True``) are fully supported by
+    construction: every scenario counts as support and s = n_a without
+    re-solving.  Set ``iid=False`` for designs trained on sequentially
+    assembled data; the bound is still reported but flagged not valid.
 
     The support set is measured against the solver's re-solve of the full
     data, and the bound holds for that design.  The report carries its
@@ -458,7 +419,22 @@ def risk_bound(
     not certify ``theta_star``, the validity reads "not-reproduced" and a
     warning names the distance.
     """
+    _check_beta(beta)
+    if containment == "auto":
+        containment = "optimization" if eset.m_e <= 10 else "sampling"
+    if containment not in ("optimization", "sampling"):
+        raise InputError(f"unknown containment test {containment!r}")
     theta_star = np.asarray(theta_star, dtype=float)
+    rng = np.random.default_rng(seed)
+    violations = []
+    for i, a in enumerate(data.aleatory):
+        if containment == "sampling":
+            result = set_containment_sampling(spec, theta_star, a, eset, n_probe, rng=rng)
+        else:
+            result = set_containment_opt(spec, theta_star, a, eset)
+        if result.violated:
+            violations.append(i)
+
     resolved = []
 
     def recording(d: ScenarioData):
@@ -467,9 +443,8 @@ def risk_bound(
             resolved.append(_design_of(out))
         return out
 
-    n_s, n_v, s, name = set_complexity(
-        spec, recording, data, theta_star, eset, containment, moment, n_probe, seed,
-    )
+    support = np.arange(data.n_a) if moment else support_scenarios(recording, data)
+    s = int(np.union1d(support, violations).size)
     distance = float(np.max(np.abs(resolved[0] - theta_star))) if resolved else None
     if distance is not None and distance > TOL_SUPPORT:
         logger.warning(
@@ -479,7 +454,7 @@ def risk_bound(
         )
     eps = epsilon_bar(data.n_a, s, beta)
     return RiskBoundReport(
-        n_support=n_s, n_violation=n_v, set_complexity=s,
-        epsilon_bar=eps, beta=beta, containment_test=name, valid=iid,
+        n_support=int(support.size), n_violation=len(violations), set_complexity=s,
+        epsilon_bar=eps, beta=beta, containment_test=containment, valid=iid,
         design_distance=distance,
     )

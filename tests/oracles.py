@@ -386,7 +386,7 @@ def analyze_full_grid(spec, theta, data, cfg):
     if cfg.worst_case:
         grids = [np.maximum.reduce(grids)]
         cfg = RmcConfig(cfg.alpha_a[:1], cfg.alpha_e[:1], cfg.sigma, cfg.p_max[:1], True)
-    cfg = cfg._expand(len(grids))
+    cfg = cfg.for_requirements(len(grids))
     out = {"range_a": [], "range_b": [], "point_c": [], "range_d": [], "p": []}
     for k, grid in enumerate(grids):
         n_keep = int(np.ceil(data.n_a_test * (1.0 - cfg.alpha_a[k])))

@@ -23,7 +23,6 @@ from scendo.programs import (
 from scendo.risk_bounds import (
     epsilon_bar,
     risk_bound,
-    set_complexity,
     set_containment_opt,
     set_containment_sampling,
 )
@@ -186,10 +185,11 @@ def test_c09_set_complexity_bounds():
         return solve_risk_agnostic_local(SPEC, d, cfg, opts)
 
     theta = solver(data).theta_star
-    n_s, n_v, s, _ = set_complexity(
+    rep = risk_bound(
         SPEC, solver, data, theta, circle.epistemic_box(),
         containment="optimization",
     )
+    n_s, n_v, s = rep.n_support, rep.n_violation, rep.set_complexity
     ok = max(n_s, n_v) <= s <= n_s + n_v
     # moment-based programs are fully supported: the bound saturates
     moment = solve_moment_risk_agnostic(SPEC, data, cfg, circle.circle_response, opts)

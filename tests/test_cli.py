@@ -1,5 +1,6 @@
 import ast
 import dataclasses
+import inspect
 import json
 import re
 from pathlib import Path
@@ -202,6 +203,19 @@ def test_analyze_scenario_theory_on_two_scenarios_exit_2(tmp_path, capsys):
     assert err == (
         "error: scenario theory needs at least 3 aleatory scenarios to leave one out, got 2\n"
     )
+
+
+def test_analyze_bad_beta_exit_2_before_any_work(tmp_path, capsys, monkeypatch):
+    def never(*args, **kwargs):
+        pytest.fail("analyze solved before checking beta")
+
+    monkeypatch.setattr(cli, "solve_program", never)
+    cfg = _write_config(tmp_path / "cfg.json", data=_TESTED_DATA, scenario_theory={"beta": 0})
+    design = tmp_path / "design.json"
+    design.write_text(json.dumps({"theta_star": [0.5, 0.3, 6.0]}))
+    assert cli.main(["analyze", "--config", str(cfg), "--design", str(design)]) == 2
+    assert capsys.readouterr().err == "error: beta must lie in (0, 1)\n"
+    assert not (tmp_path / "out" / "rmc_report.json").exists()
 
 
 def _files_config(tmp_path: Path, **widths) -> Path:
@@ -581,6 +595,34 @@ def test_wrong_typed_design_value_exit_2(tmp_path, capsys):
     assert "design.theta_star" in capsys.readouterr().err
 
 
+#: a non-finite number Python's json module writes and reads but JSON does
+#: not allow: (verb, overrides, the constant named on stderr)
+_NON_FINITE = [
+    ("analyze", {"rmc": {"alpha_a": float("nan")}}, "NaN"),
+    ("analyze", {"rmc": {"p_max": float("nan")}}, "NaN"),
+    ("solve", {"alphas": {"rho": float("inf")}}, "Infinity"),
+    ("solve", {"alphas": {"kappa": float("-inf")}}, "-Infinity"),
+]
+
+
+@pytest.mark.parametrize(
+    "verb,overrides,constant", _NON_FINITE,
+    ids=["rmc.alpha_a", "rmc.p_max", "alphas.rho", "alphas.kappa"],
+)
+def test_non_finite_config_number_exit_2(tmp_path, capsys, verb, overrides, constant):
+    cfg = _write_config(tmp_path / "cfg.json", data=_TESTED_DATA, **overrides)
+    argv = [verb, "--config", str(cfg)]
+    if verb == "analyze":
+        design = tmp_path / "design.json"
+        design.write_text(json.dumps({"theta_star": [0.5, 0.3, 6.0]}))
+        argv += ["--design", str(design)]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == (
+        f"error: config {cfg} holds {constant}, which is not a JSON number\n"
+    )
+    assert not (tmp_path / "out").exists()
+
+
 #: the library dataclasses behind config sections, with the fields the CLI fills
 _SECTIONS = [
     ("alphas", AlphaConfig, {}),
@@ -613,6 +655,10 @@ def test_readme_config_example_shows_the_dataclass_defaults():
     config["sd"] = sd
     for section, cls, given in _SECTIONS:
         assert repr(cli._load(section, config[section], cls, **given)) == repr(cls(**given)), section
+    # scenario_theory shows risk_bound's defaults
+    defaults = inspect.signature(cli.risk_bound).parameters
+    st = config["scenario_theory"]
+    assert st == {key: defaults[key].default for key in st}
 
 
 def test_sequential_loads_sdconfig_defaults(tmp_path, monkeypatch):

@@ -142,6 +142,12 @@ def test_worst_case_flag_collapses_requirements():
     assert rep.range_a[0, 1] == pytest.approx(frac_outside, abs=0.02)
 
 
+@pytest.mark.parametrize("field", ["alpha_a", "alpha_e", "p_max"])
+def test_config_rejects_nan_fractions(field):
+    with pytest.raises(InputError, match=rf"{field} entries must lie in \[0, 1\]"):
+        RmcConfig(**{field: [0.0, np.nan]})
+
+
 def test_requires_testing_sets(circle_spec, small_data):
     with pytest.raises(InputError):
         analyze(circle_spec, np.zeros(3), small_data, ZERO_CFG)

@@ -12,7 +12,7 @@ def _no_constraints(X):
 
 def test_unconstrained_quadratic():
     bounds, opts = np.array([[-1.0, 1.0]]), nlp.NlpOptions(seed=0)
-    p = nlp.NlpProblem(dim=1, objective_batch=lambda X: X[:, 0] ** 2,
+    p = nlp.NlpProblem(objective_batch=lambda X: X[:, 0] ** 2,
                        constraints_batch=_no_constraints, bounds=bounds,
                        starts=nlp.latin_hypercube(bounds, opts))
     res = nlp.minimize(p, opts)
@@ -23,7 +23,6 @@ def test_unconstrained_quadratic():
 def test_active_linear_constraint():
     bounds, opts = np.array([[0.0, 5.0]]), nlp.NlpOptions(seed=0)
     p = nlp.NlpProblem(
-        dim=1,
         objective_batch=lambda X: X[:, 0],
         constraints_batch=lambda X: 1.0 - X[:, :1],
         bounds=bounds,
@@ -44,7 +43,6 @@ def test_minimal_enclosing_circle_matches_welzl():
 
     bounds, opts = np.array([[-5.0, 5.0], [-5.0, 5.0], [0.0, 5.0]]), nlp.NlpOptions(seed=3)
     p = nlp.NlpProblem(
-        dim=3,
         bounds=bounds,
         objective_batch=lambda X: np.pi * np.asarray(X)[..., 2] ** 2,
         constraints_batch=cons,
@@ -68,7 +66,6 @@ def test_determinism_bit_identical():
 
     bounds, opts = np.array([[-5.0, 5.0], [-5.0, 5.0], [0.0, 8.0]]), nlp.NlpOptions(seed=1)
     p = nlp.NlpProblem(
-        dim=3,
         bounds=bounds,
         constraints_batch=cons,
         objective_batch=lambda X: np.asarray(X)[..., 2] ** 2,
@@ -84,7 +81,6 @@ def test_penalty_infeasibility_is_monotone():
     # recorded per-stage violations should not increase on this instance
     bounds, opts = np.array([[0.0, 10.0], [0.0, 10.0]]), nlp.NlpOptions(seed=2)
     p = nlp.NlpProblem(
-        dim=2,
         objective_batch=lambda X: X[:, 0] + X[:, 1],
         constraints_batch=lambda X: np.stack([4.0 - X[:, 0] * X[:, 1], 1.0 - X[:, 0]], axis=-1),
         bounds=bounds,
@@ -100,7 +96,6 @@ def test_failed_status_when_infeasible():
     # contradictory constraints: x <= -1 and x >= 1 on [-5, 5]
     bounds, opts = np.array([[-5.0, 5.0]]), nlp.NlpOptions(seed=0)
     p = nlp.NlpProblem(
-        dim=1,
         objective_batch=lambda X: X[:, 0] ** 2,
         constraints_batch=lambda X: np.stack([X[:, 0] + 1.0, 1.0 - X[:, 0]], axis=-1),
         bounds=bounds,
@@ -118,7 +113,6 @@ def test_failed_status_when_infeasible():
 )
 def test_start_point_outside_bounds_rejected(starts):
     p = nlp.NlpProblem(
-        dim=1,
         objective_batch=lambda X: X[:, 0] ** 2,
         constraints_batch=_no_constraints,
         bounds=np.array([[0.0, 1.0]]),
@@ -131,7 +125,7 @@ def test_start_point_outside_bounds_rejected(starts):
 def _fd_gradient(f_batch, x):
     """Central-difference gradient of an unconstrained batch objective."""
     bounds = np.tile([-np.inf, np.inf], (x.size, 1))
-    problem = nlp.NlpProblem(dim=x.size, objective_batch=f_batch,
+    problem = nlp.NlpProblem(objective_batch=f_batch,
                              constraints_batch=_no_constraints, bounds=bounds, starts=x[None])
     return nlp._batch_fd_gradient(nlp._make_batch_penalty(problem), x, 1.0, 1e-6)[1]
 

@@ -16,7 +16,7 @@ def test_replay_needs_stacking_batches(one_row_dtype):
 
     bounds = np.array([[-1.0, 1.0], [-1.0, 1.0]])
     opts = nlp.NlpOptions(seed=0, n_starts=2, max_inner=30)
-    problem = nlp.NlpProblem(dim=2, objective_batch=objective,
+    problem = nlp.NlpProblem(objective_batch=objective,
                              constraints_batch=lambda X: np.zeros((len(X), 0)),
                              bounds=bounds, starts=nlp.latin_hypercube(bounds, opts))
     with replay.recording_tape() as tape:
@@ -40,7 +40,7 @@ def _counted_constrained_problem(rows: dict, opts: nlp.NlpOptions) -> nlp.NlpPro
         return 0.1 - X[:, :1] * X[:, 1:]
 
     bounds = np.array([[0.0, 1.0], [0.0, 1.0]])
-    return nlp.NlpProblem(dim=2, objective_batch=objective, constraints_batch=constraints,
+    return nlp.NlpProblem(objective_batch=objective, constraints_batch=constraints,
                           bounds=bounds, starts=nlp.latin_hypercube(bounds, opts))
 
 

@@ -12,7 +12,6 @@ from scendo.risk_bounds import (
     RiskBoundReport,
     epsilon_bar,
     risk_bound,
-    set_complexity,
     set_containment_opt,
     set_containment_sampling,
     support_scenarios,
@@ -434,17 +433,17 @@ def test_set_complexity_matches_enumeration():
         return np.array([float(d.aleatory.max() + d.epistemic.max())])
 
     theta_star = solver(data)
-    n_s, n_v, s, name = set_complexity(
+    rep = risk_bound(
         spec, solver, data, theta_star, eset, containment="sampling", n_probe=500, seed=1
     )
     # enumeration: dropping i changes theta iff i is the unique argmax;
     # scenario i violates iff a_i + 0.5 > theta*
     exp_support = {int(np.argmax(a_vals))}
     exp_viol = {i for i, a in enumerate(a_vals) if a + 0.5 > theta_star[0]}
-    assert n_s == len(exp_support)
-    assert n_v == len(exp_viol)
-    assert s == len(exp_support | exp_viol)
-    assert name == "sampling"
+    assert rep.n_support == len(exp_support)
+    assert rep.n_violation == len(exp_viol)
+    assert rep.set_complexity == len(exp_support | exp_viol)
+    assert rep.containment_test == "sampling"
 
 
 def test_set_complexity_bounds_and_union(circle_spec):
@@ -456,12 +455,26 @@ def test_set_complexity_bounds_and_union(circle_spec):
         return solve_risk_agnostic_local(circle_spec, d, cfg, FAST)
 
     theta = solver(data).theta_star
-    n_s, n_v, s, _ = set_complexity(
+    rep = risk_bound(
         circle_spec, solver, data, theta, circle.epistemic_box(), containment="sampling",
         n_probe=400, seed=3,
     )
+    n_s, n_v, s = rep.n_support, rep.n_violation, rep.set_complexity
     assert max(n_s, n_v) <= s <= n_s + n_v
     assert s <= data.n_a
+
+
+@pytest.mark.parametrize("bad", [{"beta": 0.0}, {"containment": "bogus"}], ids=["beta", "containment"])
+def test_risk_bound_checks_its_inputs_before_any_work(bad):
+    def never(*args):
+        pytest.fail("risk_bound did work before checking its inputs")
+
+    spec = ProblemSpec(objective=never, requirements=[never], design_bounds=[[0.0, 1.0]],
+                       m_a=1, m_e=1)
+    data = ScenarioData(np.zeros((4, 1)), np.zeros((2, 1)))
+    eset = EpistemicSet.from_box(np.array([0.0]), np.array([1.0]))
+    with pytest.raises(InputError):
+        risk_bound(spec, never, data, np.array([0.5]), eset, **bad)
 
 
 def test_moment_programs_fully_supported(circle_spec):
