@@ -279,9 +279,10 @@ class AlphaConfig:
     def __post_init__(self):
         aa = _fractions("alpha_a", self.alpha_a)
         ae = _fractions("alpha_e", self.alpha_e)
-        if self.rho < 0:
+        # each check is written so that NaN fails it
+        if not self.rho >= 0:
             raise InputError("rho must be nonnegative")
-        if self.kappa < 1 or self.gamma < 1:
+        if not (self.kappa >= 1 and self.gamma >= 1):
             raise InputError("kappa and gamma must be >= 1")
         object.__setattr__(self, "alpha_a", aa)
         object.__setattr__(self, "alpha_e", ae)

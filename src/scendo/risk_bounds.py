@@ -165,6 +165,13 @@ def _design_of(out) -> Array:
     return np.asarray(getattr(out, "theta_star", out), dtype=float)
 
 
+def _check_leave_one_out(data: ScenarioData) -> None:
+    if data.n_a < 3:
+        raise InputError(
+            f"scenario theory needs at least 3 aleatory scenarios to leave one out, got {data.n_a}"
+        )
+
+
 def support_scenarios(solver: Callable, data: ScenarioData) -> Array:
     """Leave-one-out support set of a deterministic scenario solver.
 
@@ -195,10 +202,7 @@ def support_scenarios(solver: Callable, data: ScenarioData) -> Array:
     Results with a ``solver_status`` other than "converged" are named in
     one warning; they still count by their design.
     """
-    if data.n_a < 3:
-        raise InputError(
-            f"scenario theory needs at least 3 aleatory scenarios to leave one out, got {data.n_a}"
-        )
+    _check_leave_one_out(data)
     # imported here: every scendo command imports this module, and
     # compiling the replay code at import raised the peak RSS of runs
     # that never leave a scenario out (the sequential benchmark workload
@@ -247,7 +251,12 @@ def support_scenarios(solver: Callable, data: ScenarioData) -> Array:
 class ContainmentResult:
     violated: bool  # True: the point fails for some epistemic value
     method: str  # "sampling" | "optimization"
-    radius: float = np.nan  # distance from the center to the nearest violating point
+    #: the largest worst-case requirement value the test evaluated: how near
+    #: to failing a contained point is, or how far a violated one fails
+    margin: float
+    #: distance from the center to the nearest violating point; inf when the
+    #: optimization test finds the point contained, nan when sampling does
+    radius: float = np.nan
     e_star: Optional[Array] = None
     failure_bound: Optional[float] = None  # zero-failure bound when not violated
 
@@ -270,15 +279,18 @@ def set_containment_sampling(
     rng = rng if rng is not None else np.random.default_rng(0)
     probes = eset.sample(n_probe, rng)
     vals = r_max(spec, np.asarray(theta, float), np.asarray(a, float), probes)
+    margin = float(vals.max())
     hit = np.flatnonzero(vals > 0.0)
     if hit.size:
         j = int(hit[0])
         return ContainmentResult(
-            violated=True, method="sampling",
+            violated=True, method="sampling", margin=margin,
             radius=float(eset.norm(probes[j])), e_star=probes[j],
         )
     bound = 1.0 - (1.0 - sigma) ** (1.0 / n_probe)
-    return ContainmentResult(violated=False, method="sampling", failure_bound=bound)
+    return ContainmentResult(
+        violated=False, method="sampling", margin=margin, failure_bound=bound
+    )
 
 
 def set_containment_opt(
@@ -287,31 +299,45 @@ def set_containment_opt(
     a,
     eset: EpistemicSet,
 ) -> ContainmentResult:
-    """Find the violating epistemic point nearest to the set's center.
+    """Whether the point fails somewhere in the set, and if so the
+    violating epistemic point nearest to the set's center.
 
-    Minimizes the set norm subject to the worst-case requirement being
-    (slightly) positive, searching a box 1.5x the set; the point is in the
-    failure domain iff the minimal radius is below the set radius.  If no
-    violating point exists the auxiliary program is infeasible and the
-    radius is reported as +inf.  A center that already violates shortcuts
-    to radius 0; numerical failures fall back to the sampling test.  The
-    search uses 8 starts of at most 150 L-BFGS-B iterations per stage.
+    A center that already violates shortcuts to radius 0.  Otherwise the
+    worst-case requirement is maximized over the set first, an
+    unconstrained program in unit coordinates z in [-1, 1]^m_e (e = center
+    + radius * scale * z, with z mapped radially onto the unit ball for an
+    ellipsoid).  A maximum <= 0 means the point is contained: radius +inf
+    and no e_star.  Only a positive maximum runs the nearest-point
+    program, which minimizes the set norm subject to the worst-case
+    requirement being (slightly) positive, searching a box 1.5x the set;
+    the point is in the failure domain iff the minimal radius is below the
+    set radius, and a nearest-point program that finds no feasible point
+    reports the radius as +inf.  ``margin`` is the maximum found (the
+    center's value for the shortcut).  Numerical failures in either
+    program fall back to the sampling test.  Each program uses 8 starts of
+    at most 150 L-BFGS-B iterations per stage.
     """
     theta = np.asarray(theta, dtype=float)
     a = np.asarray(a, dtype=float)
-    if float(r_max(spec, theta, a, eset.center)) >= 0.0:
+    at_center = float(r_max(spec, theta, a, eset.center))
+    if at_center >= 0.0:
         return ContainmentResult(
-            violated=True, method="optimization", radius=0.0, e_star=eset.center.copy()
+            violated=True, method="optimization", margin=at_center,
+            radius=0.0, e_star=eset.center.copy(),
         )
     opts = nlp.NlpOptions(n_starts=8, max_inner=150)
-    m = eset.m_e
-    margin = 1.5
-    half = margin * eset.radius * eset.scale
-    e_bounds = np.column_stack([eset.center - half, eset.center + half])
-
     try:
+        worst = -nlp.minimize(_max_requirement_problem(spec, theta, a, eset, opts), opts).f
+        if worst <= 0.0:
+            return ContainmentResult(
+                violated=False, method="optimization", margin=worst, radius=np.inf
+            )
+        m = eset.m_e
+        widen = 1.5
+        half = widen * eset.radius * eset.scale
+        e_bounds = np.column_stack([eset.center - half, eset.center + half])
         if eset.kind == "box":
-            problem = _box_containment_problem(spec, theta, a, eset, e_bounds, margin, opts)
+            problem = _box_containment_problem(spec, theta, a, eset, e_bounds, widen, opts)
             res = nlp.minimize(problem, opts)
             e_star, s_star = res.x[:m], float(res.x[m])
             radius = s_star * eset.radius
@@ -321,14 +347,38 @@ def set_containment_opt(
             e_star = res.x
             radius = float(eset.norm(e_star))
         if res.status == "failed":
-            return ContainmentResult(violated=False, method="optimization", radius=np.inf)
+            return ContainmentResult(
+                violated=False, method="optimization", margin=worst, radius=np.inf
+            )
         return ContainmentResult(
-            violated=bool(radius < eset.radius), method="optimization",
+            violated=bool(radius < eset.radius), method="optimization", margin=worst,
             radius=radius, e_star=e_star,
         )
     except ArithmeticError:
         logger.warning("containment optimization failed; falling back to sampling test")
         return set_containment_sampling(spec, theta, a, eset)
+
+
+def _max_requirement_problem(spec, theta, a, eset, opts):
+    """-r_max over the set in unit coordinates z in [-1, 1]^m_e."""
+    ball = eset.kind == "ellipsoid"
+
+    def obj_any(z):
+        z = np.asarray(z, float)
+        if ball:
+            z = z / np.maximum(1.0, np.sqrt(np.sum(z * z, axis=-1, keepdims=True)))
+        return -r_max(spec, theta, a, eset.center + eset.radius * eset.scale * z)
+
+    def cons_any(z):
+        return np.empty(np.shape(z)[:-1] + (0,))
+
+    unit = np.tile([-1.0, 1.0], (eset.m_e, 1))
+    return nlp.NlpProblem(
+        bounds=unit,
+        starts=nlp.latin_hypercube(unit, opts),
+        objective_batch=obj_any,
+        constraints_batch=cons_any,
+    )
 
 
 def _box_containment_problem(spec, theta, a, eset, e_bounds, margin, opts):
@@ -397,8 +447,9 @@ def risk_bound(
     seed: int = 0,
 ) -> RiskBoundReport:
     """Set violations, support scenarios and the epsilon_bar bound of a
-    solved program.  In this order: ``beta`` outside (0, 1) or an unknown
-    ``containment`` name is an InputError before any work; one containment
+    solved program.  In this order: ``beta`` outside (0, 1), an unknown
+    ``containment`` name or, unless ``moment``, fewer than 3 training
+    scenarios is an InputError before any work; one containment
     test per training scenario of ``theta_star``; the leave-one-out support
     set of ``solver`` (see ``support_scenarios``); epsilon_bar of the
     set-complexity s, the size of the union of the two index sets, so
@@ -424,16 +475,21 @@ def risk_bound(
         containment = "optimization" if eset.m_e <= 10 else "sampling"
     if containment not in ("optimization", "sampling"):
         raise InputError(f"unknown containment test {containment!r}")
+    if not moment:
+        _check_leave_one_out(data)
     theta_star = np.asarray(theta_star, dtype=float)
     rng = np.random.default_rng(seed)
-    violations = []
-    for i, a in enumerate(data.aleatory):
-        if containment == "sampling":
-            result = set_containment_sampling(spec, theta_star, a, eset, n_probe, rng=rng)
-        else:
-            result = set_containment_opt(spec, theta_star, a, eset)
-        if result.violated:
-            violations.append(i)
+    results = [
+        set_containment_sampling(spec, theta_star, a, eset, n_probe, rng=rng)
+        if containment == "sampling"
+        else set_containment_opt(spec, theta_star, a, eset)
+        for a in data.aleatory
+    ]
+    violations = [i for i, r in enumerate(results) if r.violated]
+    logger.debug(
+        "containment by %s, scenario: violated, margin; %s", containment,
+        "; ".join(f"{i}: {r.violated}, {r.margin:.6g}" for i, r in enumerate(results)),
+    )
 
     resolved = []
 

@@ -39,7 +39,7 @@ from typing import Callable, List, Optional
 import numpy as np
 
 from scendo import nlp
-from scendo.core import AlphaConfig, InputError, ProblemSpec, ScenarioData, r_max
+from scendo.core import AlphaConfig, InputError, ProblemSpec, ScenarioData, _fractions, r_max
 from scendo.montecarlo import RmcConfig, analyze
 from scendo.programs import (
     solve_feasibility_seed,
@@ -75,13 +75,17 @@ class SdConfig:
     seed: int = 0  # solver seed, used only when run_sd gets no opts
 
     def __post_init__(self):
+        # each check is written so that NaN fails it
         if self.max_iter < 1:
             raise InputError("max_iter must be >= 1")
-        if self.lambda_div < 0:
+        if not self.lambda_div >= 0:
             raise InputError("lambda_div must be nonnegative")
+        if not self.threshold >= 0:
+            raise InputError("threshold must be nonnegative")
+        _fractions("alpha_e", self.alpha_e)
         if self.metric not in _METRICS:
             raise InputError(f"metric must be one of {_METRICS}")
-        if self.growth <= 1:
+        if not self.growth > 1:
             raise InputError("growth must exceed 1")
         if self.program not in ("risk_agnostic_local", "risk_agnostic_global", "feasibility_seed"):
             raise InputError(f"unknown program {self.program!r}")

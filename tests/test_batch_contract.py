@@ -26,7 +26,8 @@ THETA, POINT = np.array([0.0, 0.0, 5.0]), DATA.aleatory[0]
 BOX = circle.epistemic_box()
 ELLIPSOID = EpistemicSet(center=BOX.center, radius=1.0, kind="ellipsoid", scale=BOX.scale)
 #: leading block of the decision vector: the design theta, or the epistemic
-#: point of a containment problem (three coordinates each on the circle)
+#: point (or its unit coordinates) of a containment problem (three
+#: coordinates each on the circle)
 LEAD = 3
 
 
@@ -34,19 +35,25 @@ class _Captured(Exception):
     pass
 
 
-def _capture(solve, *args, **kwargs) -> nlp.NlpProblem:
-    """The NlpProblem a program hands to nlp.minimize, without solving it."""
+def _capture(solve, *args, skip=0, **kwargs) -> nlp.NlpProblem:
+    """The NlpProblem a program hands to nlp.minimize, without solving it.
+
+    With ``skip`` the first calls are answered instead of captured, each
+    with objective -1: a containment maximisation that finds a violation.
+    """
     captured = []
 
     def fake_minimize(problem, opts=None):
         captured.append(problem)
+        if len(captured) <= skip:
+            return nlp.NlpResult(x=problem.starts[0], f=-1.0, status="converged")
         raise _Captured
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(nlp, "minimize", fake_minimize)
         with pytest.raises(_Captured):
             solve(*args, **kwargs)
-    return captured[0]
+    return captured[-1]
 
 
 #: every builder of an NlpProblem, keyed by program
@@ -67,9 +74,17 @@ PROGRAMS = {
     ),
     "risk_agnostic_local": lambda: _capture(programs.solve_risk_agnostic_local, SPEC, DATA, CFG, OPTS),
     "risk_agnostic_global": lambda: _capture(programs.solve_risk_agnostic_global, SPEC, DATA, CFG, OPTS),
-    "box_containment": lambda: _capture(risk_bounds.set_containment_opt, SPEC, THETA, POINT, BOX),
-    "ellipsoid_containment": lambda: _capture(
+    # the containment maximisation, then the nearest-point program it runs
+    # on a violation
+    "box_containment_max": lambda: _capture(risk_bounds.set_containment_opt, SPEC, THETA, POINT, BOX),
+    "ellipsoid_containment_max": lambda: _capture(
         risk_bounds.set_containment_opt, SPEC, THETA, POINT, ELLIPSOID
+    ),
+    "box_containment": lambda: _capture(
+        risk_bounds.set_containment_opt, SPEC, THETA, POINT, BOX, skip=1
+    ),
+    "ellipsoid_containment": lambda: _capture(
+        risk_bounds.set_containment_opt, SPEC, THETA, POINT, ELLIPSOID, skip=1
     ),
 }
 
@@ -180,3 +195,16 @@ def test_fd_batch_probes_match_separate_evaluation():
         fm = penalty_batch((x - e)[None], 100.0)[0]
         assert grad[i] == (fp - fm) / (2.0 * h[i])
     assert f == penalty_batch(x[None], 100.0)[0]
+
+
+@pytest.mark.parametrize(
+    "name, dim, n_con",
+    [("box_containment_max", 3, 0), ("ellipsoid_containment_max", 3, 0),
+     ("box_containment", 4, 7), ("ellipsoid_containment", 3, 1)],
+)
+def test_containment_captures_are_the_intended_programs(name, dim, n_con):
+    # the maximisation is unconstrained; the nearest-point programs carry the
+    # requirement (and for a box the radius variable and its 2 m_e bounds)
+    problem = _problem(name)
+    assert problem.dim == dim
+    assert problem.constraints_batch(problem.starts).shape == (len(problem.starts), n_con)

@@ -116,6 +116,12 @@ def test_alpha_config_validation():
     assert cfg.kappa == 1000.0 and cfg.gamma == 100.0
 
 
+@pytest.mark.parametrize("field", ["rho", "kappa", "gamma"])
+def test_alpha_config_rejects_nan(field):
+    with pytest.raises(InputError, match=field):
+        AlphaConfig(np.array([0.1]), np.array([0.1]), **{field: float("nan")})
+
+
 def test_registry_round_trip():
     bundle = make_problem("circle")
     assert bundle.spec.n_r == 1

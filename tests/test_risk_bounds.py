@@ -5,7 +5,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from scendo import circle, nlp
+from scendo import circle, nlp, risk_bounds
 from scendo.core import AlphaConfig, EpistemicSet, InputError, ProblemSpec, ScenarioData
 from scendo.programs import solve_risk_agnostic_local, solve_risk_averse_local
 from scendo.risk_bounds import (
@@ -398,6 +398,38 @@ def test_containment_opt_center_violation_shortcut(circle_spec):
     assert res.radius == 0.0
 
 
+def test_containment_opt_contained_point_has_no_nearest_point(circle_spec):
+    # scenario 3 of the certify benchmark at row order 0: contained, though
+    # a nearest-point search alone reported a finite radius 1.2511 for it
+    theta = np.array([float.fromhex(h) for h in (
+        "0x1.038f36b88dcd8p-1", "0x1.f1e1a1b45dee1p-2", "0x1.9bd700dee5f6ap+1")])
+    a = np.array([float.fromhex("-0x1.d77bf28b367b0p+0"), float.fromhex("-0x1.e177757c5cfd8p-3")])
+    res = set_containment_opt(circle_spec, theta, a, circle.epistemic_box())
+    assert not res.violated
+    assert res.radius == np.inf
+    assert res.e_star is None
+    assert -1.0 < res.margin < 0.0
+
+
+def test_containment_margins(circle_spec):
+    eset = circle.epistemic_box()
+    theta, a = np.array([0.5, 0.3, 2.5]), np.array([0.5, 0.3])
+    # sampling: the largest probed value
+    samp = set_containment_sampling(circle_spec, theta, a, eset, 300, rng=np.random.default_rng(4))
+    probes = eset.sample(300, np.random.default_rng(4))
+    assert samp.margin == float(circle_spec.requirements[0](theta, a, probes).max())
+    # the center shortcut: the center's value
+    bad = np.array([0.0, 0.0, 1.0])
+    far = np.array([5.0, 5.0])
+    hit = set_containment_opt(circle_spec, bad, far, eset)
+    assert hit.margin == float(circle_spec.requirements[0](bad, far, eset.center))
+    # the maximisation: at least the center's value and the probes' largest
+    opt = set_containment_opt(circle_spec, theta, a, eset)
+    assert not opt.violated and opt.margin <= 0.0
+    assert opt.margin >= float(circle_spec.requirements[0](theta, a, eset.center))
+    assert opt.margin >= samp.margin - 1e-9
+
+
 def test_containment_cross_oracle_sample(circle_spec):
     rng = np.random.default_rng(11)
     eset = circle.epistemic_box()
@@ -409,6 +441,30 @@ def test_containment_cross_oracle_sample(circle_spec):
         o = set_containment_opt(circle_spec, theta, a, eset)
         agree += int(s.violated == o.violated)
     assert agree >= 19
+
+
+def test_containment_ellipsoid_cross_oracle_sample(circle_spec):
+    rng = np.random.default_rng(23)
+    box = circle.epistemic_box()
+    eset = EpistemicSet(center=box.center, radius=1.0, kind="ellipsoid", scale=box.scale)
+    agree, violated = 0, 0
+    for _ in range(20):
+        theta = np.array([rng.uniform(-1, 1), rng.uniform(-1, 1), rng.uniform(1, 4)])
+        a = circle.sample_aleatory(1, rng)[0]
+        s = set_containment_sampling(circle_spec, theta, a, eset, 2000, rng=rng)
+        o = set_containment_opt(circle_spec, theta, a, eset)
+        agree += int(s.violated == o.violated)
+        violated += int(o.violated)
+        if o.violated:
+            # the nearest violating point lies in the set and fails
+            assert o.radius <= eset.radius
+            assert float(eset.norm(o.e_star)) == pytest.approx(o.radius, abs=1e-12)
+            assert float(circle_spec.requirements[0](theta, a, o.e_star)) > 0.0
+        else:
+            assert o.radius == np.inf and o.e_star is None and o.margin <= 0.0
+    assert agree >= 19
+    # both verdicts occur among the cases
+    assert 0 < violated < 20
 
 
 # ---------------------------------------------------------------------------
@@ -475,6 +531,43 @@ def test_risk_bound_checks_its_inputs_before_any_work(bad):
     eset = EpistemicSet.from_box(np.array([0.0]), np.array([1.0]))
     with pytest.raises(InputError):
         risk_bound(spec, never, data, np.array([0.5]), eset, **bad)
+
+
+def test_risk_bound_rejects_too_few_scenarios_before_any_work(monkeypatch):
+    def never(*args, **kwargs):
+        pytest.fail("risk_bound did work before checking the scenario count")
+
+    monkeypatch.setattr(risk_bounds, "set_containment_opt", never)
+    monkeypatch.setattr(risk_bounds, "set_containment_sampling", never)
+    spec = ProblemSpec(objective=never, requirements=[never], design_bounds=[[0.0, 1.0]],
+                       m_a=1, m_e=1)
+    data = ScenarioData(np.zeros((2, 1)), np.zeros((2, 1)))
+    eset = EpistemicSet.from_box(np.array([0.0]), np.array([1.0]))
+    for containment in ("optimization", "sampling"):
+        with pytest.raises(InputError, match="at least 3 aleatory scenarios"):
+            risk_bound(spec, never, data, np.array([0.5]), eset, containment=containment)
+
+
+def test_risk_bound_debug_line_lists_flags_and_margins(caplog):
+    spec = ProblemSpec(
+        objective=lambda th: th[..., 0],
+        requirements=[lambda th, a, e: a[..., 0] + e[..., 0] - th[..., 0]],
+        design_bounds=[[0.0, 20.0]],
+        m_a=1,
+        m_e=1,
+    )
+    data = ScenarioData(np.array([[1.0], [3.0], [2.0]]), np.zeros((1, 1)))
+    eset = EpistemicSet.from_box(np.array([0.0]), np.array([0.5]))
+    with caplog.at_level(logging.DEBUG, logger="scendo.risk_bounds"):
+        rep = risk_bound(spec, lambda d: np.array([2.2]), data, np.array([2.2]), eset,
+                         containment="optimization")
+    line = next(r.getMessage() for r in caplog.records if r.getMessage().startswith("containment"))
+    # r = a + e - 2.2 on e in [0, 0.5]: scenario 0 peaks at e = 0.5, and the
+    # others already fail at the center e = 0.25, whose value is their margin
+    pairs = re.findall(r"(\d+): (True|False), (-?[\d.e+-]+)", line)
+    assert [(int(i), v == "True") for i, v, _ in pairs] == [(0, False), (1, True), (2, True)]
+    assert [float(m) for _, _, m in pairs] == pytest.approx([-0.7, 1.05, 0.05], abs=1e-6)
+    assert rep.n_violation == 2
 
 
 def test_moment_programs_fully_supported(circle_spec):

@@ -353,6 +353,17 @@ def test_run_sd_grows_training_and_improves(circle_spec):
     assert trace.records[1].n_a == 13
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("growth", np.nan), ("lambda_div", np.nan), ("threshold", np.nan),
+     ("alpha_e", np.nan), ("alpha_e", 1.5)],
+    ids=["growth", "lambda_div", "threshold", "alpha_e-nan", "alpha_e-above-one"],
+)
+def test_sd_config_rejects_nan_and_out_of_range(field, value):
+    with pytest.raises(InputError, match=field):
+        SdConfig(rmc=ZERO_RMC, **{field: value})
+
+
 def test_sd_config_validation():
     with pytest.raises(InputError):
         SdConfig(rmc=ZERO_RMC, max_iter=0)
