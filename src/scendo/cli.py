@@ -23,7 +23,8 @@ sd.baseline of the wrong length, a data file whose column count is not
 the problem's m_a or m_e, and an unknown or wrong-typed problem parameter
 are input errors.  Exit codes: 0 ok, 2 input error, 3 infeasible, 4
 specification not met, 5 numerical failure (a non-finite merit value, a
-failed leave-one-out solve).  A training solve of ``sequential`` that
+failed leave-one-out solve, a NaN requirement value in a containment
+test).  A training solve of ``sequential`` that
 raises exits 2 or 5 like ``solve`` and writes no outputs; ``analyze``
 computes its reports before it writes any of them, so a failed one writes
 none.  Any other exception ends the command with exit 1 and a traceback:

@@ -215,8 +215,8 @@ class EpistemicSet:
     def __post_init__(self):
         c = _as_float_array(self.center, "center", ndim=1)
         object.__setattr__(self, "center", c)
-        if self.radius < 0:
-            raise InputError("radius must be nonnegative")
+        if not 0.0 <= self.radius < np.inf:  # NaN fails it
+            raise InputError(f"radius must be finite and nonnegative, got {self.radius}")
         if self.kind not in ("box", "ellipsoid"):
             raise InputError(f"unknown norm kind {self.kind!r}")
         scale = np.ones_like(c) if self.scale is None else _as_float_array(self.scale, "scale", ndim=1)

@@ -38,8 +38,8 @@ logger = logging.getLogger(__name__)
 
 #: design-space tolerance above which a leave-one-out design counts as changed
 TOL_SUPPORT = 1e-4
-#: requirement level that counts as a violation inside the containment search
-ACTIVE_EPS = 1e-8
+#: confidence of the sampling test's zero-failure bound on a contained point
+SIGMA_CONTAINMENT = 0.95
 
 
 @dataclass(frozen=True)
@@ -254,10 +254,10 @@ class ContainmentResult:
     #: the largest worst-case requirement value the test evaluated: how near
     #: to failing a contained point is, or how far a violated one fails
     margin: float
-    #: distance from the center to the nearest violating point; inf when the
+    #: set norm of e_star, a violating point the test found; inf when the
     #: optimization test finds the point contained, nan when sampling does
     radius: float = np.nan
-    e_star: Optional[Array] = None
+    e_star: Optional[Array] = None  # a violating point in the set
     failure_bound: Optional[float] = None  # zero-failure bound when not violated
 
 
@@ -267,18 +267,24 @@ def set_containment_sampling(
     a,
     eset: EpistemicSet,
     n_probe: int = 2000,
-    sigma: float = 0.95,
     rng: Optional[np.random.Generator] = None,
 ) -> ContainmentResult:
     """Probe the epistemic set uniformly; any positive worst-case
     requirement proves violation, otherwise the point is probably
     contained with the zero-failure bound 1 - (1-sigma)^(1/n_probe) on the
-    residual failure probability."""
+    residual failure probability, sigma = SIGMA_CONTAINMENT.  A NaN
+    requirement value at any probe is an ArithmeticError: it is neither a
+    violation nor a pass."""
     if n_probe < 1:
         raise InputError("n_probe must be >= 1")
     rng = rng if rng is not None else np.random.default_rng(0)
     probes = eset.sample(n_probe, rng)
     vals = r_max(spec, np.asarray(theta, float), np.asarray(a, float), probes)
+    n_nan = int(np.count_nonzero(np.isnan(vals)))
+    if n_nan:
+        raise ArithmeticError(
+            f"the worst-case requirement is NaN at {n_nan} of {n_probe} probes of the epistemic set"
+        )
     margin = float(vals.max())
     hit = np.flatnonzero(vals > 0.0)
     if hit.size:
@@ -287,7 +293,7 @@ def set_containment_sampling(
             violated=True, method="sampling", margin=margin,
             radius=float(eset.norm(probes[j])), e_star=probes[j],
         )
-    bound = 1.0 - (1.0 - sigma) ** (1.0 / n_probe)
+    bound = 1.0 - (1.0 - SIGMA_CONTAINMENT) ** (1.0 / n_probe)
     return ContainmentResult(
         violated=False, method="sampling", margin=margin, failure_bound=bound
     )
@@ -299,23 +305,19 @@ def set_containment_opt(
     a,
     eset: EpistemicSet,
 ) -> ContainmentResult:
-    """Whether the point fails somewhere in the set, and if so the
-    violating epistemic point nearest to the set's center.
+    """Whether the point fails somewhere in the set, by maximizing the
+    worst-case requirement over it.
 
-    A center that already violates shortcuts to radius 0.  Otherwise the
-    worst-case requirement is maximized over the set first, an
-    unconstrained program in unit coordinates z in [-1, 1]^m_e (e = center
-    + radius * scale * z, with z mapped radially onto the unit ball for an
-    ellipsoid).  A maximum <= 0 means the point is contained: radius +inf
-    and no e_star.  Only a positive maximum runs the nearest-point
-    program, which minimizes the set norm subject to the worst-case
-    requirement being (slightly) positive, searching a box 1.5x the set;
-    the point is in the failure domain iff the minimal radius is below the
-    set radius, and a nearest-point program that finds no feasible point
-    reports the radius as +inf.  ``margin`` is the maximum found (the
-    center's value for the shortcut).  Numerical failures in either
-    program fall back to the sampling test.  Each program uses 8 starts of
-    at most 150 L-BFGS-B iterations per stage.
+    A center that already violates shortcuts to radius 0.  Otherwise
+    ``-r_max`` is minimized over the set, an unconstrained program in unit
+    coordinates z in [-1, 1]^m_e (see ``_set_point``) with 8 starts of at
+    most 150 L-BFGS-B iterations per stage.  A maximum <= 0 means the
+    point is contained: radius +inf and no e_star.  A positive maximum is
+    a violation: e_star is the maximizer mapped into the set, pulled back
+    toward the center by a few ulps where rounding put it just outside,
+    and radius its set norm.  ``margin`` is the maximum found (the
+    center's value for the shortcut).  A numerical failure of the program
+    falls back to the sampling test.
     """
     theta = np.asarray(theta, dtype=float)
     a = np.asarray(a, dtype=float)
@@ -327,47 +329,39 @@ def set_containment_opt(
         )
     opts = nlp.NlpOptions(n_starts=8, max_inner=150)
     try:
-        worst = -nlp.minimize(_max_requirement_problem(spec, theta, a, eset, opts), opts).f
-        if worst <= 0.0:
-            return ContainmentResult(
-                violated=False, method="optimization", margin=worst, radius=np.inf
-            )
-        m = eset.m_e
-        widen = 1.5
-        half = widen * eset.radius * eset.scale
-        e_bounds = np.column_stack([eset.center - half, eset.center + half])
-        if eset.kind == "box":
-            problem = _box_containment_problem(spec, theta, a, eset, e_bounds, widen, opts)
-            res = nlp.minimize(problem, opts)
-            e_star, s_star = res.x[:m], float(res.x[m])
-            radius = s_star * eset.radius
-        else:
-            problem = _ellipsoid_containment_problem(spec, theta, a, eset, e_bounds, opts)
-            res = nlp.minimize(problem, opts)
-            e_star = res.x
-            radius = float(eset.norm(e_star))
-        if res.status == "failed":
-            return ContainmentResult(
-                violated=False, method="optimization", margin=worst, radius=np.inf
-            )
-        return ContainmentResult(
-            violated=bool(radius < eset.radius), method="optimization", margin=worst,
-            radius=radius, e_star=e_star,
-        )
+        res = nlp.minimize(_max_requirement_problem(spec, theta, a, eset, opts), opts)
     except ArithmeticError:
         logger.warning("containment optimization failed; falling back to sampling test")
         return set_containment_sampling(spec, theta, a, eset)
+    worst = -res.f
+    if worst <= 0.0:
+        return ContainmentResult(
+            violated=False, method="optimization", margin=worst, radius=np.inf
+        )
+    e_star = _set_point(eset, res.x)
+    while not eset.contains(e_star):
+        e_star = np.nextafter(e_star, eset.center)
+    return ContainmentResult(
+        violated=True, method="optimization", margin=worst,
+        radius=float(eset.norm(e_star)), e_star=e_star,
+    )
+
+
+def _set_point(eset: EpistemicSet, z) -> Array:
+    """The point of the set at unit coordinates z in [-1, 1]^m_e: center +
+    radius * scale * z, with z first mapped radially onto the unit ball
+    (z / max(1, ||z||)) for an ellipsoid."""
+    z = np.asarray(z, float)
+    if eset.kind == "ellipsoid":
+        z = z / np.maximum(1.0, np.sqrt(np.sum(z * z, axis=-1, keepdims=True)))
+    return eset.center + eset.radius * eset.scale * z
 
 
 def _max_requirement_problem(spec, theta, a, eset, opts):
     """-r_max over the set in unit coordinates z in [-1, 1]^m_e."""
-    ball = eset.kind == "ellipsoid"
 
     def obj_any(z):
-        z = np.asarray(z, float)
-        if ball:
-            z = z / np.maximum(1.0, np.sqrt(np.sum(z * z, axis=-1, keepdims=True)))
-        return -r_max(spec, theta, a, eset.center + eset.radius * eset.scale * z)
+        return -r_max(spec, theta, a, _set_point(eset, z))
 
     def cons_any(z):
         return np.empty(np.shape(z)[:-1] + (0,))
@@ -376,53 +370,6 @@ def _max_requirement_problem(spec, theta, a, eset, opts):
     return nlp.NlpProblem(
         bounds=unit,
         starts=nlp.latin_hypercube(unit, opts),
-        objective_batch=obj_any,
-        constraints_batch=cons_any,
-    )
-
-
-def _box_containment_problem(spec, theta, a, eset, e_bounds, margin, opts):
-    m = eset.m_e
-    center, scale = eset.center, eset.scale
-
-    def cons_any(x):
-        x = np.asarray(x, float)
-        e, s = x[..., :m], x[..., m]
-        g0 = ACTIVE_EPS - r_max(spec, theta, a, e)
-        spread = (e - center) / scale  # per-axis normalized offsets
-        lim = s[..., None] * eset.radius
-        return np.concatenate(
-            [g0[..., None], spread - lim, -spread - lim], axis=-1
-        )
-
-    def obj_any(x):
-        return np.asarray(x, float)[..., m]
-
-    e0 = nlp.latin_hypercube(e_bounds, opts)
-    s0 = np.maximum(eset.norm(e0) / max(eset.radius, 1e-300), 1e-3)
-    return nlp.NlpProblem(
-        bounds=np.vstack([e_bounds, [[0.0, margin]]]),
-        starts=np.hstack([e0, s0[:, None]]),
-        objective_batch=obj_any,
-        constraints_batch=cons_any,
-    )
-
-
-def _ellipsoid_containment_problem(spec, theta, a, eset, e_bounds, opts):
-    m = eset.m_e
-    center, scale = eset.center, eset.scale
-
-    def obj_any(x):
-        z = (np.asarray(x, float) - center) / scale
-        return np.sum(z * z, axis=-1)
-
-    def cons_any(x):
-        g0 = ACTIVE_EPS - r_max(spec, theta, a, np.asarray(x, float))
-        return g0[..., None]
-
-    return nlp.NlpProblem(
-        bounds=e_bounds,
-        starts=nlp.latin_hypercube(e_bounds, opts),
         objective_batch=obj_any,
         constraints_batch=cons_any,
     )

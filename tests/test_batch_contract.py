@@ -25,9 +25,8 @@ OPTS = nlp.NlpOptions(seed=0, n_starts=2)
 THETA, POINT = np.array([0.0, 0.0, 5.0]), DATA.aleatory[0]
 BOX = circle.epistemic_box()
 ELLIPSOID = EpistemicSet(center=BOX.center, radius=1.0, kind="ellipsoid", scale=BOX.scale)
-#: leading block of the decision vector: the design theta, or the epistemic
-#: point (or its unit coordinates) of a containment problem (three
-#: coordinates each on the circle)
+#: leading block of the decision vector: the design theta, or the unit
+#: coordinates of a containment problem (three coordinates each on the circle)
 LEAD = 3
 
 
@@ -35,25 +34,19 @@ class _Captured(Exception):
     pass
 
 
-def _capture(solve, *args, skip=0, **kwargs) -> nlp.NlpProblem:
-    """The NlpProblem a program hands to nlp.minimize, without solving it.
-
-    With ``skip`` the first calls are answered instead of captured, each
-    with objective -1: a containment maximisation that finds a violation.
-    """
+def _capture(solve, *args, **kwargs) -> nlp.NlpProblem:
+    """The NlpProblem a program hands to nlp.minimize, without solving it."""
     captured = []
 
     def fake_minimize(problem, opts=None):
         captured.append(problem)
-        if len(captured) <= skip:
-            return nlp.NlpResult(x=problem.starts[0], f=-1.0, status="converged")
         raise _Captured
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(nlp, "minimize", fake_minimize)
         with pytest.raises(_Captured):
             solve(*args, **kwargs)
-    return captured[-1]
+    return captured[0]
 
 
 #: every builder of an NlpProblem, keyed by program
@@ -74,17 +67,10 @@ PROGRAMS = {
     ),
     "risk_agnostic_local": lambda: _capture(programs.solve_risk_agnostic_local, SPEC, DATA, CFG, OPTS),
     "risk_agnostic_global": lambda: _capture(programs.solve_risk_agnostic_global, SPEC, DATA, CFG, OPTS),
-    # the containment maximisation, then the nearest-point program it runs
-    # on a violation
+    # the containment maximisation
     "box_containment_max": lambda: _capture(risk_bounds.set_containment_opt, SPEC, THETA, POINT, BOX),
     "ellipsoid_containment_max": lambda: _capture(
         risk_bounds.set_containment_opt, SPEC, THETA, POINT, ELLIPSOID
-    ),
-    "box_containment": lambda: _capture(
-        risk_bounds.set_containment_opt, SPEC, THETA, POINT, BOX, skip=1
-    ),
-    "ellipsoid_containment": lambda: _capture(
-        risk_bounds.set_containment_opt, SPEC, THETA, POINT, ELLIPSOID, skip=1
     ),
 }
 
@@ -199,12 +185,10 @@ def test_fd_batch_probes_match_separate_evaluation():
 
 @pytest.mark.parametrize(
     "name, dim, n_con",
-    [("box_containment_max", 3, 0), ("ellipsoid_containment_max", 3, 0),
-     ("box_containment", 4, 7), ("ellipsoid_containment", 3, 1)],
+    [("box_containment_max", 3, 0), ("ellipsoid_containment_max", 3, 0)],
 )
 def test_containment_captures_are_the_intended_programs(name, dim, n_con):
-    # the maximisation is unconstrained; the nearest-point programs carry the
-    # requirement (and for a box the radius variable and its 2 m_e bounds)
+    # the maximisation is unconstrained, in the set's unit coordinates
     problem = _problem(name)
     assert problem.dim == dim
     assert problem.constraints_batch(problem.starts).shape == (len(problem.starts), n_con)

@@ -97,6 +97,12 @@ def test_membership_reflexive_at_center():
     assert eset.contains(eset.center)
 
 
+def test_epistemic_set_rejects_a_non_finite_or_negative_radius():
+    for radius in (float("nan"), float("inf"), -1.0):
+        with pytest.raises(InputError, match="radius"):
+            EpistemicSet(center=np.zeros(2), radius=radius)
+
+
 def test_epistemic_sampling_stays_inside():
     rng = np.random.default_rng(2)
     box = EpistemicSet.from_box(np.array([0.0, 0.0]), np.array([1.0, 2.0]))

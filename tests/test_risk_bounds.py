@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from scendo import circle, nlp, risk_bounds
-from scendo.core import AlphaConfig, EpistemicSet, InputError, ProblemSpec, ScenarioData
+from scendo.core import AlphaConfig, EpistemicSet, InputError, ProblemSpec, ScenarioData, r_max
 from scendo.programs import solve_risk_agnostic_local, solve_risk_averse_local
 from scendo.risk_bounds import (
     RiskBoundReport,
@@ -430,6 +430,14 @@ def test_containment_margins(circle_spec):
     assert opt.margin >= samp.margin - 1e-9
 
 
+def _assert_violating_point(spec, theta, a, eset, o):
+    """A violated optimization result reports a failing point of the set and its norm."""
+    assert eset.contains(o.e_star)
+    assert o.radius <= eset.radius
+    assert o.radius == eset.norm(o.e_star)
+    assert float(r_max(spec, theta, a, o.e_star)) > 0.0
+
+
 def test_containment_cross_oracle_sample(circle_spec):
     rng = np.random.default_rng(11)
     eset = circle.epistemic_box()
@@ -440,6 +448,8 @@ def test_containment_cross_oracle_sample(circle_spec):
         s = set_containment_sampling(circle_spec, theta, a, eset, 2000, rng=rng)
         o = set_containment_opt(circle_spec, theta, a, eset)
         agree += int(s.violated == o.violated)
+        if o.violated:
+            _assert_violating_point(circle_spec, theta, a, eset, o)
     assert agree >= 19
 
 
@@ -456,15 +466,44 @@ def test_containment_ellipsoid_cross_oracle_sample(circle_spec):
         agree += int(s.violated == o.violated)
         violated += int(o.violated)
         if o.violated:
-            # the nearest violating point lies in the set and fails
-            assert o.radius <= eset.radius
-            assert float(eset.norm(o.e_star)) == pytest.approx(o.radius, abs=1e-12)
-            assert float(circle_spec.requirements[0](theta, a, o.e_star)) > 0.0
+            _assert_violating_point(circle_spec, theta, a, eset, o)
         else:
             assert o.radius == np.inf and o.e_star is None and o.margin <= 0.0
     assert agree >= 19
     # both verdicts occur among the cases
     assert 0 < violated < 20
+
+
+def test_containment_opt_reports_the_maximiser_pulled_into_the_set(circle_spec):
+    # case 41 of c08's draws on the ellipsoid: the maximiser's radial image
+    # rounds to set norm 1 + 2**-52, one ulp outside the set
+    theta = np.array([float.fromhex(h) for h in (
+        "-0x1.2dc4922e0195dp-1", "-0x1.15e470c36bda9p+0", "0x1.e14756defad7dp+1")])
+    a = np.array([float.fromhex("0x1.435dff1017ee9p+1"), float.fromhex("-0x1.41e2d2945ab39p-2")])
+    box = circle.epistemic_box()
+    eset = EpistemicSet(center=box.center, radius=1.0, kind="ellipsoid", scale=box.scale)
+    o = set_containment_opt(circle_spec, theta, a, eset)
+    assert o.violated
+    _assert_violating_point(circle_spec, theta, a, eset, o)
+    assert float(r_max(circle_spec, theta, a, o.e_star)) == pytest.approx(o.margin, rel=1e-12)
+
+
+def test_nan_requirement_values_are_not_read_as_contained():
+    # NaN on 95% of the box and -1 elsewhere: no probe is positive, but the
+    # NaN probes prove nothing either
+    spec = ProblemSpec(
+        objective=lambda th: th[..., 0],
+        requirements=[lambda th, a, e: np.where(e[..., 0] < 0.95, np.nan, -1.0) + 0.0 * th[..., 0]],
+        design_bounds=[[0.0, 1.0]],
+        m_a=1,
+        m_e=1,
+    )
+    eset = EpistemicSet.from_box(np.array([0.0]), np.array([1.0]))
+    theta, a = np.array([0.5]), np.array([0.0])
+    with pytest.raises(ArithmeticError, match=r"NaN at \d+ of 300 probes"):
+        set_containment_sampling(spec, theta, a, eset, 300, rng=np.random.default_rng(0))
+    with pytest.raises(ArithmeticError, match=r"NaN at \d+ of 2000 probes"):
+        set_containment_opt(spec, theta, a, eset)
 
 
 # ---------------------------------------------------------------------------
