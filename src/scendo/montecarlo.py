@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 import numpy as np
-from scipy.stats import beta as _beta_dist
+from scipy.special import betaincinv
 
 from scendo.core import InputError, ProblemSpec, ScenarioData, _check_trailing, _fractions
 from scendo.ecdf import quantile_of, sorted_cdf, strictify_sorted
@@ -104,9 +104,13 @@ class RmcReport:
 def clopper_pearson(successes, trials: int, sigma: float):
     """Exact two-sided binomial interval at confidence sigma.
 
-    At the boundary counts (0 or all) the empty tail folds into the other
-    side, giving the one-sided zero-failure bound 1 - (1-sigma)^(1/n).
-    Vectorized over ``successes``.
+    The bounds are Beta quantiles: the lower one Beta(m, n - m + 1) at
+    (1 - sigma)/2, the upper one Beta(m + 1, n - m) at (1 + sigma)/2, each
+    computed as ``scipy.special.betaincinv(a, b, q)``, the function
+    ``scipy.stats.beta.ppf(q, a, b)`` evaluates, with the same bits and
+    without importing scipy.stats.  At the boundary counts (0 or all) the
+    empty tail folds into the other side, giving the one-sided zero-failure
+    bound 1 - (1-sigma)^(1/n).  Vectorized over ``successes``.
     """
     m = np.atleast_1d(np.asarray(successes, dtype=float))
     n = float(trials)
@@ -115,8 +119,8 @@ def clopper_pearson(successes, trials: int, sigma: float):
     a = 1.0 - sigma
     m_lo = np.clip(m, 1.0, n)  # safe params; overridden below
     m_hi = np.clip(m, 0.0, n - 1.0)
-    lo = _beta_dist.ppf(a / 2.0, m_lo, n - m_lo + 1.0)
-    hi = _beta_dist.ppf(1.0 - a / 2.0, m_hi + 1.0, n - m_hi)
+    lo = betaincinv(m_lo, n - m_lo + 1.0, a / 2.0)
+    hi = betaincinv(m_hi + 1.0, n - m_hi, 1.0 - a / 2.0)
     lo = np.where(m <= 0, 0.0, np.where(m >= n, a ** (1.0 / n), lo))
     hi = np.where(m >= n, 1.0, np.where(m <= 0, 1.0 - a ** (1.0 / n), hi))
     return lo, hi

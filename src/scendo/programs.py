@@ -38,9 +38,12 @@ from scendo.core import (
 from scendo.ecdf import quantile_of
 from scendo.weights import (
     failure_fractions,
+    inlier_threshold,
     sign_fraction,
     smooth_sign_fraction,
+    sorted_fractions,
     weights_from_fractions,
+    weights_from_inliers,
     weights_from_values,
 )
 
@@ -94,6 +97,15 @@ def _req_quantiles(values: Array, levels: Array) -> Array:
     return quantile_of(values, levels[:, None])
 
 
+def _distinct_rows(rows: Array) -> tuple:
+    """``(first, inverse)`` of the distinct rows of a 2-D array, matched on
+    their exact bytes: ``rows[first][inverse]`` equals ``rows``."""
+    rows = np.ascontiguousarray(rows)
+    keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[-1]))).ravel()
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    return first, inverse.ravel()
+
+
 def _per_design(theta: Array, design_terms: Callable[[Array], tuple]) -> tuple:
     """Evaluate ``design_terms`` once per distinct design row, scattered back.
 
@@ -107,10 +119,8 @@ def _per_design(theta: Array, design_terms: Callable[[Array], tuple]) -> tuple:
     """
     theta = np.asarray(theta, dtype=float)
     lead, m = theta.shape[:-1], theta.shape[-1]
-    flat = np.ascontiguousarray(theta.reshape(-1, m))
-    keys = flat.view(np.dtype((np.void, flat.itemsize * m))).ravel()
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    inverse = inverse.ravel()
+    flat = theta.reshape(-1, m)
+    first, inverse = _distinct_rows(flat)
     return tuple(
         t[inverse].reshape(lead + t.shape[1:]) for t in design_terms(flat[first])
     )
@@ -291,17 +301,26 @@ def solve_risk_averse_global(
 
     def cons_any(x):
         x = np.asarray(x, float)
-        xi = x[..., m:]
-        values, p = _per_design(x[..., :m], design_terms)
+        flat = x.reshape(-1, x.shape[-1])
+        xi = flat[:, m:]
+        # The weights depend only on the design and on the kept aleatory
+        # set.  Kept sets of one design are nested as the threshold rises
+        # (tied p enter together), so the kept count names the set: the
+        # weight rule runs once per distinct (design, kept counts) row, and
+        # each batch row takes its row's weighted grid.
+        first, design = _distinct_rows(flat[:, :m])
+        values, p = design_terms(flat[first, :m])  # (U, n_r, n_a, n_e), (U, n_r, n_a)
+        sorted_p = sorted_fractions(p)
         # huge slacks round the smoothed fraction up to exactly one
         frac = np.minimum(smooth_sign_fraction(xi), _BELOW_ONE)
-        gs = []
-        for k in range(n_r):
-            w, _, _ = weights_from_fractions(
-                values[..., k, :, :], p[..., k, :], frac, cfg.alpha_e[k], cfg.gamma
-            )
-            gs.append(w[..., None, :] * values[..., k, :, :] - xi[..., :, None])
-        g = np.stack(gs, axis=-3)
+        thr = inlier_threshold(sorted_p[design], frac[:, None])  # (B, n_r)
+        kept = np.count_nonzero(p[design] <= thr[..., None], axis=-1)  # (B, n_r)
+        rep, row = _distinct_rows(np.column_stack([design, kept]))
+        d = design[rep]
+        w, _, _ = weights_from_inliers(values[d], p[d] <= thr[rep, :, None], cfg.alpha_e, cfg.gamma)
+        weighted = w[..., None, :] * values[d]  # (D, n_r, n_a, n_e)
+        g = np.take(weighted, row, axis=0, out=np.empty((len(flat), n_r, n_a, n_e)), mode="clip")
+        g -= xi[:, None, :, None]
         return g.reshape(x.shape[:-1] + (n_r * n_a * n_e,))
 
     res = _minimize_with_slacks(spec, opts, cfg.rho, n_a, cons_any)

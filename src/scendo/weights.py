@@ -14,7 +14,15 @@ A weight is exactly one when v_j <= s and decays to zero exponentially
 fast beyond the threshold, so roughly ceil(n_e * alpha_e) scenarios can be
 down-weighted.  Quantiles use the piecewise-linear interpolant from
 ``scendo.ecdf`` so the rule is consistent with the programs' constraints.
-All functions are pure and safe to call in parallel across requirements.
+
+The rule has two entry points.  ``weights_from_values`` (or
+``weights_from_fractions``, given p) runs it whole on every row.  A
+program that evaluates it at many fractions for few designs runs its two
+steps apart: ``inlier_threshold`` gives each row's threshold from p sorted
+once per design (``sorted_fractions``), and ``weights_from_inliers`` runs
+step 2 only on the distinct kept sets.  Both paths apply the same input
+checks and give the same bits.  All functions are pure and safe to call in
+parallel across requirements.
 """
 
 from __future__ import annotations
@@ -22,7 +30,7 @@ from __future__ import annotations
 import numpy as np
 
 from scendo.core import InputError
-from scendo.ecdf import cdf_of, quantile_of
+from scendo.ecdf import cdf_of, quantile_of, sorted_quantile, strictify_sorted
 
 Array = np.ndarray
 
@@ -55,36 +63,54 @@ def failure_fractions(values: Array) -> Array:
 
     ``values`` has shape (..., n_a, n_e); returns (..., n_a).  Programs
     that evaluate the rule at many fractions for one design compute this
-    once and pass it to ``weights_from_fractions``.
+    once per design.
     """
     return 1.0 - cdf_of(values, 0.0)
 
 
-def weights_from_fractions(values: Array, p: Array, alpha_a_k, alpha_e_k, gamma: float):
-    """The fraction-dependent rest of the rule, given ``p = failure_fractions(values)``.
+def sorted_fractions(p: Array) -> Array:
+    """Each row of failure fractions sorted ascending and made strictly
+    increasing (``ecdf.strictify_sorted``), the form ``inlier_threshold``
+    reads.  A program that thresholds one design's ``p`` at many fractions
+    sorts it once."""
+    return strictify_sorted(np.sort(p, axis=-1, kind="stable"))
 
-    Applies the (1 - alpha_a_k) threshold to ``p``, keeps the aleatory
-    inliers and returns ``(weights, v, s)`` as ``weights_from_values`` does,
-    with the same input checks.  ``alpha_a_k`` may be an array matching the
-    leading shape: the risk-averse global program feeds the slack-sign
-    fraction of each batch row through this slot.
+
+def inlier_threshold(sorted_p: Array, alpha_a_k) -> Array:
+    """Step 1's threshold, the (1 - alpha_a_k) quantile of each row of
+    ``sorted_p = sorted_fractions(p)``; the kept indices are ``p <= thr``.
+
+    ``alpha_a_k`` may be an array matching the leading shape: the
+    risk-averse global program feeds the slack-sign fraction of each batch
+    row through this slot.
     """
     alpha_a_k = np.asarray(alpha_a_k, dtype=float)
     if np.any(alpha_a_k < 0) or np.any(alpha_a_k >= 1):
         raise InputError("alpha_a_k must lie in [0, 1)")
+    return sorted_quantile(sorted_p, 1.0 - alpha_a_k)
+
+
+def weights_from_inliers(values: Array, keep: Array, alpha_e_k, gamma: float):
+    """Step 2 over the kept aleatory indices: ``keep`` is the (..., n_a)
+    mask ``p <= inlier_threshold(...)``.  Returns ``(weights, v, s)`` as
+    ``weights_from_values`` does."""
     if not (0.0 <= float(np.min(alpha_e_k)) and float(np.max(alpha_e_k)) < 1):
         raise InputError("alpha_e_k must lie in [0, 1)")
     if gamma < 1:
         raise InputError("gamma must be >= 1")
-
-    thr_p = quantile_of(p, 1.0 - alpha_a_k)  # (...,)
-    keep = p <= thr_p[..., None]
     if not np.all(np.any(keep, axis=-1)):
         raise RuntimeError("internal error: empty aleatory inlier set")
     v = np.max(np.where(keep[..., :, None], values, -np.inf), axis=-2)  # (..., n_e)
     s = quantile_of(v, 1.0 - alpha_e_k)
     w = np.exp(-gamma * np.maximum(0.0, v - s[..., None]))
     return w, v, s
+
+
+def weights_from_fractions(values: Array, p: Array, alpha_a_k, alpha_e_k, gamma: float):
+    """The rule given ``p = failure_fractions(values)``: ``inlier_threshold``
+    then ``weights_from_inliers``, with their input checks."""
+    thr_p = inlier_threshold(sorted_fractions(p), alpha_a_k)  # (...,)
+    return weights_from_inliers(values, p <= thr_p[..., None], alpha_e_k, gamma)
 
 
 def weights_from_values(values: Array, alpha_a_k, alpha_e_k, gamma: float):

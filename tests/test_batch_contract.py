@@ -7,6 +7,7 @@ the merit at its centre as row 0, and each start's constraint violation
 and final objective are one-row batches; all rest on this contract.
 """
 
+import dataclasses
 import functools
 
 import numpy as np
@@ -14,8 +15,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scendo import circle, nlp, programs, risk_bounds
+from scendo import circle, nlp, programs, risk_bounds, weights
 from scendo.core import AlphaConfig, EpistemicSet
+from scendo.ecdf import quantile_of
 
 DATA = circle.generate_dataset(6, 5, seed=3)
 SPEC = circle.make_spec()
@@ -143,6 +145,49 @@ def test_risk_averse_global_accepts_huge_slacks():
     g = problem.constraints_batch(x[None])[0]
     assert np.all(np.isfinite(g))
     assert _bits(problem.constraints_batch(np.stack([x, x]))[1]) == _bits(g)
+
+
+def _eased_requirement(theta, a, e):
+    """The circle requirement less 0.4: other failure fractions, other ties."""
+    return circle.circle_requirement(theta, a, e) - 0.4
+
+
+@pytest.mark.parametrize("n_r", [1, 2])
+def test_risk_averse_global_rows_equal_the_weight_rule_row_by_row(n_r):
+    # One design whose circle failure fractions tie at 0 (three scenarios)
+    # and at 1 (five), and one without, each under slacks whose smoothed
+    # fraction sweeps [0, 1): the kept count takes every value it can, so
+    # rows of one design share their weights only when they share the kept
+    # set of every requirement.
+    spec = dataclasses.replace(SPEC, requirements=[circle.circle_requirement, _eased_requirement][:n_r])
+    cfg = CFG.for_spec(spec)
+    data = circle.generate_dataset(10, 8, seed=3)
+    problem = _capture(programs.solve_risk_averse_global, spec, data, cfg, OPTS)
+    designs = np.array([[0.0, 0.0, 0.75], [0.3, -0.2, 1.1]])
+    fracs = np.concatenate([np.linspace(0.0, 0.99, 45), [0.5, 0.0]])
+    xi = weights.SIGN_EPS * fracs / (1.0 - fracs)
+    rows = [np.concatenate([th, np.full(data.n_a, s)]) for s in xi for th in designs]
+    rows.append(np.concatenate([designs[0], np.full(data.n_a, 1e300)]))  # fraction rounds to 1
+    X = np.array(rows)
+    g = problem.constraints_batch(X)
+    kept_counts = set()
+    for i, x in enumerate(X):
+        theta, slack = x[:LEAD], x[LEAD:]
+        values = programs.requirement_values(spec, data, theta)
+        p = weights.failure_fractions(values)
+        frac = np.minimum(weights.smooth_sign_fraction(slack), np.nextafter(1.0, 0.0))
+        expected = []
+        for k in range(n_r):
+            w, _, _ = weights.weights_from_fractions(values[k], p[k], frac, cfg.alpha_e[k], cfg.gamma)
+            expected.append(w[None, :] * values[k] - slack[:, None])
+        expected = np.stack(expected).ravel()
+        assert _bits(g[i]) == _bits(expected)
+        assert _bits(problem.constraints_batch(x[None])[0]) == _bits(expected)
+        if i % 2 == 0:
+            kept_counts.add(int(np.count_nonzero(p[0] <= quantile_of(p[0], 1.0 - frac))))
+    p = weights.failure_fractions(programs.requirement_values(SPEC, data, designs[0])[0])
+    assert np.count_nonzero(p == 0.0) == 3 and np.count_nonzero(p == 1.0) == 5
+    assert kept_counts == {int(np.count_nonzero(p <= c)) for c in np.unique(p)}
 
 
 def _single_row_merit(problem, x, mu):

@@ -1,9 +1,15 @@
 import dataclasses
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.stats import beta
 
+import scendo
 from oracles import analyze_full_grid
 from scendo import circle
 from scendo.core import InputError, ProblemSpec, ScenarioData
@@ -85,6 +91,33 @@ def test_clopper_pearson_brackets_point_estimate():
         lo, hi = clopper_pearson(m, n, 0.95)
         assert lo[0] <= m / n <= hi[0]
         assert 0.0 <= lo[0] <= hi[0] <= 1.0
+
+
+@pytest.mark.parametrize("n", [5, 20, 1000, 20000])
+@pytest.mark.parametrize("sigma", [0.9, 0.95, 0.99])
+def test_clopper_pearson_equals_the_beta_ppf_formulas_bit_for_bit(n, sigma):
+    # the interval as written with scipy.stats.beta.ppf, at every count
+    m = np.arange(n + 1, dtype=float)
+    a = 1.0 - sigma
+    m_lo, m_hi = np.clip(m, 1.0, n), np.clip(m, 0.0, n - 1.0)
+    lo = beta.ppf(a / 2.0, m_lo, n - m_lo + 1.0)
+    hi = beta.ppf(1.0 - a / 2.0, m_hi + 1.0, n - m_hi)
+    lo = np.where(m <= 0, 0.0, np.where(m >= n, a ** (1.0 / n), lo))
+    hi = np.where(m >= n, 1.0, np.where(m <= 0, 1.0 - a ** (1.0 / n), hi))
+    got_lo, got_hi = clopper_pearson(m, n, sigma)
+    assert got_lo.tobytes() == lo.tobytes()
+    assert got_hi.tobytes() == hi.tobytes()
+
+
+def test_importing_scendo_leaves_scipy_stats_out():
+    # scipy.stats costs about half a second and 20 MB at start-up
+    src = str(Path(scendo.__file__).resolve().parents[1])
+    code = "import sys, scendo, scendo.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src}, timeout=120,
+    )
+    assert out.stdout.strip() == "False"
 
 
 def test_exceedance_cdf_hand_value():

@@ -146,6 +146,20 @@ def test_fd_gradient_reports_bad_coordinate():
         _fd_gradient(f, np.array([1.0, 0.0]))
 
 
+def test_penalty_over_row_blocks_equals_the_whole_batch_formula():
+    # 7000 residuals a row: the squared violations run over blocks of two
+    # rows, and a last block of one
+    rng = np.random.default_rng(5)
+    G = rng.normal(size=(7, 7000))
+    problem = nlp.NlpProblem(
+        objective_batch=lambda X: X[:, 0] ** 2, constraints_batch=lambda X: G[: len(X)] * X[:, :1],
+        bounds=np.tile([-5.0, 5.0], (2, 1)), starts=np.zeros((1, 2)),
+    )
+    X = rng.uniform(-2.0, 2.0, size=(7, 2))
+    expected = X[:, 0] ** 2 + 1e3 * np.sum(np.maximum(0.0, G * X[:, :1]) ** 2, axis=-1)
+    assert nlp._make_batch_penalty(problem)(X, 1e3).tobytes() == expected.tobytes()
+
+
 def test_latin_hypercube_stratified():
     pts = nlp.latin_hypercube(np.array([[0.0, 1.0], [10.0, 20.0]]), nlp.NlpOptions(n_starts=8, seed=0))
     assert pts.shape == (8, 2)
