@@ -299,7 +299,7 @@ def _out_dir(config: dict, override) -> Path:
 
 #: SolveResult.diagnostics entries copied into solution.json
 SOLUTION_DIAGNOSTICS = (
-    "nfev", "n_starts", "best_start", "violation", "viol_history", "alpha_suggestion_error",
+    "nfev", "n_starts", "best_start", "violation", "viol_history", "starts", "alpha_suggestion_error",
 )
 
 

@@ -19,18 +19,28 @@ FD_STEP * max(1, |x_i|), FD_STEP = 1e-6.  Only the number of starts, the
 L-BFGS-B iterations per stage and the seed are options (``NlpOptions``).
 A problem carries its starts; ``latin_hypercube`` is the one recipe that
 draws them, from the number of starts and the seed.  Everything is
-deterministic given the starts; they run one after another and are
-reduced in a fixed order.
+deterministic given the starts.
+
+The starts run in lockstep rounds.  Each start is a small state machine
+over its penalty stages, and each stage is L-BFGS-B stepped by scipy's
+reverse-communication routine ``_lbfgsb.setulb`` (``_Lbfgsb``), with the
+settings, evaluation rule and stopping tests of ``scipy.optimize.minimize
+(method="L-BFGS-B")``, so it takes the same steps.  In a round, every
+start that waits for a merit and gradient adds its point and finite-
+difference probes to one merit batch, each row with its own start's
+penalty weight mu; a start that finishes drops out.  The starts are
+reduced in a fixed order, the first start winning ties.
 
 Problems are stated only through batch callables, which map a (B, dim)
 stack of points to B rows of results.  Batch contract: row i of the result
 depends only on row i of the input, and is bit-identical to evaluating
-that row alone as a one-row batch.  Each L-BFGS-B evaluation relies on
-it: the merit at x and its 2*dim finite-difference probes are one
-(2*dim + 1)-row batch, with x as row 0.  So do the per-stage constraint
-violation and the final objective of a start, each a one-row batch, and
-the scenario programs, which compute their design-only terms once per
-distinct design row of a batch.  The leave-one-out replay of
+that row alone as a one-row batch.  Each round relies on it: a start's
+merit at x and its 2*dim finite-difference probes are 2*dim + 1
+consecutive rows, x first, of a batch shared with the other starts, so
+every start takes the steps it would take alone.  So do the per-stage
+constraint violation and the final objective of a start, each a one-row
+batch, and the scenario programs, which compute their design-only terms
+once per distinct design row of a batch.  The leave-one-out replay of
 ``risk_bounds.support_scenarios`` relies on it further: it evaluates a
 new problem on the recorded batches of an earlier solve stacked into a
 few large ones, and counts a byte-identical output as the same path.
@@ -47,7 +57,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.optimize import minimize as _scipy_minimize
+from scipy.optimize import _lbfgsb
 
 from scendo.core import InputError
 
@@ -127,7 +137,8 @@ _PENALTY_BLOCK_FLOATS = 15 * 1024
 
 
 def _make_batch_penalty(problem: NlpProblem):
-    """(B, dim) -> (B,) merit values f + mu * sum max(0, g)^2.
+    """(B, dim) -> (B,) merit values f + mu * sum max(0, g)^2, with mu
+    one weight per row or one for all.
 
     The squared violations are summed over blocks of rows, so the
     residuals are the batch's one large array.  A second one would be
@@ -138,7 +149,7 @@ def _make_batch_penalty(problem: NlpProblem):
     f_b = problem.objective_batch
     g_b = problem.constraints_batch
 
-    def penalty_batch(X: Array, mu: float) -> Array:
+    def penalty_batch(X: Array, mu) -> Array:
         fvals = f_b(X)
         gvals = g_b(X)
         if gvals.size:
@@ -159,74 +170,161 @@ def _violation(problem: NlpProblem, x: Array) -> float:
     return float(np.max(np.maximum(0.0, g), initial=0.0))
 
 
-def _batch_fd_gradient(penalty_batch, x: Array, mu: float, step: float):
-    """Merit at x and its central-difference gradient, from one batch.
+def _batch_fd_gradient(penalty_batch, X: Array, mu, step: float, starts=None):
+    """Merits at the k points of ``X`` and their central-difference
+    gradients, from one batch.
 
-    Row 0 of the batch is x, rows 1..dim the forward probes and rows
-    dim+1..2*dim the backward ones.  Returns ``(f, grad)``.
+    Point j takes rows j*(2*dim + 1) onwards: the point, its dim forward
+    probes, then its dim backward ones.  ``mu`` is the penalty weight of
+    each point, or one for all.  Returns ``(f, grad)`` of shapes (k,) and
+    (k, dim).  ``starts`` names the points in the error a non-finite probe
+    raises; by default their rows in ``X``.
     """
-    dim = x.size
-    h = step * np.maximum(1.0, np.abs(x))
-    X = np.tile(x, (2 * dim + 1, 1))
-    X[1 + np.arange(dim), np.arange(dim)] += h
-    X[1 + dim + np.arange(dim), np.arange(dim)] -= h
-    vals = penalty_batch(X, mu)
-    probes = vals[1:]
-    if not np.all(np.isfinite(probes)):
-        bad = int(np.flatnonzero(~np.isfinite(probes))[0] % dim)
-        raise ArithmeticError(f"non-finite merit value at finite-difference probe of coordinate {bad}")
-    return float(vals[0]), (probes[:dim] - probes[dim:]) / (2.0 * h)
-
-
-def _solve_one_start(problem: NlpProblem, opts: NlpOptions, x0: Array):
-    penalty_batch = _make_batch_penalty(problem)
-    lo, hi = problem.bounds[:, 0], problem.bounds[:, 1]
-    x = np.clip(x0, lo, hi)
-    scipy_bounds = list(zip(lo, hi))
-
-    mu = PENALTY_INIT
-    viol_history = []
-    nfev = 0
-    converged = False
-    for _ in range(MAX_OUTER):
-        def fun(xx, _mu=mu):
-            return _batch_fd_gradient(penalty_batch, xx, _mu, FD_STEP)
-
-        res = _scipy_minimize(
-            fun,
-            x,
-            jac=True,
-            method="L-BFGS-B",
-            bounds=scipy_bounds,
-            options={"maxiter": opts.max_inner, "ftol": 1e-15, "gtol": 1e-10},
+    k, dim = X.shape
+    rows = 2 * dim + 1
+    h = step * np.maximum(1.0, np.abs(X))
+    batch = np.repeat(X, rows, axis=0).reshape(k, rows, dim)
+    axis = np.arange(dim)
+    batch[:, 1 + axis, axis] += h
+    batch[:, 1 + dim + axis, axis] -= h
+    mu_rows = np.repeat(np.broadcast_to(mu, (k,)), rows)
+    vals = penalty_batch(batch.reshape(k * rows, dim), mu_rows).reshape(k, rows)
+    probes = vals[:, 1:]
+    bad = ~np.isfinite(probes)
+    if bad.any():
+        j, col = np.argwhere(bad)[0]
+        start = j if starts is None else starts[j]
+        raise ArithmeticError(
+            f"non-finite merit value at finite-difference probe of coordinate {col % dim} of start {start}"
         )
-        nfev += int(res.nfev) * (1 + 2 * problem.dim)
-        step_size = float(np.max(np.abs(res.x - x))) if res.x.size else 0.0
-        x = res.x
-        viol = _violation(problem, x)
-        viol_history.append(viol)
-        if viol <= TOL_CON and step_size <= TOL_X:
-            converged = True
-            break
-        if viol > TOL_CON and step_size <= TOL_X:
-            # stagnant while infeasible: typically parked on a zero-gradient
-            # boundary saddle; kick deterministically toward the box interior
-            finite = np.isfinite(lo) & np.isfinite(hi)
-            mid = x.copy()
-            mid[finite] = (lo[finite] + hi[finite]) / 2.0
-            x = x + 0.05 * (mid - x)
-        if mu >= PENALTY_MAX:
-            break
-        mu = min(mu * PENALTY_GROWTH, PENALTY_MAX)
+    return vals[:, 0], (probes[:, :dim] - probes[:, dim:]) / (2.0 * h)
 
-    return {
-        "x": x,
-        "f": float(problem.objective_batch(x[None])[0]),
-        "viol": viol_history[-1],
-        "converged": converged,
-        "viol_history": viol_history,
-        "nfev": nfev,
-    }
+
+#: L-BFGS-B as ``scipy.optimize.minimize(method="L-BFGS-B")`` runs it with
+#: options ftol 1e-15 and gtol 1e-10: ten corrections, at most twenty
+#: line-search steps an iteration and 15000 evaluations a stage
+_LBFGSB_M = 10
+_LBFGSB_MAXLS = 20
+_LBFGSB_FACTR = 1e-15 / np.finfo(float).eps
+_LBFGSB_PGTOL = 1e-10
+_LBFGSB_MAXFUN = 15000
+#: setulb's task codes: wants f and g at x, took a new iterate, stop
+_FG, _NEW_X, _STOP = 3, 1, 5
+#: setulb's bound type by (lower finite, upper finite)
+_NBD = np.array([[0, 3], [1, 2]], dtype=np.int32)
+
+
+class _Lbfgsb:
+    """One L-BFGS-B stage, stepped through setulb's reverse communication.
+
+    It takes the steps of ``scipy.optimize.minimize(fun, x0, jac=True,
+    method="L-BFGS-B", bounds=bounds, options={"maxiter": maxiter,
+    "ftol": 1e-15, "gtol": 1e-10})`` and as many evaluations.  While
+    ``waiting``, the stage needs the merit and gradient at ``at``, which
+    ``give`` hands over: first at the clipped x0, later whenever setulb
+    asks at an x other than the last one given.  Otherwise it has stopped
+    at ``x``, with ``nfev`` evaluations.
+    """
+
+    def __init__(self, x0: Array, bounds: Array, maxiter: int):
+        lo, hi = bounds[:, 0], bounds[:, 1]
+        n, m = len(bounds), _LBFGSB_M
+        self.maxiter = maxiter
+        self.lo = np.where(np.isinf(lo), 0.0, lo)
+        self.hi = np.where(np.isinf(hi), 0.0, hi)
+        self.nbd = _NBD[(~np.isinf(lo)).astype(int), (~np.isinf(hi)).astype(int)]
+        self.x = np.clip(x0, lo, hi)
+        self.at = self.x.copy()
+        self.waiting = True
+        self.f, self.g = 0.0, np.zeros(n)
+        self.nfev = 0
+        self.nit = 0
+        self.wa = np.zeros(2 * m * n + 5 * n + 11 * m * m + 8 * m)
+        self.iwa = np.zeros(3 * n, dtype=np.int32)
+        self.task = np.zeros(2, dtype=np.int32)
+        self.ln_task = np.zeros(2, dtype=np.int32)
+        self.lsave = np.zeros(4, dtype=np.int32)
+        self.isave = np.zeros(44, dtype=np.int32)
+        self.dsave = np.zeros(29)
+
+    def give(self, f: float, g: Array) -> None:
+        """The merit and gradient at ``at``; runs setulb to its next request or stop."""
+        self.f, self.g = f, g
+        self.nfev += 1
+        self.waiting = False
+        task = self.task
+        while True:
+            _lbfgsb.setulb(
+                _LBFGSB_M, self.x, self.lo, self.hi, self.nbd, self.f, self.g.astype(np.float64),
+                _LBFGSB_FACTR, _LBFGSB_PGTOL, self.wa, self.iwa, task, self.lsave, self.isave,
+                self.dsave, _LBFGSB_MAXLS, self.ln_task,
+            )
+            if task[0] == _FG:
+                if not np.array_equal(self.x, self.at):
+                    self.at = self.x.copy()
+                    self.waiting = True
+                    return
+            elif task[0] == _NEW_X:
+                self.nit += 1
+                if self.nit >= self.maxiter:
+                    task[:] = _STOP, 504
+                elif self.nfev > _LBFGSB_MAXFUN:
+                    task[:] = _STOP, 502
+            else:
+                return
+
+
+class _Start:
+    """One start's penalty continuation: L-BFGS-B stages at growing mu,
+    each warm-started where the last one stopped.  ``want`` is the point
+    whose merit and gradient the current stage needs, None once done;
+    then ``f`` is the objective at ``x``."""
+
+    def __init__(self, problem: NlpProblem, x0: Array, max_inner: int):
+        self.problem = problem
+        self.max_inner = max_inner
+        self.x = x0
+        self.mu = PENALTY_INIT
+        self.viol_history = []
+        self.nfev = 0
+        self.converged = False
+        self.f: Optional[float] = None
+        self.stage: Optional[_Lbfgsb] = _Lbfgsb(x0, problem.bounds, max_inner)
+
+    @property
+    def want(self) -> Optional[Array]:
+        stage = self.stage
+        return stage.at if stage is not None and stage.waiting else None
+
+    def give(self, f: float, g: Array) -> None:
+        stage = self.stage
+        stage.give(f, g)
+        if stage.waiting:
+            return
+        problem = self.problem
+        self.nfev += stage.nfev * (1 + 2 * problem.dim)
+        step_size = float(np.max(np.abs(stage.x - self.x))) if stage.x.size else 0.0
+        x = stage.x
+        viol = _violation(problem, x)
+        self.viol_history.append(viol)
+        self.stage = None
+        if viol <= TOL_CON and step_size <= TOL_X:
+            self.converged = True
+        else:
+            if viol > TOL_CON and step_size <= TOL_X:
+                # stagnant while infeasible: typically parked on a zero-gradient
+                # boundary saddle; kick deterministically toward the box interior
+                lo, hi = problem.bounds[:, 0], problem.bounds[:, 1]
+                finite = np.isfinite(lo) & np.isfinite(hi)
+                mid = x.copy()
+                mid[finite] = (lo[finite] + hi[finite]) / 2.0
+                x = x + 0.05 * (mid - x)
+            if self.mu < PENALTY_MAX and len(self.viol_history) < MAX_OUTER:
+                self.mu = min(self.mu * PENALTY_GROWTH, PENALTY_MAX)
+                self.stage = _Lbfgsb(x, problem.bounds, self.max_inner)
+        self.x = x
+        if self.stage is None:
+            self.f = float(problem.objective_batch(x[None])[0])
 
 
 #: the active ``scendo.replay`` tape; None outside its contexts
@@ -235,6 +333,12 @@ _TAPE: ContextVar = ContextVar("scendo_nlp_tape", default=None)
 
 def minimize(problem: NlpProblem, opts: Optional[NlpOptions] = None) -> NlpResult:
     """Best point over the problem's starts; deterministic given problem and options.
+
+    The starts are solved in lockstep, one merit batch per round, and the
+    result equals the best of the one-start solves, the first start
+    winning ties.  ``diagnostics["starts"]`` holds one entry per start:
+    its final objective ``f`` and ``violation``, ``nfev``, the number of
+    penalty ``stages``, the last stage's ``mu`` and ``converged``.
 
     Status "converged" requires the final constraint violation <= TOL_CON
     and outer-step stagnation <= TOL_X; a feasible point without
@@ -258,16 +362,37 @@ def _solve(problem: NlpProblem, opts: NlpOptions) -> NlpResult:
     if np.any(starts < lo - 1e-12) or np.any(starts > hi + 1e-12):
         raise InputError("start point outside bounds")
 
-    runs = [_solve_one_start(problem, opts, s) for s in starts]
+    runs = [_Start(problem, np.clip(s, lo, hi), opts.max_inner) for s in starts]
+    penalty_batch = _make_batch_penalty(problem)
+    active = list(range(len(runs)))
+    while active:  # one round: every start that waits, in one merit batch
+        X = np.stack([runs[i].want for i in active])
+        mu = np.array([runs[i].mu for i in active])
+        f, grad = _batch_fd_gradient(penalty_batch, X, mu, FD_STEP, active)
+        for i, fi, gi in zip(active, f, grad):
+            runs[i].give(float(fi), gi)
+        active = [i for i in active if runs[i].want is not None]
+    outcomes = [
+        {
+            "f": run.f,
+            "violation": run.viol_history[-1],
+            "nfev": run.nfev,
+            "stages": len(run.viol_history),
+            "mu": run.mu,
+            "converged": run.converged,
+        }
+        for run in runs
+    ]
 
-    best, best_key, best_idx = None, (2, np.inf), -1
-    for i, run in enumerate(runs):  # first start wins ties
-        feasible = run["viol"] <= TOL_CON
-        key = (0, run["f"]) if feasible else (1, run["viol"])
+    best_key, best_idx = (2, np.inf), -1
+    for i, out in enumerate(outcomes):  # first start wins ties
+        feasible = out["violation"] <= TOL_CON
+        key = (0, out["f"]) if feasible else (1, out["violation"])
         if key < best_key:
-            best, best_key, best_idx = run, key, i
+            best_key, best_idx = key, i
 
-    feasible = best["viol"] <= TOL_CON
+    best, run = outcomes[best_idx], runs[best_idx]
+    feasible = best["violation"] <= TOL_CON
     if feasible and best["converged"]:
         status = "converged"
     elif feasible:
@@ -277,8 +402,9 @@ def _solve(problem: NlpProblem, opts: NlpOptions) -> NlpResult:
     diagnostics = {
         "n_starts": len(starts),
         "best_start": best_idx,
-        "nfev": int(sum(r["nfev"] for r in runs)),
-        "violation": best["viol"],
-        "viol_history": best["viol_history"],
+        "nfev": int(sum(out["nfev"] for out in outcomes)),
+        "violation": best["violation"],
+        "viol_history": run.viol_history,
+        "starts": outcomes,
     }
-    return NlpResult(x=best["x"], f=best["f"], status=status, diagnostics=diagnostics)
+    return NlpResult(x=run.x, f=best["f"], status=status, diagnostics=diagnostics)

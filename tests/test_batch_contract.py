@@ -205,7 +205,8 @@ def test_fd_batch_centre_row_is_the_merit(name):
     @given(_batches(name), st.sampled_from([10.0, 1e4, 1e9]))
     def check(X, mu):
         x = X[0]
-        f, grad = nlp._batch_fd_gradient(penalty_batch, x, mu, 1e-6)
+        f, grad = nlp._batch_fd_gradient(penalty_batch, x[None], mu, 1e-6)
+        f, grad = f[0], grad[0]
         assert _bits(f) == _bits(penalty_batch(x[None], mu)[0])
         assert _bits(f) == _bits(_single_row_merit(problem, x, mu))
         assert grad.shape == (problem.dim,)
@@ -217,7 +218,8 @@ def test_fd_batch_probes_match_separate_evaluation():
     problem = _problem("risk_averse_local")
     penalty_batch = nlp._make_batch_penalty(problem)
     x = np.concatenate([[1.0, -2.0, 6.0], np.linspace(0.0, 3.0, DATA.n_a)])
-    f, grad = nlp._batch_fd_gradient(penalty_batch, x, 100.0, 1e-6)
+    f, grad = nlp._batch_fd_gradient(penalty_batch, x[None], 100.0, 1e-6)
+    f, grad = f[0], grad[0]
     h = 1e-6 * np.maximum(1.0, np.abs(x))
     for i in range(x.size):
         e = np.zeros(x.size)

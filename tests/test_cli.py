@@ -82,6 +82,11 @@ def test_solve_writes_deterministic_solution(tmp_path):
     assert diag["n_starts"] == 3 and 0 <= diag["best_start"] < 3
     assert diag["nfev"] > 0
     assert diag["violation"] == diag["viol_history"][-1] <= 1e-6
+    starts = diag["starts"]
+    assert len(starts) == 3 and sum(s["nfev"] for s in starts) == diag["nfev"]
+    best = starts[diag["best_start"]]
+    assert best["violation"] == diag["violation"] and best["stages"] == len(diag["viol_history"])
+    assert best["converged"] is True
     # byte-identical on re-run
     assert cli.main(["solve", "--config", str(cfg)]) == 0
     assert sol_path.read_bytes() == first
@@ -346,7 +351,7 @@ def test_non_finite_merit_exit_5(tmp_path, capsys):
     assert cli.main(["solve", "--config", str(cfg)]) == 5
     err = capsys.readouterr().err
     assert err == (
-        "error: ArithmeticError: non-finite merit value at finite-difference probe of coordinate 0\n"
+        "error: ArithmeticError: non-finite merit value at finite-difference probe of coordinate 0 of start 0\n"
     )
 
 
@@ -369,7 +374,7 @@ def test_sequential_training_solve_nan_exit_5(tmp_path, capsys):
     )
     assert cli.main(["sequential", "--config", str(cfg)]) == 5
     assert capsys.readouterr().err == (
-        "error: ArithmeticError: non-finite merit value at finite-difference probe of coordinate 0\n"
+        "error: ArithmeticError: non-finite merit value at finite-difference probe of coordinate 0 of start 0\n"
     )
     assert not (tmp_path / "out" / "sd_trace.csv").exists()
     assert not (tmp_path / "out" / "design.json").exists()

@@ -1,5 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import minimize as scipy_minimize
 
 from oracles import welzl_circle
 from scendo import nlp
@@ -127,7 +132,7 @@ def _fd_gradient(f_batch, x):
     bounds = np.tile([-np.inf, np.inf], (x.size, 1))
     problem = nlp.NlpProblem(objective_batch=f_batch,
                              constraints_batch=_no_constraints, bounds=bounds, starts=x[None])
-    return nlp._batch_fd_gradient(nlp._make_batch_penalty(problem), x, 1.0, 1e-6)[1]
+    return nlp._batch_fd_gradient(nlp._make_batch_penalty(problem), x[None], 1.0, 1e-6)[1][0]
 
 
 def test_fd_gradient_values():
@@ -168,3 +173,194 @@ def test_latin_hypercube_stratified():
     strata = np.floor((pts[:, 0]) * 8).astype(int)
     assert sorted(strata.tolist()) == list(range(8))
 
+
+
+def test_per_start_outcomes_add_up_to_the_result():
+    bounds, opts = np.array([[0.0, 10.0], [0.0, 10.0]]), nlp.NlpOptions(n_starts=5, seed=2)
+    p = nlp.NlpProblem(
+        objective_batch=lambda X: X[:, 0] + X[:, 1],
+        constraints_batch=lambda X: np.stack([4.0 - X[:, 0] * X[:, 1], 1.0 - X[:, 0]], axis=-1),
+        bounds=bounds,
+        starts=nlp.latin_hypercube(bounds, opts),
+    )
+    res = nlp.minimize(p, opts)
+    starts = res.diagnostics["starts"]
+    assert len(starts) == res.diagnostics["n_starts"] == 5
+    assert sum(s["nfev"] for s in starts) == res.diagnostics["nfev"]
+    best = starts[res.diagnostics["best_start"]]
+    assert best["f"] == res.f
+    assert best["violation"] == res.diagnostics["violation"]
+    assert best["stages"] == len(res.diagnostics["viol_history"])
+    assert best["converged"] == (res.status == "converged")
+    for s in starts:
+        assert 1 <= s["stages"] <= nlp.MAX_OUTER
+        assert s["mu"] == nlp.PENALTY_INIT * nlp.PENALTY_GROWTH ** (s["stages"] - 1)
+        assert s["nfev"] % (2 * p.dim + 1) == 0
+
+
+# ---------------------------------------------------------------------------
+# the L-BFGS-B stage against scipy.optimize.minimize: it drives scipy's
+# private setulb, so these pin its steps to the public solver's
+# ---------------------------------------------------------------------------
+
+
+def _merit(problem, mu):
+    """(f, grad) at one point, from the solver's finite-difference batch."""
+    penalty_batch = nlp._make_batch_penalty(problem)
+
+    def fun(x):
+        f, g = nlp._batch_fd_gradient(penalty_batch, x[None], mu, nlp.FD_STEP)
+        return float(f[0]), g[0]
+
+    return fun
+
+
+def _ring(bounds):
+    """min (x0 - 2)^2 + (x1 + 1)^2 + x0*x1 on the box, with x0^2 + x1^2 <= 1."""
+    return nlp.NlpProblem(
+        objective_batch=lambda X: (X[:, 0] - 2.0) ** 2 + (X[:, 1] + 1.0) ** 2 + X[:, 0] * X[:, 1],
+        constraints_batch=lambda X: (X[:, 0] ** 2 + X[:, 1] ** 2 - 1.0)[:, None],
+        bounds=np.asarray(bounds, dtype=float),
+        starts=np.zeros((1, 2)),
+    )
+
+
+_STAGES = {
+    # slack-like variables with no upper bound, and one free variable
+    "infinite-upper-bounds": (
+        nlp.NlpProblem(
+            objective_batch=lambda X: np.sum((X - [0.5, -1.0, 3.0]) ** 2, axis=-1) + X[:, 0] * X[:, 2],
+            constraints_batch=lambda X: (1.0 - X[:, 1:2] - X[:, 2:3]),
+            bounds=np.array([[0.0, np.inf], [-2.0, np.inf], [-np.inf, np.inf]]),
+            starts=np.zeros((1, 3)),
+        ),
+        np.array([4.0, 5.0, -6.0]), 1e3, 300,
+    ),
+    "cut-off-by-max-inner": (
+        nlp.NlpProblem(
+            objective_batch=lambda X: (1.0 - X[:, 0]) ** 2 + 100.0 * (X[:, 1] - X[:, 0] ** 2) ** 2,
+            constraints_batch=_no_constraints,
+            bounds=np.array([[-2.0, 2.0], [-2.0, 2.0]]),
+            starts=np.zeros((1, 2)),
+        ),
+        np.array([-1.5, 1.8]), 10.0, 4,
+    ),
+    # the gradient points out of the box at its corner: no step is taken
+    "does-not-move-x": (
+        nlp.NlpProblem(
+            objective_batch=lambda X: X[:, 0] + 2.0 * X[:, 1],
+            constraints_batch=_no_constraints,
+            bounds=np.array([[0.0, 1.0], [0.0, 1.0]]),
+            starts=np.zeros((1, 2)),
+        ),
+        np.zeros(2), 10.0, 300,
+    ),
+    "one-variable": (
+        nlp.NlpProblem(
+            objective_batch=lambda X: (X[:, 0] - 0.3) ** 2 + np.sin(3.0 * X[:, 0]),
+            constraints_batch=lambda X: X[:, :1] - 1.0,
+            bounds=np.array([[-2.0, 2.0]]),
+            starts=np.zeros((1, 1)),
+        ),
+        np.array([1.7]), 1e4, 300,
+    ),
+    "penalised-ring": (_ring([[-3.0, 3.0], [-3.0, 3.0]]), np.array([2.5, -2.5]), 1e5, 300),
+    # scipy's minimize evaluates once at the lower bounds and never calls setulb
+    "fixed-box": (_ring([[0.5, 0.5], [-0.25, -0.25]]), np.array([0.5, -0.25]), 10.0, 300),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_STAGES))
+def test_lbfgsb_stage_takes_scipys_steps(name):
+    problem, x0, mu, maxiter = _STAGES[name]
+    fun = _merit(problem, mu)
+    want = scipy_minimize(
+        fun, x0, jac=True, method="L-BFGS-B", bounds=[tuple(b) for b in problem.bounds],
+        options={"maxiter": maxiter, "ftol": 1e-15, "gtol": 1e-10},
+    )
+    stage = nlp._Lbfgsb(x0, problem.bounds, maxiter)
+    while stage.waiting:
+        stage.give(*fun(stage.at.copy()))
+    assert stage.x.tobytes() == want.x.tobytes()
+    assert float(stage.f).hex() == float(want.fun).hex()
+    assert stage.nfev == want.nfev
+    if name == "cut-off-by-max-inner":
+        assert want.nit == maxiter and want.status == 1
+    if name == "does-not-move-x":
+        assert np.array_equal(want.x, x0) and want.nfev == 1
+
+
+# ---------------------------------------------------------------------------
+# lockstep multi-start: k starts in one solve are the k one-start solves
+# ---------------------------------------------------------------------------
+
+
+def _random_problem(seed: int, dim: int, n_con: int):
+    rng = np.random.default_rng(seed)
+    lo = -rng.uniform(0.5, 2.0, dim)
+    hi = np.where(rng.uniform(size=dim) < 0.3, np.inf, lo + rng.uniform(1.0, 4.0, dim))
+    centre = rng.uniform(-1.0, 1.0, dim)
+    scale = rng.uniform(0.2, 3.0, dim)
+    wave = rng.uniform(0.0, 0.5, dim)
+    W = rng.normal(size=(n_con, dim))
+    r = rng.uniform(-0.5, 1.0, n_con)
+
+    def objective(X):
+        return np.sum(scale * (X - centre) ** 2 + wave * np.sin(3.0 * X), axis=-1)
+
+    def constraints(X):  # no matmul: BLAS may round a row by the batch's size
+        return np.sum(X[:, None, :] * W, axis=-1) - r
+
+    pool = lo + rng.uniform(size=(3, dim)) * np.where(np.isfinite(hi), hi - lo, 3.0)
+    return objective, constraints, np.stack([lo, hi], axis=1), pool
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dim=st.integers(1, 3),
+    n_con=st.integers(0, 2),
+    picks=st.lists(st.integers(0, 2), min_size=1, max_size=4),
+    max_inner=st.integers(3, 60),
+)
+def test_lockstep_starts_equal_the_one_start_solves(seed, dim, n_con, picks, max_inner):
+    objective, constraints, bounds, pool = _random_problem(seed, dim, n_con)
+    starts = pool[picks]  # repeated picks tie: the first one must win
+    opts = nlp.NlpOptions(max_inner=max_inner)
+    problem = nlp.NlpProblem(objective_batch=objective, constraints_batch=constraints,
+                             bounds=bounds, starts=starts)
+    res = nlp.minimize(problem, opts)
+    singles = [nlp.minimize(replace(problem, starts=s[None]), opts) for s in starts]
+
+    def key(r):
+        v = r.diagnostics["violation"]
+        return (0, r.f) if v <= nlp.TOL_CON else (1, v)
+
+    best = min(range(len(singles)), key=lambda i: key(singles[i]))  # the first of equals
+    want = singles[best]
+    assert res.diagnostics["best_start"] == best
+    assert res.x.tobytes() == want.x.tobytes()
+    assert float(res.f).hex() == float(want.f).hex()
+    assert res.status == want.status
+    assert res.diagnostics["viol_history"] == want.diagnostics["viol_history"]
+    assert res.diagnostics["nfev"] == sum(r.diagnostics["nfev"] for r in singles)
+    assert res.diagnostics["starts"] == [r.diagnostics["starts"][0] for r in singles]
+
+
+def test_non_finite_probe_names_its_start_in_the_first_round():
+    calls = []
+
+    def objective(X):
+        calls.append(len(X))
+        return np.where(X[:, 0] > 0.85, np.nan, X[:, 0] ** 2)
+
+    p = nlp.NlpProblem(
+        objective_batch=objective,
+        constraints_batch=_no_constraints,
+        bounds=np.array([[0.0, 1.0]]),
+        starts=np.array([[0.2], [0.5], [0.9]]),
+    )
+    with pytest.raises(ArithmeticError, match="coordinate 0 of start 2"):
+        nlp.minimize(p)
+    # the three starts shared the one batch; none ran a stage first
+    assert calls == [9]
