@@ -252,6 +252,11 @@ def _build_data(config: dict, bundle) -> tuple[ScenarioData, bool]:
     iid = dconf.get("iid", True)
     if gen is not None:
         g = _section("data.generate", gen, dict.fromkeys(_GENERATE_KEYS, int))
+        for key, value in g.items():
+            if value < 0:
+                raise InputError(
+                    f"config value data.generate.{key} must be nonnegative, got {value}"
+                )
         if bundle.generate is None:
             raise InputError("the selected problem has no dataset generator")
         return bundle.generate(g.pop("n_a", 50), g.pop("n_e", 50), g.pop("seed", 0), **g), iid
@@ -270,11 +275,9 @@ def _build_data(config: dict, bundle) -> tuple[ScenarioData, bool]:
 
 def _build_opts(config: dict, seed_override) -> nlp.NlpOptions:
     opts = _load("solver", config.get("solver"), nlp.NlpOptions)
-    if seed_override is not None:
-        opts.seed = seed_override
-    elif "seed" in config:
-        opts.seed = config["seed"]
-    return opts
+    seed = config.get("seed") if seed_override is None else seed_override
+    # replace, not assignment, so NlpOptions checks the seed
+    return opts if seed is None else dataclasses.replace(opts, seed=seed)
 
 
 def _build_formulation(config: dict) -> FormulationTag:

@@ -84,6 +84,8 @@ class NlpOptions:
         for name in ("n_starts", "max_inner"):
             if getattr(self, name) < 1:
                 raise InputError(f"{name} must be at least 1")
+        if self.seed < 0:
+            raise InputError(f"seed must be nonnegative, got {self.seed}")
 
 
 @dataclass

@@ -9,9 +9,14 @@ fractions making a risk-agnostic program feasible; and the two
 moment-based variants minimize an empirical mean of a response function.
 "Global" formulations discard one shared set of epistemic scenarios,
 "local" ones discard the worst scenarios of each pseudo-distribution
-separately.  Every program but the seed attaches the seed's alpha_a to an
-infeasible result as ``suggested_alpha_a`` (the global seed for the global
-risk-agnostic program, the local one for the rest).
+separately.  The global ones (risk-averse, risk-agnostic and the global
+seed) weight the epistemic draws by the rule of ``scendo.weights``, all
+through one batched kernel, ``_global_weighted_grids``; the local ones
+and the moment programs evaluate their design-only terms once per
+distinct design (``_per_design``).  Every program but the seed attaches
+the seed's alpha_a to an infeasible result as ``suggested_alpha_a`` (the
+global seed for the global risk-agnostic program, the local one for the
+rest).
 
 All quantiles use the piecewise-linear interpolant from ``scendo.ecdf``,
 so constraints are piecewise-linear in the sampled requirement values.
@@ -42,7 +47,6 @@ from scendo.weights import (
     sign_fraction,
     smooth_sign_fraction,
     sorted_fractions,
-    weights_from_fractions,
     weights_from_inliers,
     weights_from_values,
 )
@@ -211,16 +215,13 @@ def outlier_sets(spec: ProblemSpec, data: ScenarioData, cfg: AlphaConfig, theta)
     return o_a, o_e
 
 
-def _global_epistemic_outliers(spec, data, cfg, theta, alpha_a_slots) -> Array:
-    """Epistemic draws whose weight falls below one for some requirement."""
+def _global_epistemic_outliers(spec, data, cfg, theta, alpha_a) -> Array:
+    """Epistemic draws whose weight falls below one for some requirement;
+    ``alpha_a`` is the weight rule's aleatory fraction, one per requirement
+    or one for all."""
     values = requirement_values(spec, data, np.asarray(theta, float))
-    out: set[int] = set()
-    for k in range(spec.n_r):
-        _, v, s = weights_from_values(
-            values[k], min(alpha_a_slots[k], 1.0 - 1e-9), cfg.alpha_e[k], cfg.gamma
-        )
-        out.update(np.flatnonzero(v > s).tolist())
-    return np.array(sorted(out), dtype=int)
+    _, v, s = weights_from_values(values, np.minimum(alpha_a, 1.0 - 1e-9), cfg.alpha_e, cfg.gamma)
+    return np.flatnonzero(np.any(v > s[:, None], axis=0))
 
 
 def _local_design_terms(spec: ProblemSpec, data: ScenarioData, levels: Array):
@@ -233,16 +234,43 @@ def _local_design_terms(spec: ProblemSpec, data: ScenarioData, levels: Array):
     return design_terms
 
 
-def _global_design_terms(spec: ProblemSpec, data: ScenarioData):
-    """Design-only terms of the global programs for ``_per_design``: the
-    requirement grid and its failure fractions, (U, n_r, n_a, n_e) and
-    (U, n_r, n_a)."""
+def _global_weighted_grids(spec: ProblemSpec, data: ScenarioData, cfg: AlphaConfig):
+    """The weight rule of the global programs, batched: ``grids(theta, frac)``.
 
-    def design_terms(theta):
-        values = requirement_values(spec, data, theta)
-        return values, failure_fractions(values)
+    ``theta`` is a (B, m) stack of designs and ``frac`` the rule's aleatory
+    fractions, broadcastable to (B, n_r) and in [0, 1).  Returns the
+    weighted grids w_j r_ij at the distinct (design, kept counts) rows,
+    (D, n_r, n_a, n_e), and each batch row's index into them, (B,).
 
-    return design_terms
+    The weights depend only on the design and on the kept aleatory set.
+    Kept sets of one design are nested as the threshold rises (tied p enter
+    together), so the kept count names the set: the grid and its failure
+    fractions are computed once per distinct design, and the rule's step 2
+    once per distinct (design, kept counts) row.  Rows match on their exact
+    bytes, so each row's grid equals the rule of ``weights_from_values`` at
+    its own design and fractions, bit for bit.
+    """
+
+    def grids(theta, frac):
+        first, design = _distinct_rows(theta)
+        values = requirement_values(spec, data, theta[first])  # (U, n_r, n_a, n_e)
+        p = failure_fractions(values)  # (U, n_r, n_a)
+        thr = inlier_threshold(sorted_fractions(p)[design], frac)  # (B, n_r)
+        kept = np.count_nonzero(p[design] <= thr[..., None], axis=-1)  # (B, n_r)
+        rep, row = _distinct_rows(np.column_stack([design, kept]))
+        d = design[rep]
+        w, _, _ = weights_from_inliers(values[d], p[d] <= thr[rep, :, None], cfg.alpha_e, cfg.gamma)
+        return w[..., None, :] * values[d], row
+
+    return grids
+
+
+def _weighted_worst_quantiles(grids, theta: Array, alpha_a: Array) -> Array:
+    """Constraint of the global risk-agnostic programs, (B, n_r): the
+    (1 - alpha_a) quantile over the scenarios of their weighted worst cases
+    over the epistemic draws, weighted by ``grids`` at fraction ``alpha_a``."""
+    weighted, row = grids(theta, alpha_a)
+    return quantile_of(np.max(weighted, axis=-1)[row], 1.0 - alpha_a)
 
 
 # ---------------------------------------------------------------------------
@@ -297,37 +325,22 @@ def solve_risk_averse_global(
     slot receives the (smoothed) fraction of active slacks."""
     cfg = cfg.for_spec(spec)
     m, n_a, n_e, n_r = spec.m_theta, data.n_a, data.n_e, spec.n_r
-    design_terms = _global_design_terms(spec, data)
+    grids = _global_weighted_grids(spec, data, cfg)
 
     def cons_any(x):
         x = np.asarray(x, float)
         flat = x.reshape(-1, x.shape[-1])
         xi = flat[:, m:]
-        # The weights depend only on the design and on the kept aleatory
-        # set.  Kept sets of one design are nested as the threshold rises
-        # (tied p enter together), so the kept count names the set: the
-        # weight rule runs once per distinct (design, kept counts) row, and
-        # each batch row takes its row's weighted grid.
-        first, design = _distinct_rows(flat[:, :m])
-        values, p = design_terms(flat[first, :m])  # (U, n_r, n_a, n_e), (U, n_r, n_a)
-        sorted_p = sorted_fractions(p)
         # huge slacks round the smoothed fraction up to exactly one
         frac = np.minimum(smooth_sign_fraction(xi), _BELOW_ONE)
-        thr = inlier_threshold(sorted_p[design], frac[:, None])  # (B, n_r)
-        kept = np.count_nonzero(p[design] <= thr[..., None], axis=-1)  # (B, n_r)
-        rep, row = _distinct_rows(np.column_stack([design, kept]))
-        d = design[rep]
-        w, _, _ = weights_from_inliers(values[d], p[d] <= thr[rep, :, None], cfg.alpha_e, cfg.gamma)
-        weighted = w[..., None, :] * values[d]  # (D, n_r, n_a, n_e)
+        weighted, row = grids(flat[:, :m], frac[:, None])
         g = np.take(weighted, row, axis=0, out=np.empty((len(flat), n_r, n_a, n_e)), mode="clip")
         g -= xi[:, None, :, None]
         return g.reshape(x.shape[:-1] + (n_r * n_a * n_e,))
 
     res = _minimize_with_slacks(spec, opts, cfg.rho, n_a, cons_any)
     xi = res.x[m:]
-    glob = _global_epistemic_outliers(
-        spec, data, cfg, res.x[:m], np.full(n_r, sign_fraction(xi))
-    )
+    glob = _global_epistemic_outliers(spec, data, cfg, res.x[:m], sign_fraction(xi))
     result = _assemble(spec, data, cfg, res, xi=xi, global_epistemic=glob)
     return _attach_alpha_suggestion(spec, data, cfg, opts, result, "local")
 
@@ -335,26 +348,6 @@ def solve_risk_averse_global(
 # ---------------------------------------------------------------------------
 # risk-agnostic formulations (quantile-count relaxation, magnitude-blind)
 # ---------------------------------------------------------------------------
-
-
-def _weighted_worst_quantiles(values: Array, p: Array, alpha_a: Array, cfg: AlphaConfig) -> Array:
-    """Constraint of the global risk-agnostic programs, (..., n_r).
-
-    For each requirement k: the epistemic weights at the fraction
-    ``alpha_a[..., k]``, each scenario's weighted worst case over the
-    epistemic draws, and the (1 - alpha_a[..., k]) quantile of those over
-    the aleatory scenarios.  ``values`` is the (..., n_r, n_a, n_e) grid
-    and ``p = failure_fractions(values)``.
-    """
-    gs = []
-    for k in range(values.shape[-3]):
-        a_k = alpha_a[..., k]
-        w, _, _ = weights_from_fractions(
-            values[..., k, :, :], p[..., k, :], a_k, cfg.alpha_e[k], cfg.gamma
-        )
-        z = np.max(w[..., None, :] * values[..., k, :, :], axis=-1)
-        gs.append(quantile_of(z, 1.0 - a_k))
-    return np.stack(gs, axis=-1)
 
 
 def _design_objective(spec: ProblemSpec):
@@ -387,11 +380,10 @@ def solve_risk_agnostic_global(
     from the feasibility seed."""
     cfg = cfg.for_spec(spec)
     _require_below_one(cfg.alpha_a)
-    design_terms = _global_design_terms(spec, data)
+    grids = _global_weighted_grids(spec, data, cfg)
 
     def cons_any(x):
-        values, p = design_terms(np.asarray(x, float))
-        return _weighted_worst_quantiles(values, p, cfg.alpha_a, cfg)
+        return _weighted_worst_quantiles(grids, np.asarray(x, float), cfg.alpha_a)
 
     res = _minimize(spec, opts, _design_objective(spec), cons_any)
     glob = _global_epistemic_outliers(spec, data, cfg, res.x, cfg.alpha_a)
@@ -442,10 +434,8 @@ def solve_feasibility_seed(
     def obj_any(x):
         return np.sum(np.asarray(x, float)[..., m:], axis=-1)
 
-    if variant == "local":
-        design_terms = _local_design_terms(spec, data, 1.0 - cfg.alpha_e)
-    else:
-        design_terms = _global_design_terms(spec, data)
+    design_terms = _local_design_terms(spec, data, 1.0 - cfg.alpha_e)
+    grids = _global_weighted_grids(spec, data, cfg)
 
     def cons_any(x):
         x = np.asarray(x, float)
@@ -453,8 +443,7 @@ def solve_feasibility_seed(
         if variant == "local":
             (q,) = _per_design(x[..., :m], design_terms)
             return quantile_of(q, 1.0 - alpha)
-        values, p = _per_design(x[..., :m], design_terms)
-        return _weighted_worst_quantiles(values, p, np.minimum(alpha, 1.0 - 1e-9), cfg)
+        return _weighted_worst_quantiles(grids, x[..., :m], np.minimum(alpha, 1.0 - 1e-9))
 
     res = _minimize(
         spec, opts, obj_any, cons_any,

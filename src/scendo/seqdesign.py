@@ -87,6 +87,9 @@ class SdConfig:
             raise InputError(f"metric must be one of {_METRICS}")
         if not self.growth > 1:
             raise InputError("growth must exceed 1")
+        for name, least in (("n_a_init", 2), ("n_a_cap", 2), ("n_e_init", 1), ("n_e_cap", 1)):
+            if getattr(self, name) < least:
+                raise InputError(f"{name} must be at least {least}")
         if self.program not in ("risk_agnostic_local", "risk_agnostic_global", "feasibility_seed"):
             raise InputError(f"unknown program {self.program!r}")
 

@@ -15,9 +15,10 @@ fast beyond the threshold, so roughly ceil(n_e * alpha_e) scenarios can be
 down-weighted.  Quantiles use the piecewise-linear interpolant from
 ``scendo.ecdf`` so the rule is consistent with the programs' constraints.
 
-The rule has two entry points.  ``weights_from_values`` (or
-``weights_from_fractions``, given p) runs it whole on every row.  A
-program that evaluates it at many fractions for few designs runs its two
+``weights_from_values`` runs the rule whole on every row; the programs
+use it to report the down-weighted draws of a solution.  The global
+programs' constraints evaluate it at many fractions for few designs, so
+their batched path, ``programs._global_weighted_grids``, runs its two
 steps apart: ``inlier_threshold`` gives each row's threshold from p sorted
 once per design (``sorted_fractions``), and ``weights_from_inliers`` runs
 step 2 only on the distinct kept sets.  Both paths apply the same input
@@ -106,20 +107,16 @@ def weights_from_inliers(values: Array, keep: Array, alpha_e_k, gamma: float):
     return w, v, s
 
 
-def weights_from_fractions(values: Array, p: Array, alpha_a_k, alpha_e_k, gamma: float):
-    """The rule given ``p = failure_fractions(values)``: ``inlier_threshold``
-    then ``weights_from_inliers``, with their input checks."""
-    thr_p = inlier_threshold(sorted_fractions(p), alpha_a_k)  # (...,)
-    return weights_from_inliers(values, p <= thr_p[..., None], alpha_e_k, gamma)
-
-
 def weights_from_values(values: Array, alpha_a_k, alpha_e_k, gamma: float):
     """Weight rule applied to a precomputed requirement-value matrix.
 
-    ``values`` has shape (..., n_a, n_e); ``alpha_a_k`` may be an array
-    matching the leading shape.  Returns ``(weights, v, s)`` with shapes
-    (..., n_e), (..., n_e) and (...,).
+    ``values`` has shape (..., n_a, n_e); ``alpha_a_k`` and ``alpha_e_k``
+    may be arrays broadcastable to the leading shape, such as one entry per
+    requirement of an (n_r, n_a, n_e) grid.  Returns ``(weights, v, s)``
+    with shapes (..., n_e), (..., n_e) and (...,).
     """
     values = np.asarray(values, dtype=float)
-    return weights_from_fractions(values, failure_fractions(values), alpha_a_k, alpha_e_k, gamma)
+    p = failure_fractions(values)
+    thr_p = inlier_threshold(sorted_fractions(p), alpha_a_k)  # (...,)
+    return weights_from_inliers(values, p <= thr_p[..., None], alpha_e_k, gamma)
 

@@ -152,18 +152,26 @@ def _eased_requirement(theta, a, e):
     return circle.circle_requirement(theta, a, e) - 0.4
 
 
+def _n_r_spec(n_r):
+    return dataclasses.replace(SPEC, requirements=[circle.circle_requirement, _eased_requirement][:n_r])
+
+
+#: one design whose circle failure fractions on this data tie at 0 (three
+#: scenarios) and at 1 (five), and one without
+_TIED_DESIGNS = np.array([[0.0, 0.0, 0.75], [0.3, -0.2, 1.1]])
+_TIED_DATA = circle.generate_dataset(10, 8, seed=3)
+
+
 @pytest.mark.parametrize("n_r", [1, 2])
 def test_risk_averse_global_rows_equal_the_weight_rule_row_by_row(n_r):
-    # One design whose circle failure fractions tie at 0 (three scenarios)
-    # and at 1 (five), and one without, each under slacks whose smoothed
-    # fraction sweeps [0, 1): the kept count takes every value it can, so
-    # rows of one design share their weights only when they share the kept
-    # set of every requirement.
-    spec = dataclasses.replace(SPEC, requirements=[circle.circle_requirement, _eased_requirement][:n_r])
+    # The tied designs, each under slacks whose smoothed fraction sweeps
+    # [0, 1): the kept count takes every value it can, so rows of one
+    # design share their weights only when they share the kept set of
+    # every requirement.
+    spec = _n_r_spec(n_r)
     cfg = CFG.for_spec(spec)
-    data = circle.generate_dataset(10, 8, seed=3)
+    data, designs = _TIED_DATA, _TIED_DESIGNS
     problem = _capture(programs.solve_risk_averse_global, spec, data, cfg, OPTS)
-    designs = np.array([[0.0, 0.0, 0.75], [0.3, -0.2, 1.1]])
     fracs = np.concatenate([np.linspace(0.0, 0.99, 45), [0.5, 0.0]])
     xi = weights.SIGN_EPS * fracs / (1.0 - fracs)
     rows = [np.concatenate([th, np.full(data.n_a, s)]) for s in xi for th in designs]
@@ -178,7 +186,7 @@ def test_risk_averse_global_rows_equal_the_weight_rule_row_by_row(n_r):
         frac = np.minimum(weights.smooth_sign_fraction(slack), np.nextafter(1.0, 0.0))
         expected = []
         for k in range(n_r):
-            w, _, _ = weights.weights_from_fractions(values[k], p[k], frac, cfg.alpha_e[k], cfg.gamma)
+            w, _, _ = weights.weights_from_values(values[k], frac, cfg.alpha_e[k], cfg.gamma)
             expected.append(w[None, :] * values[k] - slack[:, None])
         expected = np.stack(expected).ravel()
         assert _bits(g[i]) == _bits(expected)
@@ -187,6 +195,61 @@ def test_risk_averse_global_rows_equal_the_weight_rule_row_by_row(n_r):
             kept_counts.add(int(np.count_nonzero(p[0] <= quantile_of(p[0], 1.0 - frac))))
     p = weights.failure_fractions(programs.requirement_values(SPEC, data, designs[0])[0])
     assert np.count_nonzero(p == 0.0) == 3 and np.count_nonzero(p == 1.0) == 5
+    assert kept_counts == {int(np.count_nonzero(p <= c)) for c in np.unique(p)}
+
+
+def _agnostic_rule(spec, cfg, theta, alpha_a):
+    """The global risk-agnostic constraint of one design, one requirement
+    at a time: the (1 - a_k) quantile of each scenario's weighted worst case."""
+    values = programs.requirement_values(spec, _TIED_DATA, theta)
+    g = []
+    for k in range(spec.n_r):
+        w, _, _ = weights.weights_from_values(values[k], alpha_a[k], cfg.alpha_e[k], cfg.gamma)
+        g.append(quantile_of(np.max(w * values[k], axis=-1), 1.0 - alpha_a[k]))
+    return np.array(g)
+
+
+@pytest.mark.parametrize("n_r", [1, 2])
+@pytest.mark.parametrize("alpha_a", [0.0, 0.3, 0.75])
+def test_risk_agnostic_global_rows_equal_the_weight_rule_row_by_row(n_r, alpha_a):
+    spec = _n_r_spec(n_r)
+    cfg = AlphaConfig(np.array([alpha_a, 0.5][:n_r]), CFG.alpha_e).for_spec(spec)
+    problem = _capture(programs.solve_risk_agnostic_global, spec, _TIED_DATA, cfg, OPTS)
+    # repeated designs and one a finite-difference step away
+    X = np.vstack([_TIED_DESIGNS[[0, 1, 0, 0, 1]], _TIED_DESIGNS[:1] + [0.0, 0.0, 1e-6]])
+    g = problem.constraints_batch(X)
+    for i, x in enumerate(X):
+        expected = _agnostic_rule(spec, cfg, x, cfg.alpha_a)
+        assert _bits(g[i]) == _bits(expected)
+        assert _bits(problem.constraints_batch(x[None])[0]) == _bits(expected)
+
+
+@pytest.mark.parametrize("n_r", [1, 2])
+def test_global_seed_rows_equal_the_weight_rule_row_by_row(n_r):
+    # Per-row fractions sweep [0, 1] (so the kept count takes every value
+    # the ties allow), land on the knots of the sorted failure fractions
+    # (a threshold equal to a tied p keeps the whole tie) and overshoot
+    # [0, 1] as finite-difference probes do; the program clips them to
+    # [0, 1 - 1e-9] before the rule.
+    spec = _n_r_spec(n_r)
+    cfg = CFG.for_spec(spec)
+    problem = _capture(
+        programs.solve_feasibility_seed, spec, _TIED_DATA, cfg, variant="global", opts=OPTS
+    )
+    knots = 1.0 - np.arange(_TIED_DATA.n_a) / (_TIED_DATA.n_a - 1)
+    fracs = np.concatenate([np.linspace(0.0, 1.0, 41), knots, [-0.3, 1.4, 0.0, 1.0]])
+    alphas = np.column_stack([fracs, fracs[::-1]])[:, :n_r]
+    X = np.array([np.concatenate([th, a]) for a in alphas for th in _TIED_DESIGNS])
+    g = problem.constraints_batch(X)
+    kept_counts = set()
+    for i, x in enumerate(X):
+        a = np.minimum(np.clip(x[LEAD:], 0.0, 1.0), 1.0 - 1e-9)
+        expected = _agnostic_rule(spec, cfg, x[:LEAD], a)
+        assert _bits(g[i]) == _bits(expected)
+        assert _bits(problem.constraints_batch(x[None])[0]) == _bits(expected)
+        if i % 2 == 0:
+            p = weights.failure_fractions(programs.requirement_values(spec, _TIED_DATA, x[:LEAD]))[0]
+            kept_counts.add(int(np.count_nonzero(p <= quantile_of(p, 1.0 - a[0]))))
     assert kept_counts == {int(np.count_nonzero(p <= c)) for c in np.unique(p)}
 
 

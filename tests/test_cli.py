@@ -600,6 +600,29 @@ def test_wrong_typed_design_value_exit_2(tmp_path, capsys):
     assert "design.theta_star" in capsys.readouterr().err
 
 
+#: a negative seed or dataset size: (extra arguments, overrides, key named on stderr)
+_NEGATIVE = [
+    (["--seed", "-1"], {}, "seed"),
+    ([], {"seed": -1}, "seed"),
+    ([], {"solver": {"seed": -1}}, "seed"),
+    ([], {"data": {"generate": {"n_a": -4, "n_e": 6}}}, "data.generate.n_a"),
+    ([], {"data": {"generate": {"n_a": 8, "n_e": 6, "seed": -2}}}, "data.generate.seed"),
+]
+
+
+@pytest.mark.parametrize(
+    "extra,overrides,key", _NEGATIVE,
+    ids=["--seed", "seed", "solver.seed", "data.generate.n_a", "data.generate.seed"],
+)
+def test_negative_seed_or_size_exit_2(tmp_path, capsys, extra, overrides, key):
+    cfg = _write_config(tmp_path / "cfg.json", **overrides)
+    assert cli.main(["solve", "--config", str(cfg), *extra]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert key in err and "nonnegative" in err
+    assert not (tmp_path / "out").exists()
+
+
 #: a non-finite number Python's json module writes and reads but JSON does
 #: not allow: (verb, overrides, the constant named on stderr)
 _NON_FINITE = [

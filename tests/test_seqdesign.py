@@ -356,8 +356,11 @@ def test_run_sd_grows_training_and_improves(circle_spec):
 @pytest.mark.parametrize(
     "field, value",
     [("growth", np.nan), ("lambda_div", np.nan), ("threshold", np.nan),
-     ("alpha_e", np.nan), ("alpha_e", 1.5)],
-    ids=["growth", "lambda_div", "threshold", "alpha_e-nan", "alpha_e-above-one"],
+     ("alpha_e", np.nan), ("alpha_e", 1.5),
+     # training sets need two aleatory scenarios and one epistemic draw
+     ("n_a_init", 0), ("n_a_init", 1), ("n_a_cap", 1), ("n_e_init", 0), ("n_e_cap", -3)],
+    ids=["growth", "lambda_div", "threshold", "alpha_e-nan", "alpha_e-above-one",
+         "n_a_init-0", "n_a_init-1", "n_a_cap-1", "n_e_init-0", "n_e_cap-negative"],
 )
 def test_sd_config_rejects_nan_and_out_of_range(field, value):
     with pytest.raises(InputError, match=field):
