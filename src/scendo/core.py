@@ -193,6 +193,21 @@ class ScenarioData:
             self.testing_epistemic,
         )
 
+    def check_widths(self, spec: ProblemSpec) -> None:
+        """InputError naming every set whose column count is not the
+        problem's: ``spec.m_a`` for the aleatory sets, ``spec.m_e`` for the
+        epistemic ones, training and (where present) testing."""
+        bad = [
+            f"{name} has {arr.shape[1]} columns, the problem needs {width}"
+            for name, width in (
+                ("aleatory", spec.m_a), ("epistemic", spec.m_e),
+                ("testing_aleatory", spec.m_a), ("testing_epistemic", spec.m_e),
+            )
+            if (arr := getattr(self, name)) is not None and arr.shape[1] != width
+        ]
+        if bad:
+            raise InputError("; ".join(bad))
+
     def require_testing(self) -> None:
         if self.testing_aleatory is None or self.testing_epistemic is None:
             raise InputError("operation requires testing_aleatory and testing_epistemic")

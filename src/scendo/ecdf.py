@@ -26,6 +26,15 @@ never broadcast over every row, and reads both knots of each row through
 one flat index into the C-ordered rows: row offset plus segment index, and
 that plus one.  Rows that are not C-contiguous are copied once by that
 flattening, so callers with long rows hand them over C-ordered.
+
+``quantile_of`` and ``cdf_of`` sort with numpy's default float sort,
+which dispatches to SIMD kernels where the CPU has them, and not with the
+stable kind, several times slower on the same rows.  The two kinds order
+equal values differently, and on finite rows (``scendo.core`` admits no
+NaN) only equal zeros of opposite sign differ in their bits.  A row that
+holds both -0.0 and +0.0 holds a tie, so ``strictify_sorted`` shifts the
+batch and writes every zero as +0.0 or its tie offset, whichever order
+the sort left them in: the results carry the same bits under either kind.
 """
 
 from __future__ import annotations
@@ -52,6 +61,10 @@ def strictify_sorted(values: Array) -> Array:
 
     The j-th member of a run of duplicates (j = 0, 1, ...) is shifted by
     j * TIE_EPS * max(1, |z|); rows without ties are returned unchanged.
+    When any row of the batch holds a tie, every entry takes the shift,
+    the j = 0 ones included, so -0.0 + 0.0 leaves no negative zero: the
+    result does not depend on the order the sort gave equal zeros, which
+    lets the callers sort with the (unstable) default kind.
     """
     values = np.asarray(values, dtype=float)
     n = values.shape[-1]
@@ -147,9 +160,9 @@ def sorted_cdf(values: Array, z) -> Array:
 
 def quantile_of(values: Array, alpha) -> Array:
     """Quantile over the last axis of raw (unsorted, maybe tied) values."""
-    return sorted_quantile(strictify_sorted(np.sort(values, axis=-1, kind="stable")), alpha)
+    return sorted_quantile(strictify_sorted(np.sort(values, axis=-1)), alpha)
 
 
 def cdf_of(values: Array, z) -> Array:
     """CDF over the last axis of raw (unsorted, maybe tied) values."""
-    return sorted_cdf(strictify_sorted(np.sort(values, axis=-1, kind="stable")), z)
+    return sorted_cdf(strictify_sorted(np.sort(values, axis=-1)), z)

@@ -81,6 +81,10 @@ class NlpOptions:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("n_starts", "max_inner", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise InputError(f"{name} must be an integer, got {value!r}")
         for name in ("n_starts", "max_inner"):
             if getattr(self, name) < 1:
                 raise InputError(f"{name} must be at least 1")

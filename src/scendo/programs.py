@@ -163,6 +163,13 @@ def _minimize(
     return nlp.minimize(problem, opts)
 
 
+def _for_problem(spec: ProblemSpec, data: ScenarioData, cfg: AlphaConfig) -> AlphaConfig:
+    """``cfg`` broadcast to the spec's requirements, once ``data`` has the
+    spec's widths (``ScenarioData.check_widths``); every program starts here."""
+    data.check_widths(spec)
+    return cfg.for_spec(spec)
+
+
 def _require_below_one(alpha_a: Array) -> None:
     if np.any(alpha_a >= 1):
         raise InputError("alpha_a entries must lie in [0, 1)")
@@ -204,7 +211,7 @@ def outlier_sets(spec: ProblemSpec, data: ScenarioData, cfg: AlphaConfig, theta)
     epistemic outliers of scenario i are the draws exceeding that
     quantile for some requirement.
     """
-    cfg = cfg.for_spec(spec)
+    cfg = _for_problem(spec, data, cfg)
     values = requirement_values(spec, data, np.asarray(theta, float))
     q = _req_quantiles(values, 1.0 - cfg.alpha_e)  # (n_r, n_a)
     o_a = np.flatnonzero(np.max(q, axis=0) > 0.0)
@@ -302,7 +309,7 @@ def solve_risk_averse_local(
     quantile must stay below its scenario's slack, and slack is charged at
     rho per unit.  Each pseudo-distribution discards its own worst
     epistemic draws."""
-    cfg = cfg.for_spec(spec)
+    cfg = _for_problem(spec, data, cfg)
     m, n_a, n_r = spec.m_theta, data.n_a, spec.n_r
     design_terms = _local_design_terms(spec, data, 1.0 - cfg.alpha_e)
 
@@ -323,7 +330,7 @@ def solve_risk_averse_global(
     """Like the local variant but one shared set of epistemic draws is
     down-weighted for all pseudo-distributions; the weight rule's aleatory
     slot receives the (smoothed) fraction of active slacks."""
-    cfg = cfg.for_spec(spec)
+    cfg = _for_problem(spec, data, cfg)
     m, n_a, n_e, n_r = spec.m_theta, data.n_a, data.n_e, spec.n_r
     grids = _global_weighted_grids(spec, data, cfg)
 
@@ -378,7 +385,7 @@ def solve_risk_agnostic_global(
     be nonpositive.  The number of decision variables does not grow with
     the dataset.  On infeasibility the result carries a suggested alpha_a
     from the feasibility seed."""
-    cfg = cfg.for_spec(spec)
+    cfg = _for_problem(spec, data, cfg)
     _require_below_one(cfg.alpha_a)
     grids = _global_weighted_grids(spec, data, cfg)
 
@@ -397,7 +404,7 @@ def solve_risk_agnostic_local(
     """Nested-quantile constraint: per scenario take the (1 - alpha_e)
     quantile over the epistemic draws, then require the (1 - alpha_a)
     quantile of those values to be nonpositive."""
-    cfg = cfg.for_spec(spec)
+    cfg = _for_problem(spec, data, cfg)
     _require_below_one(cfg.alpha_a)
     design_terms = _local_design_terms(spec, data, 1.0 - cfg.alpha_e)
     levels_a = 1.0 - cfg.alpha_a
@@ -426,7 +433,7 @@ def solve_feasibility_seed(
     the fractions that make the corresponding risk-agnostic program
     feasible, and its ``objective`` sum(alpha_a_lower).
     """
-    cfg = cfg.for_spec(spec)
+    cfg = _for_problem(spec, data, cfg)
     if variant not in ("local", "global"):
         raise InputError(f"variant must be 'local' or 'global', got {variant!r}")
     n_r, m = spec.n_r, spec.m_theta
@@ -476,7 +483,7 @@ def solve_moment_risk_averse(
     xi) so aleatory outliers drop out of the mean consistently with the
     requirement constraints.  The response quantiles are taken at the
     level 1 - cfg.alpha_e[0]."""
-    cfg = cfg.for_spec(spec)
+    cfg = _for_problem(spec, data, cfg)
     aer = float(cfg.alpha_e[0])
     m, n_a, n_r = spec.m_theta, data.n_a, spec.n_r
     levels = 1.0 - cfg.alpha_e
@@ -528,7 +535,7 @@ def solve_moment_risk_agnostic(
     its own requirement quantiles; the (1 - alpha_a) quantile of those
     stacked worst values must be nonpositive.  Uses the single fraction
     cfg.alpha_a[0] and the response level 1 - cfg.alpha_e[0]."""
-    cfg = cfg.for_spec(spec)
+    cfg = _for_problem(spec, data, cfg)
     _require_below_one(cfg.alpha_a[:1])
     alpha_a = float(cfg.alpha_a[0])
     aer = float(cfg.alpha_e[0])

@@ -395,8 +395,9 @@ def risk_bound(
 ) -> RiskBoundReport:
     """Set violations, support scenarios and the epsilon_bar bound of a
     solved program.  In this order: ``beta`` outside (0, 1), an unknown
-    ``containment`` name or, unless ``moment``, fewer than 3 training
-    scenarios is an InputError before any work; one containment
+    ``containment`` name, data whose widths are not the spec's
+    (``ScenarioData.check_widths``) or, unless ``moment``, fewer than 3
+    training scenarios is an InputError before any work; one containment
     test per training scenario of ``theta_star``; the leave-one-out support
     set of ``solver`` (see ``support_scenarios``); epsilon_bar of the
     set-complexity s, the size of the union of the two index sets, so
@@ -422,6 +423,7 @@ def risk_bound(
         containment = "optimization" if eset.m_e <= 10 else "sampling"
     if containment not in ("optimization", "sampling"):
         raise InputError(f"unknown containment test {containment!r}")
+    data.check_widths(spec)
     if not moment:
         _check_leave_one_out(data)
     theta_star = np.asarray(theta_star, dtype=float)

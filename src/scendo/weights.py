@@ -74,7 +74,7 @@ def sorted_fractions(p: Array) -> Array:
     increasing (``ecdf.strictify_sorted``), the form ``inlier_threshold``
     reads.  A program that thresholds one design's ``p`` at many fractions
     sorts it once."""
-    return strictify_sorted(np.sort(p, axis=-1, kind="stable"))
+    return strictify_sorted(np.sort(p, axis=-1))
 
 
 def inlier_threshold(sorted_p: Array, alpha_a_k) -> Array:

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from oracles import interpolant_cdf, interpolant_quantile, quantile_reference, strictify_rows
 from scendo.core import InputError
 from scendo.ecdf import cdf_of, quantile_of, sorted_cdf, sorted_quantile, strictify_sorted
+from scendo.weights import sorted_fractions
 
 
 def _build(samples) -> np.ndarray:
@@ -233,3 +234,31 @@ def test_kernel_matches_row_by_row_interpolant_bit_for_bit(case):
     _same_bits(quantile_of(values, levels), want_q)
     _same_bits(sorted_cdf(sorted_rows, points), want_c)
     _same_bits(cdf_of(values, points), want_c)
+
+
+@st.composite
+def _signed_zero_batches(draw):
+    """(batch, levels, points): 1-4 rows of 1-64 samples that mix -0.0,
+    +0.0, repeated values and distinct values, so the default sort and the
+    stable one leave equal zeros in different orders."""
+    n_rows, n = draw(st.integers(1, 4)), draw(st.integers(1, 64))
+    pool = [-0.0, 0.0] + draw(st.lists(st.floats(-5.0, 5.0), min_size=1, max_size=3))
+    entry = st.one_of(st.sampled_from(pool), st.floats(-1e3, 1e3))
+    batch = np.array(draw(st.lists(entry, min_size=n_rows * n, max_size=n_rows * n)))
+    levels = np.array(draw(st.lists(_levels(n), min_size=n_rows, max_size=n_rows)))
+    points = np.array([-0.0, 0.0, draw(st.sampled_from(pool)), draw(entry)])
+    return batch.reshape(n_rows, n), levels, points
+
+
+@settings(max_examples=300, deadline=None)
+@given(_signed_zero_batches())
+def test_default_sort_gives_the_stable_sorts_bits(case):
+    # the helpers sort with numpy's default kind; strictify_sorted erases
+    # the order it leaves equal zeros in, so every result carries the bits
+    # of the same steps run on a stable sort
+    batch, levels, points = case
+    knots = _build(batch)
+    _same_bits(sorted_fractions(batch), knots)
+    _same_bits(quantile_of(batch, levels), sorted_quantile(knots, levels))
+    for z in points:
+        _same_bits(cdf_of(batch, z), sorted_cdf(knots, z))

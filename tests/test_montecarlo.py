@@ -250,6 +250,24 @@ def test_analyze_rejects_wrong_shapes(circle_spec, tested_data, worst_case):
         analyze(circle_spec, np.array([0.3, 0.2, 2.0]), wide, cfg)
 
 
+@pytest.mark.parametrize("worst_case", [False, True])
+def test_analyze_raises_on_nan_requirement_values(circle_spec, tested_data, worst_case):
+    cfg = RmcConfig(worst_case=worst_case)
+    n = tested_data.n_a_test * tested_data.n_e_test
+    with pytest.raises(ArithmeticError, match=f"NaN at {n} of {n} testing grid points"):
+        analyze(circle_spec, np.array([np.nan, 0.0, 1.0]), tested_data, cfg)
+    # NaN on the draws whose first coordinate is below 0.1 only, in a second
+    # requirement: the count covers every requirement
+    spec = dataclasses.replace(circle_spec, requirements=[
+        circle.circle_requirement,
+        lambda th, a, e: np.where(e[..., 0] < 0.1, np.nan, -1.0) + 0.0 * a[..., 0],
+    ])
+    n_nan = tested_data.n_a_test * int(np.count_nonzero(tested_data.testing_epistemic[:, 0] < 0.1))
+    assert 0 < n_nan < n
+    with pytest.raises(ArithmeticError, match=f"NaN at {n_nan} of {2 * n} testing grid points"):
+        analyze(spec, np.array([0.0, 0.0, 2.0]), tested_data, RmcConfig(worst_case=worst_case))
+
+
 def _rounded_stretched(th, a, e):
     """The circle requirement on stretched points, rounded so rows tie."""
     return np.round(circle.circle_requirement(th, 1.2 * a, e), 1)

@@ -127,6 +127,14 @@ def test_start_point_outside_bounds_rejected(starts):
         nlp.minimize(p)
 
 
+@pytest.mark.parametrize("field", ["n_starts", "max_inner", "seed"])
+def test_options_take_only_integers(field):
+    for bad in (2.5, 3.0, True, "3", None):
+        with pytest.raises(InputError, match=f"{field} must be an integer"):
+            nlp.NlpOptions(**{field: bad})
+    assert getattr(nlp.NlpOptions(**{field: np.int64(3)}), field) == 3
+
+
 def _fd_gradient(f_batch, x):
     """Central-difference gradient of an unconstrained batch objective."""
     bounds = np.tile([-np.inf, np.inf], (x.size, 1))

@@ -334,6 +334,26 @@ def test_pseudo_distribution_helper(circle_spec, small_data):
     assert np.allclose(values, direct)
 
 
+@pytest.mark.parametrize("tag", list(FormulationTag), ids=lambda t: t.value)
+@pytest.mark.parametrize(
+    "widths,message",
+    [((2, 1), "aleatory has 2 columns"), ((1, 3), "epistemic has 3 columns")],
+    ids=["aleatory", "epistemic"],
+)
+def test_every_program_rejects_data_of_other_widths_before_any_solve(tag, widths, message):
+    def never(*args):
+        pytest.fail("the program did work before checking the data widths")
+
+    spec = ProblemSpec(objective=never, requirements=[never], design_bounds=[[0.0, 1.0]],
+                       m_a=1, m_e=1)
+    data = ScenarioData(
+        np.zeros((4, widths[0])), np.zeros((3, widths[1])),
+        testing_aleatory=np.zeros((5, widths[0])), testing_epistemic=np.zeros((2, widths[1])),
+    )
+    with pytest.raises(InputError, match=f"{message}, the problem needs 1; testing_"):
+        solve(tag, spec, data, AlphaConfig.uniform(1), OPTS, response=never)
+
+
 def test_formulation_validation():
     spec, data = _linear_toy()
     for tag in MOMENT_TAGS:

@@ -572,6 +572,18 @@ def test_risk_bound_checks_its_inputs_before_any_work(bad):
         risk_bound(spec, never, data, np.array([0.5]), eset, **bad)
 
 
+def test_risk_bound_rejects_data_of_other_widths_before_any_work():
+    def never(*args):
+        pytest.fail("risk_bound did work before checking the data widths")
+
+    spec = ProblemSpec(objective=never, requirements=[never], design_bounds=[[0.0, 1.0]],
+                       m_a=1, m_e=1)
+    data = ScenarioData(np.zeros((4, 2)), np.zeros((2, 1)))
+    eset = EpistemicSet.from_box(np.array([0.0]), np.array([1.0]))
+    with pytest.raises(InputError, match="aleatory has 2 columns, the problem needs 1"):
+        risk_bound(spec, never, data, np.array([0.5]), eset)
+
+
 def test_risk_bound_rejects_too_few_scenarios_before_any_work(monkeypatch):
     def never(*args, **kwargs):
         pytest.fail("risk_bound did work before checking the scenario count")
