@@ -51,6 +51,15 @@ def _as_float_array(x, name: str, ndim: int | None = None) -> Array:
     return arr
 
 
+def _integers(obj, *names: str) -> None:
+    """InputError unless each field ``names`` of ``obj`` is a Python or
+    numpy integer; a bool is not one."""
+    for name in names:
+        value = getattr(obj, name)
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise InputError(f"{name} must be an integer, got {value!r}")
+
+
 def _fractions(name: str, value, n_r: int | None = None) -> Array:
     """``value`` as a vector of fractions in [0, 1], else InputError.
 

@@ -21,15 +21,16 @@ A problem carries its starts; ``latin_hypercube`` is the one recipe that
 draws them, from the number of starts and the seed.  Everything is
 deterministic given the starts.
 
-The starts run in lockstep rounds.  Each start is a small state machine
-over its penalty stages, and each stage is L-BFGS-B stepped by scipy's
-reverse-communication routine ``_lbfgsb.setulb`` (``_Lbfgsb``), with the
-settings, evaluation rule and stopping tests of ``scipy.optimize.minimize
-(method="L-BFGS-B")``, so it takes the same steps.  In a round, every
-start that waits for a merit and gradient adds its point and finite-
-difference probes to one merit batch, each row with its own start's
-penalty weight mu; a start that finishes drops out.  The starts are
-reduced in a fixed order, the first start winning ties.
+The starts run in lockstep rounds.  Each start is a generator over its
+penalty stages (``_start``), and each stage a generator that steps
+L-BFGS-B through scipy's reverse-communication routine ``_lbfgsb.setulb``
+(``_lbfgsb_stage``), with the settings, evaluation rule and stopping tests
+of ``scipy.optimize.minimize(method="L-BFGS-B")``, so it takes the same
+steps.  A start yields the point and penalty weight mu whose merit and
+gradient it needs next and is sent them.  In a round, every waiting start
+adds its point and finite-difference probes to one merit batch, each row
+with its own start's mu; a start whose generator returns drops out.  The
+starts are reduced in a fixed order, the first start winning ties.
 
 Problems are stated only through batch callables, which map a (B, dim)
 stack of points to B rows of results.  Batch contract: row i of the result
@@ -59,7 +60,7 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.optimize import _lbfgsb
 
-from scendo.core import InputError
+from scendo.core import InputError, _integers
 
 Array = np.ndarray
 
@@ -81,10 +82,7 @@ class NlpOptions:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("n_starts", "max_inner", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise InputError(f"{name} must be an integer, got {value!r}")
+        _integers(self, "n_starts", "max_inner", "seed")
         for name in ("n_starts", "max_inner"):
             if getattr(self, name) < 1:
                 raise InputError(f"{name} must be at least 1")
@@ -176,7 +174,7 @@ def _violation(problem: NlpProblem, x: Array) -> float:
     return float(np.max(np.maximum(0.0, g), initial=0.0))
 
 
-def _batch_fd_gradient(penalty_batch, X: Array, mu, step: float, starts=None):
+def _batch_fd_gradient(penalty_batch, X: Array, mu, step: float, starts):
     """Merits at the k points of ``X`` and their central-difference
     gradients, from one batch.
 
@@ -184,7 +182,7 @@ def _batch_fd_gradient(penalty_batch, X: Array, mu, step: float, starts=None):
     probes, then its dim backward ones.  ``mu`` is the penalty weight of
     each point, or one for all.  Returns ``(f, grad)`` of shapes (k,) and
     (k, dim).  ``starts`` names the points in the error a non-finite probe
-    raises; by default their rows in ``X``.
+    raises.
     """
     k, dim = X.shape
     rows = 2 * dim + 1
@@ -199,9 +197,8 @@ def _batch_fd_gradient(penalty_batch, X: Array, mu, step: float, starts=None):
     bad = ~np.isfinite(probes)
     if bad.any():
         j, col = np.argwhere(bad)[0]
-        start = j if starts is None else starts[j]
         raise ArithmeticError(
-            f"non-finite merit value at finite-difference probe of coordinate {col % dim} of start {start}"
+            f"non-finite merit value at finite-difference probe of coordinate {col % dim} of start {starts[j]}"
         )
     return vals[:, 0], (probes[:, :dim] - probes[:, dim:]) / (2.0 * h)
 
@@ -220,117 +217,87 @@ _FG, _NEW_X, _STOP = 3, 1, 5
 _NBD = np.array([[0, 3], [1, 2]], dtype=np.int32)
 
 
-class _Lbfgsb:
-    """One L-BFGS-B stage, stepped through setulb's reverse communication.
+def _lbfgsb_stage(x0: Array, bounds: Array, maxiter: int, mu: float):
+    """One L-BFGS-B stage at penalty weight ``mu``, stepped through setulb's
+    reverse communication.
 
     It takes the steps of ``scipy.optimize.minimize(fun, x0, jac=True,
     method="L-BFGS-B", bounds=bounds, options={"maxiter": maxiter,
-    "ftol": 1e-15, "gtol": 1e-10})`` and as many evaluations.  While
-    ``waiting``, the stage needs the merit and gradient at ``at``, which
-    ``give`` hands over: first at the clipped x0, later whenever setulb
-    asks at an x other than the last one given.  Otherwise it has stopped
-    at ``x``, with ``nfev`` evaluations.
+    "ftol": 1e-15, "gtol": 1e-10})`` and as many evaluations.  It yields
+    ``(x, mu)`` for each merit and gradient it needs and is sent their
+    ``(f, g)``: first at the clipped x0, later whenever setulb asks at an x
+    other than the last one yielded.  It returns ``(x, f, nfev)``: where
+    it stopped, the last merit sent and the number of evaluations.
     """
-
-    def __init__(self, x0: Array, bounds: Array, maxiter: int):
-        lo, hi = bounds[:, 0], bounds[:, 1]
-        n, m = len(bounds), _LBFGSB_M
-        self.maxiter = maxiter
-        self.lo = np.where(np.isinf(lo), 0.0, lo)
-        self.hi = np.where(np.isinf(hi), 0.0, hi)
-        self.nbd = _NBD[(~np.isinf(lo)).astype(int), (~np.isinf(hi)).astype(int)]
-        self.x = np.clip(x0, lo, hi)
-        self.at = self.x.copy()
-        self.waiting = True
-        self.f, self.g = 0.0, np.zeros(n)
-        self.nfev = 0
-        self.nit = 0
-        self.wa = np.zeros(2 * m * n + 5 * n + 11 * m * m + 8 * m)
-        self.iwa = np.zeros(3 * n, dtype=np.int32)
-        self.task = np.zeros(2, dtype=np.int32)
-        self.ln_task = np.zeros(2, dtype=np.int32)
-        self.lsave = np.zeros(4, dtype=np.int32)
-        self.isave = np.zeros(44, dtype=np.int32)
-        self.dsave = np.zeros(29)
-
-    def give(self, f: float, g: Array) -> None:
-        """The merit and gradient at ``at``; runs setulb to its next request or stop."""
-        self.f, self.g = f, g
-        self.nfev += 1
-        self.waiting = False
-        task = self.task
+    lo, hi = bounds[:, 0], bounds[:, 1]
+    n, m = len(bounds), _LBFGSB_M
+    nbd = _NBD[(~np.isinf(lo)).astype(int), (~np.isinf(hi)).astype(int)]
+    x = np.clip(x0, lo, hi)
+    lo, hi = np.where(np.isinf(lo), 0.0, lo), np.where(np.isinf(hi), 0.0, hi)
+    wa = np.zeros(2 * m * n + 5 * n + 11 * m * m + 8 * m)
+    iwa = np.zeros(3 * n, dtype=np.int32)
+    task, ln_task = np.zeros(2, dtype=np.int32), np.zeros(2, dtype=np.int32)
+    lsave, isave, dsave = np.zeros(4, dtype=np.int32), np.zeros(44, dtype=np.int32), np.zeros(29)
+    at, nfev, nit = x.copy(), 0, 0
+    while True:
+        f, g = yield at, mu
+        nfev += 1
         while True:
             _lbfgsb.setulb(
-                _LBFGSB_M, self.x, self.lo, self.hi, self.nbd, self.f, self.g.astype(np.float64),
-                _LBFGSB_FACTR, _LBFGSB_PGTOL, self.wa, self.iwa, task, self.lsave, self.isave,
-                self.dsave, _LBFGSB_MAXLS, self.ln_task,
+                m, x, lo, hi, nbd, f, g.astype(np.float64), _LBFGSB_FACTR, _LBFGSB_PGTOL,
+                wa, iwa, task, lsave, isave, dsave, _LBFGSB_MAXLS, ln_task,
             )
             if task[0] == _FG:
-                if not np.array_equal(self.x, self.at):
-                    self.at = self.x.copy()
-                    self.waiting = True
-                    return
+                if not np.array_equal(x, at):
+                    at = x.copy()
+                    break
             elif task[0] == _NEW_X:
-                self.nit += 1
-                if self.nit >= self.maxiter:
+                nit += 1
+                if nit >= maxiter:
                     task[:] = _STOP, 504
-                elif self.nfev > _LBFGSB_MAXFUN:
+                elif nfev > _LBFGSB_MAXFUN:
                     task[:] = _STOP, 502
             else:
-                return
+                return x, f, nfev
 
 
-class _Start:
+def _start(problem: NlpProblem, x0: Array, max_inner: int):
     """One start's penalty continuation: L-BFGS-B stages at growing mu,
-    each warm-started where the last one stopped.  ``want`` is the point
-    whose merit and gradient the current stage needs, None once done;
-    then ``f`` is the objective at ``x``."""
-
-    def __init__(self, problem: NlpProblem, x0: Array, max_inner: int):
-        self.problem = problem
-        self.max_inner = max_inner
-        self.x = x0
-        self.mu = PENALTY_INIT
-        self.viol_history = []
-        self.nfev = 0
-        self.converged = False
-        self.f: Optional[float] = None
-        self.stage: Optional[_Lbfgsb] = _Lbfgsb(x0, problem.bounds, max_inner)
-
-    @property
-    def want(self) -> Optional[Array]:
-        stage = self.stage
-        return stage.at if stage is not None and stage.waiting else None
-
-    def give(self, f: float, g: Array) -> None:
-        stage = self.stage
-        stage.give(f, g)
-        if stage.waiting:
-            return
-        problem = self.problem
-        self.nfev += stage.nfev * (1 + 2 * problem.dim)
-        step_size = float(np.max(np.abs(stage.x - self.x))) if stage.x.size else 0.0
-        x = stage.x
+    each warm-started where the last one stopped.  It yields what its
+    current stage yields and passes on what it is sent; it returns
+    ``(x, outcome, viol_history)``, the outcome being its entry of
+    ``diagnostics["starts"]``."""
+    x, mu, nfev, viol_history = x0, PENALTY_INIT, 0, []
+    while True:
+        x_new, _, stage_nfev = yield from _lbfgsb_stage(x, problem.bounds, max_inner, mu)
+        nfev += stage_nfev * (1 + 2 * problem.dim)
+        step_size = float(np.max(np.abs(x_new - x))) if x.size else 0.0
+        x = x_new
         viol = _violation(problem, x)
-        self.viol_history.append(viol)
-        self.stage = None
-        if viol <= TOL_CON and step_size <= TOL_X:
-            self.converged = True
-        else:
-            if viol > TOL_CON and step_size <= TOL_X:
-                # stagnant while infeasible: typically parked on a zero-gradient
-                # boundary saddle; kick deterministically toward the box interior
-                lo, hi = problem.bounds[:, 0], problem.bounds[:, 1]
-                finite = np.isfinite(lo) & np.isfinite(hi)
-                mid = x.copy()
-                mid[finite] = (lo[finite] + hi[finite]) / 2.0
-                x = x + 0.05 * (mid - x)
-            if self.mu < PENALTY_MAX and len(self.viol_history) < MAX_OUTER:
-                self.mu = min(self.mu * PENALTY_GROWTH, PENALTY_MAX)
-                self.stage = _Lbfgsb(x, problem.bounds, self.max_inner)
-        self.x = x
-        if self.stage is None:
-            self.f = float(problem.objective_batch(x[None])[0])
+        viol_history.append(viol)
+        converged = viol <= TOL_CON and step_size <= TOL_X
+        if converged:
+            break
+        if viol > TOL_CON and step_size <= TOL_X:
+            # stagnant while infeasible: typically parked on a zero-gradient
+            # boundary saddle; kick deterministically toward the box interior
+            lo, hi = problem.bounds[:, 0], problem.bounds[:, 1]
+            finite = np.isfinite(lo) & np.isfinite(hi)
+            mid = x.copy()
+            mid[finite] = (lo[finite] + hi[finite]) / 2.0
+            x = x + 0.05 * (mid - x)
+        if mu >= PENALTY_MAX or len(viol_history) >= MAX_OUTER:
+            break
+        mu = min(mu * PENALTY_GROWTH, PENALTY_MAX)
+    outcome = {
+        "f": float(problem.objective_batch(x[None])[0]),
+        "violation": viol_history[-1],
+        "nfev": nfev,
+        "stages": len(viol_history),
+        "mu": mu,
+        "converged": converged,
+    }
+    return x, outcome, viol_history
 
 
 #: the active ``scendo.replay`` tape; None outside its contexts
@@ -368,36 +335,29 @@ def _solve(problem: NlpProblem, opts: NlpOptions) -> NlpResult:
     if np.any(starts < lo - 1e-12) or np.any(starts > hi + 1e-12):
         raise InputError("start point outside bounds")
 
-    runs = [_Start(problem, np.clip(s, lo, hi), opts.max_inner) for s in starts]
+    runs = [_start(problem, np.clip(s, lo, hi), opts.max_inner) for s in starts]
+    wants = {i: next(run) for i, run in enumerate(runs)}  # start -> (point, mu)
+    done = {}
     penalty_batch = _make_batch_penalty(problem)
-    active = list(range(len(runs)))
-    while active:  # one round: every start that waits, in one merit batch
-        X = np.stack([runs[i].want for i in active])
-        mu = np.array([runs[i].mu for i in active])
+    while wants:  # one round: every start that waits, in one merit batch
+        active = list(wants)
+        X = np.stack([wants[i][0] for i in active])
+        mu = np.array([wants[i][1] for i in active])
         f, grad = _batch_fd_gradient(penalty_batch, X, mu, FD_STEP, active)
         for i, fi, gi in zip(active, f, grad):
-            runs[i].give(float(fi), gi)
-        active = [i for i in active if runs[i].want is not None]
-    outcomes = [
-        {
-            "f": run.f,
-            "violation": run.viol_history[-1],
-            "nfev": run.nfev,
-            "stages": len(run.viol_history),
-            "mu": run.mu,
-            "converged": run.converged,
-        }
-        for run in runs
-    ]
+            try:
+                wants[i] = runs[i].send((float(fi), gi))
+            except StopIteration as stop:
+                del wants[i]
+                done[i] = stop.value
+    xs, outcomes, histories = zip(*(done[i] for i in range(len(starts))))
 
-    best_key, best_idx = (2, np.inf), -1
-    for i, out in enumerate(outcomes):  # first start wins ties
-        feasible = out["violation"] <= TOL_CON
-        key = (0, out["f"]) if feasible else (1, out["violation"])
-        if key < best_key:
-            best_key, best_idx = key, i
+    def rank(i):  # feasible starts by objective, then the rest by violation
+        out = outcomes[i]
+        return (0, out["f"]) if out["violation"] <= TOL_CON else (1, out["violation"])
 
-    best, run = outcomes[best_idx], runs[best_idx]
+    best_idx = min(range(len(starts)), key=rank)  # first start wins ties
+    best = outcomes[best_idx]
     feasible = best["violation"] <= TOL_CON
     if feasible and best["converged"]:
         status = "converged"
@@ -410,7 +370,7 @@ def _solve(problem: NlpProblem, opts: NlpOptions) -> NlpResult:
         "best_start": best_idx,
         "nfev": int(sum(out["nfev"] for out in outcomes)),
         "violation": best["violation"],
-        "viol_history": run.viol_history,
-        "starts": outcomes,
+        "viol_history": histories[best_idx],
+        "starts": list(outcomes),
     }
-    return NlpResult(x=run.x, f=best["f"], status=status, diagnostics=diagnostics)
+    return NlpResult(x=xs[best_idx], f=best["f"], status=status, diagnostics=diagnostics)

@@ -39,7 +39,9 @@ from typing import Callable, List, Optional
 import numpy as np
 
 from scendo import nlp
-from scendo.core import AlphaConfig, InputError, ProblemSpec, ScenarioData, _fractions, r_max
+from scendo.core import (
+    AlphaConfig, InputError, ProblemSpec, ScenarioData, _fractions, _integers, r_max,
+)
 from scendo.montecarlo import RmcConfig, analyze
 from scendo.programs import (
     solve_feasibility_seed,
@@ -75,6 +77,7 @@ class SdConfig:
     seed: int = 0  # solver seed, used only when run_sd gets no opts
 
     def __post_init__(self):
+        _integers(self, "max_iter", "n_a_init", "n_e_init", "n_a_cap", "n_e_cap", "seed")
         # each check is written so that NaN fails it
         if self.max_iter < 1:
             raise InputError("max_iter must be >= 1")
@@ -82,6 +85,8 @@ class SdConfig:
             raise InputError("lambda_div must be nonnegative")
         if not self.threshold >= 0:
             raise InputError("threshold must be nonnegative")
+        if np.isnan(self.j_bound):
+            raise InputError("j_bound must not be NaN")
         _fractions("alpha_e", self.alpha_e)
         if self.metric not in _METRICS:
             raise InputError(f"metric must be one of {_METRICS}")
@@ -292,8 +297,13 @@ def select_training_aleatory(
             "the density must return one finite, nonnegative value per testing aleatory point"
         )
 
-    budgets = default_budgets(c, n_a_target) if budgets is None \
-        else np.asarray(budgets, dtype=int)
+    if budgets is None:
+        budgets = default_budgets(c, n_a_target)
+    else:
+        budgets = np.asarray(budgets, dtype=float)
+        if not np.all(np.isfinite(budgets) & (budgets >= 0) & (budgets == np.floor(budgets))):
+            raise InputError(f"budgets must be nonnegative integers, got {budgets}")
+        budgets = budgets.astype(int)
     if budgets.shape != (c.shape[1],):
         raise InputError("budgets must have one entry per requirement")
     avail = np.count_nonzero(c, axis=0)

@@ -140,7 +140,7 @@ def _fd_gradient(f_batch, x):
     bounds = np.tile([-np.inf, np.inf], (x.size, 1))
     problem = nlp.NlpProblem(objective_batch=f_batch,
                              constraints_batch=_no_constraints, bounds=bounds, starts=x[None])
-    return nlp._batch_fd_gradient(nlp._make_batch_penalty(problem), x[None], 1.0, 1e-6)[1][0]
+    return nlp._batch_fd_gradient(nlp._make_batch_penalty(problem), x[None], 1.0, 1e-6, [0])[1][0]
 
 
 def test_fd_gradient_values():
@@ -217,7 +217,7 @@ def _merit(problem, mu):
     penalty_batch = nlp._make_batch_penalty(problem)
 
     def fun(x):
-        f, g = nlp._batch_fd_gradient(penalty_batch, x[None], mu, nlp.FD_STEP)
+        f, g = nlp._batch_fd_gradient(penalty_batch, x[None], mu, nlp.FD_STEP, [0])
         return float(f[0]), g[0]
 
     return fun
@@ -278,24 +278,51 @@ _STAGES = {
 }
 
 
+def _run_stage(fun, x0, bounds, maxiter, mu):
+    """``(x, f, nfev)`` of the stage, sent ``fun`` at each point it yields."""
+    stage = nlp._lbfgsb_stage(x0, bounds, maxiter, mu)
+    x, mu_x = next(stage)
+    while True:
+        assert mu_x == mu
+        try:
+            x, mu_x = stage.send(fun(x.copy()))
+        except StopIteration as stop:
+            return stop.value
+
+
+def _scipy_stage(fun, x0, bounds, maxiter, **options):
+    return scipy_minimize(
+        fun, x0, jac=True, method="L-BFGS-B", bounds=[tuple(b) for b in bounds],
+        options={"maxiter": maxiter, "ftol": 1e-15, "gtol": 1e-10, **options},
+    )
+
+
 @pytest.mark.parametrize("name", sorted(_STAGES))
 def test_lbfgsb_stage_takes_scipys_steps(name):
     problem, x0, mu, maxiter = _STAGES[name]
     fun = _merit(problem, mu)
-    want = scipy_minimize(
-        fun, x0, jac=True, method="L-BFGS-B", bounds=[tuple(b) for b in problem.bounds],
-        options={"maxiter": maxiter, "ftol": 1e-15, "gtol": 1e-10},
-    )
-    stage = nlp._Lbfgsb(x0, problem.bounds, maxiter)
-    while stage.waiting:
-        stage.give(*fun(stage.at.copy()))
-    assert stage.x.tobytes() == want.x.tobytes()
-    assert float(stage.f).hex() == float(want.fun).hex()
-    assert stage.nfev == want.nfev
+    want = _scipy_stage(fun, x0, problem.bounds, maxiter)
+    x, f, nfev = _run_stage(fun, x0, problem.bounds, maxiter, mu)
+    assert x.tobytes() == want.x.tobytes()
+    assert float(f).hex() == float(want.fun).hex()
+    assert nfev == want.nfev
     if name == "cut-off-by-max-inner":
         assert want.nit == maxiter and want.status == 1
     if name == "does-not-move-x":
         assert np.array_equal(want.x, x0) and want.nfev == 1
+
+
+@pytest.mark.parametrize("maxfun", [3, 5, 8])
+def test_lbfgsb_stage_stops_at_scipys_evaluation_cap(maxfun, monkeypatch):
+    problem, x0, mu, _ = _STAGES["cut-off-by-max-inner"]
+    fun = _merit(problem, mu)
+    want = _scipy_stage(fun, x0, problem.bounds, 300, maxfun=maxfun)
+    monkeypatch.setattr(nlp, "_LBFGSB_MAXFUN", maxfun)
+    x, f, nfev = _run_stage(fun, x0, problem.bounds, 300, mu)
+    assert x.tobytes() == want.x.tobytes()
+    assert float(f).hex() == float(want.fun).hex()
+    assert nfev == want.nfev == maxfun + 1
+    assert want.status == 1 and want.nit < 300
 
 
 # ---------------------------------------------------------------------------

@@ -103,6 +103,19 @@ def test_selection_validates_target(circle_spec):
         select_training_aleatory(c, data.testing_aleatory, 999)
 
 
+@pytest.mark.parametrize("budget", [2.7, -1, np.nan, np.inf])
+def test_selection_rejects_negative_and_non_integral_budgets(circle_spec, budget):
+    data, theta = _selection_instance(n_pool=40)
+    c = _violations(circle_spec, theta, data)
+    with pytest.raises(InputError, match="budgets must be nonnegative integers"):
+        select_training_aleatory(c, data.testing_aleatory, 10, budgets=np.array([budget]))
+    # an integral float is an integer budget
+    assert np.array_equal(
+        select_training_aleatory(c, data.testing_aleatory, 10, budgets=np.array([2.0])),
+        select_training_aleatory(c, data.testing_aleatory, 10, budgets=np.array([2])),
+    )
+
+
 def test_default_budgets_scale_with_training_size(circle_spec):
     data, theta = _selection_instance(n_pool=40)
     c = _violations(circle_spec, theta, data)
@@ -358,9 +371,14 @@ def test_run_sd_grows_training_and_improves(circle_spec):
     [("growth", np.nan), ("lambda_div", np.nan), ("threshold", np.nan),
      ("alpha_e", np.nan), ("alpha_e", 1.5),
      # training sets need two aleatory scenarios and one epistemic draw
-     ("n_a_init", 0), ("n_a_init", 1), ("n_a_cap", 1), ("n_e_init", 0), ("n_e_cap", -3)],
+     ("n_a_init", 0), ("n_a_init", 1), ("n_a_cap", 1), ("n_e_init", 0), ("n_e_cap", -3),
+     # a NaN bound is never met; the counts and the seed take only integers
+     ("j_bound", np.nan), ("max_iter", 2.5), ("max_iter", 3.0), ("n_a_init", 2.5),
+     ("n_e_init", True), ("n_a_cap", "60"), ("n_e_cap", 30.0), ("seed", 0.5), ("seed", None)],
     ids=["growth", "lambda_div", "threshold", "alpha_e-nan", "alpha_e-above-one",
-         "n_a_init-0", "n_a_init-1", "n_a_cap-1", "n_e_init-0", "n_e_cap-negative"],
+         "n_a_init-0", "n_a_init-1", "n_a_cap-1", "n_e_init-0", "n_e_cap-negative",
+         "j_bound-nan", "max_iter-float", "max_iter-integral-float", "n_a_init-float",
+         "n_e_init-bool", "n_a_cap-str", "n_e_cap-float", "seed-float", "seed-none"],
 )
 def test_sd_config_rejects_nan_and_out_of_range(field, value):
     with pytest.raises(InputError, match=field):
