@@ -55,7 +55,7 @@ from scendo import nlp
 from scendo.core import AlphaConfig, InputError, ScenarioData, make_problem
 from scendo.montecarlo import RmcConfig, analyze
 from scendo.programs import MOMENT_TAGS, FormulationTag, solve as solve_program
-from scendo.risk_bounds import risk_bound
+from scendo.risk_bounds import epsilon_bar, risk_bound
 from scendo.seqdesign import SdConfig, run_sd
 
 logger = logging.getLogger("scendo")
@@ -85,18 +85,6 @@ def _configure_logging() -> None:
     if level_name not in levels:
         raise InputError(f"SCENDO_LOG must be one of {sorted(levels)}, got {level_name!r}")
     logging.basicConfig(level=levels[level_name], format="%(levelname)s %(name)s: %(message)s")
-
-
-def _jsonable(obj):
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    return obj
 
 
 def _config_hash(config: dict) -> str:
@@ -203,23 +191,18 @@ def _field(config: dict, name: str):
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(_jsonable(payload), indent=2, sort_keys=True) + "\n")
-
-
-def _csv_cell(v):
-    if isinstance(v, (float, np.floating)):
-        return repr(float(v))
-    if isinstance(v, np.integer):
-        return int(v)
-    return v
+    """``payload`` as JSON; numpy arrays and scalars are written by ``tolist``."""
+    text = json.dumps(payload, indent=2, sort_keys=True, default=lambda v: v.tolist())
+    path.write_text(text + "\n")
 
 
 def _write_csv(path: Path, header, rows) -> None:
+    """``header`` and ``rows`` as CSV; a float or numpy value is written by
+    ``str``, which gives ``repr`` of the float."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_csv_cell(v) for v in row])
+        writer.writerows(rows)
 
 
 def _load_matrix_csv(path: str) -> np.ndarray:
@@ -229,11 +212,6 @@ def _load_matrix_csv(path: str) -> np.ndarray:
         raise InputError(f"cannot read data file {path}: {exc}") from None
     except ValueError as exc:
         raise InputError(f"malformed CSV {path}: {exc}") from None
-
-
-def _save_matrix_csv(path: Path, mat: np.ndarray, prefix: str) -> None:
-    header = [f"{prefix}{i + 1}" for i in range(mat.shape[1])]
-    _write_csv(path, header, ([float(v) for v in row] for row in mat))
 
 
 def _build_problem(config: dict):
@@ -346,10 +324,7 @@ def cmd_solve(args) -> int:
         ]
     _write_csv(out / "outliers.csv", ["kind", "aleatory_index", "epistemic_index"], rows)
     if result.solver_status == "infeasible":
-        # the seed's own bound, else what the program's seed try left
-        suggestion = result.alpha_a_lower
-        if suggestion is None:
-            suggestion = result.diagnostics.get("suggested_alpha_a")
+        suggestion = result.diagnostics.get("suggested_alpha_a")
         payload["suggested_alpha_a"] = suggestion
         _write_json(out / "solution.json", payload)
         logger.error("program infeasible; suggested alpha_a = %s", suggestion)
@@ -487,18 +462,15 @@ def cmd_gen_data(args) -> int:
         raise InputError("gen-data needs a data.generate block")
     data, _ = _build_data(config, bundle)
     out = _out_dir(config, args.output)
-    _save_matrix_csv(out / "aleatory.csv", data.aleatory, "a")
-    _save_matrix_csv(out / "epistemic.csv", data.epistemic, "e")
-    if data.testing_aleatory is not None:
-        _save_matrix_csv(out / "testing_aleatory.csv", data.testing_aleatory, "a")
-    if data.testing_epistemic is not None:
-        _save_matrix_csv(out / "testing_epistemic.csv", data.testing_epistemic, "e")
+    for name in _DATA_FILES:
+        mat = getattr(data, name)
+        if mat is not None:
+            prefix = "a" if name.endswith("aleatory") else "e"
+            _write_csv(out / f"{name}.csv", [f"{prefix}{i + 1}" for i in range(mat.shape[1])], mat)
     return EXIT_OK
 
 
 def cmd_epsilon(args) -> int:
-    from scendo.risk_bounds import epsilon_bar
-
     value = epsilon_bar(int(args.n), int(args.k), float(args.beta))
     print(json.dumps({"n_a": int(args.n), "k": int(args.k), "beta": float(args.beta),
                       "epsilon_bar": value}))

@@ -304,10 +304,10 @@ class AlphaConfig:
         aa = _fractions("alpha_a", self.alpha_a)
         ae = _fractions("alpha_e", self.alpha_e)
         # each check is written so that NaN fails it
-        if not self.rho >= 0:
-            raise InputError("rho must be nonnegative")
-        if not (self.kappa >= 1 and self.gamma >= 1):
-            raise InputError("kappa and gamma must be >= 1")
+        if not 0 <= self.rho < np.inf:
+            raise InputError("rho must be finite and nonnegative")
+        if not (1 <= self.kappa < np.inf and 1 <= self.gamma < np.inf):
+            raise InputError("kappa and gamma must be finite and >= 1")
         object.__setattr__(self, "alpha_a", aa)
         object.__setattr__(self, "alpha_e", ae)
         aa.setflags(write=False)

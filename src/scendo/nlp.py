@@ -276,8 +276,8 @@ def _start(problem: NlpProblem, x0: Array, max_inner: int):
         viol = _violation(problem, x)
         viol_history.append(viol)
         converged = viol <= TOL_CON and step_size <= TOL_X
-        if converged:
-            break
+        if converged or mu >= PENALTY_MAX or len(viol_history) >= MAX_OUTER:
+            break  # x is where the last stage stopped and viol was measured
         if viol > TOL_CON and step_size <= TOL_X:
             # stagnant while infeasible: typically parked on a zero-gradient
             # boundary saddle; kick deterministically toward the box interior
@@ -286,8 +286,6 @@ def _start(problem: NlpProblem, x0: Array, max_inner: int):
             mid = x.copy()
             mid[finite] = (lo[finite] + hi[finite]) / 2.0
             x = x + 0.05 * (mid - x)
-        if mu >= PENALTY_MAX or len(viol_history) >= MAX_OUTER:
-            break
         mu = min(mu * PENALTY_GROWTH, PENALTY_MAX)
     outcome = {
         "f": float(problem.objective_batch(x[None])[0]),

@@ -13,10 +13,12 @@ separately.  The global ones (risk-averse, risk-agnostic and the global
 seed) weight the epistemic draws by the rule of ``scendo.weights``, all
 through one batched kernel, ``_global_weighted_grids``; the local ones
 and the moment programs evaluate their design-only terms once per
-distinct design (``_per_design``).  Every program but the seed attaches
-the seed's alpha_a to an infeasible result as ``suggested_alpha_a`` (the
-global seed for the global risk-agnostic program, the local one for the
-rest).
+distinct design (``_per_design``).  Every program ends in ``_assemble``,
+which evaluates the requirement grid at the design once for the reported
+outliers.  Every infeasible result carries a
+``diagnostics["suggested_alpha_a"]``: the seed its own alpha_a_lower, the
+other programs that of a seed solved after them (the global seed for the
+global risk-agnostic program, the local one for the rest).
 
 All quantiles use the piecewise-linear interpolant from ``scendo.ecdf``,
 so constraints are piecewise-linear in the sampled requirement values.
@@ -179,28 +181,63 @@ def _assemble(
     spec: ProblemSpec,
     data: ScenarioData,
     cfg: AlphaConfig,
+    opts: Optional[nlp.NlpOptions],
     res: nlp.NlpResult,
     *,
-    xi: Optional[Array] = None,
-    lam: Optional[float] = None,
-    global_epistemic: Optional[Array] = None,
-    objective: Optional[float] = None,
-    alpha_a_lower: Optional[Array] = None,
+    suggest: Optional[str] = "local",
+    weight_alpha_a=None,
+    **fields,
 ) -> SolveResult:
+    """The one tail of every program: the result of ``res``, with the
+    outliers at its design and, when infeasible, a suggested alpha_a.
+
+    The requirement grid at the design is evaluated once.  The outliers
+    are those of ``outlier_sets``, except that a global program's
+    epistemic outliers are the draws weighted below one for some
+    requirement, by the rule at aleatory fraction ``weight_alpha_a``.  The
+    suggestion is the alpha_a_lower of the ``suggest`` variant's seed,
+    solved after the program, or the result's own for the seed itself
+    (``suggest=None``); a numerical failure of that seed is recorded as
+    ``alpha_suggestion_error`` and any other exception propagates.
+    ``fields`` are further ``SolveResult`` fields; the objective defaults
+    to J at the design.
+    """
     theta = res.x[: spec.m_theta]
+    values = requirement_values(spec, data, theta)
+    o_a, o_e = _local_outliers(values, cfg.alpha_e)
+    if weight_alpha_a is not None:
+        frac = np.minimum(weight_alpha_a, 1.0 - 1e-9)
+        _, v, s = weights_from_values(values, frac, cfg.alpha_e, cfg.gamma)
+        o_e = np.flatnonzero(np.any(v > s[:, None], axis=0))
+    if "objective" not in fields:
+        fields["objective"] = float(_objective_values(spec, theta))
     status = "infeasible" if res.status == "failed" else res.status
-    o_a, o_e = outlier_sets(spec, data, cfg, theta)
+    diagnostics = dict(res.diagnostics)
+    if status == "infeasible" and suggest is None:
+        diagnostics["suggested_alpha_a"] = fields["alpha_a_lower"]
+    elif status == "infeasible":
+        try:
+            seed = solve_feasibility_seed(spec, data, cfg, variant=suggest, opts=opts)
+            diagnostics["suggested_alpha_a"] = seed.alpha_a_lower
+        except (ArithmeticError, RuntimeError) as exc:
+            cause = f"{type(exc).__name__}: {exc}"
+            logger.warning("alpha_a suggestion failed: %s", cause, exc_info=True)
+            diagnostics["alpha_suggestion_error"] = cause
     return SolveResult(
-        theta_star=theta,
-        objective=float(_objective_values(spec, theta)) if objective is None else objective,
-        solver_status=status,
-        xi_star=xi,
-        lambda_star=lam,
-        aleatory_outliers=o_a,
-        epistemic_outliers=global_epistemic if global_epistemic is not None else o_e,
-        diagnostics=dict(res.diagnostics),
-        alpha_a_lower=alpha_a_lower,
+        theta_star=theta, solver_status=status, aleatory_outliers=o_a,
+        epistemic_outliers=o_e, diagnostics=diagnostics, **fields,
     )
+
+
+def _local_outliers(values: Array, alpha_e: Array) -> tuple:
+    """``outlier_sets`` from the requirement grid, (n_r, n_a, n_e)."""
+    q = _req_quantiles(values, 1.0 - alpha_e)  # (n_r, n_a)
+    o_a = np.flatnonzero(np.max(q, axis=0) > 0.0)
+    o_e = [
+        np.flatnonzero(np.any(values[:, i, :] > q[:, i, None], axis=0))
+        for i in range(values.shape[1])
+    ]
+    return o_a, o_e
 
 
 def outlier_sets(spec: ProblemSpec, data: ScenarioData, cfg: AlphaConfig, theta):
@@ -213,22 +250,7 @@ def outlier_sets(spec: ProblemSpec, data: ScenarioData, cfg: AlphaConfig, theta)
     """
     cfg = _for_problem(spec, data, cfg)
     values = requirement_values(spec, data, np.asarray(theta, float))
-    q = _req_quantiles(values, 1.0 - cfg.alpha_e)  # (n_r, n_a)
-    o_a = np.flatnonzero(np.max(q, axis=0) > 0.0)
-    o_e = [
-        np.flatnonzero(np.any(values[:, i, :] > q[:, i, None], axis=0))
-        for i in range(data.n_a)
-    ]
-    return o_a, o_e
-
-
-def _global_epistemic_outliers(spec, data, cfg, theta, alpha_a) -> Array:
-    """Epistemic draws whose weight falls below one for some requirement;
-    ``alpha_a`` is the weight rule's aleatory fraction, one per requirement
-    or one for all."""
-    values = requirement_values(spec, data, np.asarray(theta, float))
-    _, v, s = weights_from_values(values, np.minimum(alpha_a, 1.0 - 1e-9), cfg.alpha_e, cfg.gamma)
-    return np.flatnonzero(np.any(v > s[:, None], axis=0))
+    return _local_outliers(values, cfg.alpha_e)
 
 
 def _local_design_terms(spec: ProblemSpec, data: ScenarioData, levels: Array):
@@ -320,8 +342,7 @@ def solve_risk_averse_local(
         return g.reshape(x.shape[:-1] + (n_r * n_a,))
 
     res = _minimize_with_slacks(spec, opts, cfg.rho, n_a, cons_any)
-    result = _assemble(spec, data, cfg, res, xi=res.x[m:])
-    return _attach_alpha_suggestion(spec, data, cfg, opts, result, "local")
+    return _assemble(spec, data, cfg, opts, res, xi_star=res.x[m:])
 
 
 def solve_risk_averse_global(
@@ -347,9 +368,7 @@ def solve_risk_averse_global(
 
     res = _minimize_with_slacks(spec, opts, cfg.rho, n_a, cons_any)
     xi = res.x[m:]
-    glob = _global_epistemic_outliers(spec, data, cfg, res.x[:m], sign_fraction(xi))
-    result = _assemble(spec, data, cfg, res, xi=xi, global_epistemic=glob)
-    return _attach_alpha_suggestion(spec, data, cfg, opts, result, "local")
+    return _assemble(spec, data, cfg, opts, res, weight_alpha_a=sign_fraction(xi), xi_star=xi)
 
 
 # ---------------------------------------------------------------------------
@@ -359,22 +378,6 @@ def solve_risk_averse_global(
 
 def _design_objective(spec: ProblemSpec):
     return lambda x: _objective_values(spec, np.asarray(x, float))
-
-
-def _attach_alpha_suggestion(spec, data, cfg, opts, result: SolveResult, variant: str) -> SolveResult:
-    """An infeasible result with the feasibility seed's alpha_a attached; a
-    numerical failure of the seed is recorded as ``alpha_suggestion_error``
-    instead, and any other exception propagates."""
-    if result.solver_status != "infeasible":
-        return result
-    try:
-        seed = solve_feasibility_seed(spec, data, cfg, variant=variant, opts=opts)
-        result.diagnostics["suggested_alpha_a"] = seed.alpha_a_lower
-    except (ArithmeticError, RuntimeError) as exc:
-        cause = f"{type(exc).__name__}: {exc}"
-        logger.warning("alpha_a suggestion failed: %s", cause, exc_info=True)
-        result.diagnostics["alpha_suggestion_error"] = cause
-    return result
 
 
 def solve_risk_agnostic_global(
@@ -393,9 +396,7 @@ def solve_risk_agnostic_global(
         return _weighted_worst_quantiles(grids, np.asarray(x, float), cfg.alpha_a)
 
     res = _minimize(spec, opts, _design_objective(spec), cons_any)
-    glob = _global_epistemic_outliers(spec, data, cfg, res.x, cfg.alpha_a)
-    result = _assemble(spec, data, cfg, res, global_epistemic=glob)
-    return _attach_alpha_suggestion(spec, data, cfg, opts, result, "global")
+    return _assemble(spec, data, cfg, opts, res, suggest="global", weight_alpha_a=cfg.alpha_a)
 
 
 def solve_risk_agnostic_local(
@@ -414,8 +415,7 @@ def solve_risk_agnostic_local(
         return quantile_of(q, levels_a)
 
     res = _minimize(spec, opts, _design_objective(spec), cons_any)
-    result = _assemble(spec, data, cfg, res)
-    return _attach_alpha_suggestion(spec, data, cfg, opts, result, "local")
+    return _assemble(spec, data, cfg, opts, res)
 
 
 def solve_feasibility_seed(
@@ -457,7 +457,10 @@ def solve_feasibility_seed(
         np.tile([0.0, 1.0], (n_r, 1)), lambda theta0: np.full((len(theta0), n_r), 0.9),
     )
     alpha = res.x[m:]
-    return _assemble(spec, data, cfg, res, objective=float(np.sum(alpha)), alpha_a_lower=alpha)
+    return _assemble(
+        spec, data, cfg, opts, res, suggest=None,
+        objective=float(np.sum(alpha)), alpha_a_lower=alpha,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -515,11 +518,10 @@ def solve_moment_risk_averse(
         spec, opts, obj_any, cons_any,
         np.vstack([[[-np.inf, np.inf]], np.tile([0.0, np.inf], (n_a, 1))]), aux_starts,
     )
-    result = _assemble(
-        spec, data, cfg, res,
-        xi=res.x[m + 1 :], lam=float(res.x[m]), objective=float(res.x[m]),
+    return _assemble(
+        spec, data, cfg, opts, res,
+        xi_star=res.x[m + 1 :], lambda_star=float(res.x[m]), objective=float(res.x[m]),
     )
-    return _attach_alpha_suggestion(spec, data, cfg, opts, result, "local")
 
 
 def solve_moment_risk_agnostic(
@@ -566,8 +568,8 @@ def solve_moment_risk_agnostic(
         return np.mean(_response_quantiles(spec, data, h, theta0, aer), axis=-1)[:, None]
 
     res = _minimize(spec, opts, obj_any, cons_any, np.array([[-np.inf, np.inf]]), aux_starts)
-    result = _assemble(spec, data, cfg, res, lam=float(res.x[m]), objective=float(res.x[m]))
-    return _attach_alpha_suggestion(spec, data, cfg, opts, result, "local")
+    lam = float(res.x[m])
+    return _assemble(spec, data, cfg, opts, res, lambda_star=lam, objective=lam)
 
 
 #: every formulation's program; the moment programs also take a response

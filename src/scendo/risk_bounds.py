@@ -266,8 +266,8 @@ def set_containment_sampling(
     theta,
     a,
     eset: EpistemicSet,
-    n_probe: int = 2000,
-    rng: Optional[np.random.Generator] = None,
+    n_probe: int,
+    rng: np.random.Generator,
 ) -> ContainmentResult:
     """Probe the epistemic set uniformly; any positive worst-case
     requirement proves violation, otherwise the point is probably
@@ -277,7 +277,6 @@ def set_containment_sampling(
     violation nor a pass."""
     if n_probe < 1:
         raise InputError("n_probe must be >= 1")
-    rng = rng if rng is not None else np.random.default_rng(0)
     probes = eset.sample(n_probe, rng)
     vals = r_max(spec, np.asarray(theta, float), np.asarray(a, float), probes)
     n_nan = int(np.count_nonzero(np.isnan(vals)))
@@ -316,8 +315,8 @@ def set_containment_opt(
     a violation: e_star is the maximizer mapped into the set, pulled back
     toward the center by a few ulps where rounding put it just outside,
     and radius its set norm.  ``margin`` is the maximum found (the
-    center's value for the shortcut).  A numerical failure of the program
-    falls back to the sampling test.
+    center's value for the shortcut).  A numerical failure of the program,
+    such as a non-finite requirement value, propagates.
     """
     theta = np.asarray(theta, dtype=float)
     a = np.asarray(a, dtype=float)
@@ -328,11 +327,7 @@ def set_containment_opt(
             radius=0.0, e_star=eset.center.copy(),
         )
     opts = nlp.NlpOptions(n_starts=8, max_inner=150)
-    try:
-        res = nlp.minimize(_max_requirement_problem(spec, theta, a, eset, opts), opts)
-    except ArithmeticError:
-        logger.warning("containment optimization failed; falling back to sampling test")
-        return set_containment_sampling(spec, theta, a, eset)
+    res = nlp.minimize(_max_requirement_problem(spec, theta, a, eset, opts), opts)
     worst = -res.f
     if worst <= 0.0:
         return ContainmentResult(

@@ -90,8 +90,10 @@ class SdConfig:
         _fractions("alpha_e", self.alpha_e)
         if self.metric not in _METRICS:
             raise InputError(f"metric must be one of {_METRICS}")
-        if not self.growth > 1:
-            raise InputError("growth must exceed 1")
+        if not 1 < self.growth < np.inf:
+            raise InputError("growth must be finite and exceed 1")
+        if self.budgets is not None:
+            _checked_budgets(self.budgets)
         for name, least in (("n_a_init", 2), ("n_a_cap", 2), ("n_e_init", 1), ("n_e_cap", 1)):
             if getattr(self, name) < least:
                 raise InputError(f"{name} must be at least {least}")
@@ -134,6 +136,15 @@ class SdTrace:
 # ---------------------------------------------------------------------------
 # training-set selection
 # ---------------------------------------------------------------------------
+
+
+def _checked_budgets(budgets) -> Array:
+    """``budgets`` as integers; an entry that is negative, non-integral or
+    not finite is an InputError."""
+    budgets = np.asarray(budgets, dtype=float)
+    if not np.all(np.isfinite(budgets) & (budgets >= 0) & (budgets == np.floor(budgets))):
+        raise InputError(f"budgets must be nonnegative integers, got {budgets}")
+    return budgets.astype(int)
 
 
 def default_budgets(c: Array, n_a_target: int) -> Array:
@@ -297,13 +308,7 @@ def select_training_aleatory(
             "the density must return one finite, nonnegative value per testing aleatory point"
         )
 
-    if budgets is None:
-        budgets = default_budgets(c, n_a_target)
-    else:
-        budgets = np.asarray(budgets, dtype=float)
-        if not np.all(np.isfinite(budgets) & (budgets >= 0) & (budgets == np.floor(budgets))):
-            raise InputError(f"budgets must be nonnegative integers, got {budgets}")
-        budgets = budgets.astype(int)
+    budgets = default_budgets(c, n_a_target) if budgets is None else _checked_budgets(budgets)
     if budgets.shape != (c.shape[1],):
         raise InputError("budgets must have one entry per requirement")
     avail = np.count_nonzero(c, axis=0)
@@ -439,7 +444,8 @@ def run_sd(
     data.require_testing()
     opts = opts or nlp.NlpOptions(seed=cfg.seed)
     theta = np.asarray(baseline_theta, dtype=float)
-    n_a, n_e = cfg.n_a_init, cfg.n_e_init
+    # the training sets never outgrow the testing sets, from the first one on
+    n_a, n_e = min(cfg.n_a_init, data.n_a_test), min(cfg.n_e_init, data.n_e_test)
     alpha_a = np.zeros(spec.n_r)
     trace = SdTrace()
 

@@ -128,6 +128,14 @@ def test_alpha_config_rejects_nan(field):
         AlphaConfig(np.array([0.1]), np.array([0.1]), **{field: float("nan")})
 
 
+@pytest.mark.parametrize("field", ["rho", "kappa", "gamma"])
+def test_alpha_config_rejects_infinite_weights(field):
+    # an infinite weight turns the penalty, the moment weights or the weight
+    # rule into inf * 0 = NaN at the first solve
+    with pytest.raises(InputError, match=f"{field}.* finite"):
+        AlphaConfig(np.array([0.1]), np.array([0.1]), **{field: np.inf})
+
+
 def test_registry_round_trip():
     bundle = make_problem("circle")
     assert bundle.spec.n_r == 1

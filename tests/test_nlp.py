@@ -111,6 +111,28 @@ def test_failed_status_when_infeasible():
     assert res.diagnostics["violation"] > 0.1
 
 
+def test_a_start_stuck_infeasible_returns_where_its_last_stage_stopped():
+    # a zero objective and a violated constraint, flat on each side of
+    # x0 = 0.17: every stage stalls at a zero gradient and is kicked 5%
+    # toward the box centre, except the last, so the result is the point
+    # whose violation the last stage measured
+    p = nlp.NlpProblem(
+        objective_batch=lambda X: np.zeros(len(X)),
+        constraints_batch=lambda X: np.where(X[:, :1] < 0.17, 2.0, 1.0),
+        bounds=np.array([[0.0, 1.0], [0.0, 1.0]]),
+        starts=np.zeros((1, 2)),
+    )
+    res = nlp.minimize(p, nlp.NlpOptions(n_starts=1))
+    assert res.status == "failed"
+    assert res.diagnostics["starts"][0]["stages"] == 9  # mu 1e1 .. 1e9
+    x = np.zeros(2)
+    for _ in range(8):
+        x = x + 0.05 * (0.5 - x)
+    assert np.array_equal(res.x, x)  # 0.5 (1 - 0.95^8) = 0.1683
+    assert res.diagnostics["violation"] == res.diagnostics["viol_history"][-1] == 2.0
+    assert nlp._violation(p, res.x) == 2.0
+
+
 @pytest.mark.parametrize(
     "starts",
     [np.empty((0, 1)), np.full((1, 2), 0.5), np.array([[2.0]])],

@@ -502,8 +502,23 @@ def test_nan_requirement_values_are_not_read_as_contained():
     theta, a = np.array([0.5]), np.array([0.0])
     with pytest.raises(ArithmeticError, match=r"NaN at \d+ of 300 probes"):
         set_containment_sampling(spec, theta, a, eset, 300, rng=np.random.default_rng(0))
-    with pytest.raises(ArithmeticError, match=r"NaN at \d+ of 2000 probes"):
+    with pytest.raises(ArithmeticError, match="non-finite merit value"):
         set_containment_opt(spec, theta, a, eset)
+
+
+def test_containment_opt_failure_propagates_without_a_sampling_verdict():
+    # +inf on e0 > 0.6: the maximization meets a non-finite merit and
+    # raises, where a sampling test would report a violation
+    spec = ProblemSpec(
+        objective=lambda th: th[..., 0],
+        requirements=[lambda th, a, e: np.where(e[..., 0] > 0.6, np.inf, -1.0) + 0.0 * th[..., 0]],
+        design_bounds=[[0.0, 1.0]],
+        m_a=1,
+        m_e=1,
+    )
+    eset = EpistemicSet.from_box(np.array([0.0]), np.array([1.0]))
+    with pytest.raises(ArithmeticError, match="non-finite merit value"):
+        set_containment_opt(spec, np.array([0.5]), np.array([0.0]), eset)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from oracles import (
     stacked_selection,
     stacked_swap_refine,
 )
-from scendo import circle, nlp
+from scendo import circle, nlp, seqdesign
 from scendo.core import InputError, ScenarioData
 from scendo.montecarlo import RmcConfig, analyze
 from scendo.seqdesign import (
@@ -366,6 +366,54 @@ def test_run_sd_grows_training_and_improves(circle_spec):
     assert trace.records[1].n_a == 13
 
 
+def test_run_sd_starts_within_the_testing_sets(circle_spec):
+    # the default initial sizes (50, 50) exceed these 30 x 20 testing sets;
+    # j_bound -1 is never met, so the loop selects a second training set
+    data = circle.generate_dataset(4, 4, seed=1, n_a_test=30, n_e_test=20)
+    cfg = SdConfig(rmc=ZERO_RMC, threshold=1.0, j_bound=-1.0, max_iter=2)
+    _, trace = run_sd(circle_spec, data, np.array([0.5, 0.3, 9.0]), cfg,
+                      nlp.NlpOptions(seed=0, n_starts=2, max_inner=60))
+    assert len(trace) == 2 and not trace.failed
+    assert [(r.n_a, r.n_e) for r in trace.records] == [(30, 20), (30, 20)]
+    assert trace.records[1].alpha_a[0] == pytest.approx(1 / 30)
+
+
+@pytest.mark.parametrize("program", ["risk_agnostic_local", "risk_agnostic_global"])
+def test_run_sd_retries_an_infeasible_training_solve_at_the_suggestion(
+    circle_spec, program, monkeypatch
+):
+    # no design with radius mu <= 1.6 meets every training scenario: each
+    # training solve is infeasible at alpha_a = 0 and is solved again at the
+    # fraction its feasibility seed suggests, raised by 1e-6
+    spec = dataclasses.replace(
+        circle_spec, design_bounds=np.array([[-12.0, 12.0], [-12.0, 12.0], [0.0, 1.6]])
+    )
+    name = f"solve_{program}"
+    solver, calls = getattr(seqdesign, name), []
+
+    def recording(spec, train, alphas, opts):
+        res = solver(spec, train, alphas, opts)
+        suggestion = res.diagnostics.get("suggested_alpha_a")
+        calls.append((alphas.alpha_a[0], res.solver_status, suggestion))
+        return res
+
+    monkeypatch.setattr(seqdesign, name, recording)
+    data = circle.generate_dataset(4, 4, seed=3, n_a_test=300, n_e_test=20)
+    cfg = SdConfig(
+        rmc=ZERO_RMC, threshold=0.0, max_iter=3, n_a_init=8, n_e_init=6, program=program,
+    )
+    _, trace = run_sd(spec, data, np.array([0.0, 0.0, 1.0]), cfg,
+                      nlp.NlpOptions(seed=0, n_starts=2, max_inner=60))
+    assert len(trace) == 3 and not trace.failed and not trace.met_spec
+    assert trace.records[0].alpha_a[0] == 0.0
+    assert len(calls) == 4  # two training solves, each retried once
+    for first, retry, record in zip(calls[::2], calls[1::2], trace.records[1:]):
+        alpha_a, status, suggestion = first
+        assert alpha_a == 0.0 and status == "infeasible"
+        assert retry[0] == record.alpha_a[0] == suggestion[0] + 1e-6
+        assert retry[1] != "infeasible"
+
+
 @pytest.mark.parametrize(
     "field, value",
     [("growth", np.nan), ("lambda_div", np.nan), ("threshold", np.nan),
@@ -374,11 +422,15 @@ def test_run_sd_grows_training_and_improves(circle_spec):
      ("n_a_init", 0), ("n_a_init", 1), ("n_a_cap", 1), ("n_e_init", 0), ("n_e_cap", -3),
      # a NaN bound is never met; the counts and the seed take only integers
      ("j_bound", np.nan), ("max_iter", 2.5), ("max_iter", 3.0), ("n_a_init", 2.5),
-     ("n_e_init", True), ("n_a_cap", "60"), ("n_e_cap", 30.0), ("seed", 0.5), ("seed", None)],
+     ("n_e_init", True), ("n_a_cap", "60"), ("n_e_cap", 30.0), ("seed", 0.5), ("seed", None),
+     # an infinite growth overflows the first grown size; a bad budget would
+     # first fail at a selection, after an analysis
+     ("growth", np.inf), ("budgets", np.array([-1.5, 2.7])), ("budgets", np.array([np.inf]))],
     ids=["growth", "lambda_div", "threshold", "alpha_e-nan", "alpha_e-above-one",
          "n_a_init-0", "n_a_init-1", "n_a_cap-1", "n_e_init-0", "n_e_cap-negative",
          "j_bound-nan", "max_iter-float", "max_iter-integral-float", "n_a_init-float",
-         "n_e_init-bool", "n_a_cap-str", "n_e_cap-float", "seed-float", "seed-none"],
+         "n_e_init-bool", "n_a_cap-str", "n_e_cap-float", "seed-float", "seed-none",
+         "growth-inf", "budgets-negative-non-integral", "budgets-inf"],
 )
 def test_sd_config_rejects_nan_and_out_of_range(field, value):
     with pytest.raises(InputError, match=field):
