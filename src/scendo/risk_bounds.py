@@ -23,11 +23,11 @@ computation stays exact-in-regime up to n_a in the thousands.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.optimize import brentq
 from scipy.special import gammaln, logsumexp
 
 from scendo import nlp
@@ -119,14 +119,77 @@ def _check_beta(beta: float) -> None:
         raise InputError("beta must lie in (0, 1)")
 
 
+def _brentq(f: Callable, xa: float, xb: float, xtol: float, rtol: float, maxiter: int) -> float:
+    """A root of f between xa and xb, whose values differ in sign, by
+    Brent's method (R. P. Brent, *Algorithms for Minimization without
+    Derivatives*, 1973, ch. 4).  A transcription of scipy's C ``brentq``:
+    every iterate, tolerance test and step is the same, so the root has
+    ``scipy.optimize.brentq``'s bits.  ArithmeticError on a NaN value or a
+    bracket without a sign change; RuntimeError after ``maxiter``
+    iterations without convergence."""
+
+    def value(x):
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise ArithmeticError(f"Brent's method: the function value at x={x!r} is NaN")
+        return fx
+
+    xpre, xcur = float(xa), float(xb)
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ArithmeticError("Brent's method: f(xa) and f(xb) must differ in sign")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if fpre != 0.0 and fcur != 0.0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:  # interpolate
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:  # extrapolate
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            except ZeroDivisionError:  # C divides to +-inf or NaN, and so bisects
+                stry = math.inf
+            # min has the value of C's MIN here: neither argument is NaN
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry  # a good short step
+            else:
+                spre = scur = sbis  # bisect
+        else:
+            spre = scur = sbis  # bisect
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = value(xcur)
+    raise RuntimeError(
+        f"Brent's method failed to converge after {maxiter} iterations, value is {xcur!r}"
+    )
+
+
 def epsilon_bar(n_a: int, k: int, beta: float) -> float:
     """Risk bound 1 - t(k), t(k) the smaller nonnegative root of the
     slack polynomial; equals 1 when k = n_a.  The two term sums and the
     leading term are compared in log space, the root is bracketed on a
-    mixed geometric/linear grid and polished by Brent's method.
+    mixed geometric/linear grid and polished by Brent's method: scendo's
+    own ``_brentq``, which gives ``scipy.optimize.brentq``'s bits without
+    importing scipy.optimize.  n_a and k must be integers, and a bool is
+    not one.
     """
-    if not (isinstance(n_a, (int, np.integer)) and isinstance(k, (int, np.integer))):
-        raise InputError("n_a and k must be integers")
+    if any(isinstance(v, bool) or not isinstance(v, (int, np.integer)) for v in (n_a, k)):
+        raise InputError(f"n_a and k must be integers, got n_a={n_a!r}, k={k!r}")
     if n_a < 1 or k < 0 or k > n_a:
         raise InputError(f"need 0 <= k <= n_a, got k={k}, n_a={n_a}")
     _check_beta(beta)
@@ -151,7 +214,7 @@ def epsilon_bar(n_a: int, k: int, beta: float) -> float:
             f"failed to bracket the risk-bound root for n_a={n_a}, k={k}, beta={beta}"
         )
     i = crossings[0]  # the smaller root: residual is negative below it
-    root = brentq(log_gap, grid[i], grid[i + 1], xtol=1e-15, rtol=8.9e-16, maxiter=200)
+    root = _brentq(log_gap, grid[i], grid[i + 1], xtol=1e-15, rtol=8.9e-16, maxiter=200)
     return float(1.0 - root)
 
 

@@ -109,10 +109,13 @@ def test_clopper_pearson_equals_the_beta_ppf_formulas_bit_for_bit(n, sigma):
     assert got_hi.tobytes() == hi.tobytes()
 
 
-def test_importing_scendo_leaves_scipy_stats_out():
-    # scipy.stats costs about half a second and 20 MB at start-up
+@pytest.mark.parametrize("package", ["scipy.stats", "scipy.optimize"])
+def test_importing_scendo_leaves_scipy_package_out(package):
+    # scipy.stats and scipy.optimize each cost about a quarter of a second
+    # and 20 MB at start-up; scendo calls betaincinv for the one and setulb,
+    # loaded from its own file, for the other
     src = str(Path(scendo.__file__).resolve().parents[1])
-    code = "import sys, scendo, scendo.cli; print('scipy.stats' in sys.modules)"
+    code = f"import sys, scendo, scendo.cli; print({package!r} in sys.modules)"
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True,
         env={**os.environ, "PYTHONPATH": src}, timeout=120,

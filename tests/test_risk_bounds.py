@@ -1,4 +1,5 @@
 import logging
+import math
 import re
 from types import SimpleNamespace
 
@@ -44,6 +45,89 @@ def test_epsilon_bar_validation():
         epsilon_bar(50, 2, 0.0)
     with pytest.raises(InputError):
         epsilon_bar(50, 2.5, 1e-4)
+
+
+@pytest.mark.parametrize("n_a, k", [(True, 0), (3, False), (np.int64(3), True)])
+def test_epsilon_bar_rejects_bools(n_a, k):
+    # a bool is an int to isinstance: without the check True would read as n_a = 1
+    with pytest.raises(InputError, match="n_a and k must be integers"):
+        epsilon_bar(n_a, k, 0.5)
+
+
+# scendo's Brent routine against scipy.optimize.brentq, which it transcribes:
+# the same points evaluated in the same order, and the same root, bit for bit
+BRENT_TOL = dict(xtol=1e-15, rtol=8.9e-16, maxiter=200)
+
+
+def _brent_trail(brentq, f, xa, xb, **tol):
+    trail = []
+
+    def recorded(x):
+        trail.append(float(x))
+        return f(x)
+
+    root = brentq(recorded, xa, xb, **tol)
+    return np.array(trail + [root]).view(np.int64)
+
+
+def _assert_brent_is_scipys(ours, f, xa, xb, **tol):
+    from scipy.optimize import brentq
+
+    want = _brent_trail(brentq, f, xa, xb, **tol)
+    got = _brent_trail(ours, f, xa, xb, **tol)
+    assert np.array_equal(got, want)
+    return got.size
+
+
+@pytest.mark.parametrize("n_a", [2, 3, 12, 50, 400, 5000])
+@pytest.mark.parametrize("beta", [1e-8, 1e-4, 1e-2, 0.05])
+def test_brentq_takes_scipys_steps_on_epsilon_bars_residual(n_a, beta, monkeypatch):
+    # the brackets and tolerances are the ones epsilon_bar hands to _brentq
+    ours, calls, ks = risk_bounds._brentq, [], {0, n_a // 10, n_a // 2, n_a - 1}
+
+    def compare(f, xa, xb, **tol):
+        assert tol == BRENT_TOL
+        calls.append(_assert_brent_is_scipys(ours, f, xa, xb, **tol))
+        return ours(f, xa, xb, **tol)
+
+    monkeypatch.setattr(risk_bounds, "_brentq", compare)
+    for k in ks:
+        epsilon_bar(n_a, k, beta)
+    assert len(calls) == len(ks)
+
+
+@pytest.mark.parametrize(
+    "f, xa, xb",
+    [
+        (lambda x: x**3 - 2.0, 0.0, 2.0),
+        (lambda x: math.cos(x) - x, 0.0, 1.0),
+        (lambda x: math.exp(x) - 5.0, -3.0, 4.0),
+        (lambda x: math.tanh(50.0 * (x - 0.3)), -10.0, 10.0),  # bisection-heavy
+        (lambda x: x - 0.25, 0.0, 0.25),  # a root at the bracket's end
+        # values so small that an extrapolation's denominator underflows to 0
+        (lambda x: 1e-170 * (x**3 - 2.0), 0.0, 2.0),
+    ],
+)
+def test_brentq_takes_scipys_steps_on_closed_forms(f, xa, xb):
+    _assert_brent_is_scipys(risk_bounds._brentq, f, xa, xb, **BRENT_TOL)
+
+
+def test_brentq_raises_when_it_does_not_converge():
+    from scipy.optimize import brentq
+
+    f = lambda x: x**3 - 2.0  # noqa: E731
+    tol = {**BRENT_TOL, "maxiter": 3}
+    with pytest.raises(RuntimeError, match="converge"):
+        brentq(f, 0.0, 2.0, **tol)
+    with pytest.raises(RuntimeError, match="failed to converge after 3 iterations"):
+        risk_bounds._brentq(f, 0.0, 2.0, **tol)
+
+
+def test_brentq_raises_on_a_nan_value():
+    # the first secant step from the bracket [0, 2] lands at 1.2, inside the NaN band
+    f = lambda x: math.nan if abs(x - 1.0) < 0.3 else x - 1.2  # noqa: E731
+    with pytest.raises(ArithmeticError, match="NaN"):
+        risk_bounds._brentq(f, 0.0, 2.0, **BRENT_TOL)
 
 
 def test_epsilon_bar_monotone_in_complexity():
