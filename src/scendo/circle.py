@@ -63,22 +63,39 @@ def _realized(theta, e):
     return x, y, mu_t
 
 
-def circle_requirement(theta, a, e):
-    """||c~ - a||^2 - mu~^2; <= 0 when a is inside the realized circle."""
+def _squared_distance(theta, a, e):
+    """||c~ - a||^2, accumulated in place in the first grid-sized difference,
+    and mu~.
+
+    The differences already have the whole broadcast shape (mu~ and the
+    center share theta's and e's leading shape), so the kernels hold two
+    grid arrays, and every operation is the one of the plain expression,
+    in the same order and with the same bits.  A 0-d layout gives numpy
+    scalars, which the augmented operators rebind instead.
+    """
     a = np.asarray(a, dtype=float)
     x, y, mu_t = _realized(theta, e)
     dx = x - a[..., 0]
     dy = y - a[..., 1]
-    return (dx * dx + dy * dy) - mu_t * mu_t
+    dx *= dx
+    dy *= dy
+    dx += dy
+    return dx, mu_t
+
+
+def circle_requirement(theta, a, e):
+    """||c~ - a||^2 - mu~^2; <= 0 when a is inside the realized circle."""
+    d2, mu_t = _squared_distance(theta, a, e)
+    d2 -= mu_t * mu_t
+    return d2
 
 
 def circle_response(theta, a, e):
     """Tightness measure mu~^2 + ||a - c~||_2 (smaller = tighter enclosure)."""
-    a = np.asarray(a, dtype=float)
-    x, y, mu_t = _realized(theta, e)
-    dx = x - a[..., 0]
-    dy = y - a[..., 1]
-    return mu_t * mu_t + np.sqrt(dx * dx + dy * dy)
+    d2, mu_t = _squared_distance(theta, a, e)
+    d = np.sqrt(d2, out=d2) if isinstance(d2, np.ndarray) else np.sqrt(d2)
+    d += mu_t * mu_t  # IEEE addition commutes: the bits of mu~^2 + d
+    return d
 
 
 def circle_objective(theta):

@@ -14,10 +14,17 @@ and it is evaluated only here: the report also carries the table of
 failing testing scenarios that the sequential design selects from.  The
 grid is streamed in blocks of epistemic draws, one vectorized call per
 requirement and block, each block about _BLOCK_FLOATS values (4 MiB).  A
-block's requirement values come out as C-ordered (draws, n_a') rows; they
-are OR-ed into the failure table, sorted, trimmed and reduced to that
-block's failure probabilities and success counts before the next block is
-evaluated, so no full grid is ever held.  The result is bit-identical to
+block's requirement values come out as C-ordered (draws, n_a') rows and
+are handled one requirement at a time: OR-ed into the failure table,
+sorted, trimmed and reduced to that block's failure probabilities and
+success counts, then dropped before the next requirement is evaluated.
+So no full grid is ever held, and the working set is about two blocks:
+one requirement's values and their sorted copy, or the requirement's
+own temporaries while it runs (two blocks for the circle kernels).
+Under worst_case a running maximum over the requirements is one block
+more while the next requirement is evaluated.  A fraction excludes
+n * alpha values snapped to an integer within ecdf's tolerance (see
+``_excluded``).  The result is bit-identical to
 evaluating the whole grid at once because every entry of a requirement
 depends only on its own (theta, a, e) point (the grid contract of
 ``scendo.core``) and every per-draw reduction reads only its own row.
@@ -25,12 +32,14 @@ depends only on its own (theta, a, e) point (the grid contract of
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+
 import numpy as np
 from scipy.special import betaincinv
 
 from scendo.core import InputError, ProblemSpec, ScenarioData, _fractions
-from scendo.ecdf import quantile_of, sorted_cdf, strictify_sorted
+from scendo.ecdf import _SNAP, quantile_of, sorted_cdf, strictify_sorted
 
 Array = np.ndarray
 
@@ -126,6 +135,19 @@ def clopper_pearson(successes, trials: int, sigma: float):
     return lo, hi
 
 
+def _excluded(n: int, alpha: float) -> float:
+    """n * alpha, the number of values a fraction alpha excludes from n,
+    snapped to the nearest integer when within ecdf's ``_SNAP * n`` of it.
+    Counting the kept values as n * (1 - alpha) rounds the wrong way on
+    fractions like k/n: 7 * (1 - 6/7) is 1.0000000000000004 and
+    5 * (1 - 4/5) is 0.9999999999999998, while 7 * 6/7 and 5 * 4/5 snap to
+    6 and 4.  The kept aleatory values are n minus its floor, the kept
+    epistemic draws n minus its ceiling."""
+    t = n * float(alpha)
+    snapped = round(t)
+    return snapped if abs(t - snapped) <= _SNAP * n else t
+
+
 def _seq_quantile(vals: Array, level: float) -> float:
     """Quantile of a probability sequence, clipped back to the sequence's
     true range so the tie-break perturbation cannot leak outside it."""
@@ -144,8 +166,7 @@ def _per_requirement(p: Array, m: Array, n_keep: int, alpha_e_k, p_max_k, sigma)
     upper_fail = 1.0 - ci_lo  # the sequence of upper failure probabilities
     b_hi = _seq_quantile(upper_fail, 1.0 - alpha_e_k)
 
-    n_e = upper_fail.shape[0]
-    n_q = int(np.floor(n_e * (1.0 - alpha_e_k)))
+    n_q = upper_fail.shape[0] - math.ceil(_excluded(upper_fail.shape[0], alpha_e_k))
     if n_q < 1:
         raise InputError("trimmed epistemic sequence is empty")
     q_kept = strictify_sorted(np.sort(upper_fail)[:n_q])
@@ -172,6 +193,49 @@ def _failures(values: Array) -> tuple:
     return worst > 0.0, int(np.count_nonzero(np.isnan(values))) if np.isnan(worst).any() else 0
 
 
+def _reduce(rows: Array, n_keep: int, p: Array, m: Array) -> None:
+    """Write one requirement's per-draw failure probabilities ``p`` and
+    success counts ``m`` from its block's sorted (draws, n_a') ``rows``,
+    of which the first ``n_keep`` of each row are kept."""
+    trimmed = np.ascontiguousarray(rows[:, :n_keep])
+    p[:] = np.clip(1.0 - sorted_cdf(strictify_sorted(trimmed), 0.0), 0.0, 1.0)
+    m[:] = np.count_nonzero(trimmed <= 0.0, axis=1)
+
+
+def _block(spec: ProblemSpec, theta, a, e, n_keep, worst_case: bool, fails, p, m) -> int:
+    """Evaluate the requirements on one block ``e`` of epistemic draws and
+    write the block's columns ``p`` and ``m``; returns its NaN count.
+
+    One requirement at a time: its values are OR-ed into ``fails``, then
+    sorted, trimmed and reduced, and dropped before the next requirement is
+    evaluated.  Under worst_case a running maximum over the requirements,
+    owned so that ``np.maximum(..., out=)`` and the sort run in place, is
+    reduced instead; it takes the bits of ``np.maximum.reduce``, which
+    folds the requirements in the same order.  A function, so nothing of
+    a block is alive while the next block is evaluated.
+    """
+    shape = (e.shape[0], a.shape[1])
+    n_nan = 0
+    worst = None
+    for k, rk in enumerate(spec.requirements):
+        values = np.broadcast_to(np.asarray(rk(theta, a, e), float), shape)
+        failed, nans = _failures(values)
+        fails[:, k] |= failed
+        n_nan += nans
+        if not worst_case:
+            values = np.sort(values, axis=-1)  # drops the requirement's own array
+            _reduce(values, n_keep[k], p[k], m[k])
+        elif worst is None:
+            worst = np.array(values)
+        else:
+            np.maximum(worst, values, out=worst)
+        del values  # before the next requirement is evaluated
+    if worst_case:
+        worst.sort(axis=-1)
+        _reduce(worst, n_keep[0], p[0], m[0])
+    return n_nan
+
+
 def analyze(spec: ProblemSpec, theta, data: ScenarioData, cfg: RmcConfig) -> RmcReport:
     """Full robust Monte Carlo report.  Each requirement is evaluated once
     on the (n_a', n_e') testing grid, block by block of epistemic draws,
@@ -190,7 +254,7 @@ def analyze(spec: ProblemSpec, theta, data: ScenarioData, cfg: RmcConfig) -> Rmc
     if cfg.worst_case:  # a single synthetic requirement, driven by the k=1 entries
         cfg = RmcConfig(cfg.alpha_a[:1], cfg.alpha_e[:1], cfg.sigma, cfg.p_max[:1], True)
     cfg = cfg.for_requirements(1 if cfg.worst_case else n_r)
-    n_keep = [int(np.ceil(n_a * (1.0 - alpha_a_k))) for alpha_a_k in cfg.alpha_a]
+    n_keep = [n_a - math.floor(_excluded(n_a, alpha_a_k)) for alpha_a_k in cfg.alpha_a]
     if min(n_keep) < 1:
         raise InputError("trimmed aleatory sequence is empty")
     fails = np.zeros((n_a, n_r), dtype=bool)
@@ -200,21 +264,9 @@ def analyze(spec: ProblemSpec, theta, data: ScenarioData, cfg: RmcConfig) -> Rmc
     n_nan = 0
     for j in range(0, n_e, step):
         block = slice(j, min(j + step, n_e))
-        shape = (block.stop - j, n_a)
-        rows = [
-            np.broadcast_to(np.asarray(rk(theta, a, e[block]), float), shape)
-            for rk in spec.requirements
-        ]
-        for k, values in enumerate(rows):
-            failed, nans = _failures(values)
-            fails[:, k] |= failed
-            n_nan += nans
-        if cfg.worst_case:
-            rows = [np.maximum.reduce(rows) if n_r > 1 else rows[0]]
-        for k, values in enumerate(rows):
-            trimmed = np.ascontiguousarray(np.sort(values, axis=-1)[:, : n_keep[k]])
-            p[k, block] = np.clip(1.0 - sorted_cdf(strictify_sorted(trimmed), 0.0), 0.0, 1.0)
-            m[k, block] = np.count_nonzero(trimmed <= 0.0, axis=1)
+        n_nan += _block(
+            spec, theta, a, e[block], n_keep, cfg.worst_case, fails, p[:, block], m[:, block]
+        )
     if n_nan:
         raise ArithmeticError(
             f"requirement values are NaN at {n_nan} of {n_r * n_a * n_e} testing grid points"

@@ -374,6 +374,10 @@ def analyze_full_grid(spec, theta, data, cfg):
     from scendo.ecdf import quantile_of, sorted_cdf, strictify_sorted
     from scendo.montecarlo import RmcConfig, RmcReport, clopper_pearson
 
+    def excluded(n, alpha):  # n * alpha, or the integer it lies within SNAP * n of
+        t = n * float(alpha)
+        return round(t) if math.isclose(t, round(t), rel_tol=0.0, abs_tol=SNAP * n) else t
+
     def seq_quantile(vals, level):
         q = float(quantile_of(vals, level))
         return float(np.clip(q, float(vals.min()), float(vals.max())))
@@ -389,7 +393,7 @@ def analyze_full_grid(spec, theta, data, cfg):
     cfg = cfg.for_requirements(len(grids))
     out = {"range_a": [], "range_b": [], "point_c": [], "range_d": [], "p": []}
     for k, grid in enumerate(grids):
-        n_keep = int(np.ceil(data.n_a_test * (1.0 - cfg.alpha_a[k])))
+        n_keep = data.n_a_test - math.floor(excluded(data.n_a_test, cfg.alpha_a[k]))
         rows = grid.T.copy()
         rows.sort(axis=-1)
         trimmed = np.ascontiguousarray(rows[:, :n_keep])
@@ -398,7 +402,7 @@ def analyze_full_grid(spec, theta, data, cfg):
         ci_lo, ci_hi = clopper_pearson(m, n_keep, cfg.sigma)
         upper_fail = 1.0 - ci_lo
         level = 1.0 - cfg.alpha_e[k]
-        n_q = int(np.floor(data.n_e_test * level))
+        n_q = data.n_e_test - math.ceil(excluded(data.n_e_test, cfg.alpha_e[k]))
         q_kept = strictify_sorted(np.sort(upper_fail, kind="stable")[:n_q])
         d_lo, d_hi = clopper_pearson(int(np.count_nonzero(q_kept > cfg.p_max[k])), n_q, cfg.sigma)
         out["range_a"].append([seq_quantile(p, 0.0), seq_quantile(p, level)])

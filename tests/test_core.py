@@ -165,11 +165,13 @@ def test_circle_requirement_hand_values():
 
 
 # (theta, a, e) shapes the library hands the circle kernels: the program
-# grid, one analyze block, and the r_max probe of the containment tests
+# grid, one analyze block, the r_max probe of the containment tests, and a
+# single point, where the kernels' in-place steps meet numpy scalars
 _KERNEL_LAYOUTS = {
     "program_grid": ((4, 1, 1, 3), (30, 1, 2), (1, 7, 3)),
     "analyze_block": ((3,), (1, 50, 2), (6, 1, 3)),
     "r_max_probe": ((3,), (2,), (9, 3)),
+    "single_point": ((3,), (2,), (3,)),
 }
 
 

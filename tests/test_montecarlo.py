@@ -11,7 +11,7 @@ from scipy.stats import beta
 
 import scendo
 from oracles import analyze_full_grid
-from scendo import circle
+from scendo import circle, montecarlo
 from scendo.core import InputError, ProblemSpec, ScenarioData
 from scendo.ecdf import cdf_of
 from scendo.montecarlo import RmcConfig, analyze, clopper_pearson
@@ -320,15 +320,48 @@ def test_streamed_analyze_matches_full_grid_oracle(circle_spec, blocking, worst_
     assert np.any(row[1:] == row[:-1])
 
 
-def test_analyze_peak_memory_stays_below_one_grid(circle_spec):
-    # the sequential workload's testing grid: 20000 x 400 floats are 64 MB
+def test_kept_aleatory_count_is_exact_on_a_k_over_n_fraction():
+    # alpha_a = 6/7 of 7 testing points keeps one; 7 * (1 - 6/7) is
+    # 1.0000000000000004 in floating point, whose ceiling would keep two
+    table = np.tile(np.array([[-1.0], [1.0], [2.0], [3.0], [4.0], [5.0], [6.0]]), (1, 3))
+    spec, data = _table_problem(table)
+    rep = analyze(spec, np.zeros(1), data, RmcConfig(np.array([6 / 7]), np.zeros(1)))
+    # the one kept value, -1, succeeds; two kept values would fail half the time
+    assert np.array_equal(rep.p_by_epistemic, np.zeros((1, 3)))
+    _, hi = clopper_pearson(1, 1, 0.95)
+    assert rep.range_b[0, 0] == float(np.clip(1.0 - hi[0], 0.0, 1.0))
+
+
+def test_kept_epistemic_count_is_exact_on_a_k_over_n_fraction():
+    # alpha_e = 4/5 of 5 draws keeps one; 5 * (1 - 4/5) is
+    # 0.9999999999999998 in floating point, whose floor would keep none
+    spec, data = _table_problem(-np.ones((10, 5)))
+    rep = analyze(spec, np.zeros(1), data, RmcConfig(np.zeros(1), np.array([4 / 5])))
+    # every draw's upper failure probability 1 - 0.05**(1/10) exceeds p_max
+    lo, hi = clopper_pearson(1, 1, 0.95)
+    assert rep.range_d.tolist() == [[float(lo[0]), float(hi[0])]]
+
+
+#: analyze's working set is bounded in its own 4 MiB blocks of grid values
+_BLOCK_BYTES = montecarlo._BLOCK_FLOATS * 8
+
+
+@pytest.mark.parametrize("worst_case", [False, True])
+@pytest.mark.parametrize("n_r", [1, 3])
+def test_analyze_peak_memory_stays_within_two_blocks(circle_spec, n_r, worst_case):
+    # the sequential workload's testing grid: 20000 x 400 floats are 64 MB,
+    # 15.3 blocks. One requirement's block values and their sorted copy are
+    # two blocks; under worst_case the running maximum is a third while the
+    # next requirement is evaluated
     data = circle.generate_dataset(3, 3, seed=2, n_a_test=20000, n_e_test=400)
+    spec = dataclasses.replace(circle_spec, requirements=[circle.circle_requirement] * n_r)
     theta = np.array([0.3, 0.2, 2.5])
-    analyze(circle_spec, theta, data, ZERO_CFG)  # warm
+    cfg = RmcConfig(np.zeros(1), np.zeros(1), worst_case=worst_case)
+    analyze(spec, theta, data, cfg)  # warm
     tracemalloc.start()
     try:
-        analyze(circle_spec, theta, data, ZERO_CFG)
+        analyze(spec, theta, data, cfg)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 20000 * 400 * 8
+    assert peak < (3.5 if worst_case and n_r > 1 else 2.5) * _BLOCK_BYTES
