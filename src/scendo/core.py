@@ -22,17 +22,59 @@ grid in blocks of epistemic draws, as the NLP relies on its batch contract
 
 All types in this module are immutable after construction and safe to
 share across threads.
+
+scipy's compiled kernels.  scendo calls three of scipy's extension
+modules, each loaded from its file alone by ``_scipy_extension``, not
+through its package: ``optimize._lbfgsb`` (``setulb``, see ``scendo.nlp``),
+``special._special_ufuncs`` (``gammaln``) and ``special._ufuncs_cxx``
+(the C routine of ``betaincinv``, see ``scendo.montecarlo``).  Importing
+the scipy.optimize or scipy.special package would load hundreds of scipy
+modules and its array-API layer that scendo never calls.  This relies on
+scipy's private file layout and names.
 """
 
 from __future__ import annotations
 
 import inspect
+import os
+import sys
 from dataclasses import dataclass, field
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
+from importlib.util import module_from_spec, spec_from_loader
 from typing import Callable, Optional, Sequence
 
 import numpy as np
+import scipy
 
 Array = np.ndarray
+
+
+def _scipy_extension(dotted_name: str):
+    """scipy's compiled module ``scipy.<dotted_name>``, e.g.
+    ``"optimize._lbfgsb"``: the entry in ``sys.modules`` if there is one,
+    else loaded from its file, the first ``scipy/<package>/<module><suffix>``
+    (``importlib.machinery.EXTENSION_SUFFIXES``) next to ``scipy.__file__``,
+    and registered there, so the extension is never loaded twice and a
+    later import of its package picks up the same module.  If the package
+    is already imported, the module is also set as its attribute; a package
+    imported later finds the module in ``sys.modules`` but does not set it.
+    ImportError naming the path if there is no such file."""
+    name = f"scipy.{dotted_name}"
+    if name in sys.modules:
+        return sys.modules[name]
+    stem = os.path.join(os.path.dirname(scipy.__file__), *dotted_name.split("."))
+    path = next((stem + s for s in EXTENSION_SUFFIXES if os.path.isfile(stem + s)), None)
+    if path is None:
+        suffixes = ",".join(EXTENSION_SUFFIXES)
+        raise ImportError(f"scipy extension {name} not found: no file {stem}{{{suffixes}}}")
+    loader = ExtensionFileLoader(name, path)
+    module = module_from_spec(spec_from_loader(name, loader))
+    sys.modules[name] = module
+    loader.exec_module(module)
+    parent, _, child = name.rpartition(".")
+    if parent in sys.modules:
+        setattr(sys.modules[parent], child, module)
+    return module
 
 
 class InputError(ValueError):

@@ -32,13 +32,13 @@ depends only on its own (theta, a, e) point (the grid contract of
 
 from __future__ import annotations
 
+import ctypes
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import betaincinv
 
-from scendo.core import InputError, ProblemSpec, ScenarioData, _fractions
+from scendo.core import InputError, ProblemSpec, ScenarioData, _fractions, _scipy_extension
 from scendo.ecdf import _SNAP, quantile_of, sorted_cdf, strictify_sorted
 
 Array = np.ndarray
@@ -110,6 +110,39 @@ class RmcReport:
             )
 
 
+def _ibeta_inv_double():
+    """scipy's C function ``double ibeta_inv_double(double, double, double)``,
+    which the double loop of the ``scipy.special.betaincinv`` ufunc calls
+    element by element.  ``scipy.special._ufuncs_cxx`` exports it as the
+    ``void *`` variable ``_export_ibeta_inv_double``: its ``__pyx_capi__``
+    capsule holds the variable's address.  ImportError if there is no such
+    capsule."""
+    name = "_export_ibeta_inv_double"
+    capsule = getattr(_scipy_extension("special._ufuncs_cxx"), "__pyx_capi__", {}).get(name)
+    if capsule is None:
+        raise ImportError(f"scipy.special._ufuncs_cxx exports no {name}")
+    api = ctypes.pythonapi
+    get_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(("PyCapsule_GetName", api))
+    get_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+        ("PyCapsule_GetPointer", api)
+    )
+    function = ctypes.c_void_p.from_address(get_pointer(capsule, get_name(capsule))).value
+    double = ctypes.c_double
+    return ctypes.CFUNCTYPE(double, double, double, double)(function)
+
+
+_ibeta_inv = _ibeta_inv_double()
+
+
+def _betaincinv(a, b, y) -> Array:
+    """``scipy.special.betaincinv(a, b, y)`` of float arrays, bit for bit:
+    the ufunc's C function applied to each element of the broadcast
+    inputs."""
+    a, b, y = np.broadcast_arrays(a, b, y)
+    values = map(_ibeta_inv, a.ravel().tolist(), b.ravel().tolist(), y.ravel().tolist())
+    return np.fromiter(values, float, a.size).reshape(a.shape)
+
+
 def clopper_pearson(successes, trials: int, sigma: float):
     """Exact two-sided binomial interval at confidence sigma.
 
@@ -117,9 +150,10 @@ def clopper_pearson(successes, trials: int, sigma: float):
     (1 - sigma)/2, the upper one Beta(m + 1, n - m) at (1 + sigma)/2, each
     computed as ``scipy.special.betaincinv(a, b, q)``, the function
     ``scipy.stats.beta.ppf(q, a, b)`` evaluates, with the same bits and
-    without importing scipy.stats.  At the boundary counts (0 or all) the
-    empty tail folds into the other side, giving the one-sided zero-failure
-    bound 1 - (1-sigma)^(1/n).  Vectorized over ``successes``.
+    without importing scipy.stats or scipy.special (``_betaincinv``).  At
+    the boundary counts (0 or all) the empty tail folds into the other
+    side, giving the one-sided zero-failure bound 1 - (1-sigma)^(1/n).
+    Vectorized over ``successes``.
     """
     m = np.atleast_1d(np.asarray(successes, dtype=float))
     n = float(trials)
@@ -128,8 +162,8 @@ def clopper_pearson(successes, trials: int, sigma: float):
     a = 1.0 - sigma
     m_lo = np.clip(m, 1.0, n)  # safe params; overridden below
     m_hi = np.clip(m, 0.0, n - 1.0)
-    lo = betaincinv(m_lo, n - m_lo + 1.0, a / 2.0)
-    hi = betaincinv(m_hi + 1.0, n - m_hi, 1.0 - a / 2.0)
+    lo = _betaincinv(m_lo, n - m_lo + 1.0, a / 2.0)
+    hi = _betaincinv(m_hi + 1.0, n - m_hi, 1.0 - a / 2.0)
     lo = np.where(m <= 0, 0.0, np.where(m >= n, a ** (1.0 / n), lo))
     hi = np.where(m >= n, 1.0, np.where(m <= 0, 1.0 - a ** (1.0 / n), hi))
     return lo, hi

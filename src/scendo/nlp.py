@@ -48,12 +48,10 @@ few large ones, and counts a byte-identical output as the same path.
 
 scipy's L-BFGS-B extension is loaded from its file alone, not through
 ``scipy.optimize``, whose import would pull in over two hundred scipy
-modules that scendo never calls: ``_lbfgsb_module`` takes the first
-``scipy/optimize/_lbfgsb<suffix>`` (``importlib.machinery.EXTENSION_SUFFIXES``)
-next to ``scipy.__file__`` and registers it as ``scipy.optimize._lbfgsb``,
-the entry a later ``import scipy.optimize`` picks up.  This relies on
-scipy's private file layout, as the arguments of ``setulb`` already rely
-on scipy >= 1.15.
+modules that scendo never calls: ``core._scipy_extension("optimize._lbfgsb")``
+registers it as ``scipy.optimize._lbfgsb``, the entry a later
+``import scipy.optimize`` picks up.  This relies on scipy's private file
+layout, as the arguments of ``setulb`` already rely on scipy >= 1.15.
 
 Solve replay.  Inside a ``scendo.replay`` tape, ``minimize`` hands each
 call to the tape, which may return a recorded result in place of
@@ -62,42 +60,18 @@ solving; outside one it solves.
 
 from __future__ import annotations
 
-import os
-import sys
 from contextvars import ContextVar
 from dataclasses import dataclass, field
-from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
-from importlib.util import module_from_spec, spec_from_loader
 from typing import Callable, Optional
 
 import numpy as np
-import scipy
 
-from scendo.core import InputError, _integers
+from scendo.core import InputError, _integers, _scipy_extension
 
 Array = np.ndarray
 
 
-def _lbfgsb_module():
-    """scipy's compiled L-BFGS-B module, ``scipy.optimize._lbfgsb``: the
-    entry in ``sys.modules`` if there is one, else loaded from its file and
-    registered there, so the extension is never loaded twice."""
-    name = "scipy.optimize._lbfgsb"
-    if name in sys.modules:
-        return sys.modules[name]
-    stem = os.path.join(os.path.dirname(scipy.__file__), "optimize", "_lbfgsb")
-    path = next((stem + s for s in EXTENSION_SUFFIXES if os.path.isfile(stem + s)), None)
-    if path is None:
-        suffixes = ",".join(EXTENSION_SUFFIXES)
-        raise ImportError(f"scipy's L-BFGS-B extension not found: no file {stem}{{{suffixes}}}")
-    loader = ExtensionFileLoader(name, path)
-    module = module_from_spec(spec_from_loader(name, loader))
-    sys.modules[name] = module
-    loader.exec_module(module)
-    return module
-
-
-_lbfgsb = _lbfgsb_module()
+_lbfgsb = _scipy_extension("optimize._lbfgsb")
 
 
 #: the penalty schedule, the finite-difference step and the stopping tolerances

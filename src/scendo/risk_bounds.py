@@ -28,10 +28,9 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
 
 from scendo import nlp
-from scendo.core import EpistemicSet, InputError, ProblemSpec, ScenarioData, r_max
+from scendo.core import EpistemicSet, InputError, ProblemSpec, ScenarioData, _scipy_extension, r_max
 
 Array = np.ndarray
 logger = logging.getLogger(__name__)
@@ -85,6 +84,38 @@ class RiskBoundReport:
 # ---------------------------------------------------------------------------
 
 
+#: ``scipy.special.gammaln``, the same ufunc object, from its extension module
+gammaln = _scipy_extension("special._special_ufuncs").gammaln
+
+
+def _logsumexp(a) -> Array:
+    """``scipy.special.logsumexp(a, axis=-1)`` of a real array, bit for bit:
+    a transcription of scipy 1.17's ``_logsumexp`` for ``b=None``.  The
+    largest entries of a row are taken out of its sum (``m`` of them) and
+    the rest are summed shifted by the maximum, so
+    ``log1p(s) + log(m) + a_max``.  A row whose result is not finite takes
+    scipy's fallback ``log(sum(exp(a)))``, computed for those rows alone."""
+    a = np.atleast_1d(np.asarray(a, dtype=float))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        a_max = np.max(a, axis=-1, keepdims=True)
+        i_max = a == a_max
+        m = np.sum(i_max, axis=-1, keepdims=True, dtype=float)
+        s = np.sum(np.exp(np.where(i_max, -np.inf, a) - a_max), axis=-1, keepdims=True)
+        s = np.where(s == 0, s, s / m)
+        # scipy's sign rule, kept as written: without weights s >= 0 and
+        # m >= 0, so only a NaN row reaches it, and NaN stays NaN
+        sgn = np.sign(s + 1) * np.sign(m)
+        s = np.where(s < -1, -s - 2, s)
+        out = np.log1p(s) + np.log(m) + a_max
+        out[sgn < 0] = np.nan
+        out = out[..., 0]
+        bad = ~np.isfinite(out)
+        if bad.any():
+            with np.errstate(over="ignore"):
+                out[bad] = np.log(np.sum(np.exp(a[bad]), axis=-1))
+    return out[()] if out.ndim == 0 else out
+
+
 def _log_comb(n, k) -> Array:
     n = np.asarray(n, dtype=float)
     return gammaln(n + 1.0) - gammaln(k + 1.0) - gammaln(n - k + 1.0)
@@ -107,8 +138,8 @@ def _make_residual(n_a: int, k: int, beta: float) -> Callable:
         lt = np.log(t)
         lead = lead_coef + lead_pow * lt
         col = np.asarray(lt)[..., None]  # one row of series terms per t
-        mid = c_mid + logsumexp(mid_coef + mid_pow * col, axis=-1)
-        tail = c_tail + logsumexp(tail_coef + tail_pow * col, axis=-1)
+        mid = c_mid + _logsumexp(mid_coef + mid_pow * col)
+        tail = c_tail + _logsumexp(tail_coef + tail_pow * col)
         return lead - np.logaddexp(mid, tail)
 
     return log_gap

@@ -404,25 +404,36 @@ def select_training_epistemic(
 # ---------------------------------------------------------------------------
 
 
+#: an infeasible training solve is retried at the fraction its feasibility
+#: seed suggests, then at up to this many steps of one training scenario
+_RETRY_STEPS = 5
+
+
 def _solve_program(spec, train, cfg, alpha_a, opts):
-    alphas = AlphaConfig(np.minimum(alpha_a, 0.9), np.full(spec.n_r, cfg.alpha_e))
+    def alphas(alpha_a):
+        return AlphaConfig(np.minimum(alpha_a, 0.9), np.full(spec.n_r, cfg.alpha_e))
+
     if cfg.program == "feasibility_seed":
-        seed = solve_feasibility_seed(spec, train, alphas, opts=opts)
+        seed = solve_feasibility_seed(spec, train, alphas(alpha_a), opts=opts)
         return seed.theta_star, np.maximum(alpha_a, seed.alpha_a_lower), seed.solver_status
     solver = (
         solve_risk_agnostic_local
         if cfg.program == "risk_agnostic_local"
         else solve_risk_agnostic_global
     )
-    result = solver(spec, train, alphas, opts)
-    if result.solver_status == "infeasible":
-        suggestion = result.diagnostics.get("suggested_alpha_a")
-        if suggestion is not None:
-            bumped = np.maximum(alpha_a, np.asarray(suggestion, float) + 1e-6)
+    result = solver(spec, train, alphas(alpha_a), opts)
+    suggestion = result.diagnostics.get("suggested_alpha_a")
+    if result.solver_status == "infeasible" and suggestion is not None:
+        # the seed's bound comes from its own NLP, not the program's, so the
+        # program can stay infeasible there: step up 1 / n_a, at most to 0.9
+        bumped = np.maximum(alpha_a, np.asarray(suggestion, float) + 1e-6)
+        for _ in range(_RETRY_STEPS + 1):
             logger.info("infeasible at alpha_a=%s; retrying at %s", alpha_a, bumped)
-            alphas = AlphaConfig(np.minimum(bumped, 0.9), np.full(spec.n_r, cfg.alpha_e))
-            result = solver(spec, train, alphas, opts)
+            result = solver(spec, train, alphas(bumped), opts)
             alpha_a = bumped
+            if result.solver_status != "infeasible" or np.all(alpha_a >= 0.9):
+                break
+            bumped = np.minimum(alpha_a + 1.0 / train.n_a, 0.9)
     return result.theta_star, alpha_a, result.solver_status
 
 

@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import scendo
 from oracles import circle_requirement_stacked, circle_response_stacked
 from scendo import circle
 from scendo.core import (
@@ -207,3 +213,74 @@ def test_circle_mixture_mean():
     target = 0.8 * circle.MIX_MEAN_0 + 0.2 * circle.MIX_MEAN_1
     # 3 sigma / sqrt(n) with per-component sigma ~ 1
     assert np.all(np.abs(mean - target) < 3.0 / np.sqrt(100_000) * 2.5)
+
+
+# ---------------------------------------------------------------------------
+# scendo loads three of scipy's extension modules from their files, without
+# the scipy.optimize and scipy.special packages
+# ---------------------------------------------------------------------------
+
+_EXTENSIONS = ["scipy.optimize._lbfgsb", "scipy.special._special_ufuncs", "scipy.special._ufuncs_cxx"]
+
+# scipy's own calls that run the three extensions: L-BFGS-B, beta.ppf (the
+# betaincinv ufunc over _ufuncs_cxx), gammaln and logsumexp
+_SCIPY_RUN = """
+import sys
+{before}
+import numpy as np, scipy.optimize, scipy.special, scipy.stats
+{after}
+r = scipy.optimize.minimize(scipy.optimize.rosen, [-1.2, 1.0, 0.5, 2.0], method="L-BFGS-B",
+                            bounds=[(-2, 2), (-2, 0.9), (None, 3), (0, None)])
+print(r.x.tobytes().hex(), float(r.fun).hex(), r.nit, r.nfev, r.status)
+x = np.linspace(0.5, 40.0, 64)
+print(scipy.stats.beta.ppf(np.linspace(0.0, 1.0, 64), x, x[::-1]).tobytes().hex())
+print(scipy.special.gammaln(x).tobytes().hex())
+print(scipy.special.logsumexp(np.outer(x, x[:8]) % 7.0, axis=-1).tobytes().hex())
+"""
+
+
+def _fresh_run(code: str) -> str:
+    src = str(Path(scendo.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src}, timeout=120,
+    )
+    return out.stdout
+
+
+@pytest.mark.parametrize("scendo_first", [True, False])
+def test_scipy_shares_scendos_extensions_in_either_order(scendo_first):
+    # one module per extension in the process, whichever is imported first,
+    # and scipy's own calls take the bits of a process without scendo
+    alone = _fresh_run(_SCIPY_RUN.format(before="", after='assert "scendo" not in sys.modules'))
+    first = f"first = {{n: sys.modules[n] for n in {_EXTENSIONS!r}}}"
+    shared = "\n".join([
+        "assert all(sys.modules[n] is first[n] for n in first)",
+        'assert scendo.nlp._lbfgsb is sys.modules["scipy.optimize._lbfgsb"]',
+        "assert scendo.risk_bounds.gammaln is scipy.special.gammaln",
+    ])
+    if scendo_first:
+        code = _SCIPY_RUN.format(before=f"import scendo, scendo.cli\n{first}", after=shared)
+    else:
+        code = _SCIPY_RUN.format(before="", after=f"{first}\nimport scendo, scendo.cli\n{shared}")
+    assert _fresh_run(code) == alone
+    assert int(alone.split()[3]) > 10  # the L-BFGS-B run took real steps
+
+
+def test_scipy_extension_sets_the_attribute_of_an_imported_package():
+    # scendo loads an extension whose package is imported but lacks it; the
+    # package then has the module as its attribute, as an import would set
+    code = f"""
+import sys, scipy.optimize, scipy.special
+for name in {_EXTENSIONS!r}:
+    package, _, child = name.rpartition(".")
+    del sys.modules[name]
+    delattr(sys.modules[package], child)
+import scendo.cli
+for name in {_EXTENSIONS!r}:
+    package, _, child = name.rpartition(".")
+    assert getattr(sys.modules[package], child) is sys.modules[name]
+x = [0.5, 3.0, 40.0]
+print((scipy.special.gammaln(x) == scendo.risk_bounds.gammaln(x)).all())
+"""
+    assert _fresh_run(code).split() == ["True"]

@@ -4,6 +4,7 @@ import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -109,11 +110,11 @@ def test_clopper_pearson_equals_the_beta_ppf_formulas_bit_for_bit(n, sigma):
     assert got_hi.tobytes() == hi.tobytes()
 
 
-@pytest.mark.parametrize("package", ["scipy.stats", "scipy.optimize"])
+@pytest.mark.parametrize("package", ["scipy.stats", "scipy.optimize", "scipy.special"])
 def test_importing_scendo_leaves_scipy_package_out(package):
-    # scipy.stats and scipy.optimize each cost about a quarter of a second
-    # and 20 MB at start-up; scendo calls betaincinv for the one and setulb,
-    # loaded from its own file, for the other
+    # each of these packages costs about a quarter of a second and 15-25 MB
+    # at start-up; scendo calls betaincinv, gammaln and setulb, each from
+    # its compiled module loaded from its own file, and its own logsumexp
     src = str(Path(scendo.__file__).resolve().parents[1])
     code = f"import sys, scendo, scendo.cli; print({package!r} in sys.modules)"
     out = subprocess.run(
@@ -121,6 +122,27 @@ def test_importing_scendo_leaves_scipy_package_out(package):
         env={**os.environ, "PYTHONPATH": src}, timeout=120,
     )
     assert out.stdout.strip() == "False"
+
+
+def test_missing_ibeta_inv_capsule_names_it(monkeypatch):
+    # no fallback: a scipy whose _ufuncs_cxx lacks the C function fails loudly
+    monkeypatch.setattr(montecarlo, "_scipy_extension", lambda name: SimpleNamespace(__pyx_capi__={}))
+    with pytest.raises(ImportError, match="exports no _export_ibeta_inv_double"):
+        montecarlo._ibeta_inv_double()
+
+
+def test_betaincinv_is_scipys_ufunc_bit_for_bit():
+    # the C function over broadcast inputs, against the ufunc that calls it,
+    # at random parameters and at the edges (0, 1, NaN, a tiny or huge shape)
+    from scipy.special import betaincinv
+
+    rng = np.random.default_rng(5)
+    a = np.concatenate([rng.uniform(0.1, 3000.0, 200), [1e-300, 1e300, np.nan, 1.0, 2.0]])
+    b = rng.uniform(0.1, 3000.0, (3, 1))
+    y = np.concatenate([rng.uniform(0.0, 1.0, a.size - 5), [0.0, 1.0, 0.5, np.nan, 0.3]])
+    got = montecarlo._betaincinv(a, b, y)
+    assert got.shape == (3, a.size)
+    assert got.tobytes() == betaincinv(a, b, y).tobytes()
 
 
 def test_exceedance_cdf_hand_value():

@@ -1,9 +1,6 @@
-import os
 import re
-import subprocess
 import sys
 from dataclasses import replace
-from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -13,7 +10,7 @@ from hypothesis import strategies as st
 from scipy.optimize import minimize as scipy_minimize
 
 from oracles import welzl_circle
-from scendo import nlp
+from scendo import core, nlp
 from scendo.core import InputError
 
 
@@ -354,50 +351,16 @@ def test_lbfgsb_stage_stops_at_scipys_evaluation_cap(maxfun, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# scendo loads scipy's L-BFGS-B extension from its file, without scipy.optimize
+# scendo loads scipy's L-BFGS-B extension from its file (core._scipy_extension;
+# tests/test_core.py runs it next to scipy.optimize in a fresh interpreter)
 # ---------------------------------------------------------------------------
-
-_SCIPY_LBFGSB_RUN = """
-import sys
-{before}
-import scipy.optimize
-{after}
-r = scipy.optimize.minimize(scipy.optimize.rosen, [-1.2, 1.0, 0.5, 2.0], method="L-BFGS-B",
-                            bounds=[(-2, 2), (-2, 0.9), (None, 3), (0, None)])
-print(r.x.tobytes().hex(), float(r.fun).hex(), r.nit, r.nfev, r.status)
-"""
-_SHARED = 'assert sys.modules["scipy.optimize._lbfgsb"] is scendo.nlp._lbfgsb'
-
-
-def _fresh_run(before: str = "", after: str = "") -> str:
-    src = str(Path(nlp.__file__).resolve().parents[1])
-    out = subprocess.run(
-        [sys.executable, "-c", _SCIPY_LBFGSB_RUN.format(before=before, after=after)],
-        capture_output=True, text=True, check=True,
-        env={**os.environ, "PYTHONPATH": src}, timeout=120,
-    )
-    return out.stdout
-
-
-@pytest.mark.parametrize("scendo_first", [True, False])
-def test_scipy_optimize_shares_scendos_lbfgsb_in_either_order(scendo_first):
-    # one extension module in the process, whichever is imported first, and
-    # scipy's own L-BFGS-B run takes the bits of a process without scendo
-    alone = _fresh_run(after='assert "scendo" not in sys.modules')
-    with_scendo = (
-        _fresh_run(before="import scendo.nlp", after=_SHARED)
-        if scendo_first
-        else _fresh_run(after="import scendo.nlp\n" + _SHARED)
-    )
-    assert with_scendo == alone
-    assert int(alone.split()[3]) > 10  # the run took real steps
 
 
 def test_missing_lbfgsb_extension_names_its_path(tmp_path, monkeypatch):
     monkeypatch.delitem(sys.modules, "scipy.optimize._lbfgsb")
-    monkeypatch.setattr(nlp, "scipy", SimpleNamespace(__file__=str(tmp_path / "__init__.py")))
+    monkeypatch.setattr(core, "scipy", SimpleNamespace(__file__=str(tmp_path / "__init__.py")))
     with pytest.raises(ImportError, match=re.escape(f"no file {tmp_path}/optimize/_lbfgsb{{")):
-        nlp._lbfgsb_module()
+        core._scipy_extension("optimize._lbfgsb")
 
 
 # ---------------------------------------------------------------------------

@@ -36,6 +36,31 @@ def test_epsilon_bar_full_complexity_is_one():
     assert epsilon_bar(7, 7, 0.5) == 1.0
 
 
+def _logsumexp_rows(rng):
+    rows = [rng.normal(size=9), rng.normal(size=(7, 40)) * 300.0, rng.normal(size=(5, 1))]
+    edge = np.array([
+        [-np.inf] * 4,  # all -inf
+        [1.0, np.inf, -2.0, 0.5],  # one +inf
+        [1.0, np.nan, 3.0, 0.0],  # a NaN
+        [3.0, 1.0, 3.0, 3.0],  # ties at the max
+        [-np.inf, np.inf, 0.0, 1.0],  # -inf and +inf
+        [800.0, 799.0, 1.0, -1e308],  # exp of the max overflows
+    ])
+    return rows + [edge, *edge, np.array([-1.5]), np.array([[-np.inf], [np.nan], [2.0]])]
+
+
+def test_logsumexp_is_scipys_bit_for_bit():
+    # scendo's transcription against scipy.special.logsumexp(a, axis=-1),
+    # on random 1-D and 2-D rows and on the edge rows of its non-finite
+    # fallback, value, shape and type
+    from scipy.special import logsumexp
+
+    for a in _logsumexp_rows(np.random.default_rng(11)):
+        got, want = risk_bounds._logsumexp(a), logsumexp(a, axis=-1)
+        assert type(got) is type(want) and np.shape(got) == np.shape(want)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
 def test_epsilon_bar_validation():
     with pytest.raises(InputError):
         epsilon_bar(50, 51, 1e-4)

@@ -1,6 +1,7 @@
 import dataclasses
 import logging
 import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -412,6 +413,68 @@ def test_run_sd_retries_an_infeasible_training_solve_at_the_suggestion(
         assert alpha_a == 0.0 and status == "infeasible"
         assert retry[0] == record.alpha_a[0] == suggestion[0] + 1e-6
         assert retry[1] != "infeasible"
+
+
+def test_run_sd_steps_alpha_a_when_the_suggested_retry_stays_infeasible(
+    circle_spec, monkeypatch, caplog
+):
+    # the global seed's bound comes from its own multi-start NLP: at the
+    # second training set the program stays infeasible at the suggested
+    # 0.4183 and converges one training scenario (1/15) higher
+    spec = dataclasses.replace(
+        circle_spec, design_bounds=np.array([[-12.0, 12.0], [-12.0, 12.0], [0.0, 1.6]])
+    )
+    solver, calls = seqdesign.solve_risk_agnostic_global, []
+
+    def recording(spec, train, alphas, opts):
+        res = solver(spec, train, alphas, opts)
+        calls.append((train.n_a, alphas.alpha_a[0], res.solver_status))
+        return res
+
+    monkeypatch.setattr(seqdesign, "solve_risk_agnostic_global", recording)
+    data = circle.generate_dataset(4, 4, seed=3, n_a_test=300, n_e_test=20)
+    cfg = SdConfig(
+        rmc=ZERO_RMC, threshold=0.0, max_iter=3, n_a_init=8, n_e_init=6,
+        program="risk_agnostic_global",
+    )
+    with caplog.at_level(logging.INFO, logger="scendo.seqdesign"):
+        _, trace = run_sd(spec, data, np.array([0.0, 0.0, 1.6]), cfg,
+                          nlp.NlpOptions(seed=0, n_starts=2, max_inner=60))
+    assert len(trace) == 3 and not trace.failed
+    n_a, suggested, status = calls[-2]
+    assert n_a == 15 and status == "infeasible"
+    assert suggested == pytest.approx(0.41830229)
+    assert calls[-1] == (15, suggested + 1 / 15, "converged")
+    assert trace.records[2].alpha_a[0] == suggested + 1 / 15
+    retries = [r for r in caplog.records if "retrying at" in r.getMessage()]
+    assert len(retries) == 3  # one per retried solve
+
+
+@pytest.mark.parametrize(
+    "suggestion, steps",
+    [(0.1, [k / 8 for k in range(1, seqdesign._RETRY_STEPS + 1)]),  # the retry bound
+     (0.8, [0.9 - 0.800001])],  # alpha_a reaches 0.9
+)
+def test_solve_program_stops_stepping_at_its_bounds(circle_spec, monkeypatch, suggestion, steps):
+    # a program that stays infeasible is retried at the suggestion, then
+    # one training scenario (1/8) higher at a time
+    train = circle.generate_dataset(8, 4, seed=0)
+    alphas = []
+
+    def infeasible(spec, train, cfg, opts):
+        alphas.append(cfg.alpha_a[0])
+        return SimpleNamespace(
+            solver_status="infeasible", theta_star=np.zeros(3),
+            diagnostics={"suggested_alpha_a": np.array([suggestion])},
+        )
+
+    monkeypatch.setattr(seqdesign, "solve_risk_agnostic_local", infeasible)
+    cfg = SdConfig(rmc=ZERO_RMC, program="risk_agnostic_local")
+    _, alpha_a, status = seqdesign._solve_program(circle_spec, train, cfg, np.zeros(1), None)
+    assert status == "infeasible"
+    first = suggestion + 1e-6
+    assert alphas == pytest.approx([0.0, first] + [first + s for s in steps], rel=0, abs=1e-12)
+    assert alpha_a[0] == alphas[-1]
 
 
 @pytest.mark.parametrize(
