@@ -23,9 +23,10 @@ grid in blocks of epistemic draws, as the NLP relies on its batch contract
 All types in this module are immutable after construction and safe to
 share across threads.
 
-scipy's compiled kernels.  scendo calls three of scipy's extension
+scipy's compiled kernels.  scendo calls four of scipy's extension
 modules, each loaded from its file alone by ``_scipy_extension``, not
 through its package: ``optimize._lbfgsb`` (``setulb``, see ``scendo.nlp``),
+``optimize._zeros`` (Brent's method, see ``scendo.risk_bounds``),
 ``special._special_ufuncs`` (``gammaln``) and ``special._ufuncs_cxx``
 (the C routine of ``betaincinv``, see ``scendo.montecarlo``).  Importing
 the scipy.optimize or scipy.special package would load hundreds of scipy

@@ -192,7 +192,7 @@ def _assemble(
     outliers at its design and, when infeasible, a suggested alpha_a.
 
     The requirement grid at the design is evaluated once.  The outliers
-    are those of ``outlier_sets``, except that a global program's
+    are those of ``_local_outliers``, except that a global program's
     epistemic outliers are the draws weighted below one for some
     requirement, by the rule at aleatory fraction ``weight_alpha_a``.  The
     suggestion is the alpha_a_lower of the ``suggest`` variant's seed,
@@ -230,7 +230,14 @@ def _assemble(
 
 
 def _local_outliers(values: Array, alpha_e: Array) -> tuple:
-    """``outlier_sets`` from the requirement grid, (n_r, n_a, n_e)."""
+    """Aleatory outliers and per-scenario epistemic outliers of a
+    requirement grid at one design, (n_r, n_a, n_e).
+
+    A scenario is an aleatory outlier when at least one requirement's
+    (1 - alpha_e) quantile over the epistemic set is positive; the
+    epistemic outliers of scenario i are the draws exceeding that
+    quantile for some requirement.
+    """
     q = _req_quantiles(values, 1.0 - alpha_e)  # (n_r, n_a)
     o_a = np.flatnonzero(np.max(q, axis=0) > 0.0)
     o_e = [
@@ -238,19 +245,6 @@ def _local_outliers(values: Array, alpha_e: Array) -> tuple:
         for i in range(values.shape[1])
     ]
     return o_a, o_e
-
-
-def outlier_sets(spec: ProblemSpec, data: ScenarioData, cfg: AlphaConfig, theta):
-    """Aleatory outliers and per-scenario epistemic outliers at a design.
-
-    A scenario is an aleatory outlier when at least one requirement's
-    (1 - alpha_e) quantile over the epistemic set is positive; the
-    epistemic outliers of scenario i are the draws exceeding that
-    quantile for some requirement.
-    """
-    cfg = _for_problem(spec, data, cfg)
-    values = requirement_values(spec, data, np.asarray(theta, float))
-    return _local_outliers(values, cfg.alpha_e)
 
 
 def _local_design_terms(spec: ProblemSpec, data: ScenarioData, levels: Array):

@@ -17,7 +17,8 @@ assembled training sets, and moment-based programs are fully supported
 epsilon_bar(k) is one minus the smaller root of a polynomial whose
 coefficients are binomial numbers up to C(4*n_a, k); all terms are
 evaluated in log space and combined with streaming log-sum-exp so the
-computation stays exact-in-regime up to n_a in the thousands.
+computation stays exact-in-regime up to n_a in the thousands.  The root
+is bracketed on a grid and polished by scipy's compiled Brent routine.
 """
 
 from __future__ import annotations
@@ -86,6 +87,8 @@ class RiskBoundReport:
 
 #: ``scipy.special.gammaln``, the same ufunc object, from its extension module
 gammaln = _scipy_extension("special._special_ufuncs").gammaln
+#: scipy's compiled root finders, whose Brent routine ``_brentq`` calls
+_zeros = _scipy_extension("optimize._zeros")
 
 
 def _logsumexp(a) -> Array:
@@ -152,12 +155,11 @@ def _check_beta(beta: float) -> None:
 
 def _brentq(f: Callable, xa: float, xb: float, xtol: float, rtol: float, maxiter: int) -> float:
     """A root of f between xa and xb, whose values differ in sign, by
-    Brent's method (R. P. Brent, *Algorithms for Minimization without
-    Derivatives*, 1973, ch. 4).  A transcription of scipy's C ``brentq``:
-    every iterate, tolerance test and step is the same, so the root has
-    ``scipy.optimize.brentq``'s bits.  ArithmeticError on a NaN value or a
-    bracket without a sign change; RuntimeError after ``maxiter``
-    iterations without convergence."""
+    Brent's method (R. P. Brent, 1973, ch. 4): scipy's C ``brentq``, called
+    as ``scipy.optimize.brentq`` calls it, so the root has its bits.
+    ArithmeticError on a NaN value (scipy: ValueError); scipy's ValueError
+    on a bracket without a sign change and RuntimeError after ``maxiter``
+    iterations."""
 
     def value(x):
         fx = float(f(x))
@@ -165,59 +167,16 @@ def _brentq(f: Callable, xa: float, xb: float, xtol: float, rtol: float, maxiter
             raise ArithmeticError(f"Brent's method: the function value at x={x!r} is NaN")
         return fx
 
-    xpre, xcur = float(xa), float(xb)
-    fpre, fcur = value(xpre), value(xcur)
-    if fpre == 0.0:
-        return xpre
-    if fcur == 0.0:
-        return xcur
-    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
-        raise ArithmeticError("Brent's method: f(xa) and f(xb) must differ in sign")
-    xblk = fblk = spre = scur = 0.0
-    for _ in range(maxiter):
-        if fpre != 0.0 and fcur != 0.0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0.0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            try:
-                if xpre == xblk:  # interpolate
-                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
-                else:  # extrapolate
-                    dpre = (fpre - fcur) / (xpre - xcur)
-                    dblk = (fblk - fcur) / (xblk - xcur)
-                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            except ZeroDivisionError:  # C divides to +-inf or NaN, and so bisects
-                stry = math.inf
-            # min has the value of C's MIN here: neither argument is NaN
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
-                spre, scur = scur, stry  # a good short step
-            else:
-                spre = scur = sbis  # bisect
-        else:
-            spre = scur = sbis  # bisect
-        xpre, fpre = xcur, fcur
-        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
-        fcur = value(xcur)
-    raise RuntimeError(
-        f"Brent's method failed to converge after {maxiter} iterations, value is {xcur!r}"
-    )
+    return _zeros._brentq(value, xa, xb, xtol, rtol, maxiter, (), False, True)
 
 
 def epsilon_bar(n_a: int, k: int, beta: float) -> float:
     """Risk bound 1 - t(k), t(k) the smaller nonnegative root of the
     slack polynomial; equals 1 when k = n_a.  The two term sums and the
     leading term are compared in log space, the root is bracketed on a
-    mixed geometric/linear grid and polished by Brent's method: scendo's
-    own ``_brentq``, which gives ``scipy.optimize.brentq``'s bits without
-    importing scipy.optimize.  n_a and k must be integers, and a bool is
-    not one.
+    mixed geometric/linear grid and polished by Brent's method, scipy's
+    compiled ``brentq`` loaded without the scipy.optimize package
+    (``_brentq``).  n_a and k must be integers, and a bool is not one.
     """
     if any(isinstance(v, bool) or not isinstance(v, (int, np.integer)) for v in (n_a, k)):
         raise InputError(f"n_a and k must be integers, got n_a={n_a!r}, k={k!r}")

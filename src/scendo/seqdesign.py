@@ -407,11 +407,14 @@ def select_training_epistemic(
 #: an infeasible training solve is retried at the fraction its feasibility
 #: seed suggests, then at up to this many steps of one training scenario
 _RETRY_STEPS = 5
+#: the largest aleatory fraction the loop trains at: the programs reject
+#: alpha_a >= 1 (no scenario left), and this keeps about a tenth of them
+_ALPHA_A_MAX = 0.9
 
 
 def _solve_program(spec, train, cfg, alpha_a, opts):
     def alphas(alpha_a):
-        return AlphaConfig(np.minimum(alpha_a, 0.9), np.full(spec.n_r, cfg.alpha_e))
+        return AlphaConfig(np.minimum(alpha_a, _ALPHA_A_MAX), np.full(spec.n_r, cfg.alpha_e))
 
     if cfg.program == "feasibility_seed":
         seed = solve_feasibility_seed(spec, train, alphas(alpha_a), opts=opts)
@@ -425,15 +428,15 @@ def _solve_program(spec, train, cfg, alpha_a, opts):
     suggestion = result.diagnostics.get("suggested_alpha_a")
     if result.solver_status == "infeasible" and suggestion is not None:
         # the seed's bound comes from its own NLP, not the program's, so the
-        # program can stay infeasible there: step up 1 / n_a, at most to 0.9
+        # program can stay infeasible there: step up 1 / n_a, at most to _ALPHA_A_MAX
         bumped = np.maximum(alpha_a, np.asarray(suggestion, float) + 1e-6)
         for _ in range(_RETRY_STEPS + 1):
             logger.info("infeasible at alpha_a=%s; retrying at %s", alpha_a, bumped)
             result = solver(spec, train, alphas(bumped), opts)
             alpha_a = bumped
-            if result.solver_status != "infeasible" or np.all(alpha_a >= 0.9):
+            if result.solver_status != "infeasible" or np.all(alpha_a >= _ALPHA_A_MAX):
                 break
-            bumped = np.minimum(alpha_a + 1.0 / train.n_a, 0.9)
+            bumped = np.minimum(alpha_a + 1.0 / train.n_a, _ALPHA_A_MAX)
     return result.theta_star, alpha_a, result.solver_status
 
 
@@ -488,7 +491,7 @@ def run_sd(
             n_e = min(math.ceil(cfg.growth * n_e), cfg.n_e_cap, data.n_e_test)
             alpha_a = np.zeros(spec.n_r)
         else:
-            alpha_a = np.minimum(alpha_a + 1.0 / n_a, 0.9)
+            alpha_a = np.minimum(alpha_a + 1.0 / n_a, _ALPHA_A_MAX)
 
         sel_a = select_training_aleatory(
             report.scenario_fails, data.testing_aleatory, n_a,

@@ -14,7 +14,8 @@ from scendo.core import AlphaConfig, ScenarioData, r_max
 from scendo.ecdf import cdf_of, quantile_of, strictify_sorted
 from scendo.montecarlo import RmcConfig, analyze, clopper_pearson
 from scendo.programs import (
-    outlier_sets,
+    _local_outliers,
+    requirement_values,
     solve_moment_risk_agnostic,
     solve_risk_agnostic_local,
     solve_risk_averse_global,
@@ -101,7 +102,8 @@ def test_c05_outlier_count_bound():
         cfg = AlphaConfig(np.array([alpha_a]), np.array([alpha_e]))
         res = solve_risk_agnostic_local(SPEC, data, cfg,
                                         nlp.NlpOptions(seed=0, n_starts=4))
-        o_a, o_e = outlier_sets(SPEC, data, cfg, res.theta_star)
+        values = requirement_values(SPEC, data, res.theta_star)
+        o_a, o_e = _local_outliers(values, cfg.alpha_e)
         ok &= bool(np.array_equal(o_a, res.aleatory_outliers))
         cap = int(np.floor(n_e * alpha_e))
         inliers = np.setdiff1d(np.arange(n_a), o_a)

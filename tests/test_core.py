@@ -216,14 +216,17 @@ def test_circle_mixture_mean():
 
 
 # ---------------------------------------------------------------------------
-# scendo loads three of scipy's extension modules from their files, without
+# scendo loads four of scipy's extension modules from their files, without
 # the scipy.optimize and scipy.special packages
 # ---------------------------------------------------------------------------
 
-_EXTENSIONS = ["scipy.optimize._lbfgsb", "scipy.special._special_ufuncs", "scipy.special._ufuncs_cxx"]
+_EXTENSIONS = [
+    "scipy.optimize._lbfgsb", "scipy.optimize._zeros",
+    "scipy.special._special_ufuncs", "scipy.special._ufuncs_cxx",
+]
 
-# scipy's own calls that run the three extensions: L-BFGS-B, beta.ppf (the
-# betaincinv ufunc over _ufuncs_cxx), gammaln and logsumexp
+# scipy's own calls that run the four extensions: L-BFGS-B, brentq, beta.ppf
+# (the betaincinv ufunc over _ufuncs_cxx), gammaln and logsumexp
 _SCIPY_RUN = """
 import sys
 {before}
@@ -232,6 +235,7 @@ import numpy as np, scipy.optimize, scipy.special, scipy.stats
 r = scipy.optimize.minimize(scipy.optimize.rosen, [-1.2, 1.0, 0.5, 2.0], method="L-BFGS-B",
                             bounds=[(-2, 2), (-2, 0.9), (None, 3), (0, None)])
 print(r.x.tobytes().hex(), float(r.fun).hex(), r.nit, r.nfev, r.status)
+print(float(scipy.optimize.brentq(lambda t: np.cos(t) - t, 0.0, 1.0, xtol=1e-15)).hex())
 x = np.linspace(0.5, 40.0, 64)
 print(scipy.stats.beta.ppf(np.linspace(0.0, 1.0, 64), x, x[::-1]).tobytes().hex())
 print(scipy.special.gammaln(x).tobytes().hex())
@@ -257,6 +261,7 @@ def test_scipy_shares_scendos_extensions_in_either_order(scendo_first):
     shared = "\n".join([
         "assert all(sys.modules[n] is first[n] for n in first)",
         'assert scendo.nlp._lbfgsb is sys.modules["scipy.optimize._lbfgsb"]',
+        'assert scendo.risk_bounds._zeros is sys.modules["scipy.optimize._zeros"]',
         "assert scendo.risk_bounds.gammaln is scipy.special.gammaln",
     ])
     if scendo_first:

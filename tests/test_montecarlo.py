@@ -113,8 +113,8 @@ def test_clopper_pearson_equals_the_beta_ppf_formulas_bit_for_bit(n, sigma):
 @pytest.mark.parametrize("package", ["scipy.stats", "scipy.optimize", "scipy.special"])
 def test_importing_scendo_leaves_scipy_package_out(package):
     # each of these packages costs about a quarter of a second and 15-25 MB
-    # at start-up; scendo calls betaincinv, gammaln and setulb, each from
-    # its compiled module loaded from its own file, and its own logsumexp
+    # at start-up; scendo calls betaincinv, gammaln, setulb and brentq, each
+    # from its compiled module loaded from its own file, and its own logsumexp
     src = str(Path(scendo.__file__).resolve().parents[1])
     code = f"import sys, scendo, scendo.cli; print({package!r} in sys.modules)"
     out = subprocess.run(

@@ -10,7 +10,7 @@ from scendo.ecdf import quantile_of
 from scendo.programs import (
     MOMENT_TAGS,
     FormulationTag,
-    outlier_sets,
+    _local_outliers,
     requirement_values,
     solve,
     solve_feasibility_seed,
@@ -127,7 +127,8 @@ def test_outlier_counts_respect_fractions(circle_spec, small_data):
     alpha_a, alpha_e = 2.0 / (n_a - 1), 2.0 / (n_e - 1)
     cfg = AlphaConfig(np.array([alpha_a]), np.array([alpha_e]))
     res = solve_risk_agnostic_local(circle_spec, small_data, cfg, OPTS)
-    o_a, o_e = outlier_sets(circle_spec, small_data, cfg, res.theta_star)
+    values = requirement_values(circle_spec, small_data, res.theta_star)
+    o_a, o_e = _local_outliers(values, cfg.alpha_e)
     assert np.array_equal(o_a, res.aleatory_outliers)
     cap = int(np.floor(n_e * alpha_e))
     inliers = np.setdiff1d(np.arange(n_a), o_a)
@@ -282,7 +283,7 @@ def test_moment_agnostic_tiny_dataset():
 def test_outlier_sets_all_negative_empty(circle_spec, small_data):
     cfg = AlphaConfig.uniform(1)
     huge = np.array([0.5, 0.3, 11.9])  # encloses everything
-    o_a, o_e = outlier_sets(circle_spec, small_data, cfg, huge)
+    o_a, o_e = _local_outliers(requirement_values(circle_spec, small_data, huge), cfg.alpha_e)
     assert o_a.size == 0
     assert all(v.size == 0 for v in o_e)
 
@@ -297,7 +298,8 @@ def test_outlier_sets_hand_table():
     result = SolveResult(
         theta_star=np.array([0.0]), objective=0.0, solver_status="converged"
     )
-    o_a, o_e = outlier_sets(spec, data, cfg, result.theta_star)
+    values = requirement_values(spec, data, result.theta_star)
+    o_a, o_e = _local_outliers(values, cfg.alpha_e)
     # independent enumeration with the reference quantile
     exp_a, exp_e = [], []
     for i in range(3):
