@@ -17,8 +17,9 @@ slightly outside the design box (finite-difference probes step outside).
 Grid contract: each output entry of a requirement depends only on its own
 (theta, a, e) point and is bit-identical under any broadcast layout of the
 same points.  ``montecarlo.analyze`` relies on it to evaluate the testing
-grid in blocks of epistemic draws, as the NLP relies on its batch contract
-(see ``scendo.nlp``) to stack and split batches of design rows.
+grid in tiles of at most ``_TILE_FLOATS`` values, as the NLP relies on its
+batch contract (see ``scendo.nlp``) to stack and split batches of design
+rows.
 
 All types in this module are immutable after construction and safe to
 share across threads.
@@ -48,6 +49,15 @@ import numpy as np
 import scipy
 
 Array = np.ndarray
+
+#: floats per hot-loop temporary of ``montecarlo.analyze`` (a tile of
+#: requirement values), the training selection (a tile of candidates'
+#: offsets and products) and ``risk_bounds.epsilon_bar`` (a block of
+#: series terms): 2**14, 128 KiB, which glibc's default mmap threshold
+#: still serves from the heap.  So these loops reuse the same heap memory
+#: whatever the allocator did before, and do not fault fresh pages in on
+#: every pass.
+_TILE_FLOATS = 2**14
 
 
 def _scipy_extension(dotted_name: str):

@@ -12,39 +12,43 @@ alpha_a / alpha_e of the worst draws can be excluded from the analysis.
 The (aleatory x epistemic) requirement evaluation grid is the hot loop,
 and it is evaluated only here: the report also carries the table of
 failing testing scenarios that the sequential design selects from.  The
-grid is streamed in blocks of epistemic draws, one vectorized call per
-requirement and block, each block about _BLOCK_FLOATS values (4 MiB).  A
-block's requirement values come out as C-ordered (draws, n_a') rows and
-are handled one requirement at a time: OR-ed into the failure table,
-sorted, trimmed and reduced to that block's failure probabilities and
-success counts, then dropped before the next requirement is evaluated.
-So no full grid is ever held, and the working set is about two blocks:
-one requirement's values and their sorted copy, or the requirement's
-own temporaries while it runs (two blocks for the circle kernels).
-Under worst_case a running maximum over the requirements is one block
-more while the next requirement is evaluated.  A fraction excludes
-n * alpha values snapped to an integer within ecdf's tolerance (see
-``_excluded``).  The result is bit-identical to
-evaluating the whole grid at once because every entry of a requirement
-depends only on its own (theta, a, e) point (the grid contract of
-``scendo.core``) and every per-draw reduction reads only its own row.
+grid is streamed in blocks of epistemic draws, and each requirement is
+evaluated on a block in tiles of at most ``core._TILE_FLOATS`` values
+(2**14, 128 KiB): a tile is a block of whole rows while n_a' fits in
+one, else a block is one draw and its row is split into column tiles.
+Each tile's values are OR-ed into the failure table and written into one
+block buffer, allocated once per call; the buffer is sorted in place,
+trimmed and reduced to the block's failure probabilities and success
+counts, one requirement at a time.  So no full grid is ever held, and
+every temporary of the loop, the requirement's own included, is at most
+a tile (a row, where a row outgrows a tile), served from the heap below
+glibc's default mmap threshold: the loop runs in the same memory
+whatever the allocator did before.  Under
+worst_case the buffer holds the running maximum over the requirements
+instead, tile by tile.  A fraction excludes n * alpha values snapped to
+an integer within ecdf's tolerance (see ``_excluded``).  The result is
+bit-identical to evaluating the whole grid at once because every entry
+of a requirement depends only on its own (theta, a, e) point (the grid
+contract of ``scendo.core``) and every per-draw reduction reads only its
+own row.
 """
 
 from __future__ import annotations
 
 import ctypes
+import logging
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from scendo.core import InputError, ProblemSpec, ScenarioData, _fractions, _scipy_extension
+from scendo.core import (
+    InputError, ProblemSpec, ScenarioData, _TILE_FLOATS, _fractions, _scipy_extension,
+)
 from scendo.ecdf import _SNAP, quantile_of, sorted_cdf, strictify_sorted
 
 Array = np.ndarray
-
-#: testing-grid values per block of epistemic draws: 2**19 floats, 4 MiB
-_BLOCK_FLOATS = 2**19
+logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -217,12 +221,8 @@ def _per_requirement(p: Array, m: Array, n_keep: int, alpha_e_k, p_max_k, sigma)
 
 
 def _failures(values: Array) -> tuple:
-    """Which columns of a block's (draws, n_a') values fail for some draw,
-    and the block's NaN count (the max keeps a NaN, so it counts only then).
-
-    A function, so the n_a'-long max is freed before the block's sorts: held
-    across them it moved glibc's mmap threshold and raised the sequential
-    benchmark's peak RSS by about 4 MB."""
+    """Which columns of a tile's (draws, columns) values fail for some draw,
+    and the tile's NaN count (the max keeps a NaN, so it counts only then)."""
     worst = np.max(values, axis=0)
     return worst > 0.0, int(np.count_nonzero(np.isnan(values))) if np.isnan(worst).any() else 0
 
@@ -236,47 +236,50 @@ def _reduce(rows: Array, n_keep: int, p: Array, m: Array) -> None:
     m[:] = np.count_nonzero(trimmed <= 0.0, axis=1)
 
 
-def _block(spec: ProblemSpec, theta, a, e, n_keep, worst_case: bool, fails, p, m) -> int:
+def _block(spec: ProblemSpec, theta, a, e, n_keep, worst_case: bool, values, fails, p, m) -> int:
     """Evaluate the requirements on one block ``e`` of epistemic draws and
     write the block's columns ``p`` and ``m``; returns its NaN count.
 
-    One requirement at a time: its values are OR-ed into ``fails``, then
-    sorted, trimmed and reduced, and dropped before the next requirement is
-    evaluated.  Under worst_case a running maximum over the requirements,
-    owned so that ``np.maximum(..., out=)`` and the sort run in place, is
-    reduced instead; it takes the bits of ``np.maximum.reduce``, which
-    folds the requirements in the same order.  A function, so nothing of
-    a block is alive while the next block is evaluated.
+    ``values`` is the block's (draws, n_a') part of the call's buffer.  One
+    requirement at a time, tile by tile of at most ``_TILE_FLOATS`` values:
+    each tile is OR-ed into ``fails`` and written into ``values``, which is
+    then sorted in place, trimmed and reduced.  Under worst_case each tile
+    of a later requirement is folded into ``values`` by ``np.maximum``,
+    which takes the bits of ``np.maximum.reduce`` over the requirements in
+    the same order, and the running maximum is reduced once.
     """
-    shape = (e.shape[0], a.shape[1])
+    cols = min(a.shape[1], _TILE_FLOATS)
     n_nan = 0
-    worst = None
     for k, rk in enumerate(spec.requirements):
-        values = np.broadcast_to(np.asarray(rk(theta, a, e), float), shape)
-        failed, nans = _failures(values)
-        fails[:, k] |= failed
-        n_nan += nans
+        for c in range(0, a.shape[1], cols):
+            tile = slice(c, c + cols)
+            out = values[:, tile]
+            v = np.broadcast_to(np.asarray(rk(theta, a[:, tile], e), float), out.shape)
+            failed, nans = _failures(v)
+            fails[tile, k] |= failed
+            n_nan += nans
+            if worst_case and k:
+                np.maximum(out, v, out=out)
+            else:
+                out[...] = v
+            del v  # before the next tile is evaluated
         if not worst_case:
-            values = np.sort(values, axis=-1)  # drops the requirement's own array
+            values.sort(axis=-1)
             _reduce(values, n_keep[k], p[k], m[k])
-        elif worst is None:
-            worst = np.array(values)
-        else:
-            np.maximum(worst, values, out=worst)
-        del values  # before the next requirement is evaluated
     if worst_case:
-        worst.sort(axis=-1)
-        _reduce(worst, n_keep[0], p[0], m[0])
+        values.sort(axis=-1)
+        _reduce(values, n_keep[0], p[0], m[0])
     return n_nan
 
 
 def analyze(spec: ProblemSpec, theta, data: ScenarioData, cfg: RmcConfig) -> RmcReport:
     """Full robust Monte Carlo report.  Each requirement is evaluated once
-    on the (n_a', n_e') testing grid, block by block of epistemic draws,
-    and the three range computations and the violation table share it.
-    Testing sets whose widths are not the spec's are an InputError; a NaN
-    requirement value is an ArithmeticError naming the NaN count, since it
-    would count neither as a failure nor as a success."""
+    on the (n_a', n_e') testing grid, block by block of epistemic draws and
+    tile by tile, and the three range computations and the violation table
+    share it.  Testing sets whose widths are not the spec's are an
+    InputError; a NaN requirement value is an ArithmeticError naming the
+    NaN count, since it would count neither as a failure nor as a success.
+    ``SCENDO_LOG=debug`` logs the blocks, tiles and requirement calls."""
     theta = np.asarray(theta, dtype=float)
     if theta.shape != (spec.m_theta,):
         raise InputError(f"theta must have shape ({spec.m_theta},), got {theta.shape}")
@@ -294,13 +297,21 @@ def analyze(spec: ProblemSpec, theta, data: ScenarioData, cfg: RmcConfig) -> Rmc
     fails = np.zeros((n_a, n_r), dtype=bool)
     p = np.empty((len(n_keep), n_e))  # failure probability per epistemic draw
     m = np.empty((len(n_keep), n_e), dtype=np.intp)  # successes per epistemic draw
-    step = max(1, _BLOCK_FLOATS // n_a)
+    step = min(max(1, _TILE_FLOATS // n_a), n_e)  # draws per block
+    buf = np.empty((step, n_a))  # one block of values, sorted in place
     n_nan = 0
     for j in range(0, n_e, step):
         block = slice(j, min(j + step, n_e))
+        values = buf[: block.stop - j]
         n_nan += _block(
-            spec, theta, a, e[block], n_keep, cfg.worst_case, fails, p[:, block], m[:, block]
+            spec, theta, a, e[block], n_keep, cfg.worst_case, values, fails, p[:, block], m[:, block]
         )
+    n_blocks, n_tiles = -(-n_e // step), -(-n_a // _TILE_FLOATS)
+    logger.debug(
+        "analyze: %d x %d testing grid points, %d blocks of up to %d draws, "
+        "%d tiles per block, %d requirement calls",
+        n_a, n_e, n_blocks, step, n_tiles, n_blocks * n_tiles * n_r,
+    )
     if n_nan:
         raise ArithmeticError(
             f"requirement values are NaN at {n_nan} of {n_r * n_a * n_e} testing grid points"

@@ -10,12 +10,18 @@ call whose batches would take more is solved but not kept, and never
 replays.  Under ``replaying_tape(recorded)`` the k-th call is checked
 against the k-th entry: when the key is equal and each new callable
 returns its recorded outputs bit for bit on its recorded batches, stacked
-into blocks of rows (the batch contract of ``scendo.nlp`` makes that the
+into screen blocks (the batch contract of ``scendo.nlp`` makes that the
 same as evaluating them one batch at a time), the solve would take the
 same L-BFGS-B steps, violation checks and penalty stages, so a copy of
-the recorded result is returned.  Any difference, or an earlier miss on
-the same tape, runs the real solve.  Outside both blocks no tape is
-active and every call is solved.
+the recorded result is returned.  A screen block is ``_SCREEN_BATCHES``
+times as many rows as the largest batch the recorded solve gave that
+callable, so the screen's temporaries stay within a few times the
+solve's own: on the certify benchmark's 12x10 grids a block is 112 rows
+and its grids stay below glibc's 128 KiB mmap threshold, which blocks of
+1024 rows would exceed eightfold.  A miss stops the screen after the
+block that shows it.  Any difference, or an earlier miss on the same tape,
+runs the real solve.  Outside both blocks no tape is active and every
+call is solved.
 
 The tape lives in the ``nlp._TAPE`` context variable, which
 ``nlp.minimize`` reads; this module holds everything else, so that only
@@ -36,8 +42,8 @@ from scendo.nlp import NlpOptions, NlpProblem, NlpResult
 
 Array = np.ndarray
 
-#: rows per block of the replay screen
-_BLOCK_ROWS = 1024
+#: rows of a replay screen block, in the recorded solve's largest batches
+_SCREEN_BATCHES = 4
 #: bytes one recording tape may hold; a solve that needs more is not kept
 _TAPE_BYTES = 4 << 20
 
@@ -66,6 +72,7 @@ class _Rows:
     def __init__(self):
         self.buf: Optional[Array] = None
         self.n = 0
+        self.widest = 0  # rows of the largest batch appended
 
     @property
     def nbytes(self) -> int:
@@ -90,6 +97,7 @@ class _Rows:
             self.buf = grown
         self.buf[start:stop] = rows
         self.n = stop
+        self.widest = max(self.widest, len(rows))
         return True
 
 
@@ -148,23 +156,28 @@ class _Entry:
             self.result = copy.deepcopy(result)
         return result
 
-    def replays(self, problem: NlpProblem, opts: NlpOptions) -> bool:
+    def replays(self, problem: NlpProblem, opts: NlpOptions) -> tuple[bool, int]:
         """Whether ``problem`` would retrace this solve exactly: each callable
         returns its recorded outputs on its recorded batches, constraints
-        first (they carry the scenario set), a block of rows at a time."""
+        first (they carry the scenario set), a screen block of
+        ``_SCREEN_BATCHES`` of its largest recorded batches at a time; and
+        the rows screened."""
         if self.result is None or _problem_key(problem, opts) != self.key:
-            return False
+            return False, 0
+        screened = 0
         for c, fn in ((1, problem.constraints_batch), (0, problem.objective_batch)):
             inputs, outputs = self.streams[c]
-            for start in range(0, inputs.n, _BLOCK_ROWS):
-                block = slice(start, min(start + _BLOCK_ROWS, inputs.n))
+            step = max(_SCREEN_BATCHES * inputs.widest, 1)
+            for start in range(0, inputs.n, step):
+                block = slice(start, min(start + step, inputs.n))
+                screened += block.stop - start
                 try:
                     out = fn(inputs.buf[block].copy())  # fn cannot write the tape
                 except Exception:  # solving raises there too, or leaves the path before: solve
-                    return False
+                    return False, screened
                 if not _same_bits(out, outputs.buf[block]):
-                    return False
-        return True
+                    return False, screened
+        return True, screened
 
 
 class _Tape:
@@ -176,6 +189,7 @@ class _Tape:
         self.entries: list = [] if entries is None else entries
         self.calls = 0
         self.hits = 0
+        self.screened = 0  # rows the replay screens evaluated
 
     @property
     def replayed(self) -> bool:
@@ -189,9 +203,12 @@ class _Tape:
             budget = _TAPE_BYTES - sum(entry.nbytes for entry in self.entries)
             self.entries.append(_Entry(problem, opts, budget))
             return self.entries[-1].solve(problem, opts)
-        if self.hits == k and k < len(self.entries) and self.entries[k].replays(problem, opts):
-            self.hits += 1
-            return copy.deepcopy(self.entries[k].result)
+        if self.hits == k and k < len(self.entries):
+            replays, screened = self.entries[k].replays(problem, opts)
+            self.screened += screened
+            if replays:
+                self.hits += 1
+                return copy.deepcopy(self.entries[k].result)
         return nlp._solve(problem, opts)
 
 

@@ -31,7 +31,9 @@ from typing import Callable, Optional
 import numpy as np
 
 from scendo import nlp
-from scendo.core import EpistemicSet, InputError, ProblemSpec, ScenarioData, _scipy_extension, r_max
+from scendo.core import (
+    EpistemicSet, InputError, ProblemSpec, ScenarioData, _TILE_FLOATS, _scipy_extension, r_max,
+)
 
 Array = np.ndarray
 logger = logging.getLogger(__name__)
@@ -195,15 +197,24 @@ def epsilon_bar(n_a: int, k: int, beta: float) -> float:
             ]
         )
     )
-    # the grid in blocks of about 2**16 series terms: few calls, bounded memory
-    step = max(1, 2**16 // (4 * n_a))
-    vals = np.concatenate([log_gap(grid[i : i + step]) for i in range(0, grid.size, step)])
-    crossings = np.flatnonzero((vals[:-1] < 0) & (vals[1:] >= 0))
-    if crossings.size == 0:
+    # the grid in blocks of at most _TILE_FLOATS series terms (one t takes
+    # about 4 * n_a), so each block's term arrays stay on the heap; the
+    # rows of a block are reduced one by one, the bits of one whole-grid
+    # call.  The blocks stop at the first crossing, the smaller root: the
+    # residual is negative below it
+    step = max(1, _TILE_FLOATS // (4 * n_a))
+    i, prev = None, np.empty(0)
+    for start in range(0, grid.size, step):
+        vals = np.concatenate((prev, log_gap(grid[start : start + step])))
+        crossings = np.flatnonzero((vals[:-1] < 0) & (vals[1:] >= 0))
+        if crossings.size:
+            i = start - prev.size + crossings[0]
+            break
+        prev = vals[-1:]
+    if i is None:
         raise ArithmeticError(
             f"failed to bracket the risk-bound root for n_a={n_a}, k={k}, beta={beta}"
         )
-    i = crossings[0]  # the smaller root: residual is negative below it
     root = _brentq(log_gap, grid[i], grid[i + 1], xtol=1e-15, rtol=8.9e-16, maxiter=200)
     return float(1.0 - root)
 
@@ -264,7 +275,7 @@ def support_scenarios(solver: Callable, data: ScenarioData) -> Array:
 
     with replay.recording_tape() as tape:
         base = _design_of(solver(data))
-    support, resolved, unconverged = [], [], []
+    support, resolved, unconverged, screened = [], [], [], []
     for i in range(data.n_a):
         try:
             with replay.replaying_tape(tape) as replayed:
@@ -278,6 +289,7 @@ def support_scenarios(solver: Callable, data: ScenarioData) -> Array:
             ) from exc
         if not replayed.replayed:
             resolved.append(i)
+        screened.append(replayed.screened)
         status = getattr(out, "solver_status", "converged")
         if status != "converged":
             unconverged.append(f"{i} ({status})")
@@ -289,8 +301,9 @@ def support_scenarios(solver: Callable, data: ScenarioData) -> Array:
             ", ".join(unconverged),
         )
     logger.debug(
-        "leave-one-out: %d of %d solves replayed; re-solved scenarios %s",
-        data.n_a - len(resolved), data.n_a, resolved,
+        "leave-one-out: %d of %d solves replayed; re-solved scenarios %s; "
+        "rows screened per solve %s",
+        data.n_a - len(resolved), data.n_a, resolved, screened,
     )
     return np.array(support, dtype=int)
 

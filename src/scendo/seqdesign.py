@@ -21,9 +21,10 @@ log-determinant alone and the likelihood only breaks exact ties; with
 that tie-break.  Each greedy pick scores every candidate's log-determinant
 by a rank-one update of the selection's covariance (matrix determinant
 lemma, as in fast greedy MAP inference for determinantal point processes),
-and 1-swaps then search within groups of equal violation patterns, formed
-once per selection.  Epistemic training scenarios are the testing draws
-with the largest worst-case requirement over the selected aleatory points.
+a tile of the pool at a time, and 1-swaps then search among the points
+of a member's violation pattern.  Epistemic training scenarios are the
+testing draws with the largest worst-case requirement over the selected
+aleatory points.
 
 Training sets assembled this way are not IID draws, so the scenario risk
 bound does not apply to the designs this loop produces; reports flag that.
@@ -40,7 +41,8 @@ import numpy as np
 
 from scendo import nlp
 from scendo.core import (
-    AlphaConfig, InputError, ProblemSpec, ScenarioData, _fractions, _integers, r_max,
+    AlphaConfig, InputError, ProblemSpec, ScenarioData, _TILE_FLOATS, _fractions, _integers,
+    r_max,
 )
 from scendo.montecarlo import RmcConfig, analyze
 from scendo.programs import (
@@ -157,11 +159,13 @@ def default_budgets(c: Array, n_a_target: int) -> Array:
 _COV_JITTER = 1e-9
 
 
-def _best(cand: Array, gains: Array, like: Array) -> int:
+def _best(cand: Array, gains: Array, like: Array) -> tuple:
     """The candidate with the largest gain, then the largest likelihood
-    among those tied, then the lowest index (``cand`` is ascending)."""
-    tied = np.flatnonzero(gains == gains.max())
-    return int(cand[tied[np.argmax(like[cand[tied]])]])
+    among those tied, then the lowest index (``cand`` is ascending), and
+    its gain."""
+    top = gains.max()
+    tied = np.flatnonzero(gains == top)
+    return int(cand[tied[np.argmax(like[cand[tied]])]]), top
 
 
 class _Selection:
@@ -170,17 +174,22 @@ class _Selection:
     covariance A is fixed, and adding candidate x gives A + d d^T / n with
     d = x - mean and n the size with x, so by the matrix determinant lemma
     its log-determinant is logdet(A) + log1p(d^T A^-1 d / n).  One small
-    factorisation per pick scores every candidate."""
+    factorisation per pick, kept until the selection changes, scores every
+    candidate, a tile of the pool at a time (``best``)."""
 
     def __init__(self, pc: Array, like: Array, gamma: Array, lam: float):
         self.pc, self.like, self.gamma, self.lam = pc, like, gamma, lam
         self.cols = np.ascontiguousarray(pc.T)
         m = pc.shape[1]
+        #: pool points per tile: the (m, tile) offsets and products of a
+        #: tile's scores hold _TILE_FLOATS together
+        self.tile = max(1, _TILE_FLOATS // (2 * m))
         self.mask = np.zeros(pc.shape[0], dtype=bool)
         self.s1 = np.zeros(m)
         self.s2 = np.zeros((m, m))
         self.count = 0
         self.like_sum = 0.0
+        self._factors = None
 
     def add(self, i: int) -> None:
         x = self.pc[i]
@@ -189,6 +198,7 @@ class _Selection:
         self.count += 1
         self.like_sum += self.gamma[i] * self.like[i]
         self.mask[i] = True
+        self._factors = None
 
     def remove(self, i: int) -> None:
         x = self.pc[i]
@@ -197,26 +207,38 @@ class _Selection:
         self.count -= 1
         self.like_sum -= self.gamma[i] * self.like[i]
         self.mask[i] = False
+        self._factors = None
 
     def _cov(self, dof: int) -> Array:
         """Scatter of the selection over ``dof``, plus the jitter."""
         scatter = self.s2 - np.outer(self.s1, self.s1) / self.count
         return scatter / dof + _COV_JITTER * np.eye(self.s1.size)
 
-    def _logdets_with(self, cand: Array) -> Array:
+    def _factor(self) -> tuple:
+        """(logdet(A), A^-1, mean) of the current selection; A^-1 is None
+        when A is not positive definite."""
+        if self._factors is None:
+            a = self._cov(self.count)
+            sign, logdet = np.linalg.slogdet(a)
+            self._factors = (logdet, np.linalg.inv(a) if sign > 0 else None, self.s1 / self.count)
+        return self._factors
+
+    def _logdets_with(self, cand: Array, gemm: bool = False) -> Array:
         n = self.count + 1
         if n < 2:
             return np.zeros(cand.size)
-        a = self._cov(self.count)
-        sign, logdet = np.linalg.slogdet(a)
-        if not sign > 0:
+        logdet, inv, mean = self._factor()
+        if inv is None:
             return np.full(cand.size, -np.inf)
+        # inv @ d is one BLAS call, a gemv for one column, whose bits differ
+        # from a gemm's: one candidate of a wider pool is scored as two
+        cols = np.repeat(cand, 2) if gemm and cand.size == 1 else cand
         # one row per coordinate: np.take of columns is a fast gather
-        d = np.take(self.cols, cand, axis=1)
-        d -= (self.s1 / self.count)[:, None]
-        q = np.linalg.inv(a) @ d
+        d = np.take(self.cols, cols, axis=1)
+        d -= mean[:, None]
+        q = inv @ d
         q *= d
-        out = q.sum(axis=0)
+        out = q.sum(axis=0)[: cand.size]
         out /= n
         with np.errstate(invalid="ignore"):
             np.log1p(out, out=out)
@@ -224,14 +246,35 @@ class _Selection:
         out[~np.isfinite(out)] = -np.inf
         return out
 
-    def gains(self, cand: Array) -> Array:
+    def gains(self, cand: Array, gemm: bool = False) -> Array:
         g = self.gamma[cand] * self.like[cand]
         if self.lam > 0:
-            g = g + self.lam * self._logdets_with(cand)
+            logdets = self._logdets_with(cand, gemm)
+            logdets *= self.lam
+            g += logdets  # IEEE addition commutes: the bits of g + lam * logdets
         return g
 
-    def pick_best(self, cand: Array) -> int:
-        best = _best(cand, self.gains(cand), self.like)
+    def best(self, pool: Array) -> int:
+        """``_best`` among the points ``pool`` marks, or -1 when it marks
+        none.  A pool of more than ``tile`` candidates is scored a tile of
+        points at a time, so no temporary grows with the pool: the tiles'
+        bests compare by (gain, likelihood), and a tie keeps the earlier
+        one, whose index is lower."""
+        n_cand = np.count_nonzero(pool)
+        step = pool.size if n_cand <= self.tile else self.tile
+        best, top = -1, None
+        for start in range(0, pool.size, step):
+            cand = np.flatnonzero(pool[start : start + step])
+            if cand.size == 0:
+                continue
+            cand += start
+            i, gain = _best(cand, self.gains(cand, n_cand > 1), self.like)
+            if top is None or (gain, self.like[i]) > top:
+                best, top = i, (gain, self.like[i])
+        return best
+
+    def pick_best(self, pool: Array) -> int:
+        best = self.best(pool)
         self.add(best)
         return best
 
@@ -245,28 +288,32 @@ class _Selection:
 
 def _greedy_build(c, budgets, pc, like, gamma, lam, n_target) -> _Selection:
     """Violating scenarios until each budget is met (preferring candidates
-    that do not overshoot an already-met budget), then a feasible fill."""
+    that do not overshoot an already-met budget), then a feasible fill.
+    Candidates are passed as masks over the pool, which ``best`` scores a
+    tile at a time."""
     n_r = c.shape[1]
     sel = _Selection(pc, like, gamma, lam)
     counts = np.zeros(n_r, dtype=int)
     for k in range(n_r):
         while counts[k] < budgets[k]:
-            cand = np.flatnonzero(c[:, k] & ~sel.mask)
-            no_overshoot = cand[
-                ~np.any(c[cand][:, counts >= budgets], axis=1)
-            ] if np.any(counts >= budgets) else cand
-            pool = no_overshoot if no_overshoot.size else cand
-            if pool.size == 0:
+            pool = c[:, k] & ~sel.mask
+            met = counts >= budgets
+            if met.any():
+                no_overshoot = pool & ~np.any(c[:, met], axis=1)
+                if no_overshoot.any():
+                    pool = no_overshoot
+            if not pool.any():
                 break
             i = sel.pick_best(pool)
             counts += c[i].astype(int)
     if np.any(counts != budgets):
         logger.info("selection budgets relaxed: wanted %s, got %s", budgets, counts)
+    feasible = gamma == 0.0
     while sel.count < n_target:
-        cand = np.flatnonzero((gamma == 0.0) & ~sel.mask)
-        if cand.size == 0:
+        pool = feasible & ~sel.mask
+        if not pool.any():
             raise InputError("cannot fill the selection without breaking budgets")
-        sel.pick_best(cand)
+        sel.pick_best(pool)
     return sel
 
 
@@ -318,19 +365,22 @@ def select_training_aleatory(
     # column-major, so every _Selection's coordinate rows are a view of it
     centered = points - points.mean(axis=0)
     _, vecs = np.linalg.eigh(np.atleast_2d(np.cov(centered, rowvar=False)))
-    pc = np.asfortranarray(centered @ vecs)
+    pc = centered @ vecs
+    del centered  # before the column-major copy: one pool-sized array fewer
+    pc = np.asfortranarray(pc)
 
-    builds = [_greedy_build(c, budgets, pc, like, gamma, lambda_div, n_a_target)]
+    # the builds' masks only: a build's own likelihoods go with it
+    builds = [_greedy_build(c, budgets, pc, like, gamma, lambda_div, n_a_target).mask]
     if lambda_div > 0:
-        builds.append(_greedy_build(c, budgets, pc, like, gamma, 0.0, n_a_target))
+        builds.append(_greedy_build(c, budgets, pc, like, gamma, 0.0, n_a_target).mask)
         builds.append(
-            _greedy_build(c, budgets, pc, np.ones(n_pool), gamma, lambda_div, n_a_target)
+            _greedy_build(c, budgets, pc, np.ones(n_pool), gamma, lambda_div, n_a_target).mask
         )
     # every build re-scored by the combined objective
     scored = []
     for build in builds:
         scored.append(_Selection(pc, like, gamma, lambda_div))
-        for i in np.flatnonzero(build.mask):
+        for i in np.flatnonzero(build):
             scored[-1].add(int(i))
     values = [s.value() for s in scored]
     winner = int(np.argmax(values))
@@ -350,22 +400,16 @@ _SWAP_PASSES = 50
 def _swap_refine(sel: _Selection, c: Array) -> tuple[int, int]:
     """1-swaps within equal violation-pattern groups until no improvement,
     over at most _SWAP_PASSES passes; returns (passes, swaps accepted)."""
-    _, patterns = np.unique(c, axis=0, return_inverse=True)
-    patterns = patterns.ravel()
-    order = np.argsort(patterns, kind="stable")
-    groups = np.split(order, np.cumsum(np.bincount(patterns))[:-1])
     swaps = 0
     for passes in range(1, _SWAP_PASSES + 1):
         improved = False
         for i in np.flatnonzero(sel.mask):
-            group = groups[patterns[i]]
-            cand = group[~sel.mask[group]]
-            if cand.size == 0:
+            pool = np.all(c == c[i], axis=1) & ~sel.mask
+            if not pool.any():
                 continue
             base = sel.value()
             sel.remove(int(i))
-            j = _best(cand, sel.gains(cand), sel.like)
-            sel.add(j)
+            j = sel.pick_best(pool)
             if sel.value() > base + 1e-12:
                 improved = True
                 swaps += 1

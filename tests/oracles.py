@@ -272,6 +272,47 @@ class StackedSelection:
         return val
 
 
+def whole_pool_gains(sel, cand):
+    """The gains of the candidates ``cand`` of a ``seqdesign._Selection``
+    scored over the whole pool at once: one slogdet and inverse of the
+    selection's jittered covariance A, and every candidate's rank-one term
+    d^T A^-1 d from one BLAS product ``inv(A) @ d`` as wide as the pool."""
+    g = sel.gamma[cand] * sel.like[cand]
+    if sel.lam <= 0:
+        return g
+    n = sel.count + 1
+    if n < 2:
+        return g + sel.lam * np.zeros(cand.size)
+    scatter = sel.s2 - np.outer(sel.s1, sel.s1) / sel.count
+    a = scatter / sel.count + COV_JITTER * np.eye(sel.s1.size)
+    sign, logdet = np.linalg.slogdet(a)
+    if not sign > 0:
+        return g + sel.lam * np.full(cand.size, -np.inf)
+    d = np.take(sel.cols, cand, axis=1)
+    d -= (sel.s1 / sel.count)[:, None]
+    q = np.linalg.inv(a) @ d
+    q *= d
+    out = q.sum(axis=0)
+    out /= n
+    with np.errstate(invalid="ignore"):
+        np.log1p(out, out=out)
+    out += logdet
+    out[~np.isfinite(out)] = -np.inf
+    return g + sel.lam * out
+
+
+def whole_pool_best(sel, pool) -> int:
+    """``seqdesign._Selection.best`` restated over the whole pool: the
+    candidate ``pool`` marks with the largest ``whole_pool_gains``, then
+    the largest likelihood, then the lowest index; -1 for an empty pool."""
+    cand = np.flatnonzero(pool)
+    if cand.size == 0:
+        return -1
+    gains = whole_pool_gains(sel, cand)
+    tied = np.flatnonzero(gains == gains.max())
+    return int(cand[tied[np.argmax(sel.like[cand[tied]])]])
+
+
 def stacked_swap_refine(sel: StackedSelection, c, passes: int = 50) -> None:
     """1-swaps within equal violation patterns, each member's candidates
     found by comparing every pattern, until a pass improves nothing."""

@@ -1,4 +1,5 @@
 import dataclasses
+import logging
 import os
 import subprocess
 import sys
@@ -12,7 +13,7 @@ from scipy.stats import beta
 
 import scendo
 from oracles import analyze_full_grid
-from scendo import circle, montecarlo
+from scendo import circle, core, montecarlo
 from scendo.core import InputError, ProblemSpec, ScenarioData
 from scendo.ecdf import cdf_of
 from scendo.montecarlo import RmcConfig, analyze, clopper_pearson
@@ -298,24 +299,28 @@ def _rounded_stretched(th, a, e):
     return np.round(circle.circle_requirement(th, 1.2 * a, e), 1)
 
 
-# (n_a', n_e', epistemic draws per requirement call): a 4 MiB block holds
-# 2**19 grid values, so 2**19 + 1 aleatory points give one-draw blocks and
-# 2**18 give two-draw blocks with a one-draw remainder
+#: values per tile of a requirement call
+_TILE = core._TILE_FLOATS
+
+# (n_a', n_e', (epistemic draws, aleatory points) per requirement call): a
+# tile holds 2**14 grid values, so 2 * 2**14 + 5 aleatory points give
+# one-draw blocks of three column tiles each, 2**12 give four-draw blocks
+# with a two-draw remainder, and 120 x 9 values are one block and one tile
 _BLOCKINGS = {
-    "one_draw_blocks": (2**19 + 1, 3, [1, 1, 1]),
-    "remainder_block": (2**18, 5, [2, 2, 1]),
-    "single_block": (120, 9, [9]),
+    "one_draw_blocks": (2 * _TILE + 5, 3, [(1, _TILE), (1, _TILE), (1, 5)] * 3),
+    "remainder_block": (_TILE // 4, 10, [(4, _TILE // 4)] * 2 + [(2, _TILE // 4)]),
+    "single_block": (120, 9, [(9, 120)]),
 }
 
 
 @pytest.mark.parametrize("worst_case", [False, True])
 @pytest.mark.parametrize("blocking", sorted(_BLOCKINGS))
 def test_streamed_analyze_matches_full_grid_oracle(circle_spec, blocking, worst_case):
-    n_a_test, n_e_test, expected_draws = _BLOCKINGS[blocking]
-    draws_per_call = []
+    n_a_test, n_e_test, expected_calls = _BLOCKINGS[blocking]
+    call_shapes = []
 
     def counted(th, a, e):
-        draws_per_call.append(e.shape[0])
+        call_shapes.append((e.shape[0], a.shape[1]))
         return circle.circle_requirement(th, a, e)
 
     spec = dataclasses.replace(circle_spec, requirements=[counted, _rounded_stretched])
@@ -328,7 +333,7 @@ def test_streamed_analyze_matches_full_grid_oracle(circle_spec, blocking, worst_
         worst_case=worst_case,
     )
     got = analyze(spec, theta, data, cfg)
-    assert draws_per_call == expected_draws
+    assert call_shapes == expected_calls
     want = analyze_full_grid(spec, theta, data, cfg)
     for field in dataclasses.fields(want):
         g, w = getattr(got, field.name), getattr(want, field.name)
@@ -340,6 +345,20 @@ def test_streamed_analyze_matches_full_grid_oracle(circle_spec, blocking, worst_
     # the rounded requirement ties within a row, so the tie shift ran
     row = np.sort(_rounded_stretched(theta, data.testing_aleatory, data.testing_epistemic[0]))
     assert np.any(row[1:] == row[:-1])
+
+
+@pytest.mark.parametrize("n_a_test, n_e_test, blocks", [
+    (2 * _TILE + 5, 3, "3 blocks of up to 1 draws, 3 tiles per block, 18 requirement calls"),
+    (_TILE // 4, 10, "3 blocks of up to 4 draws, 1 tiles per block, 6 requirement calls"),
+])
+def test_analyze_logs_its_blocks_tiles_and_requirement_calls(circle_spec, caplog, n_a_test,
+                                                             n_e_test, blocks):
+    spec = dataclasses.replace(circle_spec, requirements=[circle.circle_requirement] * 2)
+    data = circle.generate_dataset(3, 3, seed=4, n_a_test=n_a_test, n_e_test=n_e_test)
+    with caplog.at_level(logging.DEBUG, logger="scendo.montecarlo"):
+        analyze(spec, np.array([0.3, 0.2, 2.5]), data, ZERO_CFG)
+    lines = [r.getMessage() for r in caplog.records if r.name == "scendo.montecarlo"]
+    assert lines == [f"analyze: {n_a_test} x {n_e_test} testing grid points, {blocks}"]
 
 
 def test_kept_aleatory_count_is_exact_on_a_k_over_n_fraction():
@@ -364,26 +383,45 @@ def test_kept_epistemic_count_is_exact_on_a_k_over_n_fraction():
     assert rep.range_d.tolist() == [[float(lo[0]), float(hi[0])]]
 
 
-#: analyze's working set is bounded in its own 4 MiB blocks of grid values
-_BLOCK_BYTES = montecarlo._BLOCK_FLOATS * 8
+#: analyze's working set is bounded in tiles of grid values (128 KiB)
+_TILE_BYTES = _TILE * 8
+
+
+def _warm_peak(call) -> int:
+    """tracemalloc's peak over a second call of ``call``, the first warming it."""
+    call()
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.mark.parametrize("worst_case", [False, True])
 @pytest.mark.parametrize("n_r", [1, 3])
 def test_analyze_peak_memory_stays_within_two_blocks(circle_spec, n_r, worst_case):
     # the sequential workload's testing grid: 20000 x 400 floats are 64 MB,
-    # 15.3 blocks. One requirement's block values and their sorted copy are
-    # two blocks; under worst_case the running maximum is a third while the
-    # next requirement is evaluated
+    # 488 tiles. A block is one draw, and the buffer holds its 20000 values
+    # (1.2 tiles) for every requirement and for worst_case's running
+    # maximum; the circle kernels hold two tile-sized arrays while they run,
+    # and the failure table is n_r bools a point
     data = circle.generate_dataset(3, 3, seed=2, n_a_test=20000, n_e_test=400)
     spec = dataclasses.replace(circle_spec, requirements=[circle.circle_requirement] * n_r)
     theta = np.array([0.3, 0.2, 2.5])
     cfg = RmcConfig(np.zeros(1), np.zeros(1), worst_case=worst_case)
-    analyze(spec, theta, data, cfg)  # warm
-    tracemalloc.start()
-    try:
-        analyze(spec, theta, data, cfg)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < (3.5 if worst_case and n_r > 1 else 2.5) * _BLOCK_BYTES
+    assert _warm_peak(lambda: analyze(spec, theta, data, cfg)) < 4.5 * _TILE_BYTES
+
+
+@pytest.mark.parametrize("alpha_a", [0.0, 0.05])
+def test_analyze_peak_memory_on_tied_values(circle_spec, alpha_a):
+    # values rounded to 0.1 tie within every row, so the tie shift of
+    # ecdf.strictify_sorted builds its row-sized index and offset arrays,
+    # about 6 tiles for a 20000-value row on top of the untied working set
+    data = circle.generate_dataset(3, 3, seed=2, n_a_test=20000, n_e_test=400)
+    spec = dataclasses.replace(circle_spec, requirements=[
+        lambda th, a, e: np.round(circle.circle_requirement(th, a, e), 1)
+    ])
+    theta = np.array([0.3, 0.2, 2.5])
+    cfg = RmcConfig(np.array([alpha_a]), np.zeros(1))
+    assert _warm_peak(lambda: analyze(spec, theta, data, cfg)) < 10 * _TILE_BYTES

@@ -116,3 +116,39 @@ def test_solve_outgrowing_the_tape_budget_is_not_kept(monkeypatch):
     for res in (base, again):
         assert res.x.tobytes() == cold.x.tobytes()
         assert res.diagnostics == cold.diagnostics
+
+
+def test_a_miss_in_the_first_screen_block_evaluates_one_block(monkeypatch):
+    # the constraints are one ulp off on the first recorded row, so the
+    # screen stops after its first block: _SCREEN_BATCHES of the recorded
+    # solve's largest batches, not the whole recording
+    opts = nlp.NlpOptions(seed=0, n_starts=2, max_inner=30)
+    rows = {"f": 0, "g": 0}
+    with replay.recording_tape() as tape:
+        nlp.minimize(_counted_constrained_problem(rows, opts), opts)
+    inputs = tape.entries[0].streams[1][0]
+    block = replay._SCREEN_BATCHES * inputs.widest
+    assert 0 < inputs.widest and block < inputs.n
+    first = inputs.buf[0].copy()
+    problem = _counted_constrained_problem(rows, opts)
+
+    def constraints(X):
+        out = problem.constraints_batch(X)
+        hit = np.all(X == first, axis=-1)
+        out[hit] = np.nextafter(out[hit], np.inf)
+        return out
+
+    screens = []
+    original = replay._Entry.replays
+
+    def screened(entry, *args):
+        before = rows["f"] + rows["g"]
+        result = original(entry, *args)
+        screens.append(rows["f"] + rows["g"] - before)
+        return result
+
+    monkeypatch.setattr(replay._Entry, "replays", screened)
+    with replay.replaying_tape(tape) as replayed:
+        nlp.minimize(replace(problem, constraints_batch=constraints), opts)
+    assert not replayed.replayed
+    assert screens == [block] and replayed.screened == block

@@ -6,7 +6,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from scendo import circle, nlp, risk_bounds
+from scendo import circle, core, nlp, risk_bounds
 from scendo.core import AlphaConfig, EpistemicSet, InputError, ProblemSpec, ScenarioData, r_max
 from scendo.programs import solve_risk_agnostic_local, solve_risk_averse_local
 from scendo.risk_bounds import (
@@ -162,6 +162,52 @@ def test_residual_of_an_array_equals_its_scalar_calls():
         assert np.array_equal(log_gap(t).view(np.int64), scalar.view(np.int64))
 
 
+#: epsilon_bar's bracketing grid, restated
+_EPS_GRID = np.unique(np.concatenate([
+    np.geomspace(1e-16, 1e-2, 60),
+    np.linspace(1e-2, 1.0 - 1e-12, 220),
+    1.0 - np.geomspace(1e-12, 0.5, 60),
+]))
+
+
+@pytest.mark.parametrize("n_a", [7, 50, 5000])
+def test_epsilon_bar_grid_blocks_equal_one_whole_grid_call(n_a, monkeypatch):
+    # epsilon_bar brackets the root on its grid in blocks of at most
+    # _TILE_FLOATS series terms (one point takes about 4 * n_a of them), up
+    # to the block of the first crossing. The blocks' residuals are those of
+    # one call on the whole grid, bit for bit, and so is the root
+    blocks = []
+
+    def recording(*args):
+        log_gap = _make_residual(*args)
+
+        def call(t):
+            out = log_gap(t)
+            if np.ndim(t):  # a block of the grid; Brent's method passes floats
+                blocks.append((np.array(t), np.array(out)))
+            return out
+
+        return call
+
+    monkeypatch.setattr(risk_bounds, "_make_residual", recording)
+    step = max(1, core._TILE_FLOATS // (4 * n_a))
+    for k in sorted({0, 1, n_a // 3, n_a - 1}):
+        blocks.clear()
+        eps = epsilon_bar(n_a, k, 1e-4)
+        whole = _make_residual(n_a, k, 1e-4)(_EPS_GRID)
+        i = np.flatnonzero((whole[:-1] < 0) & (whole[1:] >= 0))[0]
+        # the blocks cover the grid up to the first crossing's block
+        assert [t.size for t, _ in blocks[:-1]] == [step] * (len(blocks) - 1)
+        seen = np.concatenate([t for t, _ in blocks])
+        assert seen.tobytes() == _EPS_GRID[: seen.size].tobytes()
+        assert i + 1 < seen.size <= i + 1 + step
+        assert np.concatenate([v for _, v in blocks]).tobytes() == whole[: seen.size].tobytes()
+        root = risk_bounds._brentq(
+            _make_residual(n_a, k, 1e-4), _EPS_GRID[i], _EPS_GRID[i + 1], **BRENT_TOL
+        )
+        assert eps == 1.0 - root
+
+
 def test_epsilon_bar_matches_high_precision_oracle():
     # exact-coefficient evaluation with mpmath for a small instance
     mpmath = pytest.importorskip("mpmath")
@@ -284,6 +330,12 @@ def test_replayed_leave_one_out_solves_equal_cold_solves(circle_spec, caplog):
     support, cold, (replayed, n_a, resolved) = _taped_and_cold(solve, data, caplog)
     assert n_a == data.n_a and replayed + len(resolved) == n_a
     assert replayed >= 1 and resolved
+    # the debug line also gives the rows each leave-one-out solve's replay
+    # screens evaluated: every replayed solve screened its whole recording
+    (line,) = [r.getMessage() for r in caplog.records if "rows screened per solve" in r.getMessage()]
+    screened = [int(v) for v in re.search(r"rows screened per solve \[([\d, ]*)\]", line)[1].split(",")]
+    assert len(screened) == n_a
+    assert len({screened[i] for i in set(range(n_a)) - set(resolved)}) == 1 and max(screened) > 0
     assert set(support) <= set(resolved)  # a moved design was re-solved
     for i in set(range(n_a)) - set(resolved):
         assert cold[i + 1].theta_star.tobytes() == cold[0].theta_star.tobytes()

@@ -1,6 +1,7 @@
 import dataclasses
 import logging
 import re
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -14,8 +15,10 @@ from oracles import (
     selection_value,
     stacked_selection,
     stacked_swap_refine,
+    whole_pool_best,
+    whole_pool_gains,
 )
-from scendo import circle, nlp, seqdesign
+from scendo import circle, core, nlp, seqdesign
 from scendo.core import InputError, ScenarioData
 from scendo.montecarlo import RmcConfig, analyze
 from scendo.seqdesign import (
@@ -214,6 +217,91 @@ def test_rank_one_logdets_equal_stacked_slogdet(m, extra, seed):
         ref.add(int(i))
     cand = np.flatnonzero(~sel.mask)
     np.testing.assert_allclose(sel._logdets_with(cand), ref.logdets_with(cand), rtol=0, atol=1e-9)
+
+
+def _tiled_cloud(i: int) -> tuple:
+    """Selection instance ``i``: a pool of more than one tile of points in
+    one to three coordinates, one or two requirements violated at a rare,
+    a moderate or a common rate, a constant, tied or smooth likelihood,
+    default or explicit budgets, and lambda_div 0 or 2."""
+    rng = np.random.default_rng(100 + i)
+    m = 1 + i % 3
+    tile = core._TILE_FLOATS // m
+    pts = rng.normal(size=(tile + int(rng.integers(1, tile // 2)), m)) * rng.uniform(0.5, 3.0, m)
+    n_r = 1 + (i // 3) % 2
+    rate = (0.0005, 0.02, 0.3)[(i // 6) % 3]
+    c = rng.uniform(size=(len(pts), n_r)) < rate
+    density = (
+        None,
+        lambda p: np.round(np.exp(-0.5 * np.sum(p * p, axis=1)), 1),  # ties
+        lambda p: np.exp(-0.5 * np.sum(p * p, axis=1)),
+    )[i % 3]
+    budgets = rng.integers(0, 4, n_r) if i % 2 else None
+    lam = 2.0 if (i // 2) % 2 else 0.0
+    return c, pts, int(rng.integers(4, 9)), budgets, lam, density
+
+
+@pytest.mark.parametrize("block", range(5))
+def test_tiled_selection_matches_the_whole_pool_oracle(block, monkeypatch):
+    # ten random clouds per case, fifty in all: the picks scored a tile at a
+    # time equal the picks scored over the whole pool in one BLAS product
+    for i in range(10 * block, 10 * block + 10):
+        args = _tiled_cloud(i)
+        got = select_training_aleatory(*args)
+        with monkeypatch.context() as patched:
+            patched.setattr(_Selection, "best", whole_pool_best)
+            want = select_training_aleatory(*args)
+        assert np.array_equal(got, want), i
+
+
+def test_tile_scores_equal_the_whole_pool_scores_bit_for_bit():
+    # a one-column inv(A) @ d is a BLAS gemv, whose bits can differ from the
+    # gemm of a wider product; a lone candidate in a tile of a wider pool
+    # is scored as in the whole pool's gemm. Sixty tiles keep one point
+    # each, after a first tile of candidates; on this host about one lone
+    # score in eleven would differ from the gemm's as a gemv
+    rng = np.random.default_rng(3)
+    tile = core._TILE_FLOATS // 4  # the selection's tile in two coordinates
+    pts = rng.normal(size=(61 * tile, 2))
+    sel = _Selection(np.asfortranarray(pts), rng.uniform(size=len(pts)), np.zeros(len(pts)), 2.0)
+    assert sel.tile == tile
+    for i in range(10, 16):
+        sel.add(i)
+    pool = ~sel.mask
+    pool[tile:] = False
+    pool[tile::tile] = True
+    cand = np.flatnonzero(pool)
+    tiles = [cand[(cand >= t) & (cand < t + tile)] for t in range(0, len(pts), tile)]
+    assert [t.size for t in tiles] == [tile - 6] + [1] * 60
+    scores = np.concatenate([sel.gains(t, gemm=True) for t in tiles])
+    assert scores.tobytes() == whole_pool_gains(sel, cand).tobytes()
+    assert sel.best(pool) == whole_pool_best(sel, pool)
+
+
+#: bytes of one tile of floats
+_TILE_BYTES = core._TILE_FLOATS * 8
+
+
+@pytest.mark.parametrize("lam", [0.0, 2.0])
+def test_selection_peak_memory_on_a_20000_point_pool(lam):
+    # the sequential workload's pool: the per-call arrays (likelihoods,
+    # indicators, principal coordinates) take about 5 tiles, and the
+    # scores of a tile of candidates about 2 more
+    rng = np.random.default_rng(2)
+    pts = circle.sample_aleatory(20000, rng)
+    c = pts[:, :1] > 1.0
+
+    def call():
+        return select_training_aleatory(c, pts, 30, None, lam, circle.aleatory_density)
+
+    call()
+    tracemalloc.start()
+    try:
+        call()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * _TILE_BYTES
 
 
 @pytest.mark.parametrize("like", [
