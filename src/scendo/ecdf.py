@@ -18,14 +18,21 @@ are the single quantile/CDF primitive used by every scenario program, the
 weight rule, and the Monte Carlo analysis.
 
 Cost model.  The solvers call these helpers tens of thousands of times on
-batches of a few short rows, so the fixed cost per call dominates.  The
-kernel therefore validates a level with one reduction, does the index
-arithmetic (position t = alpha*(n-1), grid snap, segment index and
-fraction) at the level's own shape, a scalar or one entry per leading row,
-never broadcast over every row, and reads both knots of each row through
-one flat index into the C-ordered rows: row offset plus segment index, and
-that plus one.  Rows that are not C-contiguous are copied once by that
-flattening, so callers with long rows hand them over C-ordered.
+batches of a few short rows, so the fixed cost per call dominates.  Nearly
+every call passes ``sorted_quantile`` one level: a Python number or a
+size-1 array.  For such a level in [0, 1] on rows of two or more samples
+the kernel does the index arithmetic (position t = alpha*(n-1), grid snap,
+segment index and fraction) once, on Python floats with the same IEEE
+operations as the array path, and reads both knots as basic slices
+``values[..., i]`` and ``values[..., i + 1]``: no index array, no gather.
+Every other level (one per leading row, or one that is out of range, NaN
+or does not broadcast) and single-sample rows take the array path.  It
+validates the level with one reduction, does the index arithmetic at the
+level's own shape, never broadcast over every row, and reads both knots
+of each row through one flat index into the C-ordered rows: row offset
+plus segment index, and that plus one.  Rows that are not C-contiguous
+are copied once by that flattening, so callers with long rows hand them
+over C-ordered.  Both paths give the same type, shape and bits.
 
 ``quantile_of`` and ``cdf_of`` sort with numpy's default float sort,
 which dispatches to SIMD kernels where the CPU has them, and not with the
@@ -64,7 +71,9 @@ def strictify_sorted(values: Array) -> Array:
     When any row of the batch holds a tie, every entry takes the shift,
     the j = 0 ones included, so -0.0 + 0.0 leaves no negative zero: the
     result does not depend on the order the sort gave equal zeros, which
-    lets the callers sort with the (unstable) default kind.
+    lets the callers sort with the (unstable) default kind.  The run ranks
+    j and the shifts are built for the tied rows alone; every other row
+    takes ``values + 0.0``, its zero shift.
     """
     values = np.asarray(values, dtype=float)
     n = values.shape[-1]
@@ -73,16 +82,24 @@ def strictify_sorted(values: Array) -> Array:
     rises = _increasing(values)
     if rises.all():
         return values
-    idx = np.arange(n)
-    new_run = np.concatenate([np.ones(values.shape[:-1] + (1,), dtype=bool), rises], axis=-1)
-    run_start = np.maximum.accumulate(np.where(new_run, idx, 0), axis=-1)
-    j = idx - run_start
-    out = values + j * TIE_EPS * np.maximum(1.0, np.abs(values))
+    out = values + 0.0
+    rows = out.reshape(-1, n)  # a view: out is a fresh C-ordered array
+    rises = rises.reshape(-1, n - 1)
+    tied = np.flatnonzero(~rises.all(axis=1))
+    # j in floats, exact for any row length; one row-sized temporary at a time
+    idx = np.arange(float(n))
+    j = np.where(np.concatenate([np.ones((tied.size, 1), dtype=bool), rises[tied]], axis=1), idx, 0.0)
+    np.maximum.accumulate(j, axis=1, out=j)  # each member's run start
+    np.subtract(idx, j, out=j)
+    del idx
+    j *= TIE_EPS
+    scale = rows[tied]
+    j *= np.maximum(np.abs(scale, out=scale), 1.0, out=scale)
+    del scale
+    rows[tied] += j
     if not _increasing(out).all():
         # near-duplicates closer than the tie shift: walk the offending rows
-        out = out.copy()
-        flat = out.reshape(-1, n)
-        for row in flat:
+        for row in rows:
             for i in range(1, n):
                 if row[i] <= row[i - 1]:
                     row[i] = row[i - 1] + TIE_EPS * max(1.0, abs(row[i]))
@@ -101,13 +118,34 @@ def _knots(values: Array, lo_idx) -> tuple:
     return flat[pos], flat[pos + 1]
 
 
-def _check_level_shape(level: Array, values: Array) -> None:
+def _check_broadcast(name: str, arg: Array, values: Array) -> None:
     lead = values.shape[:-1]
     if lead and (
-        level.ndim > len(lead)
-        or any(a != 1 and a != b for a, b in zip(level.shape[::-1], lead[::-1]))
+        arg.ndim > len(lead)
+        or any(a != 1 and a != b for a, b in zip(arg.shape[::-1], lead[::-1]))
     ):
-        raise InputError(f"level of shape {level.shape} does not broadcast to the rows {lead}")
+        raise InputError(f"{name} of shape {arg.shape} does not broadcast to the rows {lead}")
+
+
+def _one_level(values: Array, alpha: float) -> Array:
+    """``sorted_quantile`` of rows of n >= 2 samples at one level in [0, 1].
+
+    The array path's IEEE steps on Python floats (``round`` rounds half to
+    even as ``np.rint`` does, and ``int`` truncates), and both knots read
+    as basic slices, so the result carries the array path's bits.
+    """
+    n = values.shape[-1]
+    t = alpha * (n - 1)
+    snapped = float(round(t))
+    if abs(t - snapped) <= _SNAP * (n - 1):
+        t = snapped
+    i = min(int(t), n - 2)
+    frac = t - i
+    hi = values[..., i + 1]
+    if frac >= 1.0:
+        return hi.copy()
+    lo = values[..., i]
+    return lo + (hi - lo) * frac
 
 
 def sorted_quantile(values: Array, alpha) -> Array:
@@ -122,10 +160,17 @@ def sorted_quantile(values: Array, alpha) -> Array:
     """
     values = np.asarray(values, dtype=float)
     alpha = np.asarray(alpha, dtype=float)
+    n = values.shape[-1]
+    lead = values.shape[:-1]
+    if alpha.size == 1 and n > 1 and (alpha.ndim <= len(lead) or not lead):
+        level = alpha.item()
+        if 0.0 <= level <= 1.0:
+            q = _one_level(values, level)
+            # 1-D rows give a numpy scalar; the array path an array of alpha's shape
+            return q if lead else np.full(alpha.shape, q)
     if not ((alpha >= 0) & (alpha <= 1)).all():  # also rejects NaN and +-inf
         raise InputError("quantile level must lie in [0, 1]")
-    _check_level_shape(alpha, values)
-    n = values.shape[-1]
+    _check_broadcast("level", alpha, values)
     if n == 1:
         return values[..., 0] + 0.0 * alpha
     t = alpha * (n - 1)
@@ -141,11 +186,17 @@ def sorted_quantile(values: Array, alpha) -> Array:
 def sorted_cdf(values: Array, z) -> Array:
     """CDF of pre-sorted, strictly increasing rows evaluated at z.
 
-    ``z`` may be a scalar or broadcastable against the leading shape.  A
-    single-sample row yields the step 1{z >= sample}.
+    ``z`` may be a scalar or an array broadcastable to the leading shape
+    of ``values`` (or any shape when ``values`` is one-dimensional); +-inf
+    give 0 and 1.  A single-sample row yields the step 1{z >= sample}.  A
+    NaN point, or one of a shape that does not broadcast to the leading
+    shape, raises InputError.
     """
     values = np.asarray(values, dtype=float)
     z = np.asarray(z, dtype=float)
+    if np.isnan(z).any():
+        raise InputError("CDF point must not be NaN")
+    _check_broadcast("point", z, values)
     n = values.shape[-1]
     if n == 1:
         return (z >= values[..., 0]).astype(float)

@@ -3,11 +3,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 sys.path.insert(0, str(Path(__file__).parent))  # for the oracles module
 
 from scendo import circle, nlp
 from scendo.core import AlphaConfig, ScenarioData
+
+#: a fixed, larger sample for the properties that leave max_examples to the
+#: profile: ``pytest --hypothesis-profile=derandomized``
+settings.register_profile("derandomized", derandomize=True, max_examples=2000, deadline=None)
 
 
 @pytest.fixture(scope="session")

@@ -1,9 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import interpolant_cdf, interpolant_quantile, quantile_reference, strictify_rows
+from oracles import SNAP, interpolant_cdf, interpolant_quantile, quantile_reference, strictify_rows
 from scendo.core import InputError
 from scendo.ecdf import cdf_of, quantile_of, sorted_cdf, sorted_quantile, strictify_sorted
 from scendo.weights import sorted_fractions
@@ -174,6 +176,53 @@ def test_level_not_broadcasting_to_the_rows_raises_input_error(lead, shape):
             quantile_of(values, np.full(shape, 0.5))
 
 
+@pytest.mark.parametrize("z", [np.nan, [0.5, np.nan, 0.1]])
+def test_nan_point_raises_input_error(z):
+    # +-inf are valid points, with CDF 0 and 1; a NaN has no CDF value
+    for values in (np.arange(3.0), np.arange(9.0).reshape(3, 3), np.ones((3, 1))):
+        assert np.array_equal(sorted_cdf(values, -np.inf), np.zeros(values.shape[:-1]))
+        assert np.array_equal(cdf_of(values, np.inf), np.ones(values.shape[:-1]))
+        with pytest.raises(InputError, match="NaN"):
+            sorted_cdf(values, z)
+        with pytest.raises(InputError, match="NaN"):
+            cdf_of(values, z)
+
+
+@pytest.mark.parametrize(
+    "lead,shape",
+    [((3,), (4,)), ((3, 5), (5, 1)), ((3, 5), (2, 3, 5)), ((3, 5), (3,)), ((2, 1), (2, 2))],
+)
+def test_point_not_broadcasting_to_the_rows_raises_input_error(lead, shape):
+    for n in (1, 5):
+        values = np.sort(np.random.default_rng(6).normal(size=lead + (n,)), axis=-1)
+        with pytest.raises(InputError, match="broadcast"):
+            sorted_cdf(values, np.zeros(shape))
+        with pytest.raises(InputError, match="broadcast"):
+            cdf_of(values, np.zeros(shape))
+
+
+def test_strictify_sorted_shifts_only_the_tied_rows():
+    # 64 rows of 2048: row 3 ties -0.0 with +0.0, row 40 holds near-
+    # duplicates closer than the tie shift (the walk), row 41 holds -0.0
+    # with no tie.  The bits are the documented rule's, and the run ranks
+    # and shifts take memory for the two tied rows only, not the batch
+    rng = np.random.default_rng(7)
+    batch = rng.normal(size=(64, 2048))
+    batch[3, :4] = [-0.0, 0.0, -0.0, 0.0]
+    batch[40, :3] = [1.0, 1.0, 1.0 + 2.0**-50]
+    batch[41, 0] = -0.0
+    batch = np.sort(batch, axis=1)
+    want = np.array(strictify_rows(batch.tolist()))
+    _same_bits(strictify_sorted(batch), want)
+    tracemalloc.start()
+    try:
+        strictify_sorted(batch)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * batch.nbytes
+
+
 def _levels(n: int):
     """Levels on and off the grid, including 1 - j/(n-1), which misses the
     grid point by an ulp for several n and so needs the snap."""
@@ -262,3 +311,46 @@ def test_default_sort_gives_the_stable_sorts_bits(case):
     _same_bits(quantile_of(batch, levels), sorted_quantile(knots, levels))
     for z in points:
         _same_bits(cdf_of(batch, z), sorted_cdf(knots, z))
+
+
+@st.composite
+def _one_level_cases(draw):
+    """(rows, level, shape): sorted, tie-broken rows of 2-12 samples with
+    0-3 leading dims, drawn partly from a pool holding -0.0 and +0.0
+    (ties), one level (0, 1, on the grid i/(n-1), within about _SNAP of
+    it, or anywhere in [0, 1]) and a level shape of (), (1,) or (1, 1)
+    that broadcasts to the rows."""
+    lead = tuple(draw(st.lists(st.integers(1, 3), max_size=3)))
+    n = draw(st.integers(2, 12))
+    pool = [-0.0, 0.0] + draw(st.lists(st.floats(-50.0, 50.0), min_size=1, max_size=3))
+    entry = st.one_of(st.sampled_from(pool), st.floats(-1e3, 1e3))
+    size = int(np.prod(lead, dtype=int)) * n
+    values = np.array(draw(st.lists(entry, min_size=size, max_size=size))).reshape(lead + (n,))
+    near_grid = st.builds(
+        lambda i, d: min(max(i / (n - 1) + d, 0.0), 1.0),
+        st.integers(0, n - 1),
+        st.floats(-2 * SNAP, 2 * SNAP),
+    )
+    level = draw(st.one_of(_levels(n), near_grid))
+    shape = draw(st.sampled_from([s for s in [(), (1,), (1, 1)] if not lead or len(s) <= len(lead)]))
+    return strictify_sorted(np.sort(values, axis=-1)), level, shape
+
+
+@settings(deadline=None)
+@given(_one_level_cases())
+# an untied row ending in -0.0: at level 1 the upper knot itself, not
+# lo + (hi - lo) * 1.0, which gives +0.0
+@example(case=(np.array([[-1.0, -0.0]]), 1.0, ()))
+def test_one_level_path_matches_the_array_path_bit_for_bit(case):
+    # a second copy of the rows makes the reference's level array two
+    # entries long, so the reference takes the array path; its first copy
+    # has the one-level result's shape (the level's own for 1-D rows)
+    rows, level, shape = case
+    lead = rows.shape[:-1]
+    twice = np.stack([rows, rows])
+    want = sorted_quantile(twice, np.full((2,) + lead, level))[:1]
+    want = want.reshape(np.broadcast_shapes(lead, shape))
+    for alpha in (level, np.full(shape, level)) + ((int(level),) if level in (0.0, 1.0) else ()):
+        got = sorted_quantile(rows, alpha)
+        assert type(got) is np.ndarray
+        _same_bits(got, want if np.ndim(alpha) else want.reshape(lead))

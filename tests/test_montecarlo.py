@@ -416,12 +416,13 @@ def test_analyze_peak_memory_stays_within_two_blocks(circle_spec, n_r, worst_cas
 @pytest.mark.parametrize("alpha_a", [0.0, 0.05])
 def test_analyze_peak_memory_on_tied_values(circle_spec, alpha_a):
     # values rounded to 0.1 tie within every row, so the tie shift of
-    # ecdf.strictify_sorted builds its row-sized index and offset arrays,
-    # about 6 tiles for a 20000-value row on top of the untied working set
+    # ecdf.strictify_sorted builds its run ranks and shifts, one row-sized
+    # temporary at a time: about 2 tiles of a 20000-value row on top of the
+    # untied working set
     data = circle.generate_dataset(3, 3, seed=2, n_a_test=20000, n_e_test=400)
     spec = dataclasses.replace(circle_spec, requirements=[
         lambda th, a, e: np.round(circle.circle_requirement(th, a, e), 1)
     ])
     theta = np.array([0.3, 0.2, 2.5])
     cfg = RmcConfig(np.array([alpha_a]), np.zeros(1))
-    assert _warm_peak(lambda: analyze(spec, theta, data, cfg)) < 10 * _TILE_BYTES
+    assert _warm_peak(lambda: analyze(spec, theta, data, cfg)) < 6 * _TILE_BYTES
