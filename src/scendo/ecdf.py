@@ -46,6 +46,8 @@ the sort left them in: the results carry the same bits under either kind.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from scendo.core import InputError
@@ -82,8 +84,9 @@ def strictify_sorted(values: Array) -> Array:
     rises = _increasing(values)
     if rises.all():
         return values
-    out = values + 0.0
-    rows = out.reshape(-1, n)  # a view: out is a fresh C-ordered array
+    # C order whatever the input's layout, so that rows is a view of out
+    out = np.add(values, 0.0, order="C")
+    rows = out.reshape(-1, n)
     rises = rises.reshape(-1, n - 1)
     tied = np.flatnonzero(~rises.all(axis=1))
     # j in floats, exact for any row length; one row-sized temporary at a time
@@ -131,12 +134,13 @@ def _one_level(values: Array, alpha: float) -> Array:
     """``sorted_quantile`` of rows of n >= 2 samples at one level in [0, 1].
 
     The array path's IEEE steps on Python floats (``round`` rounds half to
-    even as ``np.rint`` does, and ``int`` truncates), and both knots read
-    as basic slices, so the result carries the array path's bits.
+    even as ``np.rint`` does, ``copysign`` keeps the sign ``np.rint`` keeps
+    for a level of -0.0, and ``int`` truncates), and both knots read as
+    basic slices, so the result carries the array path's bits.
     """
     n = values.shape[-1]
     t = alpha * (n - 1)
-    snapped = float(round(t))
+    snapped = math.copysign(round(t), t)
     if abs(t - snapped) <= _SNAP * (n - 1):
         t = snapped
     i = min(int(t), n - 2)

@@ -223,6 +223,29 @@ def test_strictify_sorted_shifts_only_the_tied_rows():
     assert peak < 1.5 * batch.nbytes
 
 
+@pytest.mark.parametrize(
+    "layout",
+    [
+        np.asfortranarray,
+        lambda b: np.ascontiguousarray(b.transpose(1, 0, 2)).transpose(1, 0, 2),
+    ],
+    ids=["fortran", "transposed"],
+)
+def test_strictify_sorted_shifts_rows_of_any_layout(layout):
+    # a sorted (2, 3, 6) batch with a tie, laid out so that a copy of it made
+    # in the input's own order (np.sort and ufuncs keep it) is not C-ordered;
+    # every layout gives the C-ordered batch's bits, strictly increasing
+    batch = np.sort(np.random.default_rng(8).normal(size=(2, 3, 6)), axis=-1)
+    batch[:, :, 1] = batch[:, :, 0]
+    batch = layout(batch)
+    assert not batch.flags.c_contiguous
+    want = strictify_sorted(np.ascontiguousarray(batch))
+    assert (np.diff(want, axis=-1) > 0).all()
+    _same_bits(strictify_sorted(batch), want)
+    for level in (0.0, 0.1, 1.0):
+        _same_bits(quantile_of(batch, level), sorted_quantile(want, level))
+
+
 def _levels(n: int):
     """Levels on and off the grid, including 1 - j/(n-1), which misses the
     grid point by an ulp for several n and so needs the snap."""
@@ -317,8 +340,8 @@ def test_default_sort_gives_the_stable_sorts_bits(case):
 def _one_level_cases(draw):
     """(rows, level, shape): sorted, tie-broken rows of 2-12 samples with
     0-3 leading dims, drawn partly from a pool holding -0.0 and +0.0
-    (ties), one level (0, 1, on the grid i/(n-1), within about _SNAP of
-    it, or anywhere in [0, 1]) and a level shape of (), (1,) or (1, 1)
+    (ties), one level (-0.0, 0, 1, on the grid i/(n-1), within about _SNAP
+    of it, or anywhere in [0, 1]) and a level shape of (), (1,) or (1, 1)
     that broadcasts to the rows."""
     lead = tuple(draw(st.lists(st.integers(1, 3), max_size=3)))
     n = draw(st.integers(2, 12))
@@ -331,7 +354,7 @@ def _one_level_cases(draw):
         st.integers(0, n - 1),
         st.floats(-2 * SNAP, 2 * SNAP),
     )
-    level = draw(st.one_of(_levels(n), near_grid))
+    level = draw(st.one_of(st.sampled_from([-0.0, 0.0, 1.0]), _levels(n), near_grid))
     shape = draw(st.sampled_from([s for s in [(), (1,), (1, 1)] if not lead or len(s) <= len(lead)]))
     return strictify_sorted(np.sort(values, axis=-1)), level, shape
 
@@ -341,6 +364,9 @@ def _one_level_cases(draw):
 # an untied row ending in -0.0: at level 1 the upper knot itself, not
 # lo + (hi - lo) * 1.0, which gives +0.0
 @example(case=(np.array([[-1.0, -0.0]]), 1.0, ()))
+# an untied row starting with -0.0 at level -0.0: t = -0.0 keeps its sign
+# through the snap, as np.rint keeps it, so the lower knot stays -0.0
+@example(case=(np.array([[-0.0, 1.0]]), -0.0, ()))
 def test_one_level_path_matches_the_array_path_bit_for_bit(case):
     # a second copy of the rows makes the reference's level array two
     # entries long, so the reference takes the array path; its first copy
@@ -350,7 +376,8 @@ def test_one_level_path_matches_the_array_path_bit_for_bit(case):
     twice = np.stack([rows, rows])
     want = sorted_quantile(twice, np.full((2,) + lead, level))[:1]
     want = want.reshape(np.broadcast_shapes(lead, shape))
-    for alpha in (level, np.full(shape, level)) + ((int(level),) if level in (0.0, 1.0) else ()):
+    exact = level in (0.0, 1.0) and not np.signbit(level)  # int(-0.0) is level +0.0
+    for alpha in (level, np.full(shape, level)) + ((int(level),) if exact else ()):
         got = sorted_quantile(rows, alpha)
         assert type(got) is np.ndarray
         _same_bits(got, want if np.ndim(alpha) else want.reshape(lead))
