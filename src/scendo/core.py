@@ -52,11 +52,11 @@ Array = np.ndarray
 
 #: floats per hot-loop temporary of ``montecarlo.analyze`` (a tile of
 #: requirement values), the training selection (a tile of candidates'
-#: offsets and products) and ``risk_bounds.epsilon_bar`` (a block of
-#: series terms): 2**14, 128 KiB, which glibc's default mmap threshold
-#: still serves from the heap.  So these loops reuse the same heap memory
-#: whatever the allocator did before, and do not fault fresh pages in on
-#: every pass.
+#: offsets and products), ``risk_bounds.epsilon_bar`` (a block of series
+#: terms) and the NLP's penalty (a block of squared violations): 2**14,
+#: 128 KiB, which glibc's default mmap threshold still serves from the
+#: heap.  So these loops reuse the same heap memory whatever the allocator
+#: did before, and do not fault fresh pages in on every pass.
 _TILE_FLOATS = 2**14
 
 

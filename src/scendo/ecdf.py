@@ -130,19 +130,24 @@ def _check_broadcast(name: str, arg: Array, values: Array) -> None:
         raise InputError(f"{name} of shape {arg.shape} does not broadcast to the rows {lead}")
 
 
+def _snap(t: float, n: int) -> float:
+    """t, snapped to the nearest integer when within ``_SNAP * n`` of it:
+    the array path's IEEE steps on a Python float (``round`` rounds half
+    to even as ``np.rint`` does, and ``copysign`` keeps the sign
+    ``np.rint`` keeps for -0.0)."""
+    snapped = math.copysign(round(t), t)
+    return snapped if abs(t - snapped) <= _SNAP * n else t
+
+
 def _one_level(values: Array, alpha: float) -> Array:
     """``sorted_quantile`` of rows of n >= 2 samples at one level in [0, 1].
 
-    The array path's IEEE steps on Python floats (``round`` rounds half to
-    even as ``np.rint`` does, ``copysign`` keeps the sign ``np.rint`` keeps
-    for a level of -0.0, and ``int`` truncates), and both knots read as
-    basic slices, so the result carries the array path's bits.
+    The array path's index arithmetic on Python floats (``_snap``, and
+    ``int`` truncates), and both knots read as basic slices, so the result
+    carries the array path's bits.
     """
     n = values.shape[-1]
-    t = alpha * (n - 1)
-    snapped = math.copysign(round(t), t)
-    if abs(t - snapped) <= _SNAP * (n - 1):
-        t = snapped
+    t = _snap(alpha * (n - 1), n - 1)
     i = min(int(t), n - 2)
     frac = t - i
     hi = values[..., i + 1]

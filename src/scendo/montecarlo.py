@@ -13,24 +13,22 @@ The (aleatory x epistemic) requirement evaluation grid is the hot loop,
 and it is evaluated only here: the report also carries the table of
 failing testing scenarios that the sequential design selects from.  The
 grid is streamed in blocks of epistemic draws, and each requirement is
-evaluated on a block in tiles of at most ``core._TILE_FLOATS`` values
-(2**14, 128 KiB): a tile is a block of whole rows while n_a' fits in
-one, else a block is one draw and its row is split into column tiles.
-Each tile's values are OR-ed into the failure table and written into one
-block buffer, allocated once per call; the buffer is sorted in place,
-trimmed and reduced to the block's failure probabilities and success
-counts, one requirement at a time.  So no full grid is ever held, and
-every temporary of the loop, the requirement's own included, is at most
-a tile (a row, where a row outgrows a tile), served from the heap below
-glibc's default mmap threshold: the loop runs in the same memory
-whatever the allocator did before.  Under
-worst_case the buffer holds the running maximum over the requirements
-instead, tile by tile.  A fraction excludes n * alpha values snapped to
-an integer within ecdf's tolerance (see ``_excluded``).  The result is
-bit-identical to evaluating the whole grid at once because every entry
-of a requirement depends only on its own (theta, a, e) point (the grid
-contract of ``scendo.core``) and every per-draw reduction reads only its
-own row.
+evaluated on a block in tiles of at most ``core._TILE_FLOATS`` values:
+a tile is a block of whole rows while n_a' fits in one, else a block is
+one draw and its row is split into column tiles.  Each tile's values are
+OR-ed into the failure table and written into one block buffer,
+allocated once per call; the buffer is sorted in place, trimmed and
+reduced to the block's failure probabilities and success counts, one
+requirement at a time.  So no full grid is ever held, and every
+temporary of the loop, the requirement's own included, is at most a
+tile (a row, where a row outgrows a tile), which the heap serves again
+on every pass (see ``core._TILE_FLOATS``).  Under worst_case the buffer
+holds the running maximum over the requirements instead, tile by tile.
+A fraction excludes n * alpha values snapped to an integer by ecdf's
+grid snap (``ecdf._snap``).  The result is bit-identical to evaluating
+the whole grid at once because every entry of a requirement depends
+only on its own (theta, a, e) point (the grid contract of
+``scendo.core``) and every per-draw reduction reads only its own row.
 """
 
 from __future__ import annotations
@@ -45,7 +43,7 @@ import numpy as np
 from scendo.core import (
     InputError, ProblemSpec, ScenarioData, _TILE_FLOATS, _fractions, _scipy_extension,
 )
-from scendo.ecdf import _SNAP, quantile_of, sorted_cdf, strictify_sorted
+from scendo.ecdf import _snap, quantile_of, sorted_cdf, strictify_sorted
 
 Array = np.ndarray
 logger = logging.getLogger(__name__)
@@ -173,19 +171,6 @@ def clopper_pearson(successes, trials: int, sigma: float):
     return lo, hi
 
 
-def _excluded(n: int, alpha: float) -> float:
-    """n * alpha, the number of values a fraction alpha excludes from n,
-    snapped to the nearest integer when within ecdf's ``_SNAP * n`` of it.
-    Counting the kept values as n * (1 - alpha) rounds the wrong way on
-    fractions like k/n: 7 * (1 - 6/7) is 1.0000000000000004 and
-    5 * (1 - 4/5) is 0.9999999999999998, while 7 * 6/7 and 5 * 4/5 snap to
-    6 and 4.  The kept aleatory values are n minus its floor, the kept
-    epistemic draws n minus its ceiling."""
-    t = n * float(alpha)
-    snapped = round(t)
-    return snapped if abs(t - snapped) <= _SNAP * n else t
-
-
 def _seq_quantile(vals: Array, level: float) -> float:
     """Quantile of a probability sequence, clipped back to the sequence's
     true range so the tie-break perturbation cannot leak outside it."""
@@ -204,7 +189,8 @@ def _per_requirement(p: Array, m: Array, n_keep: int, alpha_e_k, p_max_k, sigma)
     upper_fail = 1.0 - ci_lo  # the sequence of upper failure probabilities
     b_hi = _seq_quantile(upper_fail, 1.0 - alpha_e_k)
 
-    n_q = upper_fail.shape[0] - math.ceil(_excluded(upper_fail.shape[0], alpha_e_k))
+    n_e = upper_fail.shape[0]
+    n_q = n_e - math.ceil(_snap(n_e * float(alpha_e_k), n_e))  # as analyze's n_keep
     if n_q < 1:
         raise InputError("trimmed epistemic sequence is empty")
     q_kept = strictify_sorted(np.sort(upper_fail)[:n_q])
@@ -291,7 +277,13 @@ def analyze(spec: ProblemSpec, theta, data: ScenarioData, cfg: RmcConfig) -> Rmc
     if cfg.worst_case:  # a single synthetic requirement, driven by the k=1 entries
         cfg = RmcConfig(cfg.alpha_a[:1], cfg.alpha_e[:1], cfg.sigma, cfg.p_max[:1], True)
     cfg = cfg.for_requirements(1 if cfg.worst_case else n_r)
-    n_keep = [n_a - math.floor(_excluded(n_a, alpha_a_k)) for alpha_a_k in cfg.alpha_a]
+    # a fraction alpha excludes n * alpha values, snapped as ecdf snaps its
+    # grid: n * (1 - alpha) would round the wrong way on fractions like
+    # k/n (7 * (1 - 6/7) is 1.0000000000000004, 5 * (1 - 4/5) is
+    # 0.9999999999999998), while 7 * 6/7 and 5 * 4/5 snap to 6 and 4.  The
+    # kept aleatory values are n minus its floor, the kept epistemic draws
+    # (``_per_requirement``) n minus its ceiling
+    n_keep = [n_a - math.floor(_snap(n_a * float(alpha), n_a)) for alpha in cfg.alpha_a]
     if min(n_keep) < 1:
         raise InputError("trimmed aleatory sequence is empty")
     fails = np.zeros((n_a, n_r), dtype=bool)

@@ -66,7 +66,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from scendo.core import InputError, _integers, _scipy_extension
+from scendo.core import InputError, _TILE_FLOATS, _integers, _scipy_extension
 
 Array = np.ndarray
 
@@ -144,20 +144,16 @@ def latin_hypercube(bounds: Array, opts: NlpOptions) -> Array:
     return lo + u * (hi - lo)
 
 
-#: residuals per block of the penalty's squared violations: 120 KiB, below
-#: glibc's initial mmap threshold of 128 KiB
-_PENALTY_BLOCK_FLOATS = 15 * 1024
-
-
 def _make_batch_penalty(problem: NlpProblem):
     """(B, dim) -> (B,) merit values f + mu * sum max(0, g)^2, with mu
     one weight per row or one for all.
 
-    The squared violations are summed over blocks of rows, so the
-    residuals are the batch's one large array.  A second one would be
-    mapped afresh on every batch, or freed next to the first at the top of
-    the heap and trimmed away with it; either way its pages fault again
-    each time.  A row's sum does not depend on its block.
+    The squared violations are summed over blocks of rows of at most
+    ``core._TILE_FLOATS`` residuals, so the residuals are the batch's one
+    large array.  A second one would be mapped afresh on every batch, or
+    freed next to the first at the top of the heap and trimmed away with
+    it; either way its pages fault again each time.  A row's sum does not
+    depend on its block.
     """
     f_b = problem.objective_batch
     g_b = problem.constraints_batch
@@ -167,7 +163,7 @@ def _make_batch_penalty(problem: NlpProblem):
         gvals = g_b(X)
         if gvals.size:
             sq = np.empty(len(gvals))
-            step = max(1, _PENALTY_BLOCK_FLOATS // gvals.shape[-1])
+            step = max(1, _TILE_FLOATS // gvals.shape[-1])
             for i in range(0, len(gvals), step):
                 viol = np.maximum(0.0, gvals[i : i + step])
                 sq[i : i + step] = np.sum(np.multiply(viol, viol, out=viol), axis=-1)

@@ -16,9 +16,10 @@ assembled training sets, and moment-based programs are fully supported
 
 epsilon_bar(k) is one minus the smaller root of a polynomial whose
 coefficients are binomial numbers up to C(4*n_a, k); all terms are
-evaluated in log space and combined with streaming log-sum-exp so the
-computation stays exact-in-regime up to n_a in the thousands.  The root
-is bracketed on a grid and polished by scipy's compiled Brent routine.
+evaluated in log space and each series is summed by a log-sum-exp
+shifted by its largest term, so no term overflows for n_a in the
+thousands.  The root is bracketed on a grid and polished by scipy's
+compiled Brent routine.
 """
 
 from __future__ import annotations
@@ -93,32 +94,11 @@ gammaln = _scipy_extension("special._special_ufuncs").gammaln
 _zeros = _scipy_extension("optimize._zeros")
 
 
-def _logsumexp(a) -> Array:
-    """``scipy.special.logsumexp(a, axis=-1)`` of a real array, bit for bit:
-    a transcription of scipy 1.17's ``_logsumexp`` for ``b=None``.  The
-    largest entries of a row are taken out of its sum (``m`` of them) and
-    the rest are summed shifted by the maximum, so
-    ``log1p(s) + log(m) + a_max``.  A row whose result is not finite takes
-    scipy's fallback ``log(sum(exp(a)))``, computed for those rows alone."""
-    a = np.atleast_1d(np.asarray(a, dtype=float))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        a_max = np.max(a, axis=-1, keepdims=True)
-        i_max = a == a_max
-        m = np.sum(i_max, axis=-1, keepdims=True, dtype=float)
-        s = np.sum(np.exp(np.where(i_max, -np.inf, a) - a_max), axis=-1, keepdims=True)
-        s = np.where(s == 0, s, s / m)
-        # scipy's sign rule, kept as written: without weights s >= 0 and
-        # m >= 0, so only a NaN row reaches it, and NaN stays NaN
-        sgn = np.sign(s + 1) * np.sign(m)
-        s = np.where(s < -1, -s - 2, s)
-        out = np.log1p(s) + np.log(m) + a_max
-        out[sgn < 0] = np.nan
-        out = out[..., 0]
-        bad = ~np.isfinite(out)
-        if bad.any():
-            with np.errstate(over="ignore"):
-                out[bad] = np.log(np.sum(np.exp(a[bad]), axis=-1))
-    return out[()] if out.ndim == 0 else out
+def _logsumexp(a: Array) -> Array:
+    """log(sum(exp(a))) over the last axis of rows of finite values, each
+    row's sum taken shifted by its maximum so that no term overflows."""
+    a_max = np.max(a, axis=-1, keepdims=True)
+    return a_max[..., 0] + np.log(np.sum(np.exp(a - a_max), axis=-1))
 
 
 def _log_comb(n, k) -> Array:
@@ -456,13 +436,14 @@ def risk_bound(
 ) -> RiskBoundReport:
     """Set violations, support scenarios and the epsilon_bar bound of a
     solved program.  In this order: ``beta`` outside (0, 1), an unknown
-    ``containment`` name, data whose widths are not the spec's
-    (``ScenarioData.check_widths``) or, unless ``moment``, fewer than 3
-    training scenarios is an InputError before any work; one containment
-    test per training scenario of ``theta_star``; the leave-one-out support
-    set of ``solver`` (see ``support_scenarios``); epsilon_bar of the
-    set-complexity s, the size of the union of the two index sets, so
-    max(n_s, n_v) <= s <= n_s + n_v.
+    ``containment`` name, an ``n_probe`` that is not an integer >= 1 or a
+    ``seed`` that is not one >= 0 (under either containment test), data
+    whose widths are not the spec's (``ScenarioData.check_widths``) or,
+    unless ``moment``, fewer than 3 training scenarios is an InputError
+    before any work; one containment test per training scenario of
+    ``theta_star``; the leave-one-out support set of ``solver`` (see
+    ``support_scenarios``); epsilon_bar of the set-complexity s, the size
+    of the union of the two index sets, so max(n_s, n_v) <= s <= n_s + n_v.
 
     ``containment="auto"`` picks "optimization" (``set_containment_opt``)
     up to 10 epistemic dimensions and "sampling" above; the sampling test
@@ -484,6 +465,9 @@ def risk_bound(
         containment = "optimization" if eset.m_e <= 10 else "sampling"
     if containment not in ("optimization", "sampling"):
         raise InputError(f"unknown containment test {containment!r}")
+    for name, value, least in (("n_probe", n_probe, 1), ("seed", seed, 0)):
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+            raise InputError(f"{name} must be an integer of at least {least}, got {value!r}")
     data.check_widths(spec)
     if not moment:
         _check_leave_one_out(data)

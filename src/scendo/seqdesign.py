@@ -223,7 +223,7 @@ class _Selection:
             self._factors = (logdet, np.linalg.inv(a) if sign > 0 else None, self.s1 / self.count)
         return self._factors
 
-    def _logdets_with(self, cand: Array, gemm: bool = False) -> Array:
+    def _logdets_with(self, cand: Array) -> Array:
         n = self.count + 1
         if n < 2:
             return np.zeros(cand.size)
@@ -231,8 +231,9 @@ class _Selection:
         if inv is None:
             return np.full(cand.size, -np.inf)
         # inv @ d is one BLAS call, a gemv for one column, whose bits differ
-        # from a gemm's: one candidate of a wider pool is scored as two
-        cols = np.repeat(cand, 2) if gemm and cand.size == 1 else cand
+        # from a gemm's: a lone candidate is scored as two columns, so a
+        # tile of a wider pool that holds one scores it as the whole pool does
+        cols = np.repeat(cand, 2) if cand.size == 1 else cand
         # one row per coordinate: np.take of columns is a fast gather
         d = np.take(self.cols, cols, axis=1)
         d -= mean[:, None]
@@ -246,10 +247,10 @@ class _Selection:
         out[~np.isfinite(out)] = -np.inf
         return out
 
-    def gains(self, cand: Array, gemm: bool = False) -> Array:
+    def gains(self, cand: Array) -> Array:
         g = self.gamma[cand] * self.like[cand]
         if self.lam > 0:
-            logdets = self._logdets_with(cand, gemm)
+            logdets = self._logdets_with(cand)
             logdets *= self.lam
             g += logdets  # IEEE addition commutes: the bits of g + lam * logdets
         return g
@@ -260,15 +261,14 @@ class _Selection:
         points at a time, so no temporary grows with the pool: the tiles'
         bests compare by (gain, likelihood), and a tie keeps the earlier
         one, whose index is lower."""
-        n_cand = np.count_nonzero(pool)
-        step = pool.size if n_cand <= self.tile else self.tile
+        step = pool.size if np.count_nonzero(pool) <= self.tile else self.tile
         best, top = -1, None
         for start in range(0, pool.size, step):
             cand = np.flatnonzero(pool[start : start + step])
             if cand.size == 0:
                 continue
             cand += start
-            i, gain = _best(cand, self.gains(cand, n_cand > 1), self.like)
+            i, gain = _best(cand, self.gains(cand), self.like)
             if top is None or (gain, self.like[i]) > top:
                 best, top = i, (gain, self.like[i])
         return best

@@ -256,10 +256,10 @@ def test_tiled_selection_matches_the_whole_pool_oracle(block, monkeypatch):
 
 def test_tile_scores_equal_the_whole_pool_scores_bit_for_bit():
     # a one-column inv(A) @ d is a BLAS gemv, whose bits can differ from the
-    # gemm of a wider product; a lone candidate in a tile of a wider pool
-    # is scored as in the whole pool's gemm. Sixty tiles keep one point
-    # each, after a first tile of candidates; on this host about one lone
-    # score in eleven would differ from the gemm's as a gemv
+    # gemm of a wider product; a lone candidate is scored as two columns,
+    # so in a tile of a wider pool as in the whole pool's gemm. Sixty
+    # tiles keep one point each, after a first tile of candidates; about
+    # one lone score in eleven would differ from the gemm's as a gemv
     rng = np.random.default_rng(3)
     tile = core._TILE_FLOATS // 4  # the selection's tile in two coordinates
     pts = rng.normal(size=(61 * tile, 2))
@@ -273,7 +273,7 @@ def test_tile_scores_equal_the_whole_pool_scores_bit_for_bit():
     cand = np.flatnonzero(pool)
     tiles = [cand[(cand >= t) & (cand < t + tile)] for t in range(0, len(pts), tile)]
     assert [t.size for t in tiles] == [tile - 6] + [1] * 60
-    scores = np.concatenate([sel.gains(t, gemm=True) for t in tiles])
+    scores = np.concatenate([sel.gains(t) for t in tiles])
     assert scores.tobytes() == whole_pool_gains(sel, cand).tobytes()
     assert sel.best(pool) == whole_pool_best(sel, pool)
 
