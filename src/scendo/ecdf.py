@@ -102,7 +102,9 @@ def strictify_sorted(values: Array) -> Array:
     rows[tied] += j
     if not _increasing(out).all():
         # near-duplicates closer than the tie shift: walk the offending rows
-        for row in rows:
+        # alone, each a view of out
+        for r in np.flatnonzero(~_increasing(rows).all(axis=1)):
+            row = rows[r]
             for i in range(1, n):
                 if row[i] <= row[i - 1]:
                     row[i] = row[i - 1] + TIE_EPS * max(1.0, abs(row[i]))

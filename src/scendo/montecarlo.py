@@ -181,7 +181,7 @@ def _seq_quantile(vals: Array, level: float) -> float:
 def _per_requirement(p: Array, m: Array, n_keep: int, alpha_e_k, p_max_k, sigma):
     """Ranges of one requirement from its per-draw failure probabilities
     ``p`` and success counts ``m`` among ``n_keep`` kept aleatory values."""
-    a_lo = _seq_quantile(p, 0.0)
+    a_lo = float(p.min())  # the level-0 quantile: the first knot, p >= +0.0
     a_hi = _seq_quantile(p, 1.0 - alpha_e_k)
 
     ci_lo, ci_hi = clopper_pearson(m, n_keep, sigma)

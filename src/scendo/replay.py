@@ -80,10 +80,8 @@ class _Rows:
 
     def append(self, rows: Array, room: int) -> bool:
         """Copy ``rows`` after the earlier ones; False when they do not
-        stack onto them (no leading axis, another trailing shape or dtype)
-        or a grown buffer would not fit in ``room`` bytes."""
-        if rows.ndim == 0:
-            return False
+        stack onto them (another trailing shape or dtype) or a grown buffer
+        would not fit in ``room`` bytes."""
         if self.buf is not None and (rows.shape[1:] != self.buf.shape[1:] or rows.dtype != self.buf.dtype):
             return False
         start, stop = self.n, self.n + len(rows)

@@ -13,8 +13,8 @@ b_k currently-failing scenarios per requirement, read from the analysis
 report's ``scenario_fails`` table (they pull the success domain where it
 helps the most), with the remaining slots filled from the feasible points.
 A pick's gain is its likelihood times its failure indicator plus
-``lambda_div`` times the log-determinant of the selected covariance in the
-principal axes of the full testing cloud.  The indicator is 0 for a
+``lambda_div`` times the log-determinant of the selected covariance, which
+no rotation of the testing cloud changes.  The indicator is 0 for a
 feasible point, so with ``lambda_div > 0`` the fill is ranked by the
 log-determinant alone and the likelihood only breaks exact ties; with
 ``lambda_div = 0`` every fill gain is 0 and the likelihood decides through
@@ -177,14 +177,14 @@ class _Selection:
     factorisation per pick, kept until the selection changes, scores every
     candidate, a tile of the pool at a time (``best``)."""
 
-    def __init__(self, pc: Array, like: Array, gamma: Array, lam: float):
-        self.pc, self.like, self.gamma, self.lam = pc, like, gamma, lam
-        self.cols = np.ascontiguousarray(pc.T)
-        m = pc.shape[1]
+    def __init__(self, points: Array, like: Array, gamma: Array, lam: float):
+        self.like, self.gamma, self.lam = like, gamma, lam
+        self.cols = np.ascontiguousarray(points.T)
+        m, n_pool = self.cols.shape
         #: pool points per tile: the (m, tile) offsets and products of a
         #: tile's scores hold _TILE_FLOATS together
         self.tile = max(1, _TILE_FLOATS // (2 * m))
-        self.mask = np.zeros(pc.shape[0], dtype=bool)
+        self.mask = np.zeros(n_pool, dtype=bool)
         self.s1 = np.zeros(m)
         self.s2 = np.zeros((m, m))
         self.count = 0
@@ -192,7 +192,7 @@ class _Selection:
         self._factors = None
 
     def add(self, i: int) -> None:
-        x = self.pc[i]
+        x = self.cols[:, i]
         self.s1 += x
         self.s2 += np.outer(x, x)
         self.count += 1
@@ -201,7 +201,7 @@ class _Selection:
         self._factors = None
 
     def remove(self, i: int) -> None:
-        x = self.pc[i]
+        x = self.cols[:, i]
         self.s1 -= x
         self.s2 -= np.outer(x, x)
         self.count -= 1
@@ -232,7 +232,7 @@ class _Selection:
             return np.full(cand.size, -np.inf)
         # inv @ d is one BLAS call, a gemv for one column, whose bits differ
         # from a gemm's: a lone candidate is scored as two columns, so a
-        # tile of a wider pool that holds one scores it as the whole pool does
+        # tile that holds one scores it as a tile of many does
         cols = np.repeat(cand, 2) if cand.size == 1 else cand
         # one row per coordinate: np.take of columns is a fast gather
         d = np.take(self.cols, cols, axis=1)
@@ -257,14 +257,12 @@ class _Selection:
 
     def best(self, pool: Array) -> int:
         """``_best`` among the points ``pool`` marks, or -1 when it marks
-        none.  A pool of more than ``tile`` candidates is scored a tile of
-        points at a time, so no temporary grows with the pool: the tiles'
-        bests compare by (gain, likelihood), and a tie keeps the earlier
-        one, whose index is lower."""
-        step = pool.size if np.count_nonzero(pool) <= self.tile else self.tile
+        none.  The pool is scored a tile of points at a time, so no
+        temporary grows with it: the tiles' bests compare by (gain,
+        likelihood), and a tie keeps the earlier one, whose index is lower."""
         best, top = -1, None
-        for start in range(0, pool.size, step):
-            cand = np.flatnonzero(pool[start : start + step])
+        for start in range(0, pool.size, self.tile):
+            cand = np.flatnonzero(pool[start : start + self.tile])
             if cand.size == 0:
                 continue
             cand += start
@@ -286,13 +284,13 @@ class _Selection:
         return val
 
 
-def _greedy_build(c, budgets, pc, like, gamma, lam, n_target) -> _Selection:
+def _greedy_build(c, budgets, points, like, gamma, lam, n_target) -> _Selection:
     """Violating scenarios until each budget is met (preferring candidates
     that do not overshoot an already-met budget), then a feasible fill.
     Candidates are passed as masks over the pool, which ``best`` scores a
     tile at a time."""
     n_r = c.shape[1]
-    sel = _Selection(pc, like, gamma, lam)
+    sel = _Selection(points, like, gamma, lam)
     counts = np.zeros(n_r, dtype=int)
     for k in range(n_r):
         while counts[k] < budgets[k]:
@@ -361,25 +359,22 @@ def select_training_aleatory(
     avail = np.count_nonzero(c, axis=0)
     budgets = np.minimum(np.minimum(budgets, avail), n_a_target)
 
-    # principal axes of the full testing cloud, fixed for this selection;
-    # column-major, so every _Selection's coordinate rows are a view of it
-    centered = points - points.mean(axis=0)
-    _, vecs = np.linalg.eigh(np.atleast_2d(np.cov(centered, rowvar=False)))
-    pc = centered @ vecs
-    del centered  # before the column-major copy: one pool-sized array fewer
-    pc = np.asfortranarray(pc)
+    # centred, so the running scatter s2 - s1 s1^T / n does not cancel on a
+    # cloud far from the origin; column-major, so every _Selection's
+    # coordinate rows are a view of it
+    centered = np.subtract(points, points.mean(axis=0), order="F")
 
     # the builds' masks only: a build's own likelihoods go with it
-    builds = [_greedy_build(c, budgets, pc, like, gamma, lambda_div, n_a_target).mask]
+    builds = [_greedy_build(c, budgets, centered, like, gamma, lambda_div, n_a_target).mask]
     if lambda_div > 0:
-        builds.append(_greedy_build(c, budgets, pc, like, gamma, 0.0, n_a_target).mask)
+        builds.append(_greedy_build(c, budgets, centered, like, gamma, 0.0, n_a_target).mask)
         builds.append(
-            _greedy_build(c, budgets, pc, np.ones(n_pool), gamma, lambda_div, n_a_target).mask
+            _greedy_build(c, budgets, centered, np.ones(n_pool), gamma, lambda_div, n_a_target).mask
         )
     # every build re-scored by the combined objective
     scored = []
     for build in builds:
-        scored.append(_Selection(pc, like, gamma, lambda_div))
+        scored.append(_Selection(centered, like, gamma, lambda_div))
         for i in np.flatnonzero(build):
             scored[-1].add(int(i))
     values = [s.value() for s in scored]
@@ -439,8 +434,7 @@ def select_training_epistemic(
         testing_epistemic[None, :, :],
     )
     scores = np.max(np.broadcast_to(vals, (len(selected_aleatory), n_pool)), axis=0)
-    order = np.lexsort((np.arange(n_pool), -scores))
-    return np.sort(order[:n_e_target])
+    return np.sort(np.argsort(-scores, kind="stable")[:n_e_target])
 
 
 # ---------------------------------------------------------------------------
@@ -555,4 +549,3 @@ def run_sd(
             logger.warning("iteration %d stayed infeasible; stopping", it)
             trace.failed = True
             return theta, trace
-    return theta, trace

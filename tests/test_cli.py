@@ -1,4 +1,5 @@
 import ast
+import csv
 import dataclasses
 import inspect
 import json
@@ -90,6 +91,29 @@ def test_solve_writes_deterministic_solution(tmp_path):
     # byte-identical on re-run
     assert cli.main(["solve", "--config", str(cfg)]) == 0
     assert sol_path.read_bytes() == first
+
+
+@pytest.mark.parametrize("formulation", ["risk_agnostic_global", "risk_agnostic_local"])
+def test_outliers_csv_lists_the_epistemic_outliers(tmp_path, formulation):
+    # alpha_e 0.34 of 6 draws: two epistemic outliers, shared by every
+    # scenario in the global program and per scenario in the local one
+    cfg = _write_config(tmp_path / "cfg.json", formulation=formulation,
+                        alphas={"alpha_a": 0.0, "alpha_e": 0.34})
+    assert cli.main(["solve", "--config", str(cfg)]) == 0
+    sol = json.loads((tmp_path / "out" / "solution.json").read_text())
+    assert sol["epistemic_outliers"]
+    with open(tmp_path / "out" / "outliers.csv", newline="") as f:
+        rows = list(csv.DictReader(f))
+    cells = [(r["kind"], r["aleatory_index"], r["epistemic_index"]) for r in rows]
+    want = [("aleatory", str(i), "") for i in sol["aleatory_outliers"]]
+    if formulation == "risk_agnostic_global":
+        want += [("epistemic_global", "", str(j)) for j in sol["epistemic_outliers"]]
+    else:
+        want += [
+            ("epistemic", str(i), str(j))
+            for i, per_i in enumerate(sol["epistemic_outliers"]) for j in per_i
+        ]
+    assert cells == want
 
 
 def test_solve_malformed_config_exit_2(tmp_path):

@@ -152,3 +152,52 @@ def test_a_miss_in_the_first_screen_block_evaluates_one_block(monkeypatch):
         nlp.minimize(replace(problem, constraints_batch=constraints), opts)
     assert not replayed.replayed
     assert screens == [block] and replayed.screened == block
+
+
+@pytest.mark.parametrize("objective", [
+    lambda X: np.zeros(1),  # one value for any batch: broadcasts, but is not one per row
+    lambda X: np.asarray(0.0),  # 0-d: solving raises on the final evaluation
+], ids=["short", "0-d"])
+def test_entry_with_an_output_of_the_wrong_shape_is_dropped(objective):
+    # a recorded output that is not one value per row of its batch cannot be
+    # screened against: the entry keeps no rows and no result, and the
+    # replaying tape solves, with the cold result or the same exception
+    opts = nlp.NlpOptions(seed=0, n_starts=2, max_inner=30)
+    problem = replace(_counted_constrained_problem({"f": 0, "g": 0}, opts), objective_batch=objective)
+
+    def outcome():
+        try:
+            res = nlp.minimize(problem, opts)
+        except IndexError as exc:
+            return repr(exc)
+        return res.x.tobytes(), res.diagnostics
+
+    cold = outcome()
+    with replay.recording_tape() as tape:
+        assert outcome() == cold
+    (entry,) = tape.entries
+    assert entry.result is None and entry.nbytes == 0
+    with replay.replaying_tape(tape) as replayed:
+        assert outcome() == cold
+    assert replayed.calls == 1 and not replayed.replayed
+
+
+@pytest.mark.parametrize("raising", ["objective_batch", "constraints_batch"])
+def test_a_callable_raising_in_the_screen_is_a_miss(raising):
+    # the screen runs the new callables on the recorded batches; one that
+    # raises there is a miss, and the solve then raises as a cold solve does
+    opts = nlp.NlpOptions(seed=0, n_starts=2, max_inner=30)
+    rows = {"f": 0, "g": 0}
+    with replay.recording_tape() as tape:
+        nlp.minimize(_counted_constrained_problem(rows, opts), opts)
+
+    def fails(X):
+        raise FloatingPointError("no value here")
+
+    problem = replace(_counted_constrained_problem(rows, opts), **{raising: fails})
+    with pytest.raises(FloatingPointError, match="no value here"):
+        nlp.minimize(problem, opts)
+    with replay.replaying_tape(tape) as replayed:
+        with pytest.raises(FloatingPointError, match="no value here"):
+            nlp.minimize(problem, opts)
+    assert replayed.calls == 1 and replayed.hits == 0 and replayed.screened > 0

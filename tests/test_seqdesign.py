@@ -285,7 +285,7 @@ _TILE_BYTES = core._TILE_FLOATS * 8
 @pytest.mark.parametrize("lam", [0.0, 2.0])
 def test_selection_peak_memory_on_a_20000_point_pool(lam):
     # the sequential workload's pool: the per-call arrays (likelihoods,
-    # indicators, principal coordinates) take about 5 tiles, and the
+    # indicators, centred coordinates) take about 5 tiles, and the
     # scores of a tile of candidates about 2 more
     rng = np.random.default_rng(2)
     pts = circle.sample_aleatory(20000, rng)
