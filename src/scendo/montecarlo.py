@@ -178,9 +178,10 @@ def _seq_quantile(vals: Array, level: float) -> float:
     return float(np.clip(q, float(vals.min()), float(vals.max())))
 
 
-def _per_requirement(p: Array, m: Array, n_keep: int, alpha_e_k, p_max_k, sigma):
+def _per_requirement(p: Array, m: Array, n_keep: int, n_q: int, alpha_e_k, p_max_k, sigma):
     """Ranges of one requirement from its per-draw failure probabilities
-    ``p`` and success counts ``m`` among ``n_keep`` kept aleatory values."""
+    ``p`` and success counts ``m`` among ``n_keep`` kept aleatory values,
+    ``n_q`` of the draws kept."""
     a_lo = float(p.min())  # the level-0 quantile: the first knot, p >= +0.0
     a_hi = _seq_quantile(p, 1.0 - alpha_e_k)
 
@@ -189,10 +190,6 @@ def _per_requirement(p: Array, m: Array, n_keep: int, alpha_e_k, p_max_k, sigma)
     upper_fail = 1.0 - ci_lo  # the sequence of upper failure probabilities
     b_hi = _seq_quantile(upper_fail, 1.0 - alpha_e_k)
 
-    n_e = upper_fail.shape[0]
-    n_q = n_e - math.ceil(_snap(n_e * float(alpha_e_k), n_e))  # as analyze's n_keep
-    if n_q < 1:
-        raise InputError("trimmed epistemic sequence is empty")
     q_kept = strictify_sorted(np.sort(upper_fail)[:n_q])
     c = float(np.clip(1.0 - sorted_cdf(q_kept, p_max_k), 0.0, 1.0))
     exceed = int(np.count_nonzero(q_kept > p_max_k))
@@ -282,10 +279,13 @@ def analyze(spec: ProblemSpec, theta, data: ScenarioData, cfg: RmcConfig) -> Rmc
     # k/n (7 * (1 - 6/7) is 1.0000000000000004, 5 * (1 - 4/5) is
     # 0.9999999999999998), while 7 * 6/7 and 5 * 4/5 snap to 6 and 4.  The
     # kept aleatory values are n minus its floor, the kept epistemic draws
-    # (``_per_requirement``) n minus its ceiling
+    # n minus its ceiling; both are checked before the grid is evaluated
     n_keep = [n_a - math.floor(_snap(n_a * float(alpha), n_a)) for alpha in cfg.alpha_a]
+    n_q = [n_e - math.ceil(_snap(n_e * float(alpha), n_e)) for alpha in cfg.alpha_e]
     if min(n_keep) < 1:
         raise InputError("trimmed aleatory sequence is empty")
+    if min(n_q) < 1:
+        raise InputError("trimmed epistemic sequence is empty")
     fails = np.zeros((n_a, n_r), dtype=bool)
     p = np.empty((len(n_keep), n_e))  # failure probability per epistemic draw
     m = np.empty((len(n_keep), n_e), dtype=np.intp)  # successes per epistemic draw
@@ -309,7 +309,7 @@ def analyze(spec: ProblemSpec, theta, data: ScenarioData, cfg: RmcConfig) -> Rmc
             f"requirement values are NaN at {n_nan} of {n_r * n_a * n_e} testing grid points"
         )
     range_a, range_b, point_c, range_d = zip(*(
-        _per_requirement(p[k], m[k], n_keep[k], cfg.alpha_e[k], cfg.p_max[k], cfg.sigma)
+        _per_requirement(p[k], m[k], n_keep[k], n_q[k], cfg.alpha_e[k], cfg.p_max[k], cfg.sigma)
         for k in range(len(n_keep))
     ))
     return RmcReport(

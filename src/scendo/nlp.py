@@ -105,11 +105,12 @@ class NlpProblem:
 
     ``objective_batch`` maps a (B, dim) stack of points to the (B,)
     objective values and ``constraints_batch`` to the (B, n_con) constraint
-    residuals; n_con may be 0.  Both must keep the batch contract: row i
-    of the result depends only on row i of the input and is bit-identical
-    to evaluating that row alone.  ``starts`` is the (n, dim) stack of
-    points the multi-start runs from, one solve per row; it must be
-    non-empty and lie inside ``bounds``.
+    residuals; n_con may be 0.  An output of any other shape is an
+    InputError naming the callable.  Both must keep the batch contract:
+    row i of the result depends only on row i of the input and is
+    bit-identical to evaluating that row alone.  ``starts`` is the (n, dim)
+    stack of points the multi-start runs from, one solve per row; it must
+    be non-empty and lie inside ``bounds``.
     """
 
     objective_batch: Callable[[Array], Array]
@@ -144,6 +145,17 @@ def latin_hypercube(bounds: Array, opts: NlpOptions) -> Array:
     return lo + u * (hi - lo)
 
 
+def _batch_output(out, name: str, rows: int) -> Array:
+    """The output of the problem's callable ``name`` on a batch of ``rows``
+    points, checked to be (rows,) for the objective, (rows, n_con) for
+    the constraints."""
+    out, ndim = np.asarray(out), 1 if name == "objective_batch" else 2
+    if out.ndim != ndim or len(out) != rows:
+        want = f"({rows},)" if ndim == 1 else f"({rows}, n_con)"
+        raise InputError(f"{name} returned shape {out.shape} for a batch of {rows} rows, not {want}")
+    return out
+
+
 def _make_batch_penalty(problem: NlpProblem):
     """(B, dim) -> (B,) merit values f + mu * sum max(0, g)^2, with mu
     one weight per row or one for all.
@@ -159,8 +171,8 @@ def _make_batch_penalty(problem: NlpProblem):
     g_b = problem.constraints_batch
 
     def penalty_batch(X: Array, mu) -> Array:
-        fvals = f_b(X)
-        gvals = g_b(X)
+        fvals = _batch_output(f_b(X), "objective_batch", len(X))
+        gvals = _batch_output(g_b(X), "constraints_batch", len(X))
         if gvals.size:
             sq = np.empty(len(gvals))
             step = max(1, _TILE_FLOATS // gvals.shape[-1])
@@ -175,7 +187,7 @@ def _make_batch_penalty(problem: NlpProblem):
 
 def _violation(problem: NlpProblem, x: Array) -> float:
     """Largest constraint residual at x, zero when every one holds."""
-    g = problem.constraints_batch(x[None])[0]
+    g = _batch_output(problem.constraints_batch(x[None]), "constraints_batch", 1)[0]
     return float(np.max(np.maximum(0.0, g), initial=0.0))
 
 
@@ -293,7 +305,7 @@ def _start(problem: NlpProblem, x0: Array, max_inner: int):
             x = x + 0.05 * (mid - x)
         mu = min(mu * PENALTY_GROWTH, PENALTY_MAX)
     outcome = {
-        "f": float(problem.objective_batch(x[None])[0]),
+        "f": float(_batch_output(problem.objective_batch(x[None]), "objective_batch", 1)[0]),
         "violation": viol_history[-1],
         "nfev": nfev,
         "stages": len(viol_history),

@@ -13,9 +13,14 @@ separately.  The global ones (risk-averse, risk-agnostic and the global
 seed) weight the epistemic draws by the rule of ``scendo.weights``, all
 through one batched kernel, ``_global_weighted_grids``; the local ones
 and the moment programs evaluate their design-only terms once per
-distinct design (``_per_design``).  Every program ends in ``_assemble``,
-which evaluates the requirement grid at the design once for the reported
-outliers.  Every infeasible result carries a
+distinct design (``_per_design``).  ``_minimize`` is the one place that
+knows the NLP's vector x = (theta, aux): it hands each program's objective
+and constraints the design columns and the auxiliary ones (slacks, the
+seed's fractions, the moment bound) as two arrays, and returns them apart.
+``_on_grid`` is the one layout of a function of (theta, a, e) on the
+training grid, for the requirements and the moment response alike.  Every
+program ends in ``_assemble``, which evaluates the requirement grid at the
+design once for the reported outliers.  Every infeasible result carries a
 ``diagnostics["suggested_alpha_a"]``: the seed its own alpha_a_lower, the
 other programs that of a seed solved after them (the global seed for the
 global risk-agnostic program, the local one for the rest).
@@ -74,21 +79,20 @@ class FormulationTag(str, Enum):
 MOMENT_TAGS = (FormulationTag.MOMENT_RISK_AVERSE, FormulationTag.MOMENT_RISK_AGNOSTIC)
 
 
+def _on_grid(fn: Callable, data: ScenarioData, theta: Array) -> Array:
+    """``fn(theta, a, e)`` on the training grid: theta (..., m) gives
+    (..., n_a, n_e)."""
+    vals = fn(theta[..., None, None, :], data.aleatory[:, None, :], data.epistemic[None, :, :])
+    return np.broadcast_to(np.asarray(vals, float), theta.shape[:-1] + (data.n_a, data.n_e))
+
+
 def requirement_values(spec: ProblemSpec, data: ScenarioData, theta: Array) -> Array:
     """Requirement values on the training grid.
 
     theta may carry leading batch axes: returns (..., n_r, n_a, n_e).
     """
     theta = np.asarray(theta, dtype=float)
-    th = theta[..., None, None, :]
-    a = data.aleatory[:, None, :]
-    e = data.epistemic[None, :, :]
-    target = theta.shape[:-1] + (data.n_a, data.n_e)
-    vals = [
-        np.broadcast_to(np.asarray(rk(th, a, e), float), target)
-        for rk in spec.requirements
-    ]
-    return np.stack(vals, axis=-3)
+    return np.stack([_on_grid(rk, data, theta) for rk in spec.requirements], axis=-3)
 
 
 def _objective_values(spec: ProblemSpec, theta: Array) -> Array:
@@ -115,21 +119,16 @@ def _distinct_rows(rows: Array) -> tuple:
 def _per_design(theta: Array, design_terms: Callable[[Array], tuple]) -> tuple:
     """Evaluate ``design_terms`` once per distinct design row, scattered back.
 
-    ``theta`` is (..., m); ``design_terms`` maps a (U, m) stack of distinct
-    designs to a tuple of arrays with leading axis U.  Returns the tuple
-    with that axis replaced by theta's leading shape.  Rows match on their
-    exact bytes, so under the batch contract (see ``scendo.nlp``) every
-    result row equals evaluating its design alone.  Programs with
-    auxiliary variables need this: all auxiliary probes of a
-    finite-difference batch repeat the design of its centre row.
+    ``theta`` is a (B, m) stack; ``design_terms`` maps a (U, m) stack of
+    distinct designs to a tuple of arrays with leading axis U.  Returns the
+    tuple with that axis of length B.  Rows match on their exact bytes, so
+    under the batch contract (see ``scendo.nlp``) every result row equals
+    evaluating its design alone.  Programs with auxiliary variables need
+    this: all auxiliary probes of a finite-difference batch repeat the
+    design of its centre row.
     """
-    theta = np.asarray(theta, dtype=float)
-    lead, m = theta.shape[:-1], theta.shape[-1]
-    flat = theta.reshape(-1, m)
-    first, inverse = _distinct_rows(flat)
-    return tuple(
-        t[inverse].reshape(lead + t.shape[1:]) for t in design_terms(flat[first])
-    )
+    first, inverse = _distinct_rows(theta)
+    return tuple(t[inverse] for t in design_terms(theta[first]))
 
 
 #: auxiliary-variable block of the programs whose decision is theta only
@@ -139,20 +138,31 @@ _NO_AUX = np.empty((0, 2))
 def _minimize(
     spec: ProblemSpec,
     opts: Optional[nlp.NlpOptions],
-    objective_batch: Callable[[Array], Array],
-    constraints_batch: Callable[[Array], Array],
+    objective: Callable[[Array, Array], Array],
+    constraints: Callable[[Array, Array], Array],
     aux_bounds: Array = _NO_AUX,
     aux_starts: Optional[Callable[[Array], Array]] = None,
-) -> nlp.NlpResult:
+) -> tuple:
     """The one NLP of every program: x = (theta, aux) over the design box
-    stacked on ``aux_bounds``.
+    stacked on ``aux_bounds``; returns ``(theta, aux, result)`` at its best
+    point.
 
-    The design starts are ``nlp.latin_hypercube`` of the design box;
-    ``aux_starts`` maps their (n_starts, m_theta) stack to the
-    (n_starts, n_aux) auxiliary starts.  ``nlp.minimize`` is looked up
-    at call time, so rebinding that module attribute reaches every program.
+    ``objective(theta, aux)`` and ``constraints(theta, aux)`` are the
+    program's batch callables over a batch's (B, m_theta) design columns
+    and (B, n_aux) auxiliary ones.  The design starts are
+    ``nlp.latin_hypercube`` of the design box; ``aux_starts`` maps their
+    (n_starts, m_theta) stack to the (n_starts, n_aux) auxiliary starts.
+    ``nlp.minimize`` is looked up at call time, so rebinding that module
+    attribute reaches every program.
     """
-    opts = opts or nlp.NlpOptions()
+    opts, m = opts or nlp.NlpOptions(), spec.m_theta
+
+    def objective_batch(x):
+        return objective(x[:, :m], x[:, m:])
+
+    def constraints_batch(x):
+        return constraints(x[:, :m], x[:, m:])
+
     theta0 = nlp.latin_hypercube(spec.design_bounds, opts)
     aux0 = np.empty((len(theta0), 0)) if aux_starts is None else aux_starts(theta0)
     bounds = np.vstack([spec.design_bounds, aux_bounds])
@@ -162,7 +172,8 @@ def _minimize(
         objective_batch=objective_batch,
         constraints_batch=constraints_batch,
     )
-    return nlp.minimize(problem, opts)
+    res = nlp.minimize(problem, opts)
+    return res.x[:m], res.x[m:], res
 
 
 def _for_problem(spec: ProblemSpec, data: ScenarioData, cfg: AlphaConfig) -> AlphaConfig:
@@ -182,14 +193,15 @@ def _assemble(
     data: ScenarioData,
     cfg: AlphaConfig,
     opts: Optional[nlp.NlpOptions],
+    theta: Array,
     res: nlp.NlpResult,
     *,
     suggest: Optional[str] = "local",
     weight_alpha_a=None,
     **fields,
 ) -> SolveResult:
-    """The one tail of every program: the result of ``res``, with the
-    outliers at its design and, when infeasible, a suggested alpha_a.
+    """The one tail of every program: the result of ``res`` at the design
+    ``theta``, with its outliers and, when infeasible, a suggested alpha_a.
 
     The requirement grid at the design is evaluated once.  The outliers
     are those of ``_local_outliers``, except that a global program's
@@ -202,7 +214,6 @@ def _assemble(
     ``fields`` are further ``SolveResult`` fields; the objective defaults
     to J at the design.
     """
-    theta = res.x[: spec.m_theta]
     values = requirement_values(spec, data, theta)
     o_a, o_e = _local_outliers(values, cfg.alpha_e)
     if weight_alpha_a is not None:
@@ -302,18 +313,16 @@ def _weighted_worst_quantiles(grids, theta: Array, alpha_a: Array) -> Array:
 
 
 def _minimize_with_slacks(
-    spec: ProblemSpec, opts: Optional[nlp.NlpOptions], rho: float, n_a: int, constraints_batch
-) -> nlp.NlpResult:
-    """``_minimize`` over x = (theta, xi) with n_a slacks xi >= 0, starting
-    at zero, and the objective J(theta) + rho * sum(xi)."""
-    m = spec.m_theta
+    spec: ProblemSpec, opts: Optional[nlp.NlpOptions], rho: float, n_a: int, constraints
+) -> tuple:
+    """``_minimize`` over (theta, xi) with n_a slacks xi >= 0, starting at
+    zero, and the objective J(theta) + rho * sum(xi)."""
 
-    def objective(x):
-        x = np.asarray(x, float)
-        return _objective_values(spec, x[..., :m]) + rho * np.sum(x[..., m:], axis=-1)
+    def objective(theta, xi):
+        return _objective_values(spec, theta) + rho * np.sum(xi, axis=-1)
 
     return _minimize(
-        spec, opts, objective, constraints_batch,
+        spec, opts, objective, constraints,
         np.tile([0.0, np.inf], (n_a, 1)), lambda theta0: np.zeros((len(theta0), n_a)),
     )
 
@@ -326,17 +335,14 @@ def solve_risk_averse_local(
     rho per unit.  Each pseudo-distribution discards its own worst
     epistemic draws."""
     cfg = _for_problem(spec, data, cfg)
-    m, n_a, n_r = spec.m_theta, data.n_a, spec.n_r
     design_terms = _local_design_terms(spec, data, 1.0 - cfg.alpha_e)
 
-    def cons_any(x):
-        x = np.asarray(x, float)
-        (q,) = _per_design(x[..., :m], design_terms)
-        g = q - x[..., None, m:]
-        return g.reshape(x.shape[:-1] + (n_r * n_a,))
+    def constraints(theta, xi):
+        (q,) = _per_design(theta, design_terms)
+        return (q - xi[:, None, :]).reshape(len(xi), -1)
 
-    res = _minimize_with_slacks(spec, opts, cfg.rho, n_a, cons_any)
-    return _assemble(spec, data, cfg, opts, res, xi_star=res.x[m:])
+    theta, xi, res = _minimize_with_slacks(spec, opts, cfg.rho, data.n_a, constraints)
+    return _assemble(spec, data, cfg, opts, theta, res, xi_star=xi)
 
 
 def solve_risk_averse_global(
@@ -346,23 +352,18 @@ def solve_risk_averse_global(
     down-weighted for all pseudo-distributions; the weight rule's aleatory
     slot receives the (smoothed) fraction of active slacks."""
     cfg = _for_problem(spec, data, cfg)
-    m, n_a, n_e, n_r = spec.m_theta, data.n_a, data.n_e, spec.n_r
     grids = _global_weighted_grids(spec, data, cfg)
 
-    def cons_any(x):
-        x = np.asarray(x, float)
-        flat = x.reshape(-1, x.shape[-1])
-        xi = flat[:, m:]
+    def constraints(theta, xi):
         # huge slacks round the smoothed fraction up to exactly one
         frac = np.minimum(smooth_sign_fraction(xi), _BELOW_ONE)
-        weighted, row = grids(flat[:, :m], frac[:, None])
-        g = np.take(weighted, row, axis=0, out=np.empty((len(flat), n_r, n_a, n_e)), mode="clip")
+        weighted, row = grids(theta, frac[:, None])
+        g = np.take(weighted, row, axis=0, out=np.empty((len(xi),) + weighted.shape[1:]), mode="clip")
         g -= xi[:, None, :, None]
-        return g.reshape(x.shape[:-1] + (n_r * n_a * n_e,))
+        return g.reshape(len(xi), -1)
 
-    res = _minimize_with_slacks(spec, opts, cfg.rho, n_a, cons_any)
-    xi = res.x[m:]
-    return _assemble(spec, data, cfg, opts, res, weight_alpha_a=sign_fraction(xi), xi_star=xi)
+    theta, xi, res = _minimize_with_slacks(spec, opts, cfg.rho, data.n_a, constraints)
+    return _assemble(spec, data, cfg, opts, theta, res, weight_alpha_a=sign_fraction(xi), xi_star=xi)
 
 
 # ---------------------------------------------------------------------------
@@ -371,7 +372,7 @@ def solve_risk_averse_global(
 
 
 def _design_objective(spec: ProblemSpec):
-    return lambda x: _objective_values(spec, np.asarray(x, float))
+    return lambda theta, aux: _objective_values(spec, theta)
 
 
 def solve_risk_agnostic_global(
@@ -386,11 +387,11 @@ def solve_risk_agnostic_global(
     _require_below_one(cfg.alpha_a)
     grids = _global_weighted_grids(spec, data, cfg)
 
-    def cons_any(x):
-        return _weighted_worst_quantiles(grids, np.asarray(x, float), cfg.alpha_a)
+    def constraints(theta, aux):
+        return _weighted_worst_quantiles(grids, theta, cfg.alpha_a)
 
-    res = _minimize(spec, opts, _design_objective(spec), cons_any)
-    return _assemble(spec, data, cfg, opts, res, suggest="global", weight_alpha_a=cfg.alpha_a)
+    theta, _, res = _minimize(spec, opts, _design_objective(spec), constraints)
+    return _assemble(spec, data, cfg, opts, theta, res, suggest="global", weight_alpha_a=cfg.alpha_a)
 
 
 def solve_risk_agnostic_local(
@@ -404,12 +405,12 @@ def solve_risk_agnostic_local(
     design_terms = _local_design_terms(spec, data, 1.0 - cfg.alpha_e)
     levels_a = 1.0 - cfg.alpha_a
 
-    def cons_any(x):
-        (q,) = design_terms(np.asarray(x, float))
+    def constraints(theta, aux):
+        (q,) = design_terms(theta)
         return quantile_of(q, levels_a)
 
-    res = _minimize(spec, opts, _design_objective(spec), cons_any)
-    return _assemble(spec, data, cfg, opts, res)
+    theta, _, res = _minimize(spec, opts, _design_objective(spec), constraints)
+    return _assemble(spec, data, cfg, opts, theta, res)
 
 
 def solve_feasibility_seed(
@@ -430,29 +431,25 @@ def solve_feasibility_seed(
     cfg = _for_problem(spec, data, cfg)
     if variant not in ("local", "global"):
         raise InputError(f"variant must be 'local' or 'global', got {variant!r}")
-    n_r, m = spec.n_r, spec.m_theta
-
-    def obj_any(x):
-        return np.sum(np.asarray(x, float)[..., m:], axis=-1)
-
     design_terms = _local_design_terms(spec, data, 1.0 - cfg.alpha_e)
     grids = _global_weighted_grids(spec, data, cfg)
 
-    def cons_any(x):
-        x = np.asarray(x, float)
-        alpha = np.clip(x[..., m:], 0.0, 1.0)  # finite-difference probes overshoot
-        if variant == "local":
-            (q,) = _per_design(x[..., :m], design_terms)
-            return quantile_of(q, 1.0 - alpha)
-        return _weighted_worst_quantiles(grids, x[..., :m], np.minimum(alpha, 1.0 - 1e-9))
+    def objective(theta, alpha):
+        return np.sum(alpha, axis=-1)
 
-    res = _minimize(
-        spec, opts, obj_any, cons_any,
-        np.tile([0.0, 1.0], (n_r, 1)), lambda theta0: np.full((len(theta0), n_r), 0.9),
+    def constraints(theta, alpha):
+        alpha = np.clip(alpha, 0.0, 1.0)  # finite-difference probes overshoot
+        if variant == "local":
+            (q,) = _per_design(theta, design_terms)
+            return quantile_of(q, 1.0 - alpha)
+        return _weighted_worst_quantiles(grids, theta, np.minimum(alpha, 1.0 - 1e-9))
+
+    theta, alpha, res = _minimize(
+        spec, opts, objective, constraints,
+        np.tile([0.0, 1.0], (spec.n_r, 1)), lambda theta0: np.full((len(theta0), spec.n_r), 0.9),
     )
-    alpha = res.x[m:]
     return _assemble(
-        spec, data, cfg, opts, res, suggest=None,
+        spec, data, cfg, opts, theta, res, suggest=None,
         objective=float(np.sum(alpha)), alpha_a_lower=alpha,
     )
 
@@ -462,10 +459,8 @@ def solve_feasibility_seed(
 # ---------------------------------------------------------------------------
 
 
-def _response_quantiles(spec, data, h, theta, alpha_e_resp):
-    vals = h(theta[..., None, None, :], data.aleatory[:, None, :], data.epistemic[None, :, :])
-    vals = np.broadcast_to(np.asarray(vals, float), theta.shape[:-1] + (data.n_a, data.n_e))
-    return quantile_of(vals, 1.0 - alpha_e_resp)
+def _response_quantiles(data, h, theta, alpha_e_resp):
+    return quantile_of(_on_grid(h, data, theta), 1.0 - alpha_e_resp)
 
 
 def solve_moment_risk_averse(
@@ -482,40 +477,35 @@ def solve_moment_risk_averse(
     level 1 - cfg.alpha_e[0]."""
     cfg = _for_problem(spec, data, cfg)
     aer = float(cfg.alpha_e[0])
-    m, n_a, n_r = spec.m_theta, data.n_a, spec.n_r
     levels = 1.0 - cfg.alpha_e
 
-    def obj_any(x):
-        x = np.asarray(x, float)
-        return x[..., m] + cfg.rho * np.sum(x[..., m + 1 :], axis=-1)
+    def objective(theta, aux):  # aux = (lambda, xi)
+        return aux[:, 0] + cfg.rho * np.sum(aux[:, 1:], axis=-1)
 
     def design_terms(theta):
         return (
             _req_quantiles(requirement_values(spec, data, theta), levels),
-            _response_quantiles(spec, data, h, theta, aer),
+            _response_quantiles(data, h, theta, aer),
         )
 
-    def cons_any(x):
-        x = np.asarray(x, float)
-        lam, xi = x[..., m], x[..., m + 1 :]
-        q, hq = _per_design(x[..., :m], design_terms)
-        g_req = (q - xi[..., None, :]).reshape(x.shape[:-1] + (n_r * n_a,))
+    def constraints(theta, aux):
+        lam, xi = aux[:, 0], aux[:, 1:]
+        q, hq = _per_design(theta, design_terms)
+        g_req = (q - xi[:, None, :]).reshape(len(xi), -1)
         w = np.exp(-cfg.kappa * xi)
         mean = np.sum(hq * w, axis=-1) / np.maximum(np.sum(w, axis=-1), 1e-300)
-        return np.concatenate([g_req, (mean - lam)[..., None]], axis=-1)
+        return np.concatenate([g_req, (mean - lam)[:, None]], axis=-1)
 
     def aux_starts(theta0):
-        lam0 = np.mean(_response_quantiles(spec, data, h, theta0, aer), axis=-1)
-        return np.hstack([lam0[:, None], np.zeros((len(theta0), n_a))])
+        lam0 = np.mean(_response_quantiles(data, h, theta0, aer), axis=-1)
+        return np.hstack([lam0[:, None], np.zeros((len(theta0), data.n_a))])
 
-    res = _minimize(
-        spec, opts, obj_any, cons_any,
-        np.vstack([[[-np.inf, np.inf]], np.tile([0.0, np.inf], (n_a, 1))]), aux_starts,
+    theta, aux, res = _minimize(
+        spec, opts, objective, constraints,
+        np.vstack([[[-np.inf, np.inf]], np.tile([0.0, np.inf], (data.n_a, 1))]), aux_starts,
     )
-    return _assemble(
-        spec, data, cfg, opts, res,
-        xi_star=res.x[m + 1 :], lambda_star=float(res.x[m]), objective=float(res.x[m]),
-    )
+    lam = float(aux[0])
+    return _assemble(spec, data, cfg, opts, theta, res, xi_star=aux[1:], lambda_star=lam, objective=lam)
 
 
 def solve_moment_risk_agnostic(
@@ -535,35 +525,32 @@ def solve_moment_risk_agnostic(
     _require_below_one(cfg.alpha_a[:1])
     alpha_a = float(cfg.alpha_a[0])
     aer = float(cfg.alpha_e[0])
-    m, n_a = spec.m_theta, data.n_a
     levels = 1.0 - cfg.alpha_e
-    counts = np.arange(1, n_a + 1, dtype=float)
+    counts = np.arange(1, data.n_a + 1, dtype=float)
 
-    def obj_any(x):
-        return np.asarray(x, float)[..., m]
+    def objective(theta, lam):
+        return lam[:, 0]
 
     def design_terms(theta):
         q = _req_quantiles(requirement_values(spec, data, theta), levels)
         q_worst = np.max(q, axis=-2)  # (U, n_a)
-        hq = _response_quantiles(spec, data, h, theta, aer)
+        hq = _response_quantiles(data, h, theta, aer)
         order = np.argsort(hq, axis=-1, kind="stable")
         h_sorted = np.take_along_axis(hq, order, axis=-1)
         running_mean = np.cumsum(h_sorted, axis=-1) / counts
         return running_mean, np.take_along_axis(q_worst, order, axis=-1)
 
-    def cons_any(x):
-        x = np.asarray(x, float)
-        running_mean, q_worst_sorted = _per_design(x[..., :m], design_terms)
-        ell = running_mean - x[..., m, None]
-        stacked = np.maximum(ell, q_worst_sorted)
-        return quantile_of(stacked, 1.0 - alpha_a)[..., None]
+    def constraints(theta, lam):
+        running_mean, q_worst_sorted = _per_design(theta, design_terms)
+        stacked = np.maximum(running_mean - lam, q_worst_sorted)
+        return quantile_of(stacked, 1.0 - alpha_a)[:, None]
 
     def aux_starts(theta0):
-        return np.mean(_response_quantiles(spec, data, h, theta0, aer), axis=-1)[:, None]
+        return np.mean(_response_quantiles(data, h, theta0, aer), axis=-1)[:, None]
 
-    res = _minimize(spec, opts, obj_any, cons_any, np.array([[-np.inf, np.inf]]), aux_starts)
-    lam = float(res.x[m])
-    return _assemble(spec, data, cfg, opts, res, lambda_star=lam, objective=lam)
+    theta, aux, res = _minimize(spec, opts, objective, constraints, [[-np.inf, np.inf]], aux_starts)
+    lam = float(aux[0])
+    return _assemble(spec, data, cfg, opts, theta, res, lambda_star=lam, objective=lam)
 
 
 #: every formulation's program; the moment programs also take a response

@@ -285,15 +285,16 @@ class _Selection:
 
 
 def _greedy_build(c, budgets, points, like, gamma, lam, n_target) -> _Selection:
-    """Violating scenarios until each budget is met (preferring candidates
-    that do not overshoot an already-met budget), then a feasible fill.
+    """Violating scenarios until each budget is met or the selection holds
+    n_target points (preferring candidates that do not overshoot an
+    already-met budget), then a feasible fill.
     Candidates are passed as masks over the pool, which ``best`` scores a
     tile at a time."""
     n_r = c.shape[1]
     sel = _Selection(points, like, gamma, lam)
     counts = np.zeros(n_r, dtype=int)
     for k in range(n_r):
-        while counts[k] < budgets[k]:
+        while counts[k] < budgets[k] and sel.count < n_target:
             pool = c[:, k] & ~sel.mask
             met = counts >= budgets
             if met.any():

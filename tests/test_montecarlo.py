@@ -361,6 +361,24 @@ def test_analyze_logs_its_blocks_tiles_and_requirement_calls(circle_spec, caplog
     assert lines == [f"analyze: {n_a_test} x {n_e_test} testing grid points, {blocks}"]
 
 
+@pytest.mark.parametrize("alpha_a,alpha_e,trim", [
+    (1.0, 0.0, "aleatory"), (0.0, 1.0, "epistemic"), (0.0, 0.99, "epistemic"),
+], ids=["aleatory", "epistemic", "epistemic-0.99-of-40"])
+def test_trim_that_keeps_nothing_is_rejected_before_the_grid(circle_spec, alpha_a, alpha_e, trim):
+    calls = []
+
+    def counted(th, a, e):
+        calls.append(1)
+        return circle.circle_requirement(th, a, e)
+
+    spec = dataclasses.replace(circle_spec, requirements=[counted])
+    data = circle.generate_dataset(3, 3, seed=4, n_a_test=300, n_e_test=40)
+    cfg = RmcConfig(np.array([alpha_a]), np.array([alpha_e]))
+    with pytest.raises(InputError, match=f"trimmed {trim} sequence is empty"):
+        analyze(spec, np.array([0.3, 0.2, 2.0]), data, cfg)
+    assert calls == []
+
+
 def test_kept_aleatory_count_is_exact_on_a_k_over_n_fraction():
     # alpha_a = 6/7 of 7 testing points keeps one; 7 * (1 - 6/7) is
     # 1.0000000000000004 in floating point, whose ceiling would keep two

@@ -152,6 +152,28 @@ def test_start_point_outside_bounds_rejected(starts):
         nlp.minimize(p)
 
 
+def _linear_constraint(X):
+    return 0.5 - X[:, :1]
+
+
+@pytest.mark.parametrize("objective,constraints,name,shape", [
+    (lambda X: np.zeros(1), _linear_constraint, "objective_batch", r"\(1,\)"),
+    (lambda X: X[:, 0], lambda X: np.zeros((1, 1)), "constraints_batch", r"\(1, 1\)"),
+    (lambda X: X[:, 0], lambda X: 0.5 - X[:, 0], "constraints_batch", r"\(3,\)"),
+    (lambda X: np.asarray(0.0), _linear_constraint, "objective_batch", r"\(\)"),
+    (lambda X: np.zeros(1), _no_constraints, "objective_batch", r"\(1,\)"),
+], ids=["short-objective", "one-row-constraints", "flat-constraints", "0-d-objective",
+        "short-objective-unconstrained"])
+def test_output_of_the_wrong_shape_is_rejected(objective, constraints, name, shape):
+    # one value for the whole batch, a constraint row per batch, one
+    # residual per row as a flat array, or a 0-d value: none is one
+    # value or one row of residuals per row of the 3-row probe batch
+    p = nlp.NlpProblem(objective_batch=objective, constraints_batch=constraints,
+                       bounds=np.array([[0.0, 1.0]]), starts=np.array([[0.2]]))
+    with pytest.raises(InputError, match=f"{name} returned shape {shape} for a batch of 3 rows"):
+        nlp.minimize(p)
+
+
 @pytest.mark.parametrize("field", ["n_starts", "max_inner", "seed"])
 def test_options_take_only_integers(field):
     for bad in (2.5, 3.0, True, "3", None):

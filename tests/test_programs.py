@@ -336,6 +336,15 @@ def test_pseudo_distribution_helper(circle_spec, small_data):
     assert np.allclose(values, direct)
 
 
+def _never(*args):
+    pytest.fail("the program did work before checking its inputs")
+
+
+#: a problem whose every callable fails the test when called
+_NEVER_SPEC = ProblemSpec(objective=_never, requirements=[_never], design_bounds=[[0.0, 1.0]],
+                          m_a=1, m_e=1)
+
+
 @pytest.mark.parametrize("tag", list(FormulationTag), ids=lambda t: t.value)
 @pytest.mark.parametrize(
     "widths,message",
@@ -343,17 +352,36 @@ def test_pseudo_distribution_helper(circle_spec, small_data):
     ids=["aleatory", "epistemic"],
 )
 def test_every_program_rejects_data_of_other_widths_before_any_solve(tag, widths, message):
-    def never(*args):
-        pytest.fail("the program did work before checking the data widths")
-
-    spec = ProblemSpec(objective=never, requirements=[never], design_bounds=[[0.0, 1.0]],
-                       m_a=1, m_e=1)
     data = ScenarioData(
         np.zeros((4, widths[0])), np.zeros((3, widths[1])),
         testing_aleatory=np.zeros((5, widths[0])), testing_epistemic=np.zeros((2, widths[1])),
     )
     with pytest.raises(InputError, match=f"{message}, the problem needs 1; testing_"):
-        solve(tag, spec, data, AlphaConfig.uniform(1), OPTS, response=never)
+        solve(tag, _NEVER_SPEC, data, AlphaConfig.uniform(1), OPTS, response=_never)
+
+
+@pytest.mark.parametrize(
+    "tag",
+    [FormulationTag.RISK_AGNOSTIC_LOCAL, FormulationTag.RISK_AGNOSTIC_GLOBAL,
+     FormulationTag.MOMENT_RISK_AGNOSTIC],
+    ids=lambda t: t.value,
+)
+def test_risk_agnostic_programs_reject_alpha_a_of_one_before_any_solve(tag):
+    # discarding every scenario leaves no quantile to constrain
+    data = ScenarioData(np.zeros((4, 1)), np.zeros((3, 1)))
+    with pytest.raises(InputError, match=r"alpha_a entries must lie in \[0, 1\)"):
+        solve(tag, _NEVER_SPEC, data, AlphaConfig.uniform(1, alpha_a=1.0), OPTS, response=_never)
+
+
+@pytest.mark.parametrize(
+    "tag", [FormulationTag.RISK_AVERSE_GLOBAL, FormulationTag.RISK_AGNOSTIC_GLOBAL],
+    ids=lambda t: t.value,
+)
+def test_global_programs_reject_alpha_e_of_one(tag):
+    # the weight rule's epistemic quantile needs a draw below the fraction
+    spec, data = _linear_toy()
+    with pytest.raises(InputError, match=r"alpha_e_k must lie in \[0, 1\)"):
+        solve(tag, spec, data, AlphaConfig.uniform(1, alpha_e=1.0), OPTS)
 
 
 def test_formulation_validation():

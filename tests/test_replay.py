@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from scendo import nlp, replay
+from scendo.core import InputError
 
 
 @pytest.mark.parametrize("one_row_dtype", [np.float64, np.float32])
@@ -155,22 +156,20 @@ def test_a_miss_in_the_first_screen_block_evaluates_one_block(monkeypatch):
 
 
 @pytest.mark.parametrize("objective", [
-    lambda X: np.zeros(1),  # one value for any batch: broadcasts, but is not one per row
-    lambda X: np.asarray(0.0),  # 0-d: solving raises on the final evaluation
+    lambda X: np.zeros(1),  # one value for any batch, not one per row
+    lambda X: np.asarray(0.0),  # 0-d
 ], ids=["short", "0-d"])
 def test_entry_with_an_output_of_the_wrong_shape_is_dropped(objective):
     # a recorded output that is not one value per row of its batch cannot be
     # screened against: the entry keeps no rows and no result, and the
-    # replaying tape solves, with the cold result or the same exception
+    # replaying tape solves, raising the cold solve's InputError
     opts = nlp.NlpOptions(seed=0, n_starts=2, max_inner=30)
     problem = replace(_counted_constrained_problem({"f": 0, "g": 0}, opts), objective_batch=objective)
 
     def outcome():
-        try:
-            res = nlp.minimize(problem, opts)
-        except IndexError as exc:
-            return repr(exc)
-        return res.x.tobytes(), res.diagnostics
+        with pytest.raises(InputError, match="objective_batch returned shape") as exc:
+            nlp.minimize(problem, opts)
+        return str(exc.value)
 
     cold = outcome()
     with replay.recording_tape() as tape:

@@ -105,6 +105,24 @@ def test_selection_validates_target(circle_spec):
         select_training_aleatory(c, data.testing_aleatory, 0)
     with pytest.raises(InputError):
         select_training_aleatory(c, data.testing_aleatory, 999)
+    # every point violates: no feasible point fills what the budget leaves
+    with pytest.raises(InputError, match="cannot fill the selection without breaking budgets"):
+        select_training_aleatory(np.ones_like(c), data.testing_aleatory, 5, budgets=np.array([2]))
+
+
+@pytest.mark.parametrize("violators,budgets", [
+    ((slice(0, 55), slice(55, 100)), None),  # default budgets [4, 3]
+    ((slice(0, 20), slice(20, 40)), np.array([5, 5])),
+], ids=["default-budgets", "given-budgets"])
+def test_selection_holds_its_target_when_the_budgets_sum_above_it(violators, budgets, caplog):
+    c = np.zeros((100, 2), dtype=bool)
+    c[violators[0], 0] = True
+    c[violators[1], 1] = True
+    points = np.random.default_rng(5).normal(size=(100, 2))
+    with caplog.at_level(logging.INFO, logger="scendo.seqdesign"):
+        sel = select_training_aleatory(c, points, 6, budgets)
+    assert sel.size == 6
+    assert "selection budgets relaxed" in caplog.text
 
 
 @pytest.mark.parametrize("budget", [2.7, -1, np.nan, np.inf])
