@@ -104,6 +104,13 @@ def _as_float_array(x, name: str, ndim: int | None = None) -> Array:
     return arr
 
 
+def _shaped(values, shape: tuple) -> Array:
+    """A callable's output as floats of ``shape``: the array itself when it
+    has that shape, else its read-only broadcast.  Callers only read it."""
+    values = np.asarray(values, dtype=float)
+    return values if values.shape == shape else np.broadcast_to(values, shape)
+
+
 def _integers(obj, *names: str) -> None:
     """InputError unless each field ``names`` of ``obj`` is a Python or
     numpy integer; a bool is not one."""

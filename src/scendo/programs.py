@@ -46,6 +46,7 @@ from scendo.core import (
     ProblemSpec,
     ScenarioData,
     SolveResult,
+    _shaped,
 )
 from scendo.ecdf import quantile_of
 from scendo.weights import (
@@ -83,20 +84,22 @@ def _on_grid(fn: Callable, data: ScenarioData, theta: Array) -> Array:
     """``fn(theta, a, e)`` on the training grid: theta (..., m) gives
     (..., n_a, n_e)."""
     vals = fn(theta[..., None, None, :], data.aleatory[:, None, :], data.epistemic[None, :, :])
-    return np.broadcast_to(np.asarray(vals, float), theta.shape[:-1] + (data.n_a, data.n_e))
+    return _shaped(vals, theta.shape[:-1] + (data.n_a, data.n_e))
 
 
 def requirement_values(spec: ProblemSpec, data: ScenarioData, theta: Array) -> Array:
     """Requirement values on the training grid.
 
-    theta may carry leading batch axes: returns (..., n_r, n_a, n_e).
+    theta may carry leading batch axes: returns (..., n_r, n_a, n_e).  One
+    requirement's grid is not copied: the result is a view of it.
     """
     theta = np.asarray(theta, dtype=float)
-    return np.stack([_on_grid(rk, data, theta) for rk in spec.requirements], axis=-3)
+    grids = [_on_grid(rk, data, theta) for rk in spec.requirements]
+    return grids[0][..., None, :, :] if len(grids) == 1 else np.stack(grids, axis=-3)
 
 
 def _objective_values(spec: ProblemSpec, theta: Array) -> Array:
-    return np.broadcast_to(np.asarray(spec.objective(theta), float), theta.shape[:-1])
+    return _shaped(spec.objective(theta), theta.shape[:-1])
 
 
 def _req_quantiles(values: Array, levels: Array) -> Array:

@@ -6,17 +6,20 @@ import sys
 import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import beta
 
 import scendo
 from oracles import analyze_full_grid
 from scendo import circle, core, montecarlo
 from scendo.core import InputError, ProblemSpec, ScenarioData
-from scendo.ecdf import cdf_of
-from scendo.montecarlo import RmcConfig, analyze, clopper_pearson
+from scendo.ecdf import TIE_EPS, cdf_of, strictify_sorted
+from scendo.montecarlo import RmcConfig, RmcReport, analyze, clopper_pearson
 
 ZERO_CFG = RmcConfig(alpha_a=np.zeros(1), alpha_e=np.zeros(1), sigma=0.95)
 
@@ -347,6 +350,127 @@ def test_streamed_analyze_matches_full_grid_oracle(circle_spec, blocking, worst_
     assert np.any(row[1:] == row[:-1])
 
 
+@st.composite
+def _unsorted_blocks(draw):
+    """(values, n_keep): a block of 1-3 unsorted rows of 2-400 values and a
+    kept count.  Each row is a normal sample, scaled (at 0.2 its values
+    lie below 1, where the tie shift is the same TIE_EPS for all, and are
+    far apart) and shifted so that some rows are all negative or all
+    nonnegative.  Clusters of exact and near ties are put around its lo
+    (the negative value nearest zero) and hi (the smallest nonnegative
+    one): copies of them, or values one or two steps away.  A step is 1,
+    30, about 128 (the narrow window's edge) or about 4n (the wide
+    window's) tie shifts of the anchor, TIE_EPS * max(1, |anchor|), or of
+    the row's largest value, which the windows are measured in.  Some rows
+    also hold a zero of either sign or an infinity."""
+    n = draw(st.integers(2, 400))
+    n_keep = draw(st.one_of(st.just(n), st.just(1), st.integers(1, n)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = []
+    for _ in range(draw(st.integers(1, 3))):
+        scale = draw(st.sampled_from([1e-6, 0.2, 1.0, 1e4]))
+        row = (rng.standard_normal(n) + draw(st.sampled_from([-4.0, -0.3, 0.0, 0.3, 4.0]))) * scale
+        lo = row[row < 0].max(initial=-scale)
+        hi = row[row >= 0].min(initial=scale)
+        others = np.flatnonzero((row != lo) & (row != hi))  # the clusters leave lo and hi
+        for _ in range(draw(st.integers(0, 4))):
+            anchor = draw(st.sampled_from([lo, hi]))
+            unit = TIE_EPS * max(1.0, abs(anchor) if draw(st.booleans()) else np.abs(row).max())
+            step = draw(st.sampled_from([1.0, 30.0, 127.0, 129.0, 4.0 * n - 1, 4.0 * n + 1]))
+            step *= draw(st.sampled_from([-1.0, 1.0])) * unit
+            at = rng.choice(others, min(others.size, draw(st.integers(1, 300))), replace=False)
+            k = draw(st.sampled_from([0, 1, 2, None]))  # one offset, or a mix of the three
+            row[at] = anchor + step * (rng.integers(0, 3, at.size) if k is None else k)
+        for special in draw(st.lists(st.sampled_from([0.0, -0.0, np.inf, -np.inf]), max_size=2)):
+            row[rng.integers(n)] = special
+        rows.append(row)
+    return np.array(rows), n_keep
+
+
+def _sorted_path(values, n_keep):
+    p, m = np.empty(len(values)), np.empty(len(values), dtype=np.intp)
+    montecarlo._reduce(np.sort(values, axis=-1), n_keep, p, m)
+    return p, m
+
+
+@settings(deadline=None)
+@given(_unsorted_blocks())
+def test_order_free_reduction_is_the_sorted_paths_bit_for_bit(case):
+    values, n_keep = case
+    with np.errstate(all="ignore"):  # the sorted path's shifts of infinities are NaN
+        for r, row in enumerate(values):  # each row the guard admits, whole
+            got = montecarlo._order_free(row)
+            if got is not None:
+                p, m = _sorted_path(values[r : r + 1], values.shape[1])
+                assert np.array([got[0]]).tobytes() == p.tobytes() and got[1] == m[0]
+        # the block, trimmed or not, with rows of any length admitted
+        want_p, want_m = _sorted_path(values, n_keep)
+        p, m = np.empty(len(values)), np.empty(len(values), dtype=np.intp)
+        with mock.patch.object(montecarlo, "_ORDER_FREE_MIN", 2):
+            montecarlo._reduce_unsorted(values.copy(), n_keep, p, m)
+    assert p.tobytes() == want_p.tobytes() and m.tolist() == want_m.tolist()
+
+
+@pytest.mark.parametrize("signs, copies, steps, admitted", [
+    ("mixed", 40, 30, False),  # inside the narrow window: the last copy ends above lo
+    ("mixed", 200, 129, False),  # past the narrow window, too many to stay below lo
+    ("mixed", 60, 129, True),  # past the narrow window and fewer than 64: they stay below
+    ("negative", 40, 1, False),  # they raise lo, 20 shifts below zero, above zero
+    ("negative", 60, 129, True),
+])
+def test_order_free_guard_on_a_run_of_copies_below_lo(signs, copies, steps, admitted):
+    # values below 1 take the same tie shift TIE_EPS, in which the guard's
+    # windows are measured; the row's first `copies` values are set
+    # `steps` shifts below lo
+    if signs == "mixed":
+        row = np.linspace(-0.9, 0.9, 1000) + 0.001
+    else:
+        row = np.linspace(-0.9, -0.1, 1000)
+        row[-1] = -20 * TIE_EPS
+    lo = row[row < 0].max()
+    row[:copies] = lo - steps * TIE_EPS
+    p, m = _sorted_path(row[None], row.size)
+    got = montecarlo._order_free(row)
+    assert (got is not None) == admitted
+    if admitted:
+        assert np.array([got[0]]).tobytes() == p.tobytes() and got[1] == m[0]
+    else:  # the run moved lo: the count and knots of the unsorted row would be wrong
+        strict = strictify_sorted(np.sort(row))
+        assert strict[strict < 0].max() != lo
+
+
+@pytest.mark.parametrize("worst_case", [False, True])
+@pytest.mark.parametrize("requirement", ["circle", "rounded_stretched"])
+def test_report_is_the_same_with_every_row_on_the_sorted_path(circle_spec, caplog, requirement,
+                                                             worst_case):
+    # 3000 x 20 grid points: blocks of five draw rows, long enough for the
+    # order-free path; the rounded requirement ties within its rows
+    spec = dataclasses.replace(circle_spec, requirements={
+        "circle": [circle.circle_requirement] * 2,
+        "rounded_stretched": [_rounded_stretched, circle.circle_requirement],
+    }[requirement])
+    data = circle.generate_dataset(3, 3, seed=4, n_a_test=3000, n_e_test=20)
+    theta = np.array([0.3, 0.2, 2.5])
+    cfg = RmcConfig(np.zeros(1), np.array([0.1]), worst_case=worst_case)
+    reports, logs = [], []
+    for order_free in (montecarlo._order_free, lambda row: None):
+        caplog.clear()
+        with mock.patch.object(montecarlo, "_order_free", order_free):
+            with caplog.at_level(logging.DEBUG, logger="scendo.montecarlo"):
+                reports.append(analyze(spec, theta, data, cfg))
+        logs.append(caplog.records[-1].getMessage().rsplit(", ", 1)[1])
+    n_rows = 20 if worst_case else 40
+    assert logs[1] == f"{n_rows} of {n_rows} draw rows sorted"
+    if requirement == "circle":  # untied rows: the guard admits every one
+        assert logs[0] == f"0 of {n_rows} draw rows sorted"
+    for field in dataclasses.fields(RmcReport):
+        got, want = getattr(reports[0], field.name), getattr(reports[1], field.name)
+        if isinstance(want, np.ndarray):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), field.name
+        else:
+            assert got == want, field.name
+
+
 @pytest.mark.parametrize("n_a_test, n_e_test, blocks", [
     (2 * _TILE + 5, 3, "3 blocks of up to 1 draws, 3 tiles per block, 18 requirement calls"),
     (_TILE // 4, 10, "3 blocks of up to 4 draws, 1 tiles per block, 6 requirement calls"),
@@ -358,7 +482,9 @@ def test_analyze_logs_its_blocks_tiles_and_requirement_calls(circle_spec, caplog
     with caplog.at_level(logging.DEBUG, logger="scendo.montecarlo"):
         analyze(spec, np.array([0.3, 0.2, 2.5]), data, ZERO_CFG)
     lines = [r.getMessage() for r in caplog.records if r.name == "scendo.montecarlo"]
-    assert lines == [f"analyze: {n_a_test} x {n_e_test} testing grid points, {blocks}"]
+    # the circle's values hold no ties, so no draw row of either requirement is sorted
+    sorted_rows = f"0 of {2 * n_e_test} draw rows sorted"
+    assert lines == [f"analyze: {n_a_test} x {n_e_test} testing grid points, {blocks}, {sorted_rows}"]
 
 
 @pytest.mark.parametrize("alpha_a,alpha_e,trim", [
