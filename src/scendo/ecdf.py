@@ -132,6 +132,11 @@ def _check_broadcast(name: str, arg: Array, values: Array) -> None:
         raise InputError(f"{name} of shape {arg.shape} does not broadcast to the rows {lead}")
 
 
+def _check_samples(n: int) -> None:
+    if n == 0:
+        raise InputError("rows must hold at least one sample")
+
+
 def _snap(t: float, n: int) -> float:
     """t, snapped to the nearest integer when within ``_SNAP * n`` of it:
     the array path's IEEE steps on a Python float (``round`` rounds half
@@ -167,7 +172,8 @@ def sorted_quantile(values: Array, alpha) -> Array:
     Levels that land exactly on the grid i/(n-1) return the corresponding
     sample with no interpolation round-off.  A single-sample row returns
     that sample for every level.  A level outside [0, 1], or of a shape
-    that does not broadcast to the leading shape, raises InputError.
+    that does not broadcast to the leading shape, raises InputError, and
+    so do rows of no samples.
     """
     values = np.asarray(values, dtype=float)
     alpha = np.asarray(alpha, dtype=float)
@@ -179,6 +185,7 @@ def sorted_quantile(values: Array, alpha) -> Array:
             q = _one_level(values, level)
             # 1-D rows give a numpy scalar; the array path an array of alpha's shape
             return q if lead else np.full(alpha.shape, q)
+    _check_samples(n)
     if not ((alpha >= 0) & (alpha <= 1)).all():  # also rejects NaN and +-inf
         raise InputError("quantile level must lie in [0, 1]")
     _check_broadcast("level", alpha, values)
@@ -201,7 +208,7 @@ def sorted_cdf(values: Array, z) -> Array:
     of ``values`` (or any shape when ``values`` is one-dimensional); +-inf
     give 0 and 1.  A single-sample row yields the step 1{z >= sample}.  A
     NaN point, or one of a shape that does not broadcast to the leading
-    shape, raises InputError.
+    shape, raises InputError, and so do rows of no samples.
     """
     values = np.asarray(values, dtype=float)
     z = np.asarray(z, dtype=float)
@@ -209,6 +216,7 @@ def sorted_cdf(values: Array, z) -> Array:
         raise InputError("CDF point must not be NaN")
     _check_broadcast("point", z, values)
     n = values.shape[-1]
+    _check_samples(n)
     if n == 1:
         return (z >= values[..., 0]).astype(float)
     m = (values < z[..., None]).sum(axis=-1)

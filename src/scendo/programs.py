@@ -27,6 +27,10 @@ global risk-agnostic program, the local one for the rest).
 
 All quantiles use the piecewise-linear interpolant from ``scendo.ecdf``,
 so constraints are piecewise-linear in the sampled requirement values.
+The local risk-agnostic program with every fraction 0, the classical
+scenario program, takes both quantiles at level 1: its constraint is
+each grid's maximum, taken without a sort wherever ``_guarded_tops``
+proves it equals the sorted quantiles bit for bit.
 Builders are pure functions of their inputs, and every solve is
 deterministic given the solver options' seed.
 """
@@ -48,7 +52,7 @@ from scendo.core import (
     SolveResult,
     _shaped,
 )
-from scendo.ecdf import quantile_of
+from scendo.ecdf import TIE_EPS, quantile_of
 from scendo.weights import (
     failure_fractions,
     inlier_threshold,
@@ -397,22 +401,133 @@ def solve_risk_agnostic_global(
     return _assemble(spec, data, cfg, opts, theta, res, suggest="global", weight_alpha_a=cfg.alpha_a)
 
 
+#: the window below a grid's maximum M that ``_guarded_tops`` requires
+#: empty, in units of max(n_a, n_e) * TIE_EPS * max(1, 2|M|)
+_TOP_WINDOW = 8.0
+
+
+def _guarded_tops(values: Array) -> tuple:
+    """``quantile_of(quantile_of(values, 1.0), 1.0)`` of (..., n_a, n_e)
+    grids without sorting them: ``(top, admitted)``, each grid's maximum M
+    and whether the guard below proves that M is that quantile, bit for bit.
+
+    At level 1 ``sorted_quantile`` returns a row's last strictified value
+    (``frac >= 1`` reads the upper knot itself; a one-sample row adds 0.0).
+    So the nested quantile is M when ``strictify_sorted`` leaves M, the
+    top of its scenario's row, as it is, and leaves every other scenario's
+    top below M, so that M also tops the row of scenario tops and is kept.
+    The guard admits a grid when M is finite and nonzero, no value is
+    -inf or NaN, and no value but M lies above M - W, with
+    W = ``_TOP_WINDOW`` * n * TIE_EPS * max(1, 2|M|) and n = max(n_a, n_e).
+    Each is one reduction of the flattened grids.  A finite M lies above
+    M - W itself and a grid whose top is not finite has no value above it,
+    so the count of values above M - W over the whole batch equals the
+    number of finite tops exactly when each of those grids has M alone;
+    the per-grid count runs only when it does not.
+
+    Why the guard proves it.  ``strictify_sorted`` only raises values.
+    Its tie shift raises the j-th copy of a run of equal values z
+    (j < n) by j * TIE_EPS * max(1, |z|); its walk then raises a value
+    that is not above its final predecessor to that predecessor plus
+    TIE_EPS * max(1, |value|).  Such a value lies between the row value z
+    of the predecessor's bound and that bound, so while
+    n * TIE_EPS <= 1/8 (rows of up to 1e8 values) each raise adds less
+    than 2 TIE_EPS max(1, |z|): every value of a row ends at most at
+    z + 2n TIE_EPS max(1, |z|) for a row value z at or before it.
+    Through both levels, every scenario top but M's, and M's
+    predecessor in either row, ends at most at
+    z + 5n TIE_EPS max(1, |z|) for a grid value z <= M - W.  That is
+    below M: by the margin W >= 8n TIE_EPS where |z| <= 1; where z > 1,
+    |z| <= |M| and W >= 16n TIE_EPS |M|; where z < -1 the bound is
+    z (1 - 5n TIE_EPS) < 0, below M when M > 0 and, when M < 0, since
+    |z| >= |M| + W.  Only values near M can reach it, which is why W
+    scales with |M| and not with the grid's largest |v|.  M has no copy,
+    so its run rank is 0 and its shift adds 0, and a nonzero M keeps its
+    bits under the +0.0 the shift adds to every entry of a batch holding
+    a tie (a -0.0 would turn +0.0 or not depending on the other rows).
+    Shifts of an infinite value are NaN or infinite, so the bound needs
+    finite values.  The rounding of the shifts and of M - W is far below
+    the margins left.
+    """
+    n_a, n_e = values.shape[-2:]
+    flat = values.reshape(values.shape[:-2] + (n_a * n_e,))
+    unit = _TOP_WINDOW * max(n_a, n_e) * TIE_EPS
+    top = flat.max(axis=-1)
+    threshold = np.abs(top)
+    threshold *= 2.0 * unit
+    np.maximum(threshold, unit, out=threshold)
+    with np.errstate(invalid="ignore"):  # inf - inf, at a top that is not finite
+        np.subtract(top, threshold, out=threshold)
+    above = flat > threshold[..., None]
+    admitted = np.isfinite(top)
+    if np.count_nonzero(above) != np.count_nonzero(admitted):
+        admitted &= above.sum(axis=-1) == 1
+    admitted &= top != 0.0
+    if not flat.min() > -np.inf:  # min propagates NaN
+        admitted &= flat.min(axis=-1) > -np.inf
+    return top, admitted
+
+
+def _zero_discard_tops(values: Array, nested: Callable[[Array], Array]) -> tuple:
+    """The zero-discard constraint of a batch's (B, n_r, n_a, n_e) grids,
+    ``nested(values)`` bit for bit: ``(g, n_sorted, whole)``, g (B, n_r),
+    the number of designs sorted and whether the whole batch was.
+
+    A design whose every requirement ``_guarded_tops`` admits takes the
+    grid maxima; the others run ``nested`` as one sub-batch.  That gives
+    their rows of the whole batch: ``strictify_sorted`` couples the rows
+    of a batch only through the +0.0 it adds to all of them when one
+    holds a tie, which changes no bits of a value but -0.0, and the shifts
+    and walk make no -0.0 of nonzero values.  So when a rejected design's
+    grid holds a zero of either sign the whole batch runs ``nested``.
+    """
+    top, admitted = _guarded_tops(values)
+    if admitted.all():
+        return top, 0, False
+    rejected = np.flatnonzero(~admitted.all(axis=-1))
+    sub = values[rejected]
+    if (sub == 0.0).any():
+        return nested(values), len(values), True
+    top[rejected] = nested(sub)
+    return top, rejected.size, False
+
+
 def solve_risk_agnostic_local(
     spec: ProblemSpec, data: ScenarioData, cfg: AlphaConfig, opts: Optional[nlp.NlpOptions] = None
 ) -> SolveResult:
     """Nested-quantile constraint: per scenario take the (1 - alpha_e)
     quantile over the epistemic draws, then require the (1 - alpha_a)
-    quantile of those values to be nonpositive."""
+    quantile of those values to be nonpositive.
+
+    With every fraction 0 this is the classical scenario program, and
+    both quantiles are at level 1: the constraint is each requirement
+    grid's largest value, taken by one reduction wherever
+    ``_guarded_tops`` proves it equals the nested quantiles bit for bit
+    (``_zero_discard_tops``); other designs are sorted.
+    ``SCENDO_LOG=debug`` logs how many designs were sorted."""
     cfg = _for_problem(spec, data, cfg)
     _require_below_one(cfg.alpha_a)
-    design_terms = _local_design_terms(spec, data, 1.0 - cfg.alpha_e)
-    levels_a = 1.0 - cfg.alpha_a
+    levels_e, levels_a = 1.0 - cfg.alpha_e, 1.0 - cfg.alpha_a
+    zero_discard = not (cfg.alpha_a.any() or cfg.alpha_e.any())
+    tally = np.zeros(4, dtype=np.intp)  # designs sorted, designs, batches sorted whole, batches
+
+    def nested(values):
+        return quantile_of(_req_quantiles(values, levels_e), levels_a)
 
     def constraints(theta, aux):
-        (q,) = design_terms(theta)
-        return quantile_of(q, levels_a)
+        values = requirement_values(spec, data, theta)
+        if zero_discard:
+            g, n_sorted, whole = _zero_discard_tops(values, nested)
+        else:
+            g, n_sorted, whole = nested(values), len(theta), True
+        tally[:] += (n_sorted, len(theta), whole, 1)
+        return g
 
     theta, _, res = _minimize(spec, opts, _design_objective(spec), constraints)
+    logger.debug(
+        "risk_agnostic_local: %d of %d designs sorted, %d of %d constraint batches sorted whole",
+        *tally,
+    )
     return _assemble(spec, data, cfg, opts, theta, res)
 
 

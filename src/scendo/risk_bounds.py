@@ -162,7 +162,9 @@ def epsilon_bar(n_a: int, k: int, beta: float) -> float:
     """
     if any(isinstance(v, bool) or not isinstance(v, (int, np.integer)) for v in (n_a, k)):
         raise InputError(f"n_a and k must be integers, got n_a={n_a!r}, k={k!r}")
-    if n_a < 1 or k < 0 or k > n_a:
+    if n_a < 1:
+        raise InputError(f"need n_a >= 1, got n_a={n_a}")
+    if k < 0 or k > n_a:
         raise InputError(f"need 0 <= k <= n_a, got k={k}, n_a={n_a}")
     _check_beta(beta)
     if k == n_a:

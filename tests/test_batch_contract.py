@@ -68,6 +68,10 @@ PROGRAMS = {
         programs.solve_moment_risk_agnostic, SPEC, DATA, CFG, circle.circle_response, OPTS
     ),
     "risk_agnostic_local": lambda: _capture(programs.solve_risk_agnostic_local, SPEC, DATA, CFG, OPTS),
+    # every fraction 0: the grid maxima behind a guard, the sorted path elsewhere
+    "risk_agnostic_local_zero_discard": lambda: _capture(
+        programs.solve_risk_agnostic_local, SPEC, DATA, AlphaConfig.uniform(1), OPTS
+    ),
     "risk_agnostic_global": lambda: _capture(programs.solve_risk_agnostic_global, SPEC, DATA, CFG, OPTS),
     # the containment maximisation
     "box_containment_max": lambda: _capture(risk_bounds.set_containment_opt, SPEC, THETA, POINT, BOX),
@@ -251,6 +255,43 @@ def test_global_seed_rows_equal_the_weight_rule_row_by_row(n_r):
             p = weights.failure_fractions(programs.requirement_values(spec, _TIED_DATA, x[:LEAD]))[0]
             kept_counts.add(int(np.count_nonzero(p <= quantile_of(p, 1.0 - a[0]))))
     assert kept_counts == {int(np.count_nonzero(p <= c)) for c in np.unique(p)}
+
+
+#: designs on each path of the zero-discard constraint: two whose grids
+#: have one largest value (the maxima), one of radius 0, whose requirement
+#: is the same for every epistemic draw (a tie at every scenario's top:
+#: sorted alone), and one of radius 0 centred on a training scenario,
+#: whose grid holds an exact 0.0 there (the whole batch is sorted)
+_FAST = [[0.0, 0.0, 5.0], [0.3, -0.2, 4.0]]
+_TIED = [[1.0, 2.0, 0.0]]
+_ZERO = [DATA.aleatory[0].tolist() + [0.0]]
+
+
+@pytest.mark.parametrize("designs, path", [
+    (_FAST, "maxima"),
+    (_TIED + _FAST, "sub-batch"),
+    (_FAST + _ZERO + _TIED, "whole batch"),
+])
+def test_zero_discard_rows_equal_the_sorted_path_on_every_path(designs, path, monkeypatch):
+    problem = _problem("risk_agnostic_local_zero_discard")
+    X = np.array(designs + designs[:1])  # and a repeated design
+    values = programs.requirement_values(SPEC, DATA, X)
+    sorted_rows = []
+
+    def spy(values, alpha):
+        if values.ndim == 4:  # the epistemic quantiles of a (designs, n_r, n_a, n_e) batch
+            sorted_rows.append(len(values))
+        return quantile_of(values, alpha)
+
+    monkeypatch.setattr(programs, "quantile_of", spy)
+    g = problem.constraints_batch(X)
+    n_tied = sum(x in _TIED for x in X.tolist())
+    expected = {"maxima": [], "sub-batch": [n_tied], "whole batch": [len(X)]}[path]
+    assert sorted_rows == expected
+    assert (values == 0.0).any() == (path == "whole batch")
+    assert _bits(g) == _bits(quantile_of(quantile_of(values, 1.0), 1.0))
+    for i in range(len(X)):
+        assert _bits(g[i]) == _bits(problem.constraints_batch(X[i : i + 1])[0])
 
 
 def _single_row_merit(problem, x, mu):

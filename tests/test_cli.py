@@ -346,6 +346,9 @@ def test_epsilon_verb(capsys):
 
 def test_epsilon_verb_rejects_bad_inputs(capsys):
     assert cli.main(["epsilon", "--n", "50", "--k", "60"]) == 2
+    assert capsys.readouterr().err == "error: need 0 <= k <= n_a, got k=60, n_a=50\n"
+    assert cli.main(["epsilon", "--n", "0", "--k", "0"]) == 2
+    assert capsys.readouterr().err == "error: need n_a >= 1, got n_a=0\n"
 
 
 def test_log_env_validation(tmp_path, monkeypatch):

@@ -154,6 +154,16 @@ def test_single_sample_degenerate_row():
     assert float(quantile_of(np.array([4.0]), 0.0)) == 4.0
 
 
+@pytest.mark.parametrize("lead", [(), (3,), (2, 1)])
+@pytest.mark.parametrize("arg", [0.0, 1.0, 0.5, [0.2, 0.7]])
+def test_rows_of_no_samples_raise_input_error(lead, arg):
+    # not a ZeroDivisionError from the knots' row offsets
+    values = np.empty(lead + (0,))
+    for fn in (sorted_quantile, sorted_cdf, quantile_of, cdf_of):
+        with pytest.raises(InputError, match="rows must hold at least one sample"):
+            fn(values, arg if not lead or np.ndim(arg) == 0 else arg[0])
+
+
 @pytest.mark.parametrize("alpha", [np.nan, np.inf, -np.inf, -1e-12, 1.0 + 1e-12, [0.5, np.nan]])
 def test_bad_level_value_raises_input_error(alpha):
     for values in (np.arange(4.0), np.arange(8.0).reshape(2, 4), np.ones((2, 1))):

@@ -85,6 +85,17 @@ def test_epsilon_bar_validation():
         epsilon_bar(50, 2.5, 1e-4)
 
 
+@pytest.mark.parametrize("n_a, k, message", [
+    (0, 0, "need n_a >= 1, got n_a=0"),
+    (-2, 0, "need n_a >= 1, got n_a=-2"),
+    (50, 51, "need 0 <= k <= n_a, got k=51, n_a=50"),
+    (50, -1, "need 0 <= k <= n_a, got k=-1, n_a=50"),
+])
+def test_epsilon_bar_names_the_check_that_failed(n_a, k, message):
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+        epsilon_bar(n_a, k, 1e-4)
+
+
 @pytest.mark.parametrize("n_a, k", [(True, 0), (3, False), (np.int64(3), True)])
 def test_epsilon_bar_rejects_bools(n_a, k):
     # a bool is an int to isinstance: without the check True would read as n_a = 1
