@@ -39,9 +39,10 @@ which dispatches to SIMD kernels where the CPU has them, and not with the
 stable kind, several times slower on the same rows.  The two kinds order
 equal values differently, and on finite rows (``scendo.core`` admits no
 NaN) only equal zeros of opposite sign differ in their bits.  A row that
-holds both -0.0 and +0.0 holds a tie, so ``strictify_sorted`` shifts the
-batch and writes every zero as +0.0 or its tie offset, whichever order
-the sort left them in: the results carry the same bits under either kind.
+holds both -0.0 and +0.0 holds a tie, so ``strictify_sorted`` shifts that
+row and writes each of its zeros as +0.0 or its tie offset, whichever
+order the sort left them in; an untied row holds zeros of one sign and
+keeps them: the results carry the same bits under either kind.
 """
 
 from __future__ import annotations
@@ -69,13 +70,13 @@ def strictify_sorted(values: Array) -> Array:
     """Make each row of a sorted array strictly increasing.
 
     The j-th member of a run of duplicates (j = 0, 1, ...) is shifted by
-    j * TIE_EPS * max(1, |z|); rows without ties are returned unchanged.
-    When any row of the batch holds a tie, every entry takes the shift,
-    the j = 0 ones included, so -0.0 + 0.0 leaves no negative zero: the
-    result does not depend on the order the sort gave equal zeros, which
-    lets the callers sort with the (unstable) default kind.  The run ranks
-    j and the shifts are built for the tied rows alone; every other row
-    takes ``values + 0.0``, its zero shift.
+    j * TIE_EPS * max(1, |z|); rows without ties are returned unchanged,
+    whatever the other rows of the batch hold, so a row's result depends
+    on that row alone.  In a tied row every entry takes the shift, the
+    j = 0 ones included, so -0.0 + 0.0 leaves no negative zero: the result
+    does not depend on the order the sort gave equal zeros, which lets the
+    callers sort with the (unstable) default kind.  The run ranks j and
+    the shifts are built for the tied rows alone.
     """
     values = np.asarray(values, dtype=float)
     n = values.shape[-1]
@@ -85,7 +86,7 @@ def strictify_sorted(values: Array) -> Array:
     if rises.all():
         return values
     # C order whatever the input's layout, so that rows is a view of out
-    out = np.add(values, 0.0, order="C")
+    out = np.array(values, order="C")
     rows = out.reshape(-1, n)
     rises = rises.reshape(-1, n - 1)
     tied = np.flatnonzero(~rises.all(axis=1))

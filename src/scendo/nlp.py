@@ -170,15 +170,21 @@ def _make_batch_penalty(problem: NlpProblem):
     f_b = problem.objective_batch
     g_b = problem.constraints_batch
 
+    def squared_violations(g: Array) -> Array:
+        viol = np.maximum(0.0, g)
+        return np.sum(np.multiply(viol, viol, out=viol), axis=-1)
+
     def penalty_batch(X: Array, mu) -> Array:
         fvals = _batch_output(f_b(X), "objective_batch", len(X))
         gvals = _batch_output(g_b(X), "constraints_batch", len(X))
         if gvals.size:
-            sq = np.empty(len(gvals))
             step = max(1, _TILE_FLOATS // gvals.shape[-1])
-            for i in range(0, len(gvals), step):
-                viol = np.maximum(0.0, gvals[i : i + step])
-                sq[i : i + step] = np.sum(np.multiply(viol, viol, out=viol), axis=-1)
+            if len(gvals) <= step:  # one block, the usual case
+                sq = squared_violations(gvals)
+            else:
+                sq = np.empty(len(gvals))
+                for i in range(0, len(gvals), step):
+                    sq[i : i + step] = squared_violations(gvals[i : i + step])
             fvals = fvals + mu * sq
         return np.asarray(fvals, dtype=float)
 
@@ -204,16 +210,17 @@ def _batch_fd_gradient(penalty_batch, X: Array, mu, step: float, starts):
     k, dim = X.shape
     rows = 2 * dim + 1
     h = step * np.maximum(1.0, np.abs(X))
-    batch = np.repeat(X, rows, axis=0).reshape(k, rows, dim)
-    axis = np.arange(dim)
-    batch[:, 1 + axis, axis] += h
-    batch[:, 1 + dim + axis, axis] -= h
-    mu_rows = np.repeat(np.broadcast_to(mu, (k,)), rows)
-    vals = penalty_batch(batch.reshape(k * rows, dim), mu_rows).reshape(k, rows)
+    batch = np.repeat(X, rows, axis=0)
+    # point j's rows, flattened: probe i's coordinate i sits at dim + i (dim + 1)
+    # forward and (dim + i)(dim + 1) backward, so each is a basic-slice diagonal
+    flat = batch.reshape(k, rows * dim)
+    flat[:, dim :: dim + 1][:, :dim] += h
+    flat[:, dim * (dim + 1) :: dim + 1] -= h
+    mu_rows = np.repeat(mu, rows) if np.ndim(mu) else mu
+    vals = penalty_batch(batch, mu_rows).reshape(k, rows)
     probes = vals[:, 1:]
-    bad = ~np.isfinite(probes)
-    if bad.any():
-        j, col = np.argwhere(bad)[0]
+    if not np.isfinite(probes).all():
+        j, col = np.argwhere(~np.isfinite(probes))[0]
         raise ArithmeticError(
             f"non-finite merit value at finite-difference probe of coordinate {col % dim} of start {starts[j]}"
         )
@@ -230,6 +237,16 @@ _LBFGSB_PGTOL = 1e-10
 _LBFGSB_MAXFUN = 15000
 #: setulb's task codes: wants f and g at x, took a new iterate, stop
 _FG, _NEW_X, _STOP = 3, 1, 5
+#: setulb's task names, and the messages of the tasks a stage ends on, as
+#: scipy's L-BFGS-B words them; another task's message is its number
+_TASK_NAMES = ("START", "NEW_X", "RESTART", "FG", "CONVERGENCE", "STOP", "WARNING", "ERROR", "ABNORMAL")
+_TASK_MESSAGES = {
+    0: "",
+    401: "NORM OF PROJECTED GRADIENT <= PGTOL",
+    402: "RELATIVE REDUCTION OF F <= FACTR*EPSMCH",
+    502: "TOTAL NO. OF F,G EVALUATIONS EXCEEDS LIMIT",
+    504: "TOTAL NO. OF ITERATIONS REACHED LIMIT",
+}
 #: setulb's bound type by (lower finite, upper finite)
 _NBD = np.array([[0, 3], [1, 2]], dtype=np.int32)
 
@@ -243,8 +260,12 @@ def _lbfgsb_stage(x0: Array, bounds: Array, maxiter: int, mu: float):
     "ftol": 1e-15, "gtol": 1e-10})`` and as many evaluations.  It yields
     ``(x, mu)`` for each merit and gradient it needs and is sent their
     ``(f, g)``: first at the clipped x0, later whenever setulb asks at an x
-    other than the last one yielded.  It returns ``(x, f, nfev)``: where
-    it stopped, the last merit sent and the number of evaluations.
+    other than the last one yielded.  It returns ``(x, f, nfev, exit)``:
+    where it stopped, the last merit sent, the number of evaluations and
+    ``{"stop": reason, "nit": iterations}``.  The reason is scipy's
+    ``OptimizeResult.message`` for the same stop: setulb's final task, or
+    this stage's own stop at ``maxiter`` iterations or after more than
+    ``_LBFGSB_MAXFUN`` evaluations.
     """
     lo, hi = bounds[:, 0], bounds[:, 1]
     n, m = len(bounds), _LBFGSB_M
@@ -265,7 +286,7 @@ def _lbfgsb_stage(x0: Array, bounds: Array, maxiter: int, mu: float):
                 wa, iwa, task, lsave, isave, dsave, _LBFGSB_MAXLS, ln_task,
             )
             if task[0] == _FG:
-                if not np.array_equal(x, at):
+                if not (x == at).all():  # np.array_equal: -0.0 == 0.0
                     at = x.copy()
                     break
             elif task[0] == _NEW_X:
@@ -275,7 +296,8 @@ def _lbfgsb_stage(x0: Array, bounds: Array, maxiter: int, mu: float):
                 elif nfev > _LBFGSB_MAXFUN:
                     task[:] = _STOP, 502
             else:
-                return x, f, nfev
+                stop = f"{_TASK_NAMES[task[0]]}: {_TASK_MESSAGES.get(int(task[1]), int(task[1]))}"
+                return x, f, nfev, {"stop": stop, "nit": nit}
 
 
 def _start(problem: NlpProblem, x0: Array, max_inner: int):
@@ -284,9 +306,10 @@ def _start(problem: NlpProblem, x0: Array, max_inner: int):
     current stage yields and passes on what it is sent; it returns
     ``(x, outcome, viol_history)``, the outcome being its entry of
     ``diagnostics["starts"]``."""
-    x, mu, nfev, viol_history = x0, PENALTY_INIT, 0, []
+    x, mu, nfev, viol_history, exits = x0, PENALTY_INIT, 0, [], []
     while True:
-        x_new, _, stage_nfev = yield from _lbfgsb_stage(x, problem.bounds, max_inner, mu)
+        x_new, _, stage_nfev, stage_exit = yield from _lbfgsb_stage(x, problem.bounds, max_inner, mu)
+        exits.append(stage_exit)
         nfev += stage_nfev * (1 + 2 * problem.dim)
         step_size = float(np.max(np.abs(x_new - x))) if x.size else 0.0
         x = x_new
@@ -309,6 +332,7 @@ def _start(problem: NlpProblem, x0: Array, max_inner: int):
         "violation": viol_history[-1],
         "nfev": nfev,
         "stages": len(viol_history),
+        "stage_exits": exits,
         "mu": mu,
         "converged": converged,
     }
@@ -326,7 +350,9 @@ def minimize(problem: NlpProblem, opts: Optional[NlpOptions] = None) -> NlpResul
     result equals the best of the one-start solves, the first start
     winning ties.  ``diagnostics["starts"]`` holds one entry per start:
     its final objective ``f`` and ``violation``, ``nfev``, the number of
-    penalty ``stages``, the last stage's ``mu`` and ``converged``.
+    penalty ``stages``, how each stage ended (``stage_exits``: L-BFGS-B's
+    ``stop`` reason and its iterations ``nit``, see ``_lbfgsb_stage``), the
+    last stage's ``mu`` and ``converged``.
 
     Status "converged" requires the final constraint violation <= TOL_CON
     and outer-step stagnation <= TOL_X; a feasible point without
@@ -356,12 +382,12 @@ def _solve(problem: NlpProblem, opts: NlpOptions) -> NlpResult:
     penalty_batch = _make_batch_penalty(problem)
     while wants:  # one round: every start that waits, in one merit batch
         active = list(wants)
-        X = np.stack([wants[i][0] for i in active])
+        X = np.array([wants[i][0] for i in active])
         mu = np.array([wants[i][1] for i in active])
         f, grad = _batch_fd_gradient(penalty_batch, X, mu, FD_STEP, active)
-        for i, fi, gi in zip(active, f, grad):
+        for i, fi, gi in zip(active, f.tolist(), grad):
             try:
-                wants[i] = runs[i].send((float(fi), gi))
+                wants[i] = runs[i].send((fi, gi))
             except StopIteration as stop:
                 del wants[i]
                 done[i] = stop.value

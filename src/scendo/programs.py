@@ -443,8 +443,8 @@ def _guarded_tops(values: Array) -> tuple:
     |z| >= |M| + W.  Only values near M can reach it, which is why W
     scales with |M| and not with the grid's largest |v|.  M has no copy,
     so its run rank is 0 and its shift adds 0, and a nonzero M keeps its
-    bits under the +0.0 the shift adds to every entry of a batch holding
-    a tie (a -0.0 would turn +0.0 or not depending on the other rows).
+    bits under the +0.0 the shift adds to every entry of a row holding a
+    tie (a -0.0 would turn +0.0 or not depending on the ties of its row).
     Shifts of an infinite value are NaN or infinite, so the bound needs
     finite values.  The rounding of the shifts and of M - W is far below
     the margins left.
@@ -475,11 +475,9 @@ def _zero_discard_tops(values: Array, nested: Callable[[Array], Array]) -> tuple
 
     A design whose every requirement ``_guarded_tops`` admits takes the
     grid maxima; the others run ``nested`` as one sub-batch.  That gives
-    their rows of the whole batch: ``strictify_sorted`` couples the rows
-    of a batch only through the +0.0 it adds to all of them when one
-    holds a tie, which changes no bits of a value but -0.0, and the shifts
-    and walk make no -0.0 of nonzero values.  So when a rejected design's
-    grid holds a zero of either sign the whole batch runs ``nested``.
+    their rows of the whole batch, as a row's quantile depends on that row
+    alone.  When a rejected design's grid holds a zero of either sign the
+    whole batch runs ``nested``, which gives the same bits.
     """
     top, admitted = _guarded_tops(values)
     if admitted.all():

@@ -152,6 +152,48 @@ def _brentq(f: Callable, xa: float, xb: float, xtol: float, rtol: float, maxiter
     return _zeros._brentq(value, xa, xb, xtol, rtol, maxiter, (), False, True)
 
 
+#: the coarse pass of ``epsilon_bar`` evaluates every _COARSE-th grid point
+_COARSE = 16
+#: a coarse point at most this far below zero starts the fine pass: far
+#: above the residual's rounding error (a few ulps of its terms, about
+#: 1e-11 at n_a = 5000 near the root) and far below the residual's values
+_COARSE_MARGIN = 1e-6
+
+
+def _scan(log_gap: Callable, t: Array, step: int, prev: Array) -> Optional[int]:
+    """The first crossing of ``prev`` (no value or one) followed by
+    ``log_gap(t)``: the index into t of the first point whose value is
+    negative while its successor's is not, -1 for ``prev``, or None.  t is
+    evaluated in blocks of at most ``step`` points, up to the block that
+    holds the crossing's successor."""
+    for start in range(0, t.size, step):
+        vals = np.concatenate((prev, log_gap(t[start : start + step])))
+        crossings = np.flatnonzero((vals[:-1] < 0) & (vals[1:] >= 0))
+        if crossings.size:
+            return start - prev.size + int(crossings[0])
+        prev = vals[-1:]
+    return None
+
+
+def _first_crossing(log_gap: Callable, grid: Array, step: int) -> Optional[int]:
+    """The first i with log_gap(grid[i]) < 0 <= log_gap(grid[i + 1]), or
+    None; see ``epsilon_bar``.  The coarse pass stops at the block of its
+    first nonnegative point."""
+    coarse = np.unique(np.append(np.arange(0, grid.size, _COARSE), grid.size - 1))
+    vals = np.empty(0)
+    for start in range(0, coarse.size, step):
+        vals = np.concatenate((vals, log_gap(grid[coarse[start : start + step]])))
+        nonneg = np.flatnonzero(vals >= 0)
+        if nonneg.size:
+            j = int(nonneg[0])
+            if j > 0 and vals[j - 1] < -_COARSE_MARGIN:
+                lo, hi = coarse[j - 1], coarse[j]
+                i = _scan(log_gap, grid[lo + 1 : hi], step, vals[j - 1 : j])
+                return hi - 1 if i is None else lo + 1 + i
+            break
+    return _scan(log_gap, grid, step, np.empty(0))
+
+
 def epsilon_bar(n_a: int, k: int, beta: float) -> float:
     """Risk bound 1 - t(k), t(k) the smaller nonnegative root of the
     slack polynomial; equals 1 when k = n_a.  The two term sums and the
@@ -159,6 +201,38 @@ def epsilon_bar(n_a: int, k: int, beta: float) -> float:
     mixed geometric/linear grid and polished by Brent's method, scipy's
     compiled ``brentq`` loaded without the scipy.optimize package
     (``_brentq``).  n_a and k must be integers, and a bool is not one.
+
+    The bracket is the grid's first crossing [grid[i], grid[i + 1]]:
+    log_gap(grid[i]) < 0 <= log_gap(grid[i + 1]), the values of
+    ``_make_residual``.  The grid is evaluated in blocks of at most
+    ``_TILE_FLOATS`` series terms (one point takes about 4 n_a), so each
+    block's term arrays stay on the heap; a point's value does not depend
+    on its block.  Two passes find the crossing.  The coarse pass
+    evaluates every ``_COARSE``-th grid point and the last one, up to the
+    first nonnegative one, c_j.  If the coarse point before it, c_{j-1},
+    lies below -``_COARSE_MARGIN``, the fine pass evaluates the grid
+    points strictly between the two, up to the crossing, which lies in
+    [c_{j-1}, c_j].  Otherwise, or when no coarse point is nonnegative,
+    the whole grid is scanned up to the crossing, as one pass.  At
+    n_a = 5000 a block holds one point, and the two passes evaluate 21
+    points where the scan evaluates 290.
+
+    Why the two passes find the scan's crossing.  Divided by its leading
+    term, the residual is log_gap(t) = log C(N, k) - log D(t), N = n_a, with
+    D(t) = beta/(2N) sum_{k<=i<N} C(i, k) t^(i-N)
+           + beta/(6N) sum_{N<i<=4N} C(i, k) t^(i-N).
+    Every power i - N is at most -1 or at least 1, so each term, and D, is
+    convex on t > 0.  So {log_gap >= 0}, the sublevel set {D <= C(N, k)},
+    is one interval [a, b]; below a, D decreases strictly and log_gap
+    increases strictly, and above b log_gap decreases strictly.  c_{j-1}
+    lies below -``_COARSE_MARGIN``, outside [a, b] by far more than the
+    rounding error, and not above b, where c_j > c_{j-1} would be lower
+    still.  So c_{j-1} < a, and every grid point before it has a smaller
+    exact value, at most log_gap(c_{j-1}) plus its rounding error: each
+    is still computed negative.  No crossing lies before c_{j-1}, and
+    the first one after it lies before c_j, whose value is nonnegative.
+    The points of the fine pass carry the scan's bits, so the bracket,
+    the Brent root and epsilon_bar keep them.
     """
     if any(isinstance(v, bool) or not isinstance(v, (int, np.integer)) for v in (n_a, k)):
         raise InputError(f"n_a and k must be integers, got n_a={n_a!r}, k={k!r}")
@@ -179,20 +253,7 @@ def epsilon_bar(n_a: int, k: int, beta: float) -> float:
             ]
         )
     )
-    # the grid in blocks of at most _TILE_FLOATS series terms (one t takes
-    # about 4 * n_a), so each block's term arrays stay on the heap; the
-    # rows of a block are reduced one by one, the bits of one whole-grid
-    # call.  The blocks stop at the first crossing, the smaller root: the
-    # residual is negative below it
-    step = max(1, _TILE_FLOATS // (4 * n_a))
-    i, prev = None, np.empty(0)
-    for start in range(0, grid.size, step):
-        vals = np.concatenate((prev, log_gap(grid[start : start + step])))
-        crossings = np.flatnonzero((vals[:-1] < 0) & (vals[1:] >= 0))
-        if crossings.size:
-            i = start - prev.size + crossings[0]
-            break
-        prev = vals[-1:]
+    i = _first_crossing(log_gap, grid, max(1, _TILE_FLOATS // (4 * n_a)))
     if i is None:
         raise ArithmeticError(
             f"failed to bracket the risk-bound root for n_a={n_a}, k={k}, beta={beta}"

@@ -105,23 +105,23 @@ SNAP = 4 * 2.0**-52
 
 def strictify_rows(rows: list) -> list:
     """Sorted rows (lists of floats) made strictly increasing by the
-    documented tie rule.  When any row has a tie, every row gets its shift
-    (zero outside runs of duplicates), as an array operation would."""
-    if all(r[i] > r[i - 1] for r in rows for i in range(1, len(r))):
-        return [list(r) for r in rows]
+    documented tie rule, each row on its own: a row without a tie is kept
+    as it is; every entry of a tied row gets its shift (zero outside runs
+    of duplicates, which still turns -0.0 into +0.0), and then the walk."""
     out = []
     for r in rows:
+        if all(r[i] > r[i - 1] for i in range(1, len(r))):
+            out.append(list(r))
+            continue
         row, start = [], 0
         for i, z in enumerate(r):
             if i == 0 or z > r[i - 1]:
                 start = i
             row.append(z + (i - start) * TIE_EPS * max(1.0, abs(z)))
+        for i in range(1, len(row)):
+            if row[i] <= row[i - 1]:
+                row[i] = row[i - 1] + TIE_EPS * max(1.0, abs(row[i]))
         out.append(row)
-    if not all(r[i] > r[i - 1] for r in out for i in range(1, len(r))):
-        for row in out:
-            for i in range(1, len(row)):
-                if row[i] <= row[i - 1]:
-                    row[i] = row[i - 1] + TIE_EPS * max(1.0, abs(row[i]))
     return out
 
 

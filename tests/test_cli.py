@@ -88,6 +88,9 @@ def test_solve_writes_deterministic_solution(tmp_path):
     best = starts[diag["best_start"]]
     assert best["violation"] == diag["violation"] and best["stages"] == len(diag["viol_history"])
     assert best["converged"] is True
+    for s in starts:  # how each L-BFGS-B stage ended
+        assert len(s["stage_exits"]) == s["stages"]
+        assert all(set(e) == {"stop", "nit"} and e["nit"] >= 0 for e in s["stage_exits"])
     # byte-identical on re-run
     assert cli.main(["solve", "--config", str(cfg)]) == 0
     assert sol_path.read_bytes() == first

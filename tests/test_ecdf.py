@@ -214,8 +214,10 @@ def test_point_not_broadcasting_to_the_rows_raises_input_error(lead, shape):
 def test_strictify_sorted_shifts_only_the_tied_rows():
     # 64 rows of 2048: row 3 ties -0.0 with +0.0, row 40 holds near-
     # duplicates closer than the tie shift (the walk), row 41 holds -0.0
-    # with no tie.  The bits are the documented rule's, and the run ranks
-    # and shifts take memory for the two tied rows only, not the batch
+    # with no tie.  The bits are the documented rule's: row 3's zeros
+    # become +0.0 and row 41 keeps its -0.0, as do the other untied rows
+    # their bits.  The run ranks and shifts take memory for the two tied
+    # rows only, not the batch
     rng = np.random.default_rng(7)
     batch = rng.normal(size=(64, 2048))
     batch[3, :4] = [-0.0, 0.0, -0.0, 0.0]
@@ -223,7 +225,12 @@ def test_strictify_sorted_shifts_only_the_tied_rows():
     batch[41, 0] = -0.0
     batch = np.sort(batch, axis=1)
     want = np.array(strictify_rows(batch.tolist()))
-    _same_bits(strictify_sorted(batch), want)
+    got = strictify_sorted(batch)
+    _same_bits(got, want)
+    assert np.signbit(got[41]).sum() == np.signbit(batch[41]).sum()
+    assert not np.signbit(got[3][got[3] == 0.0]).any()
+    untied = np.setdiff1d(np.arange(64), [3, 40])
+    _same_bits(got[untied], batch[untied])
     tracemalloc.start()
     try:
         strictify_sorted(batch)
@@ -231,6 +238,17 @@ def test_strictify_sorted_shifts_only_the_tied_rows():
     finally:
         tracemalloc.stop()
     assert peak < 1.5 * batch.nbytes
+
+
+def test_a_rows_quantile_does_not_depend_on_the_other_rows():
+    # the first row holds -0.0 and no tie; the second row's tie once made
+    # the shift add +0.0 to every row of the batch, turning it into +0.0
+    batch = np.array([[-1.0, -2.0, -0.0], [1.0, 1.0, 2.0]])
+    for level in (1.0, np.array([1.0, 1.0])):
+        got = quantile_of(batch, level)
+        _same_bits(got[:1], quantile_of(batch[:1], np.ones(1)))
+        assert got[0] == 0.0 and np.signbit(got[0])
+    _same_bits(cdf_of(batch, -0.0)[:1], cdf_of(batch[:1], -0.0))
 
 
 @pytest.mark.parametrize(

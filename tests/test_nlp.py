@@ -206,6 +206,87 @@ def test_fd_gradient_reports_bad_coordinate():
         _fd_gradient(f, np.array([1.0, 0.0]))
 
 
+@pytest.mark.parametrize(
+    "X, mu",
+    [
+        (np.array([[0.7]]), 10.0),  # dim 1, one weight for the point
+        (np.array([[-0.0]]), np.array([1e3])),
+        # several starts, each with its own weight; -0.0 in probed and
+        # unprobed coordinates, and coordinates on either side of |x| = 1
+        (
+            np.array([[1.5, -0.0, -3e3], [0.0, 2.0, 1e-9], [-0.0, -0.0, 5.0], [0.25, -1.0, 1.0]]),
+            np.array([10.0, 1e2, 1e5, 1e9]),
+        ),
+    ],
+)
+def test_fd_batch_rows_are_the_textbook_probes(X, mu):
+    # each point's rows are x, then x + h_i e_i and then x - h_i e_i for each
+    # coordinate i, h_i = FD_STEP * max(1, |x_i|): a copy of x with its i-th
+    # coordinate moved, every other coordinate's bits kept (-0.0 included);
+    # each row carries its point's weight
+    batches = []
+
+    def penalty(B, mu_rows):
+        batches.append((B.copy(), np.broadcast_to(mu_rows, len(B)).copy()))
+        return np.sum(B, axis=1)
+
+    k, dim = X.shape
+    nlp._batch_fd_gradient(penalty, X, mu, nlp.FD_STEP, list(range(k)))
+    (B, mu_rows), = batches
+    want = []
+    for x in X:
+        h = nlp.FD_STEP * np.maximum(1.0, np.abs(x))
+        want.append(x.copy())
+        for sign in (1.0, -1.0):
+            for i in range(dim):
+                probe = x.copy()
+                probe[i] = x[i] + h[i] if sign > 0 else x[i] - h[i]
+                want.append(probe)
+    assert B.tobytes() == np.array(want).tobytes()
+    assert mu_rows.tobytes() == np.repeat(np.broadcast_to(mu, (k,)), 2 * dim + 1).tobytes()
+
+
+def _scripted_setulb(moves):
+    """A setulb stand-in that asks for the merit at ``moves[j](x)`` on its
+    j-th call, each move a function of a copy of x, and converges once no
+    move is left."""
+    moves = list(moves)
+
+    def setulb(m, x, lo, hi, nbd, f, g, factr, pgtol, wa, iwa, task, *rest):
+        if moves:
+            x[:] = moves.pop(0)(x.copy())
+            task[:] = nlp._FG, 0
+        else:
+            task[:] = 4, 401
+
+    return setulb
+
+
+def test_stage_yields_no_point_that_equals_the_last_up_to_the_sign_of_zero(monkeypatch):
+    # setulb asks for the merit at x with a zero's sign flipped, then at x
+    # moved by the least step: only the move is a new point (np.array_equal)
+    def flip(x):
+        x[1] = -x[1]
+        return x
+
+    def nudge(x):
+        x[0] = np.nextafter(x[0], 1.0)
+        return x
+
+    monkeypatch.setattr(nlp, "_lbfgsb", SimpleNamespace(setulb=_scripted_setulb([flip, nudge])))
+    bounds = np.array([[-1.0, 1.0], [-1.0, 1.0]])
+    stage = nlp._lbfgsb_stage(np.array([0.5, 0.0]), bounds, 10, 1.0)
+    points = [next(stage)[0].copy()]
+    with pytest.raises(StopIteration) as stop:
+        while True:
+            points.append(stage.send((0.0, np.zeros(2)))[0].copy())
+    x, _, nfev, _ = stop.value.value
+    assert [p.tobytes() for p in points] == [
+        np.array([0.5, 0.0]).tobytes(), np.array([np.nextafter(0.5, 1.0), -0.0]).tobytes()
+    ]
+    assert nfev == 2 and x.tobytes() == points[-1].tobytes()
+
+
 def test_penalty_over_row_blocks_equals_the_whole_batch_formula():
     # 7000 residuals a row: the squared violations run over blocks of two
     # rows, and a last block of one
@@ -251,6 +332,31 @@ def test_per_start_outcomes_add_up_to_the_result():
         assert 1 <= s["stages"] <= nlp.MAX_OUTER
         assert s["mu"] == nlp.PENALTY_INIT * nlp.PENALTY_GROWTH ** (s["stages"] - 1)
         assert s["nfev"] % (2 * p.dim + 1) == 0
+
+
+def test_each_stage_exit_is_recorded_with_its_start():
+    # Rosenbrock's function cut off at max_inner = 3 iterations a stage:
+    # every stage of the start stops there, none converges
+    rosenbrock = nlp.NlpProblem(
+        objective_batch=lambda X: (1.0 - X[:, 0]) ** 2 + 100.0 * (X[:, 1] - X[:, 0] ** 2) ** 2,
+        constraints_batch=_no_constraints,
+        bounds=np.array([[-2.0, 2.0], [-2.0, 2.0]]),
+        starts=np.array([[-1.5, 1.8]]),
+    )
+    start = nlp.minimize(rosenbrock, nlp.NlpOptions(n_starts=1, max_inner=3)).diagnostics["starts"][0]
+    cut_off = {"stop": "STOP: TOTAL NO. OF ITERATIONS REACHED LIMIT", "nit": 3}
+    assert start["stage_exits"] == [cut_off] * start["stages"]
+    assert start["stages"] > 1 and not start["converged"]
+
+
+def test_a_stage_whose_line_search_gives_up_at_once_is_recorded():
+    # the start sits on a jump of the objective that the central difference
+    # reads as a slope: the first stage's line search fails before its first
+    # iterate and x does not move, so the start stops after that one stage
+    problem = _STAGES["line-search-gives-up"][0]
+    start = nlp.minimize(problem, nlp.NlpOptions(n_starts=1)).diagnostics["starts"][0]
+    assert start["stage_exits"] == [{"stop": "ABNORMAL: ", "nit": 0}]
+    assert start["stages"] == 1
 
 
 # ---------------------------------------------------------------------------
@@ -320,13 +426,24 @@ _STAGES = {
         np.array([1.7]), 1e4, 300,
     ),
     "penalised-ring": (_ring([[-3.0, 3.0], [-3.0, 3.0]]), np.array([2.5, -2.5]), 1e5, 300),
+    # the merit's minimum sits on a jump, which the central difference
+    # reads as a steep downhill slope: the line search gives up at nit 0
+    "line-search-gives-up": (
+        nlp.NlpProblem(
+            objective_batch=lambda X: (X[:, 0] - 0.3) ** 2 + 1e-3 * (X[:, 0] < 0.3),
+            constraints_batch=_no_constraints,
+            bounds=np.array([[0.0, 1.0]]),
+            starts=np.full((1, 1), 0.3),
+        ),
+        np.array([0.3]), 10.0, 300,
+    ),
     # scipy's minimize evaluates once at the lower bounds and never calls setulb
     "fixed-box": (_ring([[0.5, 0.5], [-0.25, -0.25]]), np.array([0.5, -0.25]), 10.0, 300),
 }
 
 
 def _run_stage(fun, x0, bounds, maxiter, mu):
-    """``(x, f, nfev)`` of the stage, sent ``fun`` at each point it yields."""
+    """``(x, f, nfev, exit)`` of the stage, sent ``fun`` at each point it yields."""
     stage = nlp._lbfgsb_stage(x0, bounds, maxiter, mu)
     x, mu_x = next(stage)
     while True:
@@ -349,14 +466,19 @@ def test_lbfgsb_stage_takes_scipys_steps(name):
     problem, x0, mu, maxiter = _STAGES[name]
     fun = _merit(problem, mu)
     want = _scipy_stage(fun, x0, problem.bounds, maxiter)
-    x, f, nfev = _run_stage(fun, x0, problem.bounds, maxiter, mu)
+    x, f, nfev, stage_exit = _run_stage(fun, x0, problem.bounds, maxiter, mu)
     assert x.tobytes() == want.x.tobytes()
     assert float(f).hex() == float(want.fun).hex()
     assert nfev == want.nfev
+    if name != "fixed-box":  # scipy stops before L-BFGS-B, with a message of its own
+        assert stage_exit == {"stop": want.message, "nit": want.nit}
     if name == "cut-off-by-max-inner":
         assert want.nit == maxiter and want.status == 1
+        assert stage_exit["stop"] == "STOP: TOTAL NO. OF ITERATIONS REACHED LIMIT"
     if name == "does-not-move-x":
         assert np.array_equal(want.x, x0) and want.nfev == 1
+    if name == "line-search-gives-up":
+        assert stage_exit == {"stop": "ABNORMAL: ", "nit": 0} and np.array_equal(x, x0)
 
 
 @pytest.mark.parametrize("maxfun", [3, 5, 8])
@@ -365,11 +487,12 @@ def test_lbfgsb_stage_stops_at_scipys_evaluation_cap(maxfun, monkeypatch):
     fun = _merit(problem, mu)
     want = _scipy_stage(fun, x0, problem.bounds, 300, maxfun=maxfun)
     monkeypatch.setattr(nlp, "_LBFGSB_MAXFUN", maxfun)
-    x, f, nfev = _run_stage(fun, x0, problem.bounds, 300, mu)
+    x, f, nfev, stage_exit = _run_stage(fun, x0, problem.bounds, 300, mu)
     assert x.tobytes() == want.x.tobytes()
     assert float(f).hex() == float(want.fun).hex()
     assert nfev == want.nfev == maxfun + 1
     assert want.status == 1 and want.nit < 300
+    assert stage_exit == {"stop": "STOP: TOTAL NO. OF F,G EVALUATIONS EXCEEDS LIMIT", "nit": want.nit}
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scendo import circle, core, nlp, risk_bounds
 from scendo.core import AlphaConfig, EpistemicSet, InputError, ProblemSpec, ScenarioData, r_max
@@ -194,42 +196,107 @@ _EPS_GRID = np.unique(np.concatenate([
 ]))
 
 
-@pytest.mark.parametrize("n_a", [7, 50, 5000])
-def test_epsilon_bar_grid_blocks_equal_one_whole_grid_call(n_a, monkeypatch):
-    # epsilon_bar brackets the root on its grid in blocks of at most
-    # _TILE_FLOATS series terms (one point takes about 4 * n_a of them), up
-    # to the block of the first crossing. The blocks' residuals are those of
-    # one call on the whole grid, bit for bit, and so is the root
-    blocks = []
+def _whole_grid_bracket(n_a, k, beta):
+    """The first crossing of a scan of the whole grid, evaluated 16 points
+    at a time: i with log_gap(grid[i]) < 0 <= log_gap(grid[i + 1]), or None."""
+    log_gap = _make_residual(n_a, k, beta)
+    whole = np.concatenate([log_gap(_EPS_GRID[i : i + 16]) for i in range(0, _EPS_GRID.size, 16)])
+    crossings = np.flatnonzero((whole[:-1] < 0) & (whole[1:] >= 0))
+    return int(crossings[0]) if crossings.size else None
 
-    def recording(*args):
+
+def _check_bracket(n_a, k, beta, monkeypatch) -> int:
+    """epsilon_bar's bracket is the whole grid's first crossing and its
+    bound is 1 - the Brent root from it, bit for bit; returns the number of
+    grid points epsilon_bar evaluated (Brent's method passes floats)."""
+    points, brackets = [0], []
+
+    def counting(*args):
         log_gap = _make_residual(*args)
 
         def call(t):
-            out = log_gap(t)
-            if np.ndim(t):  # a block of the grid; Brent's method passes floats
-                blocks.append((np.array(t), np.array(out)))
-            return out
+            points[0] += np.size(t) if np.ndim(t) else 0
+            return log_gap(t)
 
         return call
 
-    monkeypatch.setattr(risk_bounds, "_make_residual", recording)
-    step = max(1, core._TILE_FLOATS // (4 * n_a))
-    for k in sorted({0, 1, n_a // 3, n_a - 1}):
-        blocks.clear()
-        eps = epsilon_bar(n_a, k, 1e-4)
-        whole = _make_residual(n_a, k, 1e-4)(_EPS_GRID)
-        i = np.flatnonzero((whole[:-1] < 0) & (whole[1:] >= 0))[0]
-        # the blocks cover the grid up to the first crossing's block
-        assert [t.size for t, _ in blocks[:-1]] == [step] * (len(blocks) - 1)
-        seen = np.concatenate([t for t, _ in blocks])
-        assert seen.tobytes() == _EPS_GRID[: seen.size].tobytes()
-        assert i + 1 < seen.size <= i + 1 + step
-        assert np.concatenate([v for _, v in blocks]).tobytes() == whole[: seen.size].tobytes()
-        root = risk_bounds._brentq(
-            _make_residual(n_a, k, 1e-4), _EPS_GRID[i], _EPS_GRID[i + 1], **BRENT_TOL
-        )
-        assert eps == 1.0 - root
+    def recording(f, xa, xb, **tol):
+        brackets.append((xa, xb))
+        return ours(f, xa, xb, **tol)
+
+    ours = risk_bounds._brentq
+    monkeypatch.setattr(risk_bounds, "_make_residual", counting)
+    monkeypatch.setattr(risk_bounds, "_brentq", recording)
+    i = _whole_grid_bracket(n_a, k, beta)
+    if i is None:
+        with pytest.raises(ArithmeticError, match="failed to bracket"):
+            epsilon_bar(n_a, k, beta)
+        return points[0]
+    eps = epsilon_bar(n_a, k, beta)
+    assert brackets == [(_EPS_GRID[i], _EPS_GRID[i + 1])]
+    root = ours(_make_residual(n_a, k, beta), _EPS_GRID[i], _EPS_GRID[i + 1], **BRENT_TOL)
+    assert eps.hex() == (1.0 - root).hex()
+    return points[0]
+
+
+@pytest.mark.parametrize("n_a", [7, 50, 5000])
+def test_epsilon_bar_brackets_the_whole_grids_first_crossing(n_a, monkeypatch):
+    # a coarse pass over every 16th grid point, then the points between the
+    # last negative one and the first nonnegative one, find the crossing a
+    # scan of the whole grid finds
+    for k in sorted({0, 1, 4, n_a // 3, n_a - 1}):
+        points = _check_bracket(n_a, k, 1e-4, monkeypatch)
+        if (n_a, k) == (5000, 4):
+            assert points <= 60  # a scan evaluates 290
+
+
+def _bracket_of(fake, monkeypatch) -> tuple:
+    """The bracket epsilon_bar hands to Brent's method when its residual
+    is ``fake``."""
+    brackets = []
+
+    def recording(f, xa, xb, **tol):
+        brackets.append((xa, xb))
+        return xa
+
+    monkeypatch.setattr(risk_bounds, "_make_residual", lambda *args: fake)
+    monkeypatch.setattr(risk_bounds, "_brentq", recording)
+    epsilon_bar(50, 2, 1e-4)
+    (bracket,) = brackets
+    return bracket
+
+
+@pytest.mark.parametrize("root, cases, first", [
+    # the coarse point 96 before the first nonnegative one, 112, lies within
+    # the margin of zero, where rounding could hide an earlier crossing:
+    # here one at 89
+    (100, {90: 1e-9, 96: -1e-9}, 89),
+    # the first coarse point is nonnegative: no coarse point lies before it
+    (50, {0: 1.0}, 49),
+])
+def test_epsilon_bar_scans_the_whole_grid_where_the_coarse_pass_cannot_tell(
+    root, cases, first, monkeypatch
+):
+    # residuals t - grid[root], but for the listed grid points, where they
+    # break the convexity argument: epsilon_bar falls back to the scan
+    def fake(t):
+        out = np.asarray(t - _EPS_GRID[root], dtype=float)
+        for i, v in cases.items():
+            out = np.where(t == _EPS_GRID[i], v, out)
+        return out
+
+    assert _bracket_of(fake, monkeypatch) == (_EPS_GRID[first], _EPS_GRID[first + 1])
+
+
+@settings(deadline=None)
+@given(
+    st.integers(1, 1500).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, n - 1))),
+    st.one_of(st.sampled_from([1e-8, 1e-4, 1e-2, 0.5]), st.floats(1e-10, 0.99)),
+)
+def test_epsilon_bar_brackets_the_first_crossing_for_any_instance(n_k, beta):
+    # the residual's convexity argument in epsilon_bar's docstring, checked
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        _check_bracket(*n_k, beta, monkeypatch)
 
 
 def test_epsilon_bar_matches_high_precision_oracle():
