@@ -111,13 +111,17 @@ def _shaped(values, shape: tuple) -> Array:
     return values if values.shape == shape else np.broadcast_to(values, shape)
 
 
-def _integers(obj, *names: str) -> None:
-    """InputError unless each field ``names`` of ``obj`` is a Python or
-    numpy integer; a bool is not one."""
-    for name in names:
-        value = getattr(obj, name)
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-            raise InputError(f"{name} must be an integer, got {value!r}")
+def _integers(names: str, *values, least: int | None = None) -> None:
+    """InputError unless each of ``values`` is a Python or numpy integer (a
+    bool is not one) and, with ``least`` given, at least ``least``.  The
+    message names them ``names``: "seed", or "n_a and k" for two."""
+    got = ", ".join(map(repr, values))
+    if any(isinstance(v, bool) or not isinstance(v, (int, np.integer)) for v in values):
+        kind = "an integer" if len(values) == 1 else "integers"
+        raise InputError(f"{names} must be {kind}, got {got}")
+    if least is not None and min(values) < least:
+        bound = "nonnegative" if least == 0 else f"at least {least}"
+        raise InputError(f"{names} must be {bound}, got {got}")
 
 
 def _fractions(name: str, value, n_r: int | None = None) -> Array:

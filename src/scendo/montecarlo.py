@@ -21,14 +21,14 @@ allocated once per call, which is reduced to the block's failure
 probabilities and success counts one requirement at a time.  The
 reduction of a draw's row reads only its count of negative values and
 the two values either side of zero, so long untrimmed rows are reduced
-unsorted (``_order_free``, with a guard proving that the ECDF's tie
-shift keeps those); the others are sorted in place, trimmed and reduced
-(``_reduce``), and both give the same bits.  So no full grid is ever
-held, and every temporary of the loop, the requirement's own included,
-is at most a tile (a row, where a row outgrows a tile), which the heap
-serves again on every pass (see ``core._TILE_FLOATS``).  Under
-worst_case the buffer holds the running maximum over the requirements
-instead, tile by tile.  A fraction excludes n * alpha values snapped to an integer by ecdf's
+unsorted (``ecdf._order_free``, behind a guard proved in ``scendo.ecdf``);
+the others are sorted in place, trimmed and reduced (``_reduce``), and
+both give the same bits.  So no full grid is ever held, and every
+temporary of the loop, the requirement's own included, is at most a
+tile (a row, where a row outgrows a tile), which the heap serves again
+on every pass (see ``core._TILE_FLOATS``).  Under worst_case the buffer
+holds the running maximum over the requirements instead, tile by tile.
+A fraction excludes n * alpha values snapped to an integer by ecdf's
 grid snap (``ecdf._snap``).  The result is bit-identical to evaluating
 the whole grid at once because every entry of a requirement depends
 only on its own (theta, a, e) point (the grid contract of
@@ -47,7 +47,7 @@ import numpy as np
 from scendo.core import (
     InputError, ProblemSpec, ScenarioData, _TILE_FLOATS, _fractions, _scipy_extension, _shaped,
 )
-from scendo.ecdf import TIE_EPS, _snap, quantile_of, sorted_cdf, strictify_sorted
+from scendo.ecdf import _order_free, _snap, quantile_of, sorted_cdf, strictify_sorted
 
 Array = np.ndarray
 logger = logging.getLogger(__name__)
@@ -223,96 +223,19 @@ def _reduce(rows: Array, n_keep: int, p: Array, m: Array) -> None:
     m[:] = np.count_nonzero(trimmed <= 0.0, axis=1)
 
 
-#: the order-free guard's windows below lo, in units of TIE_EPS * S: the
-#: narrow one holds no value but lo, the wide one (per value of the row)
-#: fewer than _CLUSTER values
-_NEAR, _FAR, _CLUSTER = 128.0, 4.0, 64
-
 #: blocks of shorter rows take the sorted path whole: there a sort costs
 #: less than ``_order_free``'s fixed cost per row (the two break even at
 #: about 2000 values a row on the circle's 400000-point testing grids)
 _ORDER_FREE_MIN = 2048
 
-_NEG_ZERO_BITS = np.iinfo(np.int64).min
-
-
-def _order_free(row: Array):
-    """``_reduce`` of one unsorted, untrimmed row of n >= 2 values without
-    sorting it: ``(p, m)``, its failure probability and success count, or
-    None where the guard below does not admit the row.
-
-    ``sorted_cdf`` at 0 reads only the count n_neg of negative values of
-    the strictified row and its two knots around 0: lo, the negative value
-    nearest zero, and hi, the smallest nonnegative one.  Each is one
-    reduction of the unsorted row: a count, and the least of its int64
-    bits (negative values have negative int64 bits, fewest the nearest
-    zero) and of its uint64 bits (nonnegative values have the smallest).
-    So if ``strictify_sorted`` keeps n_neg, lo and hi, F(0) is
-    ``sorted_cdf``'s own expression on them, the same IEEE operations in
-    the same order: (n_neg - 1 + (0 - lo) / (hi - lo)) / (n - 1), or 0 at
-    n_neg = 0 and 1 at n_neg = n; and m is n_neg, as no value is zero.
-
-    Why the guard proves it.  ``strictify_sorted`` only raises values.
-    Its tie shift raises the j-th copy of a run of equal values by
-    j * TIE_EPS * max(1, |v|); its walk then raises a value only when it
-    is not above its final predecessor, to that plus
-    TIE_EPS * max(1, |value|).  With S = max(1, max |v|) and
-    n * TIE_EPS <= 1 (rows of up to 1e9 values), no raised value exceeds
-    2S in magnitude, so the i-th sorted value ends at most at
-    max over k <= i of v_k + (j_k + i - k) * 2 * TIE_EPS * S.  Let lo be
-    the i+1-th.  The narrow window [lo - 128 TIE_EPS S, lo) holds no
-    value, so lo is first of its run and the shift leaves it, and it keeps
-    its bits if its predecessor, the i-th, ends below it.  In the bound
-    for the i-th, a v_k below the wide window [lo - 4n TIE_EPS S, lo]
-    gains less than 2n TIE_EPS S, so its term stays below lo.  The wide
-    window holds fewer than 64 values, so for those of them below lo,
-    j_k + i - k <= 61: their terms gain at most 122 TIE_EPS S, and they
-    lie below the narrow window, so below lo too.  Then hi, whose
-    predecessor is lo < 0 < hi, keeps its bits, and the values after it
-    only rise: n_neg, lo and hi all stand.  A row of negatives alone needs
-    only its last value, lo, to stay negative, which lo below
-    -4n TIE_EPS S ensures without the windows; a row of positives alone
-    stays positive.  The rounding of the shifts and of the window bounds
-    is below 1e-5 of the margins left.
-
-    Rows holding a zero of either sign (the shift writes zeros as +0.0)
-    or a non-finite value (whose shifts and knots are NaN or infinite) are
-    not admitted either.  A row the sorted path reduces alone gets the
-    bits it gets in its block: the shift of one tied row of a batch writes
-    every row's -0.0 as +0.0, a sign that neither F(0) nor m reads.
-    """
-    n = row.size
-    top, bottom = float(row.max()), float(row.min())
-    lo_bits, hi_bits = row.view(np.int64).min(), row.view(np.uint64).min()
-    # top - bottom is not finite if either is, or if it overflows
-    if lo_bits == _NEG_ZERO_BITS or hi_bits == 0 or not math.isfinite(top - bottom):
-        return None
-    n_neg = int(np.count_nonzero(row < 0.0))
-    if n_neg == 0:
-        return 1.0, 0
-    lo = float(lo_bits.view(np.float64))
-    tie = TIE_EPS * max(1.0, top, -bottom)
-    wide = _FAR * n * tie
-    if n_neg == n and lo + wide < 0.0:
-        return 0.0, n
-    if (
-        np.count_nonzero(row < lo - _NEAR * tie) != n_neg - 1
-        or n_neg - np.count_nonzero(row < lo - wide) >= _CLUSTER
-    ):
-        return None
-    if n_neg == n:
-        return 0.0, n
-    hi = float(hi_bits.view(np.float64))
-    cdf = (n_neg - 1 + (0.0 - lo) / (hi - lo)) / (n - 1)
-    return min(max(1.0 - cdf, 0.0), 1.0), n_neg
-
 
 def _reduce_unsorted(values: Array, n_keep: int, p: Array, m: Array) -> int:
     """``_reduce`` of a block's unsorted (draws, n_a') ``values``, bit for
     bit; returns the number of rows it sorted.  The rows ``_order_free``
-    admits are not sorted; the others are sorted in place and reduced one
-    by one.  A trimmed block, or one of rows shorter than
-    ``_ORDER_FREE_MIN``, is sorted and reduced whole."""
+    admits are not sorted (its count of negatives is m: they hold no zero);
+    the others are sorted in place and reduced one by one.  A trimmed
+    block, or one of rows shorter than ``_ORDER_FREE_MIN``, is sorted and
+    reduced whole."""
     rows, n = values.shape
     if n_keep < n or n < _ORDER_FREE_MIN:
         values.sort(axis=-1)
@@ -326,7 +249,8 @@ def _reduce_unsorted(values: Array, n_keep: int, p: Array, m: Array) -> int:
             _reduce(values[r : r + 1], n, p[r : r + 1], m[r : r + 1])
             n_sorted += 1
         else:
-            p[r], m[r] = reduced
+            cdf, m[r] = reduced
+            p[r] = min(max(1.0 - cdf, 0.0), 1.0)
     return n_sorted
 
 

@@ -91,12 +91,8 @@ class NlpOptions:
     seed: int = 0
 
     def __post_init__(self):
-        _integers(self, "n_starts", "max_inner", "seed")
-        for name in ("n_starts", "max_inner"):
-            if getattr(self, name) < 1:
-                raise InputError(f"{name} must be at least 1")
-        if self.seed < 0:
-            raise InputError(f"seed must be nonnegative, got {self.seed}")
+        for name, least in (("n_starts", 1), ("max_inner", 1), ("seed", 0)):
+            _integers(name, getattr(self, name), least=least)
 
 
 @dataclass

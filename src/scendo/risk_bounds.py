@@ -33,7 +33,8 @@ import numpy as np
 
 from scendo import nlp
 from scendo.core import (
-    EpistemicSet, InputError, ProblemSpec, ScenarioData, _TILE_FLOATS, _scipy_extension, r_max,
+    EpistemicSet, InputError, ProblemSpec, ScenarioData, _TILE_FLOATS, _integers, _scipy_extension,
+    r_max,
 )
 
 Array = np.ndarray
@@ -234,8 +235,7 @@ def epsilon_bar(n_a: int, k: int, beta: float) -> float:
     The points of the fine pass carry the scan's bits, so the bracket,
     the Brent root and epsilon_bar keep them.
     """
-    if any(isinstance(v, bool) or not isinstance(v, (int, np.integer)) for v in (n_a, k)):
-        raise InputError(f"n_a and k must be integers, got n_a={n_a!r}, k={k!r}")
+    _integers("n_a and k", n_a, k)
     if n_a < 1:
         raise InputError(f"need n_a >= 1, got n_a={n_a}")
     if k < 0 or k > n_a:
@@ -528,9 +528,8 @@ def risk_bound(
         containment = "optimization" if eset.m_e <= 10 else "sampling"
     if containment not in ("optimization", "sampling"):
         raise InputError(f"unknown containment test {containment!r}")
-    for name, value, least in (("n_probe", n_probe, 1), ("seed", seed, 0)):
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
-            raise InputError(f"{name} must be an integer of at least {least}, got {value!r}")
+    _integers("n_probe", n_probe, least=1)
+    _integers("seed", seed, least=0)
     data.check_widths(spec)
     if not moment:
         _check_leave_one_out(data)

@@ -79,10 +79,10 @@ class SdConfig:
     seed: int = 0  # solver seed, used only when run_sd gets no opts
 
     def __post_init__(self):
-        _integers(self, "max_iter", "n_a_init", "n_e_init", "n_a_cap", "n_e_cap", "seed")
+        for name, least in (("max_iter", 1), ("n_a_init", 2), ("n_a_cap", 2), ("n_e_init", 1),
+                            ("n_e_cap", 1), ("seed", 0)):
+            _integers(name, getattr(self, name), least=least)
         # each check is written so that NaN fails it
-        if self.max_iter < 1:
-            raise InputError("max_iter must be >= 1")
         if not self.lambda_div >= 0:
             raise InputError("lambda_div must be nonnegative")
         if not self.threshold >= 0:
@@ -96,9 +96,6 @@ class SdConfig:
             raise InputError("growth must be finite and exceed 1")
         if self.budgets is not None:
             _checked_budgets(self.budgets)
-        for name, least in (("n_a_init", 2), ("n_a_cap", 2), ("n_e_init", 1), ("n_e_cap", 1)):
-            if getattr(self, name) < least:
-                raise InputError(f"{name} must be at least {least}")
         if self.program not in ("risk_agnostic_local", "risk_agnostic_global", "feasibility_seed"):
             raise InputError(f"unknown program {self.program!r}")
 

@@ -94,9 +94,27 @@ def _finite_bounds(bounds):
     return lo, hi
 
 
+def _tie_and_zero_designs(name: str):
+    """Leading blocks that make ties and signed zeros.  A design of radius 0
+    gives each scenario one requirement value for every epistemic draw (a
+    tie in every row of its grid); one of radius 0 or -0.0 centred on a
+    training scenario also gives that scenario's row exact zeros.  The
+    containment programs, whose leading block is unit coordinates, get
+    corners and signed zeros there instead."""
+    if name.endswith("_containment_max"):
+        return st.lists(st.sampled_from([-1.0, -0.0, 0.0, 1.0]), min_size=LEAD, max_size=LEAD)
+    centre = st.one_of(
+        st.sampled_from(DATA.aleatory.tolist()),
+        st.tuples(st.floats(-12.0, 12.0), st.floats(-12.0, 12.0)).map(list),
+    )
+    return st.tuples(centre, st.sampled_from([0.0, -0.0])).map(lambda d: d[0] + [d[1]])
+
+
 @st.composite
 def _batches(draw, name: str):
-    """A batch whose rows share few designs and vary their auxiliaries."""
+    """A batch whose rows share few designs and vary their auxiliaries,
+    with up to three more rows whose leading block is one of
+    ``_tie_and_zero_designs``, each placed anywhere in the batch."""
     problem = _problem(name)
     lo, hi = _finite_bounds(problem.bounds)
     m = LEAD
@@ -118,7 +136,12 @@ def _batches(draw, name: str):
         ),
         min_size=1, max_size=6,
     ))
-    return np.array([designs[d] + list(aux) for d, aux in rows], dtype=float)
+    X = np.array([designs[d] + list(aux) for d, aux in rows], dtype=float)
+    for design in draw(st.lists(_tie_and_zero_designs(name), max_size=3)):
+        row = X[draw(st.integers(0, len(X) - 1))].copy()
+        row[:LEAD] = design
+        X = np.insert(X, draw(st.integers(0, len(X))), row, axis=0)
+    return X
 
 
 def _bits(a) -> bytes:
@@ -260,8 +283,8 @@ def test_global_seed_rows_equal_the_weight_rule_row_by_row(n_r):
 #: designs on each path of the zero-discard constraint: two whose grids
 #: have one largest value (the maxima), one of radius 0, whose requirement
 #: is the same for every epistemic draw (a tie at every scenario's top:
-#: sorted alone), and one of radius 0 centred on a training scenario,
-#: whose grid holds an exact 0.0 there (the whole batch is sorted)
+#: sorted), and one of radius 0 centred on a training scenario, whose grid
+#: holds an exact 0.0 there (sorted with the other rejected designs)
 _FAST = [[0.0, 0.0, 5.0], [0.3, -0.2, 4.0]]
 _TIED = [[1.0, 2.0, 0.0]]
 _ZERO = [DATA.aleatory[0].tolist() + [0.0]]
@@ -270,7 +293,7 @@ _ZERO = [DATA.aleatory[0].tolist() + [0.0]]
 @pytest.mark.parametrize("designs, path", [
     (_FAST, "maxima"),
     (_TIED + _FAST, "sub-batch"),
-    (_FAST + _ZERO + _TIED, "whole batch"),
+    (_FAST + _ZERO + _TIED, "zero"),
 ])
 def test_zero_discard_rows_equal_the_sorted_path_on_every_path(designs, path, monkeypatch):
     problem = _problem("risk_agnostic_local_zero_discard")
@@ -285,10 +308,9 @@ def test_zero_discard_rows_equal_the_sorted_path_on_every_path(designs, path, mo
 
     monkeypatch.setattr(programs, "quantile_of", spy)
     g = problem.constraints_batch(X)
-    n_tied = sum(x in _TIED for x in X.tolist())
-    expected = {"maxima": [], "sub-batch": [n_tied], "whole batch": [len(X)]}[path]
-    assert sorted_rows == expected
-    assert (values == 0.0).any() == (path == "whole batch")
+    n_rejected = sum(x in _TIED + _ZERO for x in X.tolist())
+    assert sorted_rows == ([] if path == "maxima" else [n_rejected])
+    assert (values == 0.0).any() == (path == "zero")
     assert _bits(g) == _bits(quantile_of(quantile_of(values, 1.0), 1.0))
     for i in range(len(X)):
         assert _bits(g[i]) == _bits(problem.constraints_batch(X[i : i + 1])[0])

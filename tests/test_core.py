@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -8,7 +9,7 @@ import pytest
 
 import scendo
 from oracles import circle_requirement_stacked, circle_response_stacked
-from scendo import circle
+from scendo import circle, core
 from scendo.core import (
     AlphaConfig,
     EpistemicSet,
@@ -140,6 +141,21 @@ def test_alpha_config_rejects_infinite_weights(field):
     # rule into inf * 0 = NaN at the first solve
     with pytest.raises(InputError, match=f"{field}.* finite"):
         AlphaConfig(np.array([0.1]), np.array([0.1]), **{field: np.inf})
+
+
+@pytest.mark.parametrize("args, least, message", [
+    (("seed", 2.5), None, "seed must be an integer, got 2.5"),
+    (("seed", True), 0, "seed must be an integer, got True"),  # a bool is an int to isinstance
+    (("seed", -1), 0, "seed must be nonnegative, got -1"),
+    (("n_probe", np.int64(0)), 1, "n_probe must be at least 1, got np.int64(0)"),
+    (("n_a and k", 3, False), None, "n_a and k must be integers, got 3, False"),
+    (("n_a and k", 3, -1), 0, "n_a and k must be nonnegative, got 3, -1"),
+])
+def test_integer_check_names_what_failed(args, least, message):
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+        core._integers(*args, least=least)
+    names, *values = args  # positive integers pass, numpy's among them
+    core._integers(names, *(np.int64(abs(int(v)) + 1) for v in values), least=least)
 
 
 def test_registry_round_trip():

@@ -1,4 +1,5 @@
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -6,8 +7,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import SNAP, interpolant_cdf, interpolant_quantile, quantile_reference, strictify_rows
+from scendo import ecdf, montecarlo, programs
 from scendo.core import InputError
-from scendo.ecdf import cdf_of, quantile_of, sorted_cdf, sorted_quantile, strictify_sorted
+from scendo.ecdf import TIE_EPS, cdf_of, quantile_of, sorted_cdf, sorted_quantile, strictify_sorted
 from scendo.weights import sorted_fractions
 
 
@@ -409,3 +411,157 @@ def test_one_level_path_matches_the_array_path_bit_for_bit(case):
         got = sorted_quantile(rows, alpha)
         assert type(got) is np.ndarray
         _same_bits(got, want if np.ndim(alpha) else want.reshape(lead))
+
+
+# ---------------------------------------------------------------------------
+# the sort-free paths: each guard admits only what the sorted path gives
+# ---------------------------------------------------------------------------
+
+
+def _nested_tops(values):
+    """The zero-discard constraint by sorting: both quantiles at level 1."""
+    return quantile_of(quantile_of(values, 1.0), 1.0)
+
+
+#: special values a grid cell may take: signed zeros and non-finite values
+_SPECIALS = [-0.0, 0.0, np.inf, -np.inf, np.nan]
+
+
+@st.composite
+def _top_grids(draw):
+    """A batch of (B, n_r, n_a, n_e) grids built around a top M per grid.
+
+    Cells come from a pool: values below M at fractions of the guard's
+    window W (near-ties just inside and just outside it among them),
+    other values in [-1e4, 1e4], and sometimes a signed zero, +-inf or
+    NaN.  M sits in one cell, sometimes in two (a tie at the top); some
+    grids are one pool value but for M, some hold distinct values below
+    M (no tie, so a -0.0 M keeps its sign when sorted), and some rows are
+    constant (ties at every row's top, and rows of -inf whose tie shift
+    is NaN).
+    """
+    b, n_r = draw(st.integers(1, 3)), draw(st.integers(1, 2))
+    n_a, n_e = draw(st.integers(1, 7)), draw(st.integers(1, 7))
+    n = max(n_a, n_e)
+    fraction = st.one_of(
+        st.sampled_from([0.5, 1.0 - 1e-6, 1.0 + 1e-6, 1.2, 1.5]), st.floats(0.01, 3.0)
+    )
+    grids = []
+    for _ in range(b * n_r):
+        top = draw(st.one_of(
+            st.sampled_from([-0.0, 0.0, 0.25, -0.25, 1.0, -3.0, 7.5]), st.floats(-1e4, 1e4)
+        ))
+        window = ecdf._TOP_WINDOW * n * TIE_EPS * max(1.0, 2.0 * abs(top))
+        pool = [top - window * f for f in draw(st.lists(fraction, min_size=1, max_size=3))]
+        pool += draw(st.lists(st.floats(-1e4, 1e4), max_size=2))
+        pool += draw(st.lists(st.sampled_from(_SPECIALS), max_size=2))
+        kind = draw(st.sampled_from(["constant", "pool", "distinct"]))
+        if kind == "constant":
+            cells = [draw(st.sampled_from(pool))] * (n_a * n_e)
+        elif kind == "pool":
+            cells = draw(st.lists(st.sampled_from(pool), min_size=n_a * n_e, max_size=n_a * n_e))
+        else:
+            below = st.floats(-1e4, 1e4).map(lambda v: -abs(v) + min(top, 0.0) - 1.0)
+            cells = draw(st.lists(below, min_size=n_a * n_e, max_size=n_a * n_e, unique=True))
+        grid = np.array(cells).reshape(n_a, n_e)
+        for row in draw(st.lists(st.integers(0, n_a - 1), max_size=2)):
+            grid[row] = draw(st.sampled_from(pool))
+        for _ in range(draw(st.integers(1, 2))):
+            grid[draw(st.integers(0, n_a - 1)), draw(st.integers(0, n_e - 1))] = top
+        grids.append(grid)
+    return np.array(grids).reshape(b, n_r, n_a, n_e)
+
+
+def _run_below_top(top, fraction, n):
+    """An n x n grid of one value ``fraction`` windows W below ``top``,
+    but for ``top`` in its last cell."""
+    window = ecdf._TOP_WINDOW * n * TIE_EPS * max(1.0, 2.0 * abs(top))
+    grid = np.full((1, 1, n, n), top - fraction * window)
+    grid[..., -1, -1] = top
+    return grid
+
+
+@settings(deadline=None)
+@given(_top_grids())
+# a -0.0 top in an untied row, beside a tied row: it stays -0.0 when sorted
+@example(values=np.array([[[[-1.0, -1.0], [-2.0, -0.0]]]]))
+# a -0.0 top in a tied row, and alone in a one-sample grid: the sorted path
+# writes +0.0, so the guard rejects a zero top
+@example(values=np.array([[[[-1.0, -1.0, -0.0]]]]))
+@example(values=np.array([[[[-0.0]]]]))
+# a row of -inf: its tie shift is NaN, which tops the row of scenario tops
+@example(values=np.array([[[[-np.inf, -np.inf], [-2.0, 3.0]]]]))
+# a -0.0 top in a design of distinct values, rejected and sorted without
+# the batch's other design, which holds a tie: it keeps its -0.0
+@example(values=np.array([[[[-1.0, -1.0], [-2.0, 3.0]]], [[[-1.0, -2.0], [-3.0, -0.0]]]]))
+# ties just outside W: their shifts through both levels stay below M, and
+# would reach it from just outside a window an eighth as wide
+@example(values=_run_below_top(0.25, 1.2, 7))
+def test_guarded_tops_are_the_nested_quantiles_bit_for_bit(values):
+    with np.errstate(all="ignore"):  # the sorted path's shifts of infinities are NaN
+        want = _nested_tops(values)
+        top, admitted = ecdf._guarded_tops(values)
+        got, n_sorted = programs._zero_discard_tops(values, _nested_tops)
+    assert top[admitted].tobytes() == want[admitted].tobytes()
+    assert got.tobytes() == want.tobytes()
+    # the zero-discard constraint sorts the designs the guard rejects, and no other
+    assert n_sorted == int(np.count_nonzero(~admitted.all(axis=-1)))
+
+
+@st.composite
+def _unsorted_blocks(draw):
+    """(values, n_keep): a block of 1-3 unsorted rows of 2-400 values and a
+    kept count.  Each row is a normal sample, scaled (at 0.2 its values
+    lie below 1, where the tie shift is the same TIE_EPS for all, and are
+    far apart) and shifted so that some rows are all negative or all
+    nonnegative.  Clusters of exact and near ties are put around its lo
+    (the negative value nearest zero) and hi (the smallest nonnegative
+    one): copies of them, or values one or two steps away.  A step is 1,
+    30, about 128 (the narrow window's edge) or about 4n (the wide
+    window's) tie shifts of the anchor, TIE_EPS * max(1, |anchor|), or of
+    the row's largest value, which the windows are measured in.  Some rows
+    also hold a zero of either sign or an infinity."""
+    n = draw(st.integers(2, 400))
+    n_keep = draw(st.one_of(st.just(n), st.just(1), st.integers(1, n)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = []
+    for _ in range(draw(st.integers(1, 3))):
+        scale = draw(st.sampled_from([1e-6, 0.2, 1.0, 1e4]))
+        row = (rng.standard_normal(n) + draw(st.sampled_from([-4.0, -0.3, 0.0, 0.3, 4.0]))) * scale
+        lo = row[row < 0].max(initial=-scale)
+        hi = row[row >= 0].min(initial=scale)
+        others = np.flatnonzero((row != lo) & (row != hi))  # the clusters leave lo and hi
+        for _ in range(draw(st.integers(0, 4))):
+            anchor = draw(st.sampled_from([lo, hi]))
+            unit = TIE_EPS * max(1.0, abs(anchor) if draw(st.booleans()) else np.abs(row).max())
+            step = draw(st.sampled_from([1.0, 30.0, 127.0, 129.0, 4.0 * n - 1, 4.0 * n + 1]))
+            step *= draw(st.sampled_from([-1.0, 1.0])) * unit
+            at = rng.choice(others, min(others.size, draw(st.integers(1, 300))), replace=False)
+            k = draw(st.sampled_from([0, 1, 2, None]))  # one offset, or a mix of the three
+            row[at] = anchor + step * (rng.integers(0, 3, at.size) if k is None else k)
+        for special in draw(st.lists(st.sampled_from([0.0, -0.0, np.inf, -np.inf]), max_size=2)):
+            row[rng.integers(n)] = special
+        rows.append(row)
+    return np.array(rows), n_keep
+
+
+@settings(deadline=None)
+@given(_unsorted_blocks())
+def test_order_free_reduction_is_the_sorted_paths_bit_for_bit(case):
+    values, n_keep = case
+    with np.errstate(all="ignore"):  # the sorted path's shifts of infinities are NaN
+        for row in values:  # each row the guard admits, whole
+            got = ecdf._order_free(row)
+            if got is not None:
+                assert float(got[0]).hex() == float(cdf_of(row, 0.0)).hex()
+                assert got[1] == np.count_nonzero(row <= 0.0)
+        # analyze's reduction of the block, trimmed or not, with rows of any
+        # length admitted
+        want_p, want_m = np.empty(len(values)), np.empty(len(values), dtype=np.intp)
+        montecarlo._reduce(np.sort(values, axis=-1), n_keep, want_p, want_m)
+        p, m = np.empty(len(values)), np.empty(len(values), dtype=np.intp)
+        with mock.patch.object(montecarlo, "_ORDER_FREE_MIN", 2):
+            montecarlo._reduce_unsorted(values.copy(), n_keep, p, m)
+    assert p.tobytes() == want_p.tobytes() and m.tolist() == want_m.tolist()
+
+

@@ -10,8 +10,6 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 from scipy.stats import beta
 
 import scendo
@@ -350,65 +348,10 @@ def test_streamed_analyze_matches_full_grid_oracle(circle_spec, blocking, worst_
     assert np.any(row[1:] == row[:-1])
 
 
-@st.composite
-def _unsorted_blocks(draw):
-    """(values, n_keep): a block of 1-3 unsorted rows of 2-400 values and a
-    kept count.  Each row is a normal sample, scaled (at 0.2 its values
-    lie below 1, where the tie shift is the same TIE_EPS for all, and are
-    far apart) and shifted so that some rows are all negative or all
-    nonnegative.  Clusters of exact and near ties are put around its lo
-    (the negative value nearest zero) and hi (the smallest nonnegative
-    one): copies of them, or values one or two steps away.  A step is 1,
-    30, about 128 (the narrow window's edge) or about 4n (the wide
-    window's) tie shifts of the anchor, TIE_EPS * max(1, |anchor|), or of
-    the row's largest value, which the windows are measured in.  Some rows
-    also hold a zero of either sign or an infinity."""
-    n = draw(st.integers(2, 400))
-    n_keep = draw(st.one_of(st.just(n), st.just(1), st.integers(1, n)))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    rows = []
-    for _ in range(draw(st.integers(1, 3))):
-        scale = draw(st.sampled_from([1e-6, 0.2, 1.0, 1e4]))
-        row = (rng.standard_normal(n) + draw(st.sampled_from([-4.0, -0.3, 0.0, 0.3, 4.0]))) * scale
-        lo = row[row < 0].max(initial=-scale)
-        hi = row[row >= 0].min(initial=scale)
-        others = np.flatnonzero((row != lo) & (row != hi))  # the clusters leave lo and hi
-        for _ in range(draw(st.integers(0, 4))):
-            anchor = draw(st.sampled_from([lo, hi]))
-            unit = TIE_EPS * max(1.0, abs(anchor) if draw(st.booleans()) else np.abs(row).max())
-            step = draw(st.sampled_from([1.0, 30.0, 127.0, 129.0, 4.0 * n - 1, 4.0 * n + 1]))
-            step *= draw(st.sampled_from([-1.0, 1.0])) * unit
-            at = rng.choice(others, min(others.size, draw(st.integers(1, 300))), replace=False)
-            k = draw(st.sampled_from([0, 1, 2, None]))  # one offset, or a mix of the three
-            row[at] = anchor + step * (rng.integers(0, 3, at.size) if k is None else k)
-        for special in draw(st.lists(st.sampled_from([0.0, -0.0, np.inf, -np.inf]), max_size=2)):
-            row[rng.integers(n)] = special
-        rows.append(row)
-    return np.array(rows), n_keep
-
-
 def _sorted_path(values, n_keep):
     p, m = np.empty(len(values)), np.empty(len(values), dtype=np.intp)
     montecarlo._reduce(np.sort(values, axis=-1), n_keep, p, m)
     return p, m
-
-
-@settings(deadline=None)
-@given(_unsorted_blocks())
-def test_order_free_reduction_is_the_sorted_paths_bit_for_bit(case):
-    values, n_keep = case
-    with np.errstate(all="ignore"):  # the sorted path's shifts of infinities are NaN
-        for r, row in enumerate(values):  # each row the guard admits, whole
-            got = montecarlo._order_free(row)
-            if got is not None:
-                p, m = _sorted_path(values[r : r + 1], values.shape[1])
-                assert np.array([got[0]]).tobytes() == p.tobytes() and got[1] == m[0]
-        # the block, trimmed or not, with rows of any length admitted
-        want_p, want_m = _sorted_path(values, n_keep)
-        p, m = np.empty(len(values)), np.empty(len(values), dtype=np.intp)
-        with mock.patch.object(montecarlo, "_ORDER_FREE_MIN", 2):
-            montecarlo._reduce_unsorted(values.copy(), n_keep, p, m)
-    assert p.tobytes() == want_p.tobytes() and m.tolist() == want_m.tolist()
 
 
 @pytest.mark.parametrize("signs, copies, steps, admitted", [
@@ -429,12 +372,13 @@ def test_order_free_guard_on_a_run_of_copies_below_lo(signs, copies, steps, admi
         row[-1] = -20 * TIE_EPS
     lo = row[row < 0].max()
     row[:copies] = lo - steps * TIE_EPS
-    p, m = _sorted_path(row[None], row.size)
-    got = montecarlo._order_free(row)
-    assert (got is not None) == admitted
-    if admitted:
-        assert np.array([got[0]]).tobytes() == p.tobytes() and got[1] == m[0]
-    else:  # the run moved lo: the count and knots of the unsorted row would be wrong
+    want_p, want_m = _sorted_path(row[None], row.size)
+    p, m = np.empty(1), np.empty(1, dtype=np.intp)
+    with mock.patch.object(montecarlo, "_ORDER_FREE_MIN", 2):
+        n_sorted = montecarlo._reduce_unsorted(row[None].copy(), row.size, p, m)
+    assert n_sorted == (0 if admitted else 1)  # a row the guard rejects is sorted
+    assert p.tobytes() == want_p.tobytes() and m.tolist() == want_m.tolist()
+    if not admitted:  # the run moved lo: the count and knots of the unsorted row would be wrong
         strict = strictify_sorted(np.sort(row))
         assert strict[strict < 0].max() != lo
 

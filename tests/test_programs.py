@@ -3,13 +3,11 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
 from oracles import quantile_reference, welzl_circle
 from scendo import circle, nlp, programs
 from scendo.core import AlphaConfig, InputError, ProblemSpec, ScenarioData, SolveResult
-from scendo.ecdf import TIE_EPS, quantile_of
+from scendo.ecdf import quantile_of
 from scendo.programs import (
     MOMENT_TAGS,
     FormulationTag,
@@ -428,102 +426,12 @@ def test_solve_dispatcher(circle_spec, small_data):
 
 
 # ---------------------------------------------------------------------------
-# the zero-discard program's constraint: grid maxima behind a guard
+# the zero-discard program's constraint: grid maxima behind a guard (the
+# guard's own property is in test_ecdf.py)
 # ---------------------------------------------------------------------------
 
 
-def _nested_tops(values):
-    """The zero-discard constraint by sorting: both quantiles at level 1."""
-    return quantile_of(quantile_of(values, 1.0), 1.0)
-
-
-#: special values a grid cell may take: signed zeros and non-finite values
-_SPECIALS = [-0.0, 0.0, np.inf, -np.inf, np.nan]
-
-
-@st.composite
-def _top_grids(draw):
-    """A batch of (B, n_r, n_a, n_e) grids built around a top M per grid.
-
-    Cells come from a pool: values below M at fractions of the guard's
-    window W (near-ties just inside and just outside it among them),
-    other values in [-1e4, 1e4], and sometimes a signed zero, +-inf or
-    NaN.  M sits
-    in one cell, sometimes in two (a tie at the top); some grids are one
-    pool value but for M, some hold distinct values below M (no tie, so
-    a -0.0 M keeps its sign when sorted alone), and some rows are
-    constant (ties at every row's top, and rows of -inf whose tie shift
-    is NaN).
-    """
-    b, n_r = draw(st.integers(1, 3)), draw(st.integers(1, 2))
-    n_a, n_e = draw(st.integers(1, 7)), draw(st.integers(1, 7))
-    n = max(n_a, n_e)
-    fraction = st.one_of(
-        st.sampled_from([0.5, 1.0 - 1e-6, 1.0 + 1e-6, 1.2, 1.5]), st.floats(0.01, 3.0)
-    )
-    grids = []
-    for _ in range(b * n_r):
-        top = draw(st.one_of(
-            st.sampled_from([-0.0, 0.0, 0.25, -0.25, 1.0, -3.0, 7.5]), st.floats(-1e4, 1e4)
-        ))
-        window = programs._TOP_WINDOW * n * TIE_EPS * max(1.0, 2.0 * abs(top))
-        pool = [top - window * f for f in draw(st.lists(fraction, min_size=1, max_size=3))]
-        pool += draw(st.lists(st.floats(-1e4, 1e4), max_size=2))
-        pool += draw(st.lists(st.sampled_from(_SPECIALS), max_size=2))
-        kind = draw(st.sampled_from(["constant", "pool", "distinct"]))
-        if kind == "constant":
-            cells = [draw(st.sampled_from(pool))] * (n_a * n_e)
-        elif kind == "pool":
-            cells = draw(st.lists(st.sampled_from(pool), min_size=n_a * n_e, max_size=n_a * n_e))
-        else:
-            below = st.floats(-1e4, 1e4).map(lambda v: -abs(v) + min(top, 0.0) - 1.0)
-            cells = draw(st.lists(below, min_size=n_a * n_e, max_size=n_a * n_e, unique=True))
-        grid = np.array(cells).reshape(n_a, n_e)
-        for row in draw(st.lists(st.integers(0, n_a - 1), max_size=2)):
-            grid[row] = draw(st.sampled_from(pool))
-        for _ in range(draw(st.integers(1, 2))):
-            grid[draw(st.integers(0, n_a - 1)), draw(st.integers(0, n_e - 1))] = top
-        grids.append(grid)
-    return np.array(grids).reshape(b, n_r, n_a, n_e)
-
-
-def _run_below_top(top, fraction, n):
-    """An n x n grid of one value ``fraction`` windows W below ``top``,
-    but for ``top`` in its last cell."""
-    window = programs._TOP_WINDOW * n * TIE_EPS * max(1.0, 2.0 * abs(top))
-    grid = np.full((1, 1, n, n), top - fraction * window)
-    grid[..., -1, -1] = top
-    return grid
-
-
-@settings(deadline=None)
-@given(_top_grids())
-# a -0.0 top with a tie elsewhere in the batch: the sorted path writes +0.0
-@example(values=np.array([[[[-1.0, -1.0], [-2.0, -0.0]]]]))
-# a row of -inf: its tie shift is NaN, which tops the row of scenario tops
-@example(values=np.array([[[[-np.inf, -np.inf], [-2.0, 3.0]]]]))
-# a -0.0 top in a design of distinct values, sorted alone, and a tie in
-# the batch's other design: the whole batch is sorted, writing +0.0
-@example(values=np.array([[[[-1.0, -1.0], [-2.0, 3.0]]], [[[-1.0, -2.0], [-3.0, -0.0]]]]))
-# ties just outside W: their shifts through both levels stay below M, and
-# would reach it from just outside a window an eighth as wide
-@example(values=_run_below_top(0.25, 1.2, 7))
-def test_guarded_tops_are_the_nested_quantiles_bit_for_bit(values):
-    with np.errstate(all="ignore"):  # the sorted path's shifts of infinities are NaN
-        want = _nested_tops(values)
-        top, admitted = programs._guarded_tops(values)
-        got, n_sorted, whole = programs._zero_discard_tops(values, _nested_tops)
-    assert top[admitted].tobytes() == want[admitted].tobytes()
-    assert got.tobytes() == want.tobytes()
-    rejected = int(np.count_nonzero(~admitted.all(axis=-1)))
-    assert n_sorted == (len(values) if whole else rejected)
-    assert whole == (rejected > 0 and bool((values[~admitted.all(axis=-1)] == 0.0).any()))
-
-
-_DEBUG_LINE = re.compile(
-    r"risk_agnostic_local: (\d+) of (\d+) designs sorted, "
-    r"(\d+) of (\d+) constraint batches sorted whole"
-)
+_DEBUG_LINE = re.compile(r"risk_agnostic_local: (\d+) of (\d+) designs sorted$")
 
 
 @pytest.mark.parametrize("alpha_a", [0.0, 0.1])
@@ -549,12 +457,12 @@ def test_risk_agnostic_local_debug_line_counts_the_sorted_designs(
     with caplog.at_level(logging.DEBUG, logger="scendo.programs"):
         solve_risk_agnostic_local(circle_spec, data, AlphaConfig.uniform(1, alpha_a=alpha_a), OPTS)
     (line,) = [m for m in map(_DEBUG_LINE.search, caplog.messages) if m]
-    n_sorted, n_designs, whole, batches = map(int, line.groups())
-    assert (n_sorted, n_designs, batches) == (calls["sorted"], calls["designs"], calls["batches"])
-    if alpha_a:  # a fraction above 0: every batch is sorted whole
-        assert (n_sorted, whole) == (n_designs, batches)
-    else:
-        assert n_sorted < n_designs and whole < batches
+    n_sorted, n_designs = map(int, line.groups())
+    assert (n_sorted, n_designs) == (calls["sorted"], calls["designs"])
+    if alpha_a:  # a fraction above 0: every design is sorted
+        assert n_sorted == n_designs
+    else:  # each batch sorts only the designs the guard rejects
+        assert n_sorted < n_designs
 
 
 def test_zero_discard_solve_is_the_sorted_solve_bit_for_bit(circle_spec, small_data, monkeypatch):
